@@ -21,6 +21,7 @@ from .harness import DEFAULT_HOST, DEFAULT_PORT, RunConfig, run
 from .partition import DEFAULT_SPEC, PartitionSpec, validate
 from .render import SceneConfig, SceneId
 from .sim import FixedCostModel, NetModel, PerRayCostModel
+from .wire import MAX_FRAMES
 
 _CODECS = {"raw": codec_mod.CodecId.RAW, "pred-deflate": codec_mod.CodecId.PRED_DEFLATE}
 _SCENES = {"empty": SceneId.EMPTY, "spheres": SceneId.SPHERES}
@@ -105,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("server", help="serve foveal subframes to one client")
     _add_endpoint(p)
-    p.add_argument("--parallel-encode", action="store_true",
-                   help="encode the two eyes on two threads")
     p.add_argument("--server-csv", metavar="PATH", help="write per-frame server timings")
 
     p = sub.add_parser("client", help="run the split client against a server")
@@ -123,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry(p)
     _add_outputs(p)
     _add_net(p, default_cost_model="fixed")
-    p.add_argument("--parallel-encode", action="store_true")
 
     p = sub.add_parser("compare", help="native vs split over identical frames")
     _add_geometry(p)
@@ -148,18 +146,15 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> RunConfig:
 
     kwargs: dict = {"mode": args.mode}
     if args.mode == "server":
-        kwargs.update(
-            host=args.host, port=args.port,
-            parallel_encode=args.parallel_encode, server_csv=args.server_csv,
-        )
+        kwargs.update(host=args.host, port=args.port, server_csv=args.server_csv)
         return RunConfig(**kwargs)
 
     spec = PartitionSpec.from_full(
         args.size[0], args.size[1], args.fovea[0], args.fovea[1], args.scale
     )
     violations = validate(spec)
-    if args.frames < 1:
-        violations.append(f"frames must be at least 1, got {args.frames}")
+    if not 1 <= args.frames <= MAX_FRAMES:
+        violations.append(f"frames must be in [1, {MAX_FRAMES}], got {args.frames}")
     if violations:
         parser.error("; ".join(violations))
 
@@ -196,7 +191,6 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> RunConfig:
             clock=args.clock,
             net=NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth),
             cost=cost,
-            parallel_encode=getattr(args, "parallel_encode", False),
         )
         if args.mode == "compare":
             kwargs.update(native_csv=args.native_csv)

@@ -23,7 +23,8 @@ from . import codec as codec_mod
 from .camera import CameraPath, CameraRig, Pose, pose_at
 from .image import GeometryError, validate_image, write_ppm
 from .partition import Eye, PartitionSpec, foveal_rect, foveal_rect_stereo, require_valid
-from .render import SceneConfig, render_region, render_scaled
+from .render import SceneConfig, render_scaled
+from .server import draw_foveae
 from .trace import BEGIN, END, RECV, SEND, Trace
 from .wire import (
     ByteStream,
@@ -135,17 +136,19 @@ def merge(
     return out
 
 
+def compose(reduced: np.ndarray, foveae: dict[Eye, np.ndarray], spec: PartitionSpec) -> np.ndarray:
+    """The displayed frame: the reduced periphery upsampled to the full
+    frame, with each eye's full-rate fovea composited over it."""
+    return merge(upsample_nearest(reduced, (spec.full_w, spec.full_h)), foveae, spec)
+
+
 def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
     """One fixed-foveation frame composed locally: full-rate foveae over
     nearest-upsampled reduced periphery. This is what both native mode and
     a lossless split session display."""
-    foveae = {
-        eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h), foveal_rect(spec, eye))
-        for eye in (Eye.LEFT, Eye.RIGHT)
-    }
+    foveae = draw_foveae(scene, rig, pose, spec)
     reduced = render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
-    up = upsample_nearest(reduced, (spec.full_w, spec.full_h))
-    return merge(up, foveae, spec)
+    return compose(reduced, foveae, spec)
 
 
 class _TimingReader:
@@ -292,8 +295,7 @@ class ClientSession:
 
         self._trace("client", BEGIN, "merge", frame_id)
         t_merge = self.clock()
-        up = upsample_nearest(reduced, (self.spec.full_w, self.spec.full_h))
-        merged = merge(up, foveal, self.spec)
+        merged = compose(reduced, foveal, self.spec)
         merge_ms = (self.clock() - t_merge) * 1000.0
         self._trace("client", END, "merge", frame_id)
 
@@ -372,18 +374,12 @@ def run_native(
         pose_ms = (clock() - t0) * 1000.0
 
         t_draw = clock()
-        foveae = {
-            eye: render_region(
-                scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h), foveal_rect(spec, eye)
-            )
-            for eye in (Eye.LEFT, Eye.RIGHT)
-        }
+        foveae = draw_foveae(scene, rig, pose, spec)
         reduced = render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
         draw_ms = (clock() - t_draw) * 1000.0
 
         t_merge = clock()
-        up = upsample_nearest(reduced, (spec.full_w, spec.full_h))
-        merged = merge(up, foveae, spec)
+        merged = compose(reduced, foveae, spec)
         merge_ms = (clock() - t_merge) * 1000.0
 
         display(frame_id, merged)

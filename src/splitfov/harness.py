@@ -22,7 +22,9 @@ from .metrics import (
     improvement_pct,
     median,
     read_csv,
+    render_server_profile,
     render_table,
+    stage_medians,
     summarize,
     write_csv,
     write_summary_kv,
@@ -39,6 +41,7 @@ from .sim import (
     run_sim_virtual,
     run_sim_wall,
 )
+from .wire import MAX_FRAMES
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 4460
@@ -63,7 +66,6 @@ class RunConfig:
     net: NetModel = field(default_factory=NetModel)
     clock: str = "virtual"
     cost: CostModel = field(default_factory=FixedCostModel)
-    parallel_encode: bool = False
     client_csv: Optional[str] = None
     server_csv: Optional[str] = None
     native_csv: Optional[str] = None
@@ -82,8 +84,8 @@ class RunConfig:
                 raise ValueError("report mode needs at least one CSV input")
             return
         require_valid(self.spec)
-        if self.mode != "server" and self.frame_count < 1:
-            raise ValueError(f"frame_count must be at least 1, got {self.frame_count}")
+        if self.mode != "server" and not 1 <= self.frame_count <= MAX_FRAMES:
+            raise ValueError(f"frame_count must be in [1, {MAX_FRAMES}], got {self.frame_count}")
 
 
 def _display(config: RunConfig) -> DisplaySink:
@@ -112,7 +114,6 @@ def run_sim(config: RunConfig) -> SimResult:
     return run_sim_wall(
         config.spec, config.codec, config.scene, config.rig, path,
         net=config.net, display=_display(config),
-        parallel_encode=config.parallel_encode,
     )
 
 
@@ -129,10 +130,7 @@ def run_native_mode(config: RunConfig) -> list[ClientFrameRecord]:
 
 def run_server_mode(config: RunConfig, ready=None) -> list[ServerFrameTiming]:
     config.validate()
-    return run_server(
-        config.host, config.port, rig=config.rig,
-        parallel_encode=config.parallel_encode, ready=ready,
-    )
+    return run_server(config.host, config.port, rig=config.rig, ready=ready)
 
 
 def run_client_mode(config: RunConfig) -> list[ClientFrameRecord]:
@@ -203,13 +201,7 @@ def run_report(config: RunConfig) -> str:
     if client_records is None:
         if server_records is None:
             raise ValueError("no records found in inputs")
-        med = {k: median([getattr(r, k) for r in server_records])
-               for k in ("draw_ms", "encode_ms", "send_ms")}
-        return (
-            f"Server profile ({len(server_records)} frames, all times median ms)\n"
-            f"  Draw Time {med['draw_ms']:.2f}  Encode Time {med['encode_ms']:.2f}"
-            f"  Send {med['send_ms']:.2f}"
-        )
+        return render_server_profile(stage_medians(server_records), len(server_records))
     summary = summarize(client_records, server_records)
     return render_table(summary)
 
@@ -261,12 +253,7 @@ def run(config: RunConfig, ready=None) -> str:
         _write_outputs(config, server_records=records)
         if not records:
             return "server: session ended before any frame completed"
-        med = {k: median([getattr(r, k) for r in records])
-               for k in ("draw_ms", "encode_ms")}
-        return (
-            f"server: {len(records)} frames"
-            f"  Draw Time {med['draw_ms']:.2f} ms  Encode Time {med['encode_ms']:.2f} ms"
-        )
+        return render_server_profile(stage_medians(records), len(records))
     if config.mode == "client":
         records = run_client_mode(config)
         summary = summarize(records)

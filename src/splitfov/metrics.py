@@ -71,6 +71,11 @@ def _stage_fields(record) -> list[str]:
     return [f.name for f in dataclasses.fields(record) if f.name.endswith("_ms")]
 
 
+def stage_medians(records: Sequence) -> dict[str, float]:
+    """Median of each *_ms stage field across per-frame records."""
+    return {s: median([getattr(r, s) for r in records]) for s in _stage_fields(records[0])}
+
+
 def summarize(client_records: Sequence, server_records: Optional[Sequence] = None,
               server_dims: Optional[str] = None) -> Summary:
     """Aggregates per-frame records into medians, IQRs, fps, and Mbps.
@@ -82,9 +87,8 @@ def summarize(client_records: Sequence, server_records: Optional[Sequence] = Non
     """
     if len(client_records) == 0:
         raise ValueError("no client records to summarize")
-    stages = _stage_fields(client_records[0])
-    med = {s: median([getattr(r, s) for r in client_records]) for s in stages}
-    spread = {s: iqr([getattr(r, s) for r in client_records]) for s in stages}
+    med = stage_medians(client_records)
+    spread = {s: iqr([getattr(r, s) for r in client_records]) for s in med}
 
     rates = [
         mbps(r.bytes_received, r.network_ms / 1000.0)
@@ -95,9 +99,8 @@ def summarize(client_records: Sequence, server_records: Optional[Sequence] = Non
 
     server_med = server_iqr = None
     if server_records:
-        sstages = _stage_fields(server_records[0])
-        server_med = {s: median([getattr(r, s) for r in server_records]) for s in sstages}
-        server_iqr = {s: iqr([getattr(r, s) for r in server_records]) for s in sstages}
+        server_med = stage_medians(server_records)
+        server_iqr = {s: iqr([getattr(r, s) for r in server_records]) for s in server_med}
 
     return Summary(
         frame_count=len(client_records),
@@ -115,6 +118,30 @@ def _fmt(v: Optional[float]) -> str:
     return "-" if v is None else f"{v:.2f}"
 
 
+def _columns(headers: list[str], row: list[str]) -> list[str]:
+    """A header line and a value line, each column as wide as its widest cell."""
+    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
+    return ["  " + "  ".join(c.ljust(w) for c, w in zip(cells, widths)) for cells in (headers, row)]
+
+
+def _other_stages(med: dict[str, float], shown: tuple[str, ...]) -> list[str]:
+    """One parenthesized line with the stages the table columns leave out."""
+    extras = [s for s in med if s not in shown]
+    if not extras:
+        return []
+    return ["  (" + ", ".join(f"{s[:-3]} {med[s]:.2f} ms" for s in extras) + ")"]
+
+
+def render_server_profile(medians: dict[str, float], frame_count: int,
+                          dims: Optional[str] = None) -> str:
+    """The server profiling table from per-stage medians (ms)."""
+    lines = [f"Server profile ({frame_count} frames, all times median ms)"]
+    lines += _columns(["Server Dims", "Draw Time", "Encode Time"],
+                      [dims or "-", _fmt(medians.get("draw_ms")), _fmt(medians.get("encode_ms"))])
+    lines += _other_stages(medians, ("draw_ms", "encode_ms"))
+    return "\n".join(lines)
+
+
 def render_table(summary: Summary, title: str = "Client profile") -> str:
     """Aligned text tables in the shape of the client/server profiling tables."""
     dims = summary.server_dims or "-"
@@ -124,27 +151,13 @@ def render_table(summary: Summary, title: str = "Client profile") -> str:
         f"  end-to-end: {med['total_ms']:.2f} ms/frame"
         f" ({summary.median_fps} fps, IQR = {summary.stage_iqr_ms['total_ms']:.3f})",
     ]
-    headers = ["Server Dims", "Network", "Decode", "Merge", "Mbps"]
-    row = [dims, _fmt(med.get("network_ms")), _fmt(med.get("decode_ms")),
-           _fmt(med.get("merge_ms")), _fmt(summary.mbps)]
-    widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-    lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  " + "  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    extras = [s for s in med if s not in ("network_ms", "decode_ms", "merge_ms", "total_ms")]
-    if extras:
-        lines.append("  (" + ", ".join(f"{s[:-3]} {med[s]:.2f} ms" for s in extras) + ")")
-
+    lines += _columns(["Server Dims", "Network", "Decode", "Merge", "Mbps"],
+                      [dims, _fmt(med.get("network_ms")), _fmt(med.get("decode_ms")),
+                       _fmt(med.get("merge_ms")), _fmt(summary.mbps)])
+    lines += _other_stages(med, ("network_ms", "decode_ms", "merge_ms", "total_ms"))
     if summary.server_stage_median_ms is not None:
-        smed = summary.server_stage_median_ms
-        lines.append("Server profile")
-        sheaders = ["Server Dims", "Draw Time", "Encode Time"]
-        srow = [dims, _fmt(smed.get("draw_ms")), _fmt(smed.get("encode_ms"))]
-        swidths = [max(len(h), len(v)) for h, v in zip(sheaders, srow)]
-        lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(sheaders, swidths)))
-        lines.append("  " + "  ".join(v.ljust(w) for v, w in zip(srow, swidths)))
-        sextras = [s for s in smed if s not in ("draw_ms", "encode_ms")]
-        if sextras:
-            lines.append("  (" + ", ".join(f"{s[:-3]} {smed[s]:.2f} ms" for s in sextras) + ")")
+        lines.append(render_server_profile(
+            summary.server_stage_median_ms, summary.frame_count, summary.server_dims))
     return "\n".join(lines)
 
 

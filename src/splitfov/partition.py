@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .image import Rect
+from .wire import MAX_DIM
 
 
 class Eye(IntEnum):
@@ -58,6 +59,8 @@ def validate(spec: PartitionSpec) -> list[str]:
     for name in ("full_w", "full_h", "eye_w", "eye_h", "fov_w", "fov_h"):
         if getattr(spec, name) < 1:
             violations.append(f"{name} must be at least 1")
+        elif getattr(spec, name) > MAX_DIM:
+            violations.append(f"{name} must be at most {MAX_DIM}, the wire's u16 limit")
     if spec.full_w != 2 * spec.eye_w:
         violations.append("full width must be twice the eye width")
     if spec.eye_h != spec.full_h:

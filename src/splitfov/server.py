@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from .camera import CameraRig, Pose, normalize_quat
-from .partition import Eye, PartitionSpec, foveal_rect, require_valid, validate
+from .partition import Eye, PartitionSpec, foveal_rect, validate
 from .render import SceneConfig, SceneId, render_region
 from .trace import BEGIN, END, RECV, SEND, Trace
 from .wire import (
@@ -59,6 +58,16 @@ def pose_from_wire(msg: PoseUpdateMsg) -> Pose:
     return Pose(np.array(msg.position, dtype=np.float32), q)
 
 
+def draw_foveae(
+    scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec
+) -> dict[Eye, np.ndarray]:
+    """Both eyes' foveal rectangles rendered at full sampling rate."""
+    return {
+        eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h), foveal_rect(spec, eye))
+        for eye in (Eye.LEFT, Eye.RIGHT)
+    }
+
+
 class ServerSession:
     """Serves one client over an established byte stream."""
 
@@ -67,9 +76,6 @@ class ServerSession:
         reader: ByteStream,
         writer: Callable[[bytes], None],
         rig: CameraRig,
-        spec_override: Optional[PartitionSpec] = None,
-        codec_override: Optional[codec_mod.CodecId] = None,
-        parallel_encode: bool = False,
         trace: Optional[Trace] = None,
         clock: Callable[[], float] = time.perf_counter,
         epoch: Optional[float] = None,
@@ -77,9 +83,6 @@ class ServerSession:
         self.reader = reader
         self.writer = writer
         self.rig = rig
-        self.spec_override = spec_override
-        self.codec_override = codec_override
-        self.parallel_encode = parallel_encode
         self.trace = trace
         self.clock = clock
         self._t0 = epoch
@@ -106,7 +109,7 @@ class ServerSession:
             raise ProtocolError(f"expected a hello, got {type(msg).__name__}")
         check_hello_version(msg)
         self._trace(RECV, "hello", 0)
-        spec = self.spec_override or PartitionSpec.from_full(
+        spec = PartitionSpec.from_full(
             msg.full_w, msg.full_h, msg.fov_w, msg.fov_h, msg.periph_scale
         )
         violations = validate(spec)
@@ -114,12 +117,7 @@ class ServerSession:
             raise ProtocolError("hello carries an invalid partition: " + "; ".join(violations))
         self.spec = spec
         try:
-            # RAW is id 0: an `or` chain would drop it, so test for None
-            self.codec = (
-                self.codec_override
-                if self.codec_override is not None
-                else codec_mod.CodecId(msg.codec)
-            )
+            self.codec = codec_mod.CodecId(msg.codec)
             self.scene = SceneConfig(SceneId(msg.scene_id))
         except ValueError as e:
             raise ProtocolError(f"hello carries an unknown enum value: {e}") from None
@@ -133,36 +131,21 @@ class ServerSession:
 
         self._trace(BEGIN, "draw", frame_id)
         t_draw = self.clock()
-        eyes = (Eye.LEFT, Eye.RIGHT)
-        rects = {eye: foveal_rect(spec, eye) for eye in eyes}
-        images = {
-            eye: render_region(
-                scene, self.rig, pose, int(eye), (spec.eye_w, spec.eye_h), rects[eye]
-            )
-            for eye in eyes
-        }
+        images = draw_foveae(scene, self.rig, pose, spec)
         draw_ms = (self.clock() - t_draw) * 1000.0
         self._trace(END, "draw", frame_id)
 
         self._trace(BEGIN, "encode", frame_id)
         t_enc = self.clock()
-        if self.parallel_encode:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                payloads = dict(
-                    zip(eyes, pool.map(lambda e: codec_mod.encode(codec, images[e]), eyes))
-                )
-        else:
-            payloads = {eye: codec_mod.encode(codec, images[eye]) for eye in eyes}
+        payloads = {eye: codec_mod.encode(codec, img) for eye, img in images.items()}
         encode_ms = (self.clock() - t_enc) * 1000.0
         self._trace(END, "encode", frame_id)
 
         t_send = self.clock()
-        for eye in eyes:
+        for eye, payload in payloads.items():
             self._trace(SEND, f"subframe{int(eye)}", frame_id)
             self.writer(
-                write_msg(
-                    SubframeMsg(frame_id, int(eye), int(codec), rects[eye], payloads[eye])
-                )
+                write_msg(SubframeMsg(frame_id, int(eye), int(codec), foveal_rect(spec, eye), payload))
             )
         send_ms = (self.clock() - t_send) * 1000.0
         bytes_sent = sum(len(p) for p in payloads.values())
@@ -197,9 +180,6 @@ def run_server(
     host: str,
     port: int,
     rig: CameraRig,
-    spec_override: Optional[PartitionSpec] = None,
-    codec_override: Optional[codec_mod.CodecId] = None,
-    parallel_encode: bool = False,
     trace: Optional[Trace] = None,
     ready: Optional[Callable[[int], None]] = None,
 ) -> list[ServerFrameTiming]:
@@ -209,8 +189,6 @@ def run_server(
     port 0). A client disconnect mid-session is reported and the partial
     records are returned.
     """
-    if spec_override is not None:
-        require_valid(spec_override)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
@@ -222,15 +200,7 @@ def run_server(
         with conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = conn.makefile("rb")
-            session = ServerSession(
-                reader,
-                conn.sendall,
-                rig,
-                spec_override=spec_override,
-                codec_override=codec_override,
-                parallel_encode=parallel_encode,
-                trace=trace,
-            )
+            session = ServerSession(reader, conn.sendall, rig, trace=trace)
             try:
                 return session.run()
             except (ConnectionClosedError, ConnectionError) as e:

@@ -1,14 +1,17 @@
 """Single-process simulation of a full split-rendering session.
 
-Two clock modes share the real rendering/codec/merge pipeline:
+Both clock modes run the real client and server runtimes concurrently over
+an in-memory duplex channel, so the pixels, the wire messages and the
+display sink are exactly those of a networked session:
 
-* virtual: stage durations come from a pluggable cost model and message
-  delivery from the network model, laid out analytically on a virtual
-  timeline. Runs are bit-reproducible and the event trace carries exact
-  timestamps for lockstep/overlap assertions.
-* wall: the real client and server runtimes run concurrently over an
-  in-memory duplex channel that delays delivery per the network model;
-  timings are honest wall-clock measurements.
+* virtual: only the clock is modeled. The runtimes exchange their messages
+  over a free link; stage durations then come from a pluggable cost model,
+  and message delivery from the network model applied to the size of each
+  message the runtimes wrote, laid out analytically on a virtual timeline.
+  Runs are bit-reproducible and the event trace carries exact timestamps
+  for lockstep/overlap assertions.
+* wall: the channel delays delivery per the network model; timings are
+  honest wall-clock measurements.
 
 The network model charges each message latency plus transmission time at
 the link rate; a direction's link is FIFO, so back-to-back messages
@@ -25,24 +28,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
-import numpy as np
-
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig, pose_at
-from .client import (
-    ClientFrameRecord,
-    ClientSession,
-    DisplaySink,
-    ffr_frame,
-    merge,
-    null_sink,
-    upsample_nearest,
-)
-from .partition import Eye, PartitionSpec, foveal_rect, reduced_dims, require_valid
-from .render import SceneConfig, render_region, render_scaled
+from .client import ClientFrameRecord, ClientSession, DisplaySink, ffr_frame, null_sink
+from .partition import PartitionSpec, reduced_dims, require_valid
+from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
 from .trace import BEGIN, END, RECV, SEND, Trace
-from .wire import EndMsg, HelloMsg, PoseUpdateMsg, SubframeMsg, write_msg, PROTOCOL_VERSION
 
 
 @dataclass(frozen=True)
@@ -185,74 +177,46 @@ def run_sim_virtual(
 ) -> SimResult:
     """Runs the split session on a deterministic virtual timeline.
 
-    The real pixels flow through the real pipeline (render, encode, wire
-    serialization, decode, merge, display sink); only the clock is
-    modeled. Timestamps in the records and trace are virtual
+    The real runtimes run the session (render, encode, wire serialization,
+    decode, merge, display sink) over a free in-memory link; only the clock
+    is modeled, from `cost` and from `net` applied to the size of each
+    message they wrote. Timestamps in the records and trace are virtual
     milliseconds from session start.
     """
-    require_valid(spec)
-    codec = codec_mod.CodecId(codec)
+    _, served, up, down = _run_split(spec, codec, scene, rig, path, ZERO_NET, display, None)
     trace = Trace()
     uplink = _Link(net)
     downlink = _Link(net)
-    eyes = (Eye.LEFT, Eye.RIGHT)
-    rects = {eye: foveal_rect(spec, eye) for eye in eyes}
     rw, rh = reduced_dims(spec)
     fov_px = spec.fov_w * spec.fov_h
     client_records: list[ClientFrameRecord] = []
     server_records: list[ServerFrameTiming] = []
 
-    hello = HelloMsg(
-        PROTOCOL_VERSION,
-        spec.full_w,
-        spec.full_h,
-        spec.fov_w,
-        spec.fov_h,
-        spec.periph_scale,
-        int(codec),
-        int(scene.scene_id),
-        int(path.path_id),
-        path.frame_count,
-    )
     trace.add(0.0, "client", SEND, "hello", 0)
-    (_, hello_arrive) = uplink.schedule(0.0, len(write_msg(hello)))
+    (_, hello_arrive) = uplink.schedule(0.0, up[0])
     trace.add(hello_arrive, "server", RECV, "hello", 0)
 
     t = hello_arrive  # frames start once the session is established
     for frame_id in range(path.frame_count):
-        pose = pose_at(path, frame_id)
-        pose_msg = PoseUpdateMsg(
-            frame_id,
-            tuple(float(v) for v in pose.position),
-            tuple(float(v) for v in pose.orientation),
-        )
+        payload_bytes = served[frame_id].bytes_sent
         trace.add(t, "client", SEND, "pose", frame_id)
         pose_send_end = t + cost.pose_ms()
-        (_, pose_arrive) = uplink.schedule(pose_send_end, len(write_msg(pose_msg)))
+        (_, pose_arrive) = uplink.schedule(pose_send_end, up[1 + frame_id])
         trace.add(pose_arrive, "server", RECV, "pose", frame_id)
 
         # Server pipeline: draw both foveae, encode, transmit.
         sdraw_end = pose_arrive + cost.server_draw_ms(2 * fov_px)
         trace.add(pose_arrive, "server", BEGIN, "draw", frame_id)
         trace.add(sdraw_end, "server", END, "draw", frame_id)
-        images = {
-            eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h), rects[eye])
-            for eye in eyes
-        }
-        payloads = {eye: codec_mod.encode(codec, images[eye]) for eye in eyes}
-        msg_sizes = {
-            eye: len(write_msg(SubframeMsg(frame_id, int(eye), int(codec), rects[eye], payloads[eye])))
-            for eye in eyes
-        }
-        enc_end = sdraw_end + cost.encode_ms(2 * fov_px, sum(map(len, payloads.values())))
+        enc_end = sdraw_end + cost.encode_ms(2 * fov_px, payload_bytes)
         trace.add(sdraw_end, "server", BEGIN, "encode", frame_id)
         trace.add(enc_end, "server", END, "encode", frame_id)
 
         trace.add(enc_end, "server", BEGIN, "send", frame_id)
         trace.add(enc_end, "server", SEND, "subframe0", frame_id)
-        first0, last0 = downlink.schedule(enc_end, msg_sizes[Eye.LEFT])
+        first0, last0 = downlink.schedule(enc_end, down[2 * frame_id])
         trace.add(downlink.free_at_ms, "server", SEND, "subframe1", frame_id)
-        first1, last1 = downlink.schedule(enc_end, msg_sizes[Eye.RIGHT])
+        first1, last1 = downlink.schedule(enc_end, down[2 * frame_id + 1])
         send_end = downlink.free_at_ms
         trace.add(send_end, "server", END, "send", frame_id)
         trace.add(last0, "client", RECV, "subframe0", frame_id)
@@ -263,7 +227,7 @@ def run_sim_virtual(
                 draw_ms=sdraw_end - pose_arrive,
                 encode_ms=enc_end - sdraw_end,
                 send_ms=send_end - enc_end,
-                bytes_sent=sum(len(p) for p in payloads.values()),
+                bytes_sent=payload_bytes,
             )
         )
 
@@ -272,28 +236,20 @@ def run_sim_virtual(
         cdraw_end = cdraw_begin + cost.client_draw_ms(rw * rh)
         trace.add(cdraw_begin, "client", BEGIN, "draw", frame_id)
         trace.add(cdraw_end, "client", END, "draw", frame_id)
-        reduced = render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
 
         network_ms = last1 - first0
-        decode_end = last1 + cost.decode_ms(2 * fov_px, sum(map(len, payloads.values())))
+        decode_end = last1 + cost.decode_ms(2 * fov_px, payload_bytes)
         trace.add(last1, "client", BEGIN, "decode", frame_id)
         trace.add(decode_end, "client", END, "decode", frame_id)
-        foveal = {
-            eye: codec_mod.decode(codec, payloads[eye], rects[eye].w, rects[eye].h)
-            for eye in eyes
-        }
 
         merge_begin = max(cdraw_end, decode_end)
         merge_end = merge_begin + cost.merge_ms(spec.full_w * spec.full_h)
         trace.add(merge_begin, "client", BEGIN, "merge", frame_id)
         trace.add(merge_end, "client", END, "merge", frame_id)
-        up = upsample_nearest(reduced, (spec.full_w, spec.full_h))
-        merged = merge(up, foveal, spec)
 
         display_end = merge_end + cost.display_ms()
         trace.add(merge_end, "client", BEGIN, "display", frame_id)
         trace.add(display_end, "client", END, "display", frame_id)
-        display(frame_id, merged)
 
         client_records.append(
             ClientFrameRecord(
@@ -304,14 +260,14 @@ def run_sim_virtual(
                 merge_ms=merge_end - merge_begin,
                 pose_ms=pose_send_end - t,
                 total_ms=display_end - t,
-                bytes_received=sum(len(p) for p in payloads.values()),
+                bytes_received=payload_bytes,
             )
         )
         t = display_end
 
     last = path.frame_count - 1 if path.frame_count else 0
     trace.add(t, "client", SEND, "end", last)
-    (_, end_arrive) = uplink.schedule(t, len(write_msg(EndMsg(last))))
+    (_, end_arrive) = uplink.schedule(t, up[-1])
     trace.add(end_arrive, "server", RECV, "end", last)
     return SimResult(client_records, server_records, trace)
 
@@ -372,10 +328,12 @@ class SimplexPipe:
         self._buf = bytearray()
         self._closed = False
         self._link_free_s = 0.0
+        self.sizes: list[int] = []  # length of each write, in order
 
     def write(self, data: bytes) -> None:
         if not data:
             return
+        self.sizes.append(len(data))
         now = self.clock()
         start = max(now, self._link_free_s)
         lat = self.net.latency_ms / 1000.0
@@ -414,6 +372,50 @@ class SimplexPipe:
                 self._cv.wait()
 
 
+def _run_split(
+    spec: PartitionSpec,
+    codec: codec_mod.CodecId,
+    scene: SceneConfig,
+    rig: CameraRig,
+    path: CameraPath,
+    net: NetModel,
+    display: DisplaySink,
+    trace: Optional[Trace],
+) -> tuple[list[ClientFrameRecord], list[ServerFrameTiming], list[int], list[int]]:
+    """Runs the real client and server runtimes concurrently in one process,
+    connected by the modeled in-memory channel.
+
+    Returns both sides' records, then the size of each message the client
+    and the server wrote, in order. A server that fails closes the downlink,
+    so the client ends instead of waiting, and its own error is raised.
+    """
+    clock = time.perf_counter
+    epoch = clock()
+    c2s = SimplexPipe(net, clock)
+    s2c = SimplexPipe(net, clock)
+    server_session = ServerSession(c2s, s2c.write, rig, trace=trace, clock=clock, epoch=epoch)
+    client_session = ClientSession(
+        reader=s2c, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
+        path=path, display=display, trace=trace, clock=clock, epoch=epoch,
+    )
+
+    def serve() -> list[ServerFrameTiming]:
+        try:
+            return server_session.run()
+        finally:
+            s2c.close()
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        server_future = pool.submit(serve)
+        try:
+            client_records = client_session.run()
+        finally:
+            c2s.close()
+            # Raises the server's error, if any, in place of the client's.
+            server_records = server_future.result(timeout=60.0)
+    return client_records, server_records, c2s.sizes, s2c.sizes
+
+
 def run_sim_wall(
     spec: PartitionSpec,
     codec: codec_mod.CodecId,
@@ -422,34 +424,13 @@ def run_sim_wall(
     path: CameraPath,
     net: NetModel = ZERO_NET,
     display: DisplaySink = null_sink,
-    parallel_encode: bool = False,
 ) -> SimResult:
     """Runs the real client and server runtimes concurrently in one process,
     connected by the modeled in-memory channel; wall-clock timings."""
-    require_valid(spec)
     trace = Trace()
-    clock = time.perf_counter
-    epoch = clock()
-    c2s = SimplexPipe(net, clock)
-    s2c = SimplexPipe(net, clock)
-
-    server_session = ServerSession(
-        reader=c2s, writer=s2c.write, rig=rig, parallel_encode=parallel_encode,
-        trace=trace, clock=clock, epoch=epoch,
+    client_records, server_records, _, _ = _run_split(
+        spec, codec, scene, rig, path, net, display, trace
     )
-    client_session = ClientSession(
-        reader=s2c, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
-        path=path, display=display, trace=trace, clock=clock, epoch=epoch,
-    )
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        server_future = pool.submit(server_session.run)
-        try:
-            client_records = client_session.run()
-        finally:
-            c2s.close()
-        server_records = server_future.result(timeout=60.0)
-        s2c.close()
     return SimResult(client_records, server_records, trace)
 
 

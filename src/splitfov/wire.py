@@ -34,6 +34,10 @@ MSG_END = 4
 
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 MAX_PAYLOAD = 2**32 - 16
+# Largest frame, fovea or rect dimension the hello and subframe carry (u16),
+# and the largest frame count the hello carries (u32).
+MAX_DIM = 2**16 - 1
+MAX_FRAMES = 2**32 - 1
 
 _HELLO_FMT = struct.Struct("<HHHHHfBBBI")
 _POSE_FMT = struct.Struct("<Qfffffff")

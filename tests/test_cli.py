@@ -64,6 +64,17 @@ class TestUsageErrors:
             parse_cli(["sim", "--frames", "0"])
         assert e.value.code == 2
 
+    def test_geometry_beyond_the_wire(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--size", "140000x32", "--fovea", "16x16"])
+        assert e.value.code == 2
+        assert "u16 limit" in capsys.readouterr().err
+
+    def test_frames_beyond_the_wire(self):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--frames", str(2**32)])
+        assert e.value.code == 2
+
     def test_bad_dims_format(self):
         with pytest.raises(SystemExit) as e:
             parse_cli(["sim", "--size", "600by270"])

@@ -37,6 +37,11 @@ class TestValidate:
         with pytest.raises(ValueError):
             RunConfig(mode="sim", spec=tiny_spec, frame_count=0).validate()
 
+    def test_frames_fit_the_hello(self, tiny_spec):
+        RunConfig(mode="sim", spec=tiny_spec, frame_count=2**32 - 1).validate()
+        with pytest.raises(ValueError):
+            RunConfig(mode="sim", spec=tiny_spec, frame_count=2**32).validate()
+
     def test_bad_clock(self, tiny_spec):
         with pytest.raises(ValueError):
             RunConfig(mode="sim", spec=tiny_spec, clock="sundial").validate()

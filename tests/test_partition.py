@@ -68,6 +68,13 @@ class TestValidate:
         s = PartitionSpec(2401, 1080, 1200, 1080, 512, 360, 0.6)
         assert validate(s)
 
+    def test_dimensions_beyond_the_wire(self):
+        # the hello and subframe rects carry dimensions as u16
+        assert validate(PartitionSpec.from_full(2 * 32767, 65535, 16, 16, 0.5)) == []
+        msgs = validate(PartitionSpec.from_full(140000, 32, 16, 16, 0.5))
+        assert any("full_w must be at most 65535" in m for m in msgs)
+        assert any("eye_w must be at most 65535" in m for m in msgs)
+
     def test_scale_bounds(self):
         assert validate(PartitionSpec.from_full(100, 100, 10, 10, 0.0))
         assert validate(PartitionSpec.from_full(100, 100, 10, 10, 1.0)) == []

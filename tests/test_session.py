@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from splitfov.camera import CameraPath, CameraRig, pose_at
-from splitfov.client import CollectSink, ffr_frame, run_client
-from splitfov.codec import CodecId
-from splitfov.partition import PartitionSpec
+from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
+from splitfov.codec import CodecId, encode
+from splitfov.image import Rect
+from splitfov.partition import Eye, PartitionSpec, foveal_rect
 from splitfov.server import ServerSession, pose_from_wire, run_server
 from splitfov.wire import (
     EndMsg,
     HelloMsg,
     PoseUpdateMsg,
     ProtocolError,
+    SubframeMsg,
     read_msg,
     write_msg,
     PROTOCOL_VERSION,
@@ -78,41 +80,6 @@ class TestLoopbackSession:
             assert c.bytes_received == s.bytes_sent
             assert c.total_ms > 0 and c.network_ms >= 0 and c.decode_ms >= 0
             assert s.draw_ms > 0 and s.encode_ms >= 0
-
-    def test_parallel_encode_is_transparent(self, desk_spec, scene, rig):
-        future, port = start_server(rig=rig, parallel_encode=True)
-        sink = CollectSink()
-        path = CameraPath(frame_count=2)
-        run_client("127.0.0.1", port, desk_spec, CodecId.PRED_DEFLATE, scene,
-                   rig, path, display=sink)
-        future.result(timeout=30.0)
-        for k, frame in enumerate(sink.frames):
-            assert np.array_equal(frame, ffr_frame(scene, rig, pose_at(path, k), desk_spec))
-
-    def test_codec_override_is_transparent(self, desk_spec, scene, rig):
-        # server forces RAW regardless of the hello; subframes carry the
-        # actual codec id, so the client decodes them fine
-        future, port = start_server(rig=rig, codec_override=CodecId.RAW)
-        sink = CollectSink()
-        path = CameraPath(frame_count=2)
-        records = run_client("127.0.0.1", port, desk_spec, CodecId.PRED_DEFLATE,
-                             scene, rig, path, display=sink)
-        server_records = future.result(timeout=30.0)
-        raw_bytes = desk_spec.fov_w * desk_spec.fov_h * 3 * 2
-        assert all(r.bytes_received == raw_bytes for r in records)
-        assert all(s.bytes_sent == raw_bytes for s in server_records)
-        assert np.array_equal(sink.frames[0],
-                              ffr_frame(scene, rig, pose_at(path, 0), desk_spec))
-
-    def test_geometry_override_mismatch_is_detected(self, desk_spec, scene, rig):
-        other = PartitionSpec.from_full(desk_spec.full_w, desk_spec.full_h,
-                                        desk_spec.fov_w - 16, desk_spec.fov_h, 0.6)
-        future, port = start_server(rig=rig, spec_override=other)
-        with pytest.raises(ProtocolError, match="rect"):
-            run_client("127.0.0.1", port, desk_spec, CodecId.RAW, scene, rig,
-                       CameraPath(frame_count=2))
-        # server side sees the disconnect and returns its partial records
-        assert isinstance(future.result(timeout=30.0), list)
 
     def test_client_disconnect_preserves_partial_records(self, desk_spec, rig):
         future, port = start_server(rig=rig)
@@ -179,6 +146,22 @@ class TestServerSessionUnit:
                           tuple(float(v) for v in pose.orientation)),
         ])
         assert len(records) == 1
+
+
+class TestClientSessionUnit:
+    def test_rejects_subframe_with_wrong_rect(self, tiny_spec, scene, rig):
+        rect = foveal_rect(tiny_spec, Eye.LEFT)
+        wrong = Rect(rect.x, rect.y, rect.w - 8, rect.h)
+        payload = encode(CodecId.RAW, np.zeros((wrong.h, wrong.w, 3), dtype=np.uint8))
+        stream = io.BytesIO(b"".join(
+            write_msg(SubframeMsg(0, int(eye), int(CodecId.RAW), wrong, payload))
+            for eye in (Eye.LEFT, Eye.RIGHT)
+        ))
+        session = ClientSession(stream, Collected(), tiny_spec, CodecId.RAW, scene, rig,
+                                CameraPath(frame_count=1))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ProtocolError, match="does not match the session's foveal rect"):
+                session.run_frame(0, pool)
 
 
 class TestPoseFromWire:

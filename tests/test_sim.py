@@ -1,14 +1,17 @@
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from splitfov import client, codec, server
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import CollectSink, ffr_frame, run_native
 from splitfov.codec import CodecId
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
+from splitfov.server import ServerSession
 from splitfov.sim import (
     FixedCostModel,
     NetModel,
@@ -257,3 +260,55 @@ class TestWallClock:
         slow_med = sorted(r.total_ms for r in slow.client_records)[1]
         # two link crossings per frame at 25 ms each
         assert slow_med - fast_med >= 40.0
+
+
+class TestServerFailure:
+    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    def test_server_error_ends_the_session(self, run, tiny_spec, scene, rig, monkeypatch):
+        serve_frame = ServerSession.serve_frame
+
+        def fail_at_frame_1(self, pose, frame_id):
+            if frame_id == 1:
+                raise RuntimeError("server failed at frame 1")
+            return serve_frame(self, pose, frame_id)
+
+        monkeypatch.setattr(ServerSession, "serve_frame", fail_at_frame_1)
+        outcome = {}
+
+        def session():
+            try:
+                run(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=4))
+            except Exception as e:
+                outcome["error"] = e
+
+        worker = threading.Thread(target=session, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "the session hung after the server failed"
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert str(outcome["error"]) == "server failed at frame 1"
+
+
+class TestBenchmarkSeams:
+    """The traced benchmark times each layer by replacing the module
+    attribute a runtime looks up at call time; every one must be called."""
+
+    SEAMS = [
+        (client, "pose_at"), (client, "render_scaled"), (client, "upsample_nearest"),
+        (client, "merge"), (client, "write_msg"), (server, "render_region"),
+        (server, "write_msg"), (codec, "encode"), (codec, "decode"),
+    ]
+
+    def test_every_seam_is_called(self, tiny_spec, scene, rig, monkeypatch):
+        calls = {}
+        for module, name in self.SEAMS:
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
+
+            def counted(*args, _inner=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=2))
+        assert [key for key, n in calls.items() if n == 0] == []
