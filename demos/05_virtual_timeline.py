@@ -9,7 +9,7 @@ hand-picked stage costs and read its schedule back out of the trace.
 """
 
 from splitfov import (
-    CameraPath, CameraRig, CodecId, FixedCostModel, NetModel, PartitionSpec,
+    CameraPath, CameraRig, CodecId, CostModel, NetModel, PartitionSpec,
     SceneConfig, check_lockstep, render_table, run_sim_virtual, summarize,
 )
 
@@ -19,8 +19,8 @@ scene, rig = SceneConfig(), CameraRig()
 #%%
 # Stage costs chosen to be easy to add up in your head, and a link with
 # 2 ms one-way latency and no bandwidth cap.
-cost = FixedCostModel(pose=0, server_draw=5, encode=3, client_draw=6,
-                      decode=4, merge=1, display=0)
+cost = CostModel(pose=0, server_draw=5, encode=3, client_draw=6,
+                 decode=4, merge=1, display=0)
 net = NetModel(latency_ms=2.0, bandwidth_mbps=float("inf"))
 res = run_sim_virtual(spec, CodecId.PRED_DEFLATE, scene, rig,
                       CameraPath(frame_count=12), net=net, cost=cost)

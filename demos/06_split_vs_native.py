@@ -9,7 +9,7 @@ is purely the ray count: the client draws only the reduced periphery.
 """
 
 from splitfov import (
-    CameraPath, PartitionSpec, PerRayCostModel, RunConfig, ZERO_NET,
+    CameraPath, CostModel, PartitionSpec, RunConfig, ZERO_NET,
     reduced_dims, run_compare,
 )
 
@@ -22,7 +22,8 @@ config = RunConfig(
     spec=spec,
     frame_count=24,
     net=ZERO_NET,
-    cost=PerRayCostModel(us_per_ray=1.0),
+    cost=CostModel(server_draw=0, encode=0, client_draw=0, decode=0, merge=0,
+                   us_per_ray=1.0),
 )
 report = run_compare(config)
 print(report.text)

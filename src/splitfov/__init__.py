@@ -75,9 +75,8 @@ from .render import (
 )
 from .server import ServerFrameTiming, ServerSession, run_server
 from .sim import (
-    FixedCostModel,
+    CostModel,
     NetModel,
-    PerRayCostModel,
     SimResult,
     ZERO_NET,
     check_lockstep,
@@ -114,7 +113,7 @@ __all__ = [
     "foveal_rect_stereo", "reduced_dims", "require_valid", "validate",
     "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",
     "ServerFrameTiming", "ServerSession", "run_server",
-    "FixedCostModel", "NetModel", "PerRayCostModel", "SimResult", "ZERO_NET",
+    "CostModel", "NetModel", "SimResult", "ZERO_NET",
     "check_lockstep", "run_native_virtual", "run_sim_virtual", "run_sim_wall",
     "Event", "Trace",
     "ConnectionClosedError", "EndMsg", "HelloMsg", "PoseUpdateMsg",

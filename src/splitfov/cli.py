@@ -20,7 +20,7 @@ from .camera import PathId
 from .harness import DEFAULT_HOST, DEFAULT_PORT, RunConfig, run
 from .partition import DEFAULT_SPEC, PartitionSpec, validate
 from .render import SceneConfig, SceneId
-from .sim import FixedCostModel, NetModel, PerRayCostModel
+from .sim import CostModel, NetModel
 from .wire import MAX_FRAMES
 
 _CODECS = {"raw": codec_mod.CodecId.RAW, "pred-deflate": codec_mod.CodecId.PRED_DEFLATE}
@@ -73,7 +73,10 @@ def _add_endpoint(p: argparse.ArgumentParser) -> None:
                    default=int(os.environ.get("SPLITFOV_PORT", DEFAULT_PORT)))
 
 
-def _add_net(p: argparse.ArgumentParser, default_cost_model: str) -> None:
+_STAGES = ("pose", "server_draw", "encode", "client_draw", "decode", "merge", "display")
+
+
+def _add_net(p: argparse.ArgumentParser, cost: CostModel) -> None:
     p.add_argument("--clock", choices=("virtual", "wall"), default="virtual",
                    help="virtual: modeled stage costs, bit-reproducible; "
                         "wall: real concurrent runtimes, honest timings")
@@ -81,18 +84,13 @@ def _add_net(p: argparse.ArgumentParser, default_cost_model: str) -> None:
                    help="one-way link latency (default %(default)s)")
     p.add_argument("--bandwidth", type=_bandwidth, default=500.0, metavar="MBPS",
                    help="link rate, or 'inf' (default %(default)s)")
-    p.add_argument("--cost-model", choices=("fixed", "per-ray"),
-                   default=default_cost_model,
-                   help="fixed: constant stage costs; per-ray: draw time scales "
-                        "with rays shaded (default %(default)s)")
-    p.add_argument("--us-per-ray", type=float, default=1.0,
-                   help="per-ray draw cost for the per-ray model"
-                        " (default %(default)s)")
-    for flag, dflt in (("pose", 0.0), ("server-draw", 5.0), ("encode", 3.0),
-                       ("client-draw", 6.0), ("decode", 4.0), ("merge", 1.0),
-                       ("display", 0.0)):
-        p.add_argument(f"--cost-{flag}", type=float, default=dflt, metavar="MS",
-                       help=f"fixed-model {flag.replace('-', ' ')} cost"
+    p.add_argument("--us-per-ray", type=float, default=cost.us_per_ray,
+                   help="virtual clock: draw cost per ray shaded, added to each"
+                        " draw's fixed cost (default %(default)s)")
+    for stage in _STAGES:
+        p.add_argument(f"--cost-{stage.replace('_', '-')}", type=float,
+                       default=getattr(cost, stage), metavar="MS",
+                       help=f"virtual clock: fixed {stage.replace('_', ' ')} cost"
                             f" (default %(default)s)")
 
 
@@ -121,12 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="both ends in one process over a modeled link")
     _add_geometry(p)
     _add_outputs(p)
-    _add_net(p, default_cost_model="fixed")
+    _add_net(p, CostModel())
 
     p = sub.add_parser("compare", help="native vs split over identical frames")
     _add_geometry(p)
     _add_outputs(p)
-    _add_net(p, default_cost_model="per-ray")
+    # Draw time proportional to rays shaded and nothing else: the native
+    # and split arms then differ by their ray counts alone.
+    _add_net(p, CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0,
+                          merge=0.0, us_per_ray=1.0))
     p.add_argument("--native-csv", metavar="PATH", help="write native-arm timings")
 
     p = sub.add_parser("report", help="summarize per-frame CSVs")
@@ -175,22 +176,11 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if args.mode == "native":
         kwargs.update(clock=args.clock)
     if args.mode in ("sim", "compare"):
-        if args.cost_model == "per-ray":
-            cost = PerRayCostModel(us_per_ray=args.us_per_ray)
-        else:
-            cost = FixedCostModel(
-                pose=args.cost_pose,
-                server_draw=args.cost_server_draw,
-                encode=args.cost_encode,
-                client_draw=args.cost_client_draw,
-                decode=args.cost_decode,
-                merge=args.cost_merge,
-                display=args.cost_display,
-            )
         kwargs.update(
             clock=args.clock,
             net=NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth),
-            cost=cost,
+            cost=CostModel(us_per_ray=args.us_per_ray,
+                           **{stage: getattr(args, f"cost_{stage}") for stage in _STAGES}),
         )
         if args.mode == "compare":
             kwargs.update(native_csv=args.native_csv)

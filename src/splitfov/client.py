@@ -25,7 +25,7 @@ from .image import GeometryError, validate_image, write_ppm
 from .partition import Eye, PartitionSpec, foveal_rect, foveal_rect_stereo, require_valid
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
-from .trace import BEGIN, END, RECV, SEND, Trace
+from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -146,9 +146,24 @@ def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpe
     """One fixed-foveation frame composed locally: full-rate foveae over
     nearest-upsampled reduced periphery. This is what both native mode and
     a lossless split session display."""
+    return compose(*_draw_local(scene, rig, pose, spec), spec)
+
+
+def _draw_local(
+    scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec
+) -> tuple[np.ndarray, dict[Eye, np.ndarray]]:
+    """Everything one device draws for a frame: the reduced periphery and
+    both full-rate foveae."""
     foveae = draw_foveae(scene, rig, pose, spec)
     reduced = render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
-    return compose(reduced, foveae, spec)
+    return reduced, foveae
+
+
+def _decode_subframes(msgs: list[SubframeMsg]) -> dict[Eye, np.ndarray]:
+    return {
+        Eye(m.eye): codec_mod.decode(codec_mod.CodecId(m.codec), m.payload, m.rect.w, m.rect.h)
+        for m in msgs
+    }
 
 
 class _TimingReader:
@@ -201,20 +216,7 @@ class ClientSession:
         self.rig = rig
         self.path = path
         self.display = display
-        self.trace = trace
-        self.clock = clock
-        # Shared epoch lines client and server trace timestamps up when both
-        # run in one process; otherwise each side starts its own clock.
-        self._t0 = epoch
-
-    def _now_ms(self) -> float:
-        if self._t0 is None:
-            self._t0 = self.clock()
-        return (self.clock() - self._t0) * 1000.0
-
-    def _trace(self, actor: str, kind: str, name: str, frame_id: int) -> None:
-        if self.trace is not None:
-            self.trace.add(self._now_ms(), actor, kind, name, frame_id)
+        self.stopwatch = Stopwatch("client", trace, clock, epoch)
 
     def hello(self) -> HelloMsg:
         msg = HelloMsg(
@@ -229,7 +231,7 @@ class ClientSession:
             path_id=int(self.path.path_id),
             frame_count=self.path.frame_count,
         )
-        self._trace("client", SEND, "hello", 0)
+        self.stopwatch.mark(SEND, "hello", 0)
         self.writer(write_msg(msg))
         return msg
 
@@ -246,63 +248,44 @@ class ClientSession:
                 raise ProtocolError(
                     f"lockstep violated: subframe for frame {msg.frame_id}, expected {frame_id}"
                 )
-            self._trace("client", RECV, f"subframe{msg.eye}", frame_id)
+            self.stopwatch.mark(RECV, f"subframe{msg.eye}", frame_id)
             msgs.append(msg)
         if {m.eye for m in msgs} != {int(Eye.LEFT), int(Eye.RIGHT)}:
             raise ProtocolError(f"expected one subframe per eye, got eyes {[m.eye for m in msgs]}")
+        for msg in msgs:
+            rect = foveal_rect(self.spec, Eye(msg.eye))
+            if msg.rect != rect:
+                raise ProtocolError(
+                    f"subframe rect {msg.rect} does not match the session's foveal rect {rect}"
+                )
         assert self.reader.first_byte_t is not None and self.reader.last_byte_t is not None
         network_ms = (self.reader.last_byte_t - self.reader.first_byte_t) * 1000.0
-
-        self._trace("client", BEGIN, "decode", frame_id)
-        t_dec = self.clock()
-        foveal: dict[Eye, np.ndarray] = {}
-        for msg in msgs:
-            eye = Eye(msg.eye)
-            if msg.rect != foveal_rect(self.spec, eye):
-                raise ProtocolError(
-                    f"subframe rect {msg.rect} does not match the session's foveal rect "
-                    f"{foveal_rect(self.spec, eye)}"
-                )
-            foveal[eye] = codec_mod.decode(
-                codec_mod.CodecId(msg.codec), msg.payload, msg.rect.w, msg.rect.h
-            )
-        decode_ms = (self.clock() - t_dec) * 1000.0
-        self._trace("client", END, "decode", frame_id)
+        foveal, decode_ms = self.stopwatch.stage("decode", frame_id, _decode_subframes, msgs)
         bytes_received = sum(len(m.payload) for m in msgs)
         return foveal, network_ms, decode_ms, bytes_received
 
     def run_frame(self, frame_id: int, pool: ThreadPoolExecutor) -> ClientFrameRecord:
-        t0 = self.clock()
+        sw = self.stopwatch
+        t0 = sw.now_ms()
         pose = pose_at(self.path, frame_id)
         msg = PoseUpdateMsg(
             frame_id,
             tuple(float(v) for v in pose.position),
             tuple(float(v) for v in pose.orientation),
         )
-        self._trace("client", SEND, "pose", frame_id)
+        sw.mark(SEND, "pose", frame_id)
         self.writer(write_msg(msg))
-        pose_ms = (self.clock() - t0) * 1000.0
+        pose_ms = sw.now_ms() - t0
 
         future = pool.submit(self._receive_and_decode, frame_id)
-        self._trace("client", BEGIN, "draw", frame_id)
-        t_draw = self.clock()
-        reduced = render_scaled(
-            self.scene, self.rig, pose, (self.spec.full_w, self.spec.full_h), self.spec.periph_scale
+        reduced, draw_ms = sw.stage(
+            "draw", frame_id, render_scaled,
+            self.scene, self.rig, pose, (self.spec.full_w, self.spec.full_h), self.spec.periph_scale,
         )
-        draw_ms = (self.clock() - t_draw) * 1000.0
-        self._trace("client", END, "draw", frame_id)
         foveal, network_ms, decode_ms, bytes_received = future.result()
-
-        self._trace("client", BEGIN, "merge", frame_id)
-        t_merge = self.clock()
-        merged = compose(reduced, foveal, self.spec)
-        merge_ms = (self.clock() - t_merge) * 1000.0
-        self._trace("client", END, "merge", frame_id)
-
-        self._trace("client", BEGIN, "display", frame_id)
-        self.display(frame_id, merged)
-        self._trace("client", END, "display", frame_id)
-        total_ms = (self.clock() - t0) * 1000.0
+        merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveal, self.spec)
+        sw.stage("display", frame_id, self.display, frame_id, merged)
+        total_ms = sw.now_ms() - t0
         return ClientFrameRecord(
             frame_id=frame_id,
             draw_ms=draw_ms,
@@ -321,7 +304,7 @@ class ClientSession:
             for frame_id in range(self.path.frame_count):
                 records.append(self.run_frame(frame_id, pool))
         last = records[-1].frame_id if records else 0
-        self._trace("client", SEND, "end", last)
+        self.stopwatch.mark(SEND, "end", last)
         self.writer(write_msg(EndMsg(last)))
         return records
 
@@ -367,23 +350,16 @@ def run_native(
     bytes_received is 0.
     """
     require_valid(spec)
+    sw = Stopwatch("client", clock=clock)
     records = []
     for frame_id in range(path.frame_count):
-        t0 = clock()
+        t0 = sw.now_ms()
         pose = pose_at(path, frame_id)
-        pose_ms = (clock() - t0) * 1000.0
-
-        t_draw = clock()
-        foveae = draw_foveae(scene, rig, pose, spec)
-        reduced = render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
-        draw_ms = (clock() - t_draw) * 1000.0
-
-        t_merge = clock()
-        merged = compose(reduced, foveae, spec)
-        merge_ms = (clock() - t_merge) * 1000.0
-
+        pose_ms = sw.now_ms() - t0
+        (reduced, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
+        merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveae, spec)
         display(frame_id, merged)
-        total_ms = (clock() - t0) * 1000.0
+        total_ms = sw.now_ms() - t0
         records.append(
             ClientFrameRecord(
                 frame_id=frame_id,

@@ -34,7 +34,6 @@ from .render import SceneConfig
 from .server import ServerFrameTiming, run_server
 from .sim import (
     CostModel,
-    FixedCostModel,
     NetModel,
     SimResult,
     run_native_virtual,
@@ -65,7 +64,7 @@ class RunConfig:
     port: int = DEFAULT_PORT
     net: NetModel = field(default_factory=NetModel)
     clock: str = "virtual"
-    cost: CostModel = field(default_factory=FixedCostModel)
+    cost: CostModel = field(default_factory=CostModel)
     client_csv: Optional[str] = None
     server_csv: Optional[str] = None
     native_csv: Optional[str] = None

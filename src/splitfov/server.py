@@ -9,6 +9,7 @@ sends one SubframeMsg per eye. It never renders ahead.
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import codec as codec_mod
 from .camera import CameraRig, Pose, normalize_quat
 from .partition import Eye, PartitionSpec, foveal_rect, validate
 from .render import SceneConfig, SceneId, render_region
-from .trace import BEGIN, END, RECV, SEND, Trace
+from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -50,7 +51,10 @@ class ServerFrameTiming:
 
 def pose_from_wire(msg: PoseUpdateMsg) -> Pose:
     """Builds a Pose from a pose update, re-normalizing the quaternion only
-    when it is measurably off-unit (well-formed senders keep their bits)."""
+    when it is measurably off-unit (well-formed senders keep their bits).
+    A non-finite position is rejected: it would render without complaint."""
+    if not all(math.isfinite(v) for v in msg.position):
+        raise ProtocolError(f"non-finite pose position {msg.position}")
     try:
         q = normalize_quat(msg.orientation)
     except ValueError as e:
@@ -68,6 +72,10 @@ def draw_foveae(
     }
 
 
+def _encode_subframes(codec: codec_mod.CodecId, images: dict[Eye, np.ndarray]) -> dict[Eye, bytes]:
+    return {eye: codec_mod.encode(codec, img) for eye, img in images.items()}
+
+
 class ServerSession:
     """Serves one client over an established byte stream."""
 
@@ -83,23 +91,12 @@ class ServerSession:
         self.reader = reader
         self.writer = writer
         self.rig = rig
-        self.trace = trace
-        self.clock = clock
-        self._t0 = epoch
+        self.stopwatch = Stopwatch("server", trace, clock, epoch)
         self.spec: Optional[PartitionSpec] = None
         self.codec: Optional[codec_mod.CodecId] = None
         self.scene: Optional[SceneConfig] = None
         self.frame_count = 0
         self.records: list[ServerFrameTiming] = []
-
-    def _now_ms(self) -> float:
-        if self._t0 is None:
-            self._t0 = self.clock()
-        return (self.clock() - self._t0) * 1000.0
-
-    def _trace(self, kind: str, name: str, frame_id: int) -> None:
-        if self.trace is not None:
-            self.trace.add(self._now_ms(), "server", kind, name, frame_id)
 
     def handshake(self) -> HelloMsg:
         msg = read_msg(self.reader)
@@ -108,7 +105,7 @@ class ServerSession:
         if not isinstance(msg, HelloMsg):
             raise ProtocolError(f"expected a hello, got {type(msg).__name__}")
         check_hello_version(msg)
-        self._trace(RECV, "hello", 0)
+        self.stopwatch.mark(RECV, "hello", 0)
         spec = PartitionSpec.from_full(
             msg.full_w, msg.full_h, msg.fov_w, msg.fov_h, msg.periph_scale
         )
@@ -128,28 +125,19 @@ class ServerSession:
         """Renders, encodes, and sends both eyes' foveal subframes."""
         assert self.spec is not None and self.codec is not None and self.scene is not None
         spec, codec, scene = self.spec, self.codec, self.scene
-
-        self._trace(BEGIN, "draw", frame_id)
-        t_draw = self.clock()
-        images = draw_foveae(scene, self.rig, pose, spec)
-        draw_ms = (self.clock() - t_draw) * 1000.0
-        self._trace(END, "draw", frame_id)
-
-        self._trace(BEGIN, "encode", frame_id)
-        t_enc = self.clock()
-        payloads = {eye: codec_mod.encode(codec, img) for eye, img in images.items()}
-        encode_ms = (self.clock() - t_enc) * 1000.0
-        self._trace(END, "encode", frame_id)
-
-        t_send = self.clock()
-        for eye, payload in payloads.items():
-            self._trace(SEND, f"subframe{int(eye)}", frame_id)
-            self.writer(
-                write_msg(SubframeMsg(frame_id, int(eye), int(codec), foveal_rect(spec, eye), payload))
-            )
-        send_ms = (self.clock() - t_send) * 1000.0
+        sw = self.stopwatch
+        images, draw_ms = sw.stage("draw", frame_id, draw_foveae, scene, self.rig, pose, spec)
+        payloads, encode_ms = sw.stage("encode", frame_id, _encode_subframes, codec, images)
+        _, send_ms = sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
         bytes_sent = sum(len(p) for p in payloads.values())
         return ServerFrameTiming(frame_id, draw_ms, encode_ms, send_ms, bytes_sent)
+
+    def _send_subframes(self, frame_id: int, payloads: dict[Eye, bytes]) -> None:
+        for eye, payload in payloads.items():
+            self.stopwatch.mark(SEND, f"subframe{int(eye)}", frame_id)
+            self.writer(write_msg(
+                SubframeMsg(frame_id, int(eye), int(self.codec), foveal_rect(self.spec, eye), payload)
+            ))
 
     def run(self) -> list[ServerFrameTiming]:
         """Handshake, then lockstep frame loop until EndMsg, EOF, or
@@ -166,13 +154,13 @@ class ServerSession:
                 raise ProtocolError(
                     f"lockstep violated: pose for frame {msg.frame_id}, expected {frame_id}"
                 )
-            self._trace(RECV, "pose", frame_id)
+            self.stopwatch.mark(RECV, "pose", frame_id)
             self.records.append(self.serve_frame(pose_from_wire(msg), frame_id))
         tail = read_msg(self.reader)
         if tail is not None and not isinstance(tail, EndMsg):
             raise ProtocolError(f"expected end-of-session, got {type(tail).__name__}")
         if tail is not None:
-            self._trace(RECV, "end", tail.frame_id)
+            self.stopwatch.mark(RECV, "end", tail.frame_id)
         return self.records
 
 

@@ -5,9 +5,10 @@ an in-memory duplex channel, so the pixels, the wire messages and the
 display sink are exactly those of a networked session:
 
 * virtual: only the clock is modeled. The runtimes exchange their messages
-  over a free link; stage durations then come from a pluggable cost model,
-  and message delivery from the network model applied to the size of each
-  message the runtimes wrote, laid out analytically on a virtual timeline.
+  over a free link; stage durations then come from the cost model (a
+  fixed cost per stage plus a per-ray draw cost), and message delivery
+  from the network model applied to the size of each message the
+  runtimes wrote, laid out analytically on a virtual timeline.
   Runs are bit-reproducible and the event trace carries exact timestamps
   for lockstep/overlap assertions.
 * wall: the channel delays delivery per the network model; timings are
@@ -26,7 +27,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig, pose_at
@@ -65,7 +66,8 @@ ZERO_NET = NetModel(latency_ms=0.0, bandwidth_mbps=math.inf)
 
 
 class _Link:
-    """FIFO transmission state for one direction of the virtual link."""
+    """FIFO transmission state for one direction of a modeled link, in ms;
+    the virtual timeline and the wall-clock pipes both schedule with it."""
 
     def __init__(self, net: NetModel):
         self.net = net
@@ -79,21 +81,10 @@ class _Link:
         return start + self.net.latency_ms, start + tx + self.net.latency_ms
 
 
-class CostModel(Protocol):
-    """Stage durations for the virtual clock, parameterized by workload."""
-
-    def pose_ms(self) -> float: ...
-    def server_draw_ms(self, rays: int) -> float: ...
-    def encode_ms(self, pixels: int, payload_bytes: int) -> float: ...
-    def client_draw_ms(self, rays: int) -> float: ...
-    def decode_ms(self, pixels: int, payload_bytes: int) -> float: ...
-    def merge_ms(self, pixels: int) -> float: ...
-    def display_ms(self) -> float: ...
-
-
 @dataclass(frozen=True)
-class FixedCostModel:
-    """Constant per-stage durations regardless of workload."""
+class CostModel:
+    """Stage durations in ms for the virtual clock: a fixed cost per stage,
+    plus `us_per_ray` microseconds for each ray a draw shades."""
 
     pose: float = 0.0
     server_draw: float = 5.0
@@ -102,60 +93,13 @@ class FixedCostModel:
     decode: float = 4.0
     merge: float = 1.0
     display: float = 0.0
-
-    def pose_ms(self) -> float:
-        return self.pose
+    us_per_ray: float = 0.0
 
     def server_draw_ms(self, rays: int) -> float:
-        return self.server_draw
-
-    def encode_ms(self, pixels: int, payload_bytes: int) -> float:
-        return self.encode
+        return self.server_draw + rays * self.us_per_ray / 1000.0
 
     def client_draw_ms(self, rays: int) -> float:
-        return self.client_draw
-
-    def decode_ms(self, pixels: int, payload_bytes: int) -> float:
-        return self.decode
-
-    def merge_ms(self, pixels: int) -> float:
-        return self.merge
-
-    def display_ms(self) -> float:
-        return self.display
-
-
-@dataclass(frozen=True)
-class PerRayCostModel:
-    """Draw time proportional to rays shaded; codec/merge per pixel."""
-
-    us_per_ray: float = 1.0
-    us_per_encode_pixel: float = 0.0
-    us_per_decode_pixel: float = 0.0
-    us_per_merge_pixel: float = 0.0
-    pose: float = 0.0
-    display: float = 0.0
-
-    def pose_ms(self) -> float:
-        return self.pose
-
-    def server_draw_ms(self, rays: int) -> float:
-        return rays * self.us_per_ray / 1000.0
-
-    def encode_ms(self, pixels: int, payload_bytes: int) -> float:
-        return pixels * self.us_per_encode_pixel / 1000.0
-
-    def client_draw_ms(self, rays: int) -> float:
-        return rays * self.us_per_ray / 1000.0
-
-    def decode_ms(self, pixels: int, payload_bytes: int) -> float:
-        return pixels * self.us_per_decode_pixel / 1000.0
-
-    def merge_ms(self, pixels: int) -> float:
-        return pixels * self.us_per_merge_pixel / 1000.0
-
-    def display_ms(self) -> float:
-        return self.display
+        return self.client_draw + rays * self.us_per_ray / 1000.0
 
 
 @dataclass
@@ -172,7 +116,7 @@ def run_sim_virtual(
     rig: CameraRig,
     path: CameraPath,
     net: NetModel = ZERO_NET,
-    cost: CostModel = FixedCostModel(),
+    cost: CostModel = CostModel(),
     display: DisplaySink = null_sink,
 ) -> SimResult:
     """Runs the split session on a deterministic virtual timeline.
@@ -200,7 +144,7 @@ def run_sim_virtual(
     for frame_id in range(path.frame_count):
         payload_bytes = served[frame_id].bytes_sent
         trace.add(t, "client", SEND, "pose", frame_id)
-        pose_send_end = t + cost.pose_ms()
+        pose_send_end = t + cost.pose
         (_, pose_arrive) = uplink.schedule(pose_send_end, up[1 + frame_id])
         trace.add(pose_arrive, "server", RECV, "pose", frame_id)
 
@@ -208,7 +152,7 @@ def run_sim_virtual(
         sdraw_end = pose_arrive + cost.server_draw_ms(2 * fov_px)
         trace.add(pose_arrive, "server", BEGIN, "draw", frame_id)
         trace.add(sdraw_end, "server", END, "draw", frame_id)
-        enc_end = sdraw_end + cost.encode_ms(2 * fov_px, payload_bytes)
+        enc_end = sdraw_end + cost.encode
         trace.add(sdraw_end, "server", BEGIN, "encode", frame_id)
         trace.add(enc_end, "server", END, "encode", frame_id)
 
@@ -238,16 +182,16 @@ def run_sim_virtual(
         trace.add(cdraw_end, "client", END, "draw", frame_id)
 
         network_ms = last1 - first0
-        decode_end = last1 + cost.decode_ms(2 * fov_px, payload_bytes)
+        decode_end = last1 + cost.decode
         trace.add(last1, "client", BEGIN, "decode", frame_id)
         trace.add(decode_end, "client", END, "decode", frame_id)
 
         merge_begin = max(cdraw_end, decode_end)
-        merge_end = merge_begin + cost.merge_ms(spec.full_w * spec.full_h)
+        merge_end = merge_begin + cost.merge
         trace.add(merge_begin, "client", BEGIN, "merge", frame_id)
         trace.add(merge_end, "client", END, "merge", frame_id)
 
-        display_end = merge_end + cost.display_ms()
+        display_end = merge_end + cost.display
         trace.add(merge_end, "client", BEGIN, "display", frame_id)
         trace.add(display_end, "client", END, "display", frame_id)
 
@@ -277,7 +221,7 @@ def run_native_virtual(
     scene: SceneConfig,
     rig: CameraRig,
     path: CameraPath,
-    cost: CostModel = FixedCostModel(),
+    cost: CostModel = CostModel(),
     display: DisplaySink = null_sink,
 ) -> list[ClientFrameRecord]:
     """Native baseline on the virtual clock: one device draws the foveae at
@@ -289,10 +233,10 @@ def run_native_virtual(
     t = 0.0
     for frame_id in range(path.frame_count):
         pose = pose_at(path, frame_id)
-        pose_end = t + cost.pose_ms()
+        pose_end = t + cost.pose
         draw_end = pose_end + cost.client_draw_ms(rays)
-        merge_end = draw_end + cost.merge_ms(spec.full_w * spec.full_h)
-        display_end = merge_end + cost.display_ms()
+        merge_end = draw_end + cost.merge
+        display_end = merge_end + cost.display
         display(frame_id, ffr_frame(scene, rig, pose, spec))
         records.append(
             ClientFrameRecord(
@@ -321,30 +265,25 @@ class SimplexPipe:
     """
 
     def __init__(self, net: NetModel, clock: Callable[[], float] = time.perf_counter):
-        self.net = net
         self.clock = clock
         self._cv = threading.Condition()
         self._pending: deque[tuple[float, bytes]] = deque()
         self._buf = bytearray()
         self._closed = False
-        self._link_free_s = 0.0
+        self._link = _Link(net)
         self.sizes: list[int] = []  # length of each write, in order
 
     def write(self, data: bytes) -> None:
         if not data:
             return
         self.sizes.append(len(data))
-        now = self.clock()
-        start = max(now, self._link_free_s)
-        lat = self.net.latency_ms / 1000.0
-        tx = self.net.tx_ms(len(data)) / 1000.0
-        self._link_free_s = start + tx
+        first_ms, last_ms = self._link.schedule(self.clock() * 1000.0, len(data))
         with self._cv:
             if self._closed:
                 raise BrokenPipeError("pipe closed")
-            self._pending.append((start + lat, data[:1]))
+            self._pending.append((first_ms / 1000.0, data[:1]))
             if len(data) > 1:
-                self._pending.append((start + tx + lat, data[1:]))
+                self._pending.append((last_ms / 1000.0, data[1:]))
             self._cv.notify_all()
 
     def close(self) -> None:

@@ -2,13 +2,25 @@
 
 Both runtimes (and the simulator) append stage begin/end and message
 send/receive events; appends are serialized so concurrent client threads
-can share one trace.
+can share one trace. Both clocks emit the same events:
+
+* once per session: client send hello (frame 0), server recv hello
+  (frame 0), client send end and server recv end (last frame id);
+* per frame n, client: send pose, begin/end draw, recv subframe0 and
+  subframe1, begin/end decode, begin/end merge, begin/end display;
+* per frame n, server: recv pose, begin/end draw, begin/end encode,
+  begin/end send, with send subframe0 and send subframe1 between them.
+
+The runtimes time every measured stage with a `Stopwatch`, so a record's
+stage duration is exactly the END minus BEGIN of its traced span.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 BEGIN = "begin"
 END = "end"
@@ -30,11 +42,14 @@ class Trace:
 
     def __init__(self):
         self._events: list[Event] = []
+        self._first: dict[tuple[str, str, str, int], Event] = {}
         self._lock = threading.Lock()
 
     def add(self, t_ms: float, actor: str, kind: str, name: str, frame_id: int) -> None:
+        event = Event(t_ms, actor, kind, name, frame_id)
         with self._lock:
-            self._events.append(Event(t_ms, actor, kind, name, frame_id))
+            self._events.append(event)
+            self._first.setdefault((actor, kind, name, frame_id), event)
 
     def events(self) -> list[Event]:
         with self._lock:
@@ -47,7 +62,51 @@ class Trace:
         return len(self._events)
 
     def find(self, actor: str, kind: str, name: str, frame_id: int) -> Event:
-        for e in self.events():
-            if (e.actor, e.kind, e.name, e.frame_id) == (actor, kind, name, frame_id):
-                return e
-        raise KeyError(f"no event ({actor}, {kind}, {name}, frame {frame_id})")
+        """The first event added with this key, in constant time."""
+        with self._lock:
+            event = self._first.get((actor, kind, name, frame_id))
+        if event is None:
+            raise KeyError(f"no event ({actor}, {kind}, {name}, frame {frame_id})")
+        return event
+
+
+class Stopwatch:
+    """One actor's stage clock: milliseconds since `epoch` (or since the
+    first reading when no epoch is given), each traced reading added to
+    `trace` when there is one.
+
+    A shared epoch lines client and server timestamps up when both run in
+    one process; otherwise each side starts its own clock.
+    """
+
+    def __init__(
+        self,
+        actor: str,
+        trace: Optional[Trace] = None,
+        clock: Callable[[], float] = time.perf_counter,
+        epoch: Optional[float] = None,
+    ):
+        self.actor = actor
+        self.trace = trace
+        self.clock = clock
+        self._t0 = epoch
+
+    def now_ms(self) -> float:
+        t = self.clock()
+        if self._t0 is None:
+            self._t0 = t
+        return (t - self._t0) * 1000.0
+
+    def mark(self, kind: str, name: str, frame_id: int) -> float:
+        """Reads the clock once and traces that reading; returns it."""
+        t_ms = self.now_ms()
+        if self.trace is not None:
+            self.trace.add(t_ms, self.actor, kind, name, frame_id)
+        return t_ms
+
+    def stage(self, name: str, frame_id: int, fn: Callable, *args):
+        """Runs fn(*args) between a BEGIN and an END mark; returns its
+        result and END minus BEGIN in ms."""
+        begin = self.mark(BEGIN, name, frame_id)
+        result = fn(*args)
+        return result, self.mark(END, name, frame_id) - begin

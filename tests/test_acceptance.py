@@ -200,15 +200,27 @@ def test_workload_reduction():
             spec = PartitionSpec.from_full(full_w, full_h, 16, 16, 0.6)
             rw, rh = reduced_dims(spec)
             assert rw * rh == 0.36 * (full_w * full_h)
-        path = CameraPath(frame_count=16)
-        native = run_native(SPEC, SCENE, RIG, path)
         # Enough link latency that the client draw finishes before the
         # server thread starts working: the comparison then measures the
         # draw workload, not core contention between the two runtimes.
         lazy_link = NetModel(latency_ms=25.0, bandwidth_mbps=float("inf"))
-        split = run_sim_wall(SPEC, CodecId.RAW, SCENE, RIG, path, net=lazy_link)
+        # 16 frames of each arm, in 4 interleaved rounds that alternate
+        # which arm runs first, so a shift in host speed hits both arms.
+        path = CameraPath(frame_count=4)
+        native, split = [], []
+
+        def native_arm():
+            native.extend(run_native(SPEC, SCENE, RIG, path))
+
+        def split_arm():
+            split.extend(run_sim_wall(SPEC, CodecId.RAW, SCENE, RIG, path, net=lazy_link).client_records)
+
+        for round_ in range(4):
+            for arm in (native_arm, split_arm) if round_ % 2 == 0 else (split_arm, native_arm):
+                arm()
+        assert len(native) == len(split) == 16
         native_draw = median([r.draw_ms for r in native])
-        split_draw = median([r.draw_ms for r in split.client_records])
+        split_draw = median([r.draw_ms for r in split])
         assert split_draw < native_draw, (split_draw, native_draw)
 
 

@@ -5,7 +5,7 @@ import pytest
 from splitfov.cli import main, parse_cli
 from splitfov.codec import CodecId
 from splitfov.render import SceneId
-from splitfov.sim import FixedCostModel, PerRayCostModel
+from splitfov.sim import CostModel
 
 
 class TestDefaults:
@@ -39,11 +39,22 @@ class TestDefaults:
 
     def test_cost_models(self):
         fixed = parse_cli(["sim", "--cost-server-draw", "9"])
-        assert isinstance(fixed.cost, FixedCostModel)
+        assert isinstance(fixed.cost, CostModel)
         assert fixed.cost.server_draw == 9.0
         ray = parse_cli(["compare", "--us-per-ray", "2.5"])
-        assert isinstance(ray.cost, PerRayCostModel)
+        assert isinstance(ray.cost, CostModel)
         assert ray.cost.us_per_ray == 2.5
+
+    def test_cost_defaults_per_subcommand(self):
+        assert parse_cli(["sim"]).cost == CostModel()
+        assert parse_cli(["compare"]).cost == CostModel(
+            server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0, merge=0.0, us_per_ray=1.0
+        )
+
+    def test_every_cost_flag_reaches_the_model(self):
+        # each flag is honoured on both subcommands, none silently ignored
+        assert parse_cli(["sim", "--us-per-ray", "3"]).cost.us_per_ray == 3.0
+        assert parse_cli(["compare", "--cost-server-draw", "9"]).cost.server_draw == 9.0
 
     def test_report_config(self, tmp_path):
         p = str(tmp_path / "a.csv")

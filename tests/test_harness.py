@@ -14,12 +14,12 @@ from splitfov.harness import (
 )
 from splitfov.metrics import read_csv
 from splitfov.server import ServerFrameTiming
-from splitfov.sim import FixedCostModel, PerRayCostModel, ZERO_NET
+from splitfov.sim import CostModel, ZERO_NET
 
 
 def sim_config(spec, frames=4, **kw):
     defaults = dict(mode="sim", spec=spec, frame_count=frames, net=ZERO_NET,
-                    cost=FixedCostModel())
+                    cost=CostModel())
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -63,7 +63,9 @@ class TestCompare:
         # per-ray costs, free network: the split arm is bound by the
         # peripheral draw; improvement = foveal rays / peripheral rays
         config = RunConfig(mode="compare", spec=desk_spec, frame_count=3,
-                           net=ZERO_NET, cost=PerRayCostModel(us_per_ray=1.0),
+                           net=ZERO_NET,
+                           cost=CostModel(server_draw=0, encode=0, client_draw=0, decode=0,
+                                          merge=0, us_per_ray=1.0),
                            codec=CodecId.RAW)
         report = run_compare(config)
         fovea_rays = 2 * desk_spec.fov_w * desk_spec.fov_h   # 23040
@@ -75,7 +77,7 @@ class TestCompare:
     def test_report_shape(self, tiny_spec):
         report = run_compare(RunConfig(mode="compare", spec=tiny_spec,
                                        frame_count=3, net=ZERO_NET,
-                                       cost=FixedCostModel()))
+                                       cost=CostModel()))
         assert report.native_summary.frame_count == 3
         assert report.split_summary.frame_count == 3
         assert report.split_summary.server_stage_median_ms is not None
@@ -112,7 +114,7 @@ class TestRunAndOutputs:
 
     def test_compare_mode_writes_all_three(self, tiny_spec, tmp_path):
         config = RunConfig(mode="compare", spec=tiny_spec, frame_count=2,
-                           net=ZERO_NET, cost=FixedCostModel(),
+                           net=ZERO_NET, cost=CostModel(),
                            client_csv=str(tmp_path / "c.csv"),
                            server_csv=str(tmp_path / "s.csv"),
                            native_csv=str(tmp_path / "n.csv"))

@@ -182,3 +182,8 @@ class TestPoseFromWire:
             pose_from_wire(PoseUpdateMsg(0, (0, 0, 0), (0.0, 0.0, 0.0, 0.0)))
         with pytest.raises(ProtocolError):
             pose_from_wire(PoseUpdateMsg(0, (0, 0, 0), (float("nan"), 0.0, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_position(self, bad):
+        with pytest.raises(ProtocolError, match="non-finite pose position"):
+            pose_from_wire(PoseUpdateMsg(0, (bad, 1.0, 3.0), (0.0, 0.0, 0.0, 1.0)))

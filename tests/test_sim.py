@@ -13,9 +13,8 @@ from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession
 from splitfov.sim import (
-    FixedCostModel,
+    CostModel,
     NetModel,
-    PerRayCostModel,
     SimplexPipe,
     ZERO_NET,
     _Link,
@@ -25,8 +24,8 @@ from splitfov.sim import (
     run_sim_wall,
 )
 
-FIG_COST = FixedCostModel(pose=0.0, server_draw=5.0, encode=3.0,
-                          client_draw=6.0, decode=4.0, merge=1.0)
+FIG_COST = CostModel(pose=0.0, server_draw=5.0, encode=3.0,
+                     client_draw=6.0, decode=4.0, merge=1.0)
 LAT2 = NetModel(latency_ms=2.0, bandwidth_mbps=math.inf)
 
 
@@ -85,8 +84,8 @@ class TestVirtualTimeline:
         assert res.client_records[1].total_ms == pytest.approx(17.0)
 
     def test_draw_bound_frame(self, tiny_spec, scene, rig):
-        cost = FixedCostModel(pose=0.0, server_draw=5.0, encode=3.0,
-                              client_draw=20.0, decode=4.0, merge=1.0)
+        cost = CostModel(pose=0.0, server_draw=5.0, encode=3.0,
+                         client_draw=20.0, decode=4.0, merge=1.0)
         res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig,
                               CameraPath(frame_count=1), net=LAT2, cost=cost)
         o = offsets(res.trace, 0)
@@ -130,8 +129,8 @@ class TestVirtualTimeline:
         assert [e.frame_id for e in sends] == [0, 1, 2, 3, 4]
 
     def test_injected_display_stall_delays_next_pose(self, tiny_spec, scene, rig):
-        cost = FixedCostModel(pose=0.0, server_draw=5.0, encode=3.0,
-                              client_draw=6.0, decode=4.0, merge=1.0, display=50.0)
+        cost = CostModel(pose=0.0, server_draw=5.0, encode=3.0,
+                         client_draw=6.0, decode=4.0, merge=1.0, display=50.0)
         res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig,
                               CameraPath(frame_count=3), net=LAT2, cost=cost)
         tr = res.trace
@@ -175,7 +174,7 @@ class TestVirtualTimeline:
 
 class TestNativeVirtual:
     def test_totals_are_stage_sums(self, tiny_spec, scene, rig):
-        cost = FixedCostModel(pose=0.5, client_draw=9.0, merge=1.5, display=0.25)
+        cost = CostModel(pose=0.5, client_draw=9.0, merge=1.5, display=0.25)
         records = run_native_virtual(tiny_spec, scene, rig,
                                      CameraPath(frame_count=3), cost=cost)
         for r in records:
@@ -184,7 +183,7 @@ class TestNativeVirtual:
 
     def test_per_ray_cost_counts_reduced_and_foveal_rays(self, scene, rig):
         spec = PartitionSpec.from_full(100, 50, 20, 10, 0.5)
-        cost = PerRayCostModel(us_per_ray=1.0)
+        cost = CostModel(client_draw=0.0, us_per_ray=1.0)
         records = run_native_virtual(spec, scene, rig, CameraPath(frame_count=1),
                                      cost=cost)
         rays = 2 * 20 * 10 + 50 * 25
@@ -312,3 +311,28 @@ class TestBenchmarkSeams:
             monkeypatch.setattr(module, name, counted)
         run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=2))
         assert [key for key, n in calls.items() if n == 0] == []
+
+
+class TestOneStageClock:
+    """Both clocks emit one event vocabulary, and wall-clock records are
+    read off the very clock readings the trace holds."""
+
+    def test_wall_and_virtual_emit_the_same_events(self, tiny_spec, scene, rig):
+        path = CameraPath(frame_count=3)
+        keys = lambda res: {(e.actor, e.kind, e.name, e.frame_id) for e in res.trace}
+        wall = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, path)
+        virtual = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig, path, cost=FIG_COST)
+        assert keys(wall) == keys(virtual)
+
+    def test_wall_records_match_their_trace_spans(self, tiny_spec, scene, rig):
+        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        span = lambda actor, name, n: (res.trace.find(actor, "end", name, n).t_ms
+                                       - res.trace.find(actor, "begin", name, n).t_ms)
+        for r in res.client_records:
+            n = r.frame_id
+            assert (r.draw_ms, r.decode_ms, r.merge_ms) == (
+                span("client", "draw", n), span("client", "decode", n), span("client", "merge", n))
+        for s in res.server_records:
+            n = s.frame_id
+            assert (s.draw_ms, s.encode_ms, s.send_ms) == (
+                span("server", "draw", n), span("server", "encode", n), span("server", "send", n))

@@ -1,0 +1,64 @@
+import pytest
+
+from splitfov.trace import BEGIN, END, SEND, Stopwatch, Trace
+
+
+class FakeClock:
+    """Returns the given readings in seconds, one per call."""
+
+    def __init__(self, *readings):
+        self.readings = list(readings)
+
+    def __call__(self):
+        return self.readings.pop(0)
+
+
+class TestTraceFind:
+    def test_duplicate_key_returns_the_first_event(self):
+        trace = Trace()
+        trace.add(1.0, "client", SEND, "pose", 0)
+        trace.add(2.0, "client", SEND, "pose", 0)
+        trace.add(3.0, "client", SEND, "pose", 1)
+        assert trace.find("client", SEND, "pose", 0).t_ms == 1.0
+        assert trace.find("client", SEND, "pose", 1).t_ms == 3.0
+        assert len(trace) == 3
+
+    def test_missing_key_raises_key_error(self):
+        trace = Trace()
+        trace.add(1.0, "client", SEND, "pose", 0)
+        with pytest.raises(KeyError) as e:
+            trace.find("server", SEND, "pose", 0)
+        assert e.value.args == ("no event (server, send, pose, frame 0)",)
+
+    def test_subclass_that_restamps_add_is_indexed(self):
+        # A trace that replaces each timestamp on the way in, as the
+        # benchmark's shared-epoch trace does.
+        class Restamped(Trace):
+            def add(self, t_ms, actor, kind, name, frame_id):
+                super().add(t_ms + 100.0, actor, kind, name, frame_id)
+
+        trace = Restamped()
+        trace.add(1.0, "server", BEGIN, "draw", 4)
+        assert trace.find("server", BEGIN, "draw", 4).t_ms == 101.0
+
+
+class TestStopwatch:
+    def test_stage_is_end_minus_begin_of_its_traced_readings(self):
+        trace = Trace()
+        sw = Stopwatch("server", trace, FakeClock(10.25, 10.5), epoch=10.0)
+        result, ms = sw.stage("encode", 3, lambda a, b: a + b, 2, 5)
+        assert result == 7
+        begin = trace.find("server", BEGIN, "encode", 3).t_ms
+        end = trace.find("server", END, "encode", 3).t_ms
+        assert (begin, end) == (250.0, 500.0)
+        assert ms == end - begin
+
+    def test_lazy_start_without_epoch(self):
+        sw = Stopwatch("client", clock=FakeClock(5.0, 5.002))
+        assert sw.now_ms() == 0.0
+        assert sw.now_ms() == pytest.approx(2.0)
+
+    def test_mark_without_trace_still_reads_the_clock(self):
+        sw = Stopwatch("client", clock=FakeClock(1.0, 1.5), epoch=0.0)
+        assert sw.mark(SEND, "hello", 0) == 1000.0
+        assert sw.mark(SEND, "end", 0) == 1500.0
