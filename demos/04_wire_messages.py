@@ -14,6 +14,7 @@ import numpy as np
 from splitfov import (
     EndMsg, HelloMsg, PoseUpdateMsg, Rect, SubframeMsg, read_msg, write_msg,
 )
+from splitfov.wire import PROTOCOL_VERSION
 
 #%%
 # A pose update: frame id, position, orientation quaternion, all float32.
@@ -36,7 +37,7 @@ print("  " + frame.hex())
 scale = float(np.float32(0.6))
 buf = io.BytesIO()
 msgs = [
-    HelloMsg(1, 600, 270, 128, 90, scale, codec=1, scene_id=1, path_id=0, frame_count=4),
+    HelloMsg(PROTOCOL_VERSION, 600, 270, 128, 90, scale, codec=1, scene_id=1, frame_count=4),
     pose,
     sub,
     EndMsg(3),

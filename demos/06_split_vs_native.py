@@ -9,7 +9,7 @@ is purely the ray count: the client draws only the reduced periphery.
 """
 
 from splitfov import (
-    CameraPath, CostModel, PartitionSpec, RunConfig, ZERO_NET,
+    CameraPath, CodecId, CostModel, PartitionSpec, SceneConfig, ZERO_NET,
     reduced_dims, run_compare,
 )
 
@@ -17,15 +17,12 @@ spec = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
 
 # 1 us per ray, nothing else costs anything, and the link is free. This
 # isolates the draw workload so the result is pure geometry.
-config = RunConfig(
-    mode="compare",
-    spec=spec,
-    frame_count=24,
+report = run_compare(
+    spec, CodecId.PRED_DEFLATE, SceneConfig(), CameraPath(frame_count=24),
     net=ZERO_NET,
     cost=CostModel(server_draw=0, encode=0, client_draw=0, decode=0, merge=0,
                    us_per_ray=1.0),
 )
-report = run_compare(config)
 print(report.text)
 
 # The improvement is quoted against the split time (the same convention

@@ -10,7 +10,6 @@ on a virtual or wall clock with a pluggable network model.
 from .camera import (
     CameraPath,
     CameraRig,
-    PathId,
     Pose,
     eye_origin,
     look_at_quat,
@@ -32,16 +31,6 @@ from .client import (
     upsample_nearest,
 )
 from .codec import CodecError, CodecId, decode, encode
-from .harness import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    CompareReport,
-    RunConfig,
-    run,
-    run_compare,
-    run_report,
-    run_sim,
-)
 from .image import GeometryError, Rect, crop, images_equal, read_ppm, write_ppm
 from .metrics import (
     Summary,
@@ -52,6 +41,7 @@ from .metrics import (
     median,
     read_csv,
     render_table,
+    run_report,
     summarize,
     write_csv,
 )
@@ -75,11 +65,13 @@ from .render import (
 )
 from .server import ServerFrameTiming, ServerSession, run_server
 from .sim import (
+    CompareReport,
     CostModel,
     NetModel,
     SimResult,
     ZERO_NET,
     check_lockstep,
+    run_compare,
     run_native_virtual,
     run_sim_virtual,
     run_sim_wall,
@@ -99,22 +91,20 @@ from .wire import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CameraPath", "CameraRig", "PathId", "Pose", "eye_origin", "look_at_quat",
+    "CameraPath", "CameraRig", "Pose", "eye_origin", "look_at_quat",
     "normalize_quat", "pose_at", "quat_from_matrix", "quat_to_matrix",
     "ClientFrameRecord", "ClientSession", "CollectSink", "PpmSink", "ffr_frame",
     "merge", "null_sink", "run_client", "run_native", "upsample_nearest",
     "CodecError", "CodecId", "decode", "encode",
-    "DEFAULT_HOST", "DEFAULT_PORT", "CompareReport", "RunConfig", "run",
-    "run_compare", "run_report", "run_sim",
     "GeometryError", "Rect", "crop", "images_equal", "read_ppm", "write_ppm",
     "Summary", "fps_display", "improvement_pct", "iqr", "mbps", "median",
-    "read_csv", "render_table", "summarize", "write_csv",
+    "read_csv", "render_table", "run_report", "summarize", "write_csv",
     "DEFAULT_SPEC", "Eye", "PartitionError", "PartitionSpec", "foveal_rect",
     "foveal_rect_stereo", "reduced_dims", "require_valid", "validate",
     "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",
     "ServerFrameTiming", "ServerSession", "run_server",
-    "CostModel", "NetModel", "SimResult", "ZERO_NET",
-    "check_lockstep", "run_native_virtual", "run_sim_virtual", "run_sim_wall",
+    "CompareReport", "CostModel", "NetModel", "SimResult", "ZERO_NET",
+    "check_lockstep", "run_compare", "run_native_virtual", "run_sim_virtual", "run_sim_wall",
     "Event", "Trace",
     "ConnectionClosedError", "EndMsg", "HelloMsg", "PoseUpdateMsg",
     "ProtocolError", "SubframeMsg", "read_msg", "write_msg",

@@ -1,4 +1,4 @@
-"""Camera pose, stereo rig, and scripted camera paths.
+"""Camera pose, stereo rig, and the scripted orbit camera path.
 
 Poses are stored in float32 so that a pose survives the wire format
 (3x f32 position, 4x f32 quaternion) bit-exactly: the pixels the server
@@ -9,8 +9,7 @@ its own copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,17 +149,10 @@ class CameraRig:
             raise ValueError(f"near must be positive, got {self.near}")
 
 
-class PathId(IntEnum):
-    """Built-in scripted camera trajectories (wire-stable values)."""
-
-    ORBIT = 0
-
-
 @dataclass(frozen=True)
 class CameraPath:
-    """A scripted trajectory; frame k of `frame_count` maps to one Pose."""
+    """An orbit around `center`; frame k of `frame_count` maps to one Pose."""
 
-    path_id: PathId = PathId.ORBIT
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     radius: float = 3.0
     height: float = 1.2
@@ -176,14 +168,12 @@ class CameraPath:
 def pose_at(path: CameraPath, frame_id: int) -> Pose:
     """Pose for `frame_id` on `path`; pure and deterministic.
 
-    The orbit path circles the look-at center once over the whole path:
+    The orbit circles the look-at center once over the whole path:
     position = center + (radius*cos t, height, radius*sin t) with
     t = 2*pi*frame_id/frame_count, camera facing the center.
     """
     if not 0 <= frame_id < path.frame_count:
         raise ValueError(f"frame_id {frame_id} out of range for path of {path.frame_count} frames")
-    if path.path_id != PathId.ORBIT:
-        raise ValueError(f"unknown path_id {path.path_id!r}")
     theta = 2.0 * math.pi * frame_id / path.frame_count
     cx, cy, cz = path.center
     position = np.array(

@@ -1,31 +1,46 @@
 """Command-line front end.
 
-Subcommands mirror the run modes: server, client, native, sim, compare,
-report. Geometry flags default to the stereo 2400x1080 frame with a
-512x360 per-eye fovea at peripheral scale 0.6 over 1000 frames.
-SPLITFOV_HOST / SPLITFOV_PORT override the endpoint defaults; explicit
-flags win over the environment.
+Subcommands are the run modes: server, client, native, sim, compare,
+report. Each runs straight from its parsed flags. Geometry flags default
+to the stereo 2400x1080 frame with a 512x360 per-eye fovea at peripheral
+scale 0.6 over 1000 frames. SPLITFOV_HOST / SPLITFOV_PORT override the
+endpoint defaults; explicit flags win over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 from typing import Optional, Sequence
 
 from . import codec as codec_mod
-from .camera import PathId
-from .harness import DEFAULT_HOST, DEFAULT_PORT, RunConfig, run
+from .camera import CameraPath, CameraRig
+from .client import DisplaySink, PpmSink, null_sink, run_client, run_native
+from .metrics import (
+    render_server_profile,
+    render_table,
+    run_report,
+    stage_medians,
+    summarize,
+    write_csv,
+    write_summary_kv,
+)
 from .partition import DEFAULT_SPEC, PartitionSpec, validate
 from .render import SceneConfig, SceneId
-from .sim import CostModel, NetModel
+from .server import run_server
+from .sim import CostModel, NetModel, run_compare, run_sim_virtual, run_sim_wall
 from .wire import MAX_FRAMES
+
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 4460
 
 _CODECS = {"raw": codec_mod.CodecId.RAW, "pred-deflate": codec_mod.CodecId.PRED_DEFLATE}
 _SCENES = {"empty": SceneId.EMPTY, "spheres": SceneId.SPHERES}
-_PATHS = {"orbit": PathId.ORBIT}
+_STAGES = ("pose", "server_draw", "encode", "client_draw", "decode", "merge", "display")
+_RIG = CameraRig()
 
 
 def _dims(text: str) -> tuple[int, int]:
@@ -42,7 +57,14 @@ def _bandwidth(text: str) -> float:
     return float(text)
 
 
-def _add_geometry(p: argparse.ArgumentParser) -> None:
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {port}")
+    return port
+
+
+def _add_geometry(p: argparse.ArgumentParser, codec: bool = True) -> None:
     p.add_argument("--size", type=_dims, default=(DEFAULT_SPEC.full_w, DEFAULT_SPEC.full_h),
                    metavar="WxH", help="stereo frame size (default %(default)s)")
     p.add_argument("--fovea", type=_dims, default=(DEFAULT_SPEC.fov_w, DEFAULT_SPEC.fov_h),
@@ -51,32 +73,36 @@ def _add_geometry(p: argparse.ArgumentParser) -> None:
                    help="peripheral resolution scale in (0, 1] (default %(default)s)")
     p.add_argument("--frames", type=int, default=1000,
                    help="frames to run (default %(default)s)")
-    p.add_argument("--codec", choices=sorted(_CODECS), default="pred-deflate")
     p.add_argument("--scene", choices=sorted(_SCENES), default="spheres")
-    p.add_argument("--path", choices=sorted(_PATHS), default="orbit",
-                   help="camera trajectory")
+    if codec:  # the subframe codec; native sends no subframes
+        p.add_argument("--codec", choices=sorted(_CODECS), default="pred-deflate")
 
 
 def _add_outputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--client-csv", metavar="PATH", help="write per-frame client timings")
-    p.add_argument("--server-csv", metavar="PATH", help="write per-frame server timings")
     p.add_argument("--summary", dest="summary_path", metavar="PATH",
                    help="write key=value summary")
     p.add_argument("--ppm-dir", metavar="DIR", help="dump displayed frames as PPM here")
-    p.add_argument("--ppm-every", type=int, default=1, metavar="K",
-                   help="dump every K-th frame (default %(default)s)")
+    p.add_argument("--ppm-every", type=int, metavar="K",
+                   help="with --ppm-dir: dump every K-th frame (default 1)")
+
+
+def _add_server_csv(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--server-csv", metavar="PATH", help="write per-frame server timings")
 
 
 def _add_endpoint(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default=os.environ.get("SPLITFOV_HOST", DEFAULT_HOST))
-    p.add_argument("--port", type=int,
-                   default=int(os.environ.get("SPLITFOV_PORT", DEFAULT_PORT)))
-
-
-_STAGES = ("pose", "server_draw", "encode", "client_draw", "decode", "merge", "display")
+    # argparse applies `type` to a string default, so the environment's
+    # port is checked like the flag's.
+    p.add_argument("--port", type=_port,
+                   default=os.environ.get("SPLITFOV_PORT", str(DEFAULT_PORT)))
 
 
 def _add_net(p: argparse.ArgumentParser, cost: CostModel) -> None:
+    """Link and clock flags. The cost flags default to None so parse_cli can
+    tell them apart from `cost`, the subcommand's own model."""
+    p.set_defaults(cost=cost)
     p.add_argument("--clock", choices=("virtual", "wall"), default="virtual",
                    help="virtual: modeled stage costs, bit-reproducible; "
                         "wall: real concurrent runtimes, honest timings")
@@ -84,14 +110,80 @@ def _add_net(p: argparse.ArgumentParser, cost: CostModel) -> None:
                    help="one-way link latency (default %(default)s)")
     p.add_argument("--bandwidth", type=_bandwidth, default=500.0, metavar="MBPS",
                    help="link rate, or 'inf' (default %(default)s)")
-    p.add_argument("--us-per-ray", type=float, default=cost.us_per_ray,
+    p.add_argument("--us-per-ray", dest="cost_us_per_ray", type=float, metavar="US",
                    help="virtual clock: draw cost per ray shaded, added to each"
-                        " draw's fixed cost (default %(default)s)")
+                        f" draw's fixed cost (default {cost.us_per_ray})")
     for stage in _STAGES:
-        p.add_argument(f"--cost-{stage.replace('_', '-')}", type=float,
-                       default=getattr(cost, stage), metavar="MS",
+        p.add_argument(f"--cost-{stage.replace('_', '-')}", type=float, metavar="MS",
                        help=f"virtual clock: fixed {stage.replace('_', ' ')} cost"
-                            f" (default %(default)s)")
+                            f" (default {getattr(cost, stage)})")
+
+
+def _display(args: argparse.Namespace) -> DisplaySink:
+    if args.ppm_dir is None:
+        return null_sink
+    return PpmSink(args.ppm_dir, args.ppm_every)
+
+
+def _write_csv(path: Optional[str], records) -> None:
+    if path and records:
+        write_csv(records, path)
+
+
+def _client_report(args, records, title: str, server_records=None) -> str:
+    """Writes a run's client CSV and summary; returns its profile table."""
+    dims = f"{args.spec.fov_w}x{args.spec.fov_h}" if server_records else None
+    summary = summarize(records, server_records, dims)
+    _write_csv(args.client_csv, records)
+    if args.summary_path:
+        write_summary_kv(summary, args.summary_path)
+    return render_table(summary, title=title)
+
+
+def _run_server_mode(args: argparse.Namespace) -> str:
+    records = run_server(
+        args.host, args.port, _RIG,
+        ready=lambda port: print(f"listening on {args.host}:{port}", flush=True),
+    )
+    _write_csv(args.server_csv, records)
+    if not records:
+        return "server: session ended before any frame completed"
+    return render_server_profile(stage_medians(records), len(records))
+
+
+def _run_client_mode(args: argparse.Namespace) -> str:
+    records = run_client(args.host, args.port, args.spec, args.codec, args.scene, _RIG,
+                         args.path, display=_display(args))
+    return _client_report(args, records, "Split client")
+
+
+def _run_native_mode(args: argparse.Namespace) -> str:
+    records = run_native(args.spec, args.scene, _RIG, args.path, display=_display(args))
+    return _client_report(args, records, "Native baseline")
+
+
+def _run_sim_mode(args: argparse.Namespace) -> str:
+    display = _display(args)
+    if args.clock == "virtual":
+        result = run_sim_virtual(args.spec, args.codec, args.scene, _RIG, args.path,
+                                 net=args.net, cost=args.cost, display=display)
+    else:
+        result = run_sim_wall(args.spec, args.codec, args.scene, _RIG, args.path,
+                              net=args.net, display=display)
+    _write_csv(args.server_csv, result.server_records)
+    return _client_report(args, result.client_records, "Split client (sim)",
+                          result.server_records)
+
+
+def _run_compare_mode(args: argparse.Namespace) -> str:
+    report = run_compare(args.spec, args.codec, args.scene, args.path, args.net, args.cost,
+                         args.clock, _display(args))
+    _write_csv(args.client_csv, report.split.client_records)
+    _write_csv(args.server_csv, report.split.server_records)
+    _write_csv(args.native_csv, report.native_records)
+    if args.summary_path:
+        write_summary_kv(report.split_summary, args.summary_path)
+    return report.text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,97 +196,92 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("server", help="serve foveal subframes to one client")
     _add_endpoint(p)
-    p.add_argument("--server-csv", metavar="PATH", help="write per-frame server timings")
+    _add_server_csv(p)
+    p.set_defaults(run=_run_server_mode)
 
     p = sub.add_parser("client", help="run the split client against a server")
     _add_endpoint(p)
     _add_geometry(p)
     _add_outputs(p)
+    p.set_defaults(run=_run_client_mode)
 
     p = sub.add_parser("native", help="single-device baseline, same sampling")
-    _add_geometry(p)
+    _add_geometry(p, codec=False)
     _add_outputs(p)
-    p.add_argument("--clock", choices=("virtual", "wall"), default="wall")
+    p.set_defaults(run=_run_native_mode)
 
     p = sub.add_parser("sim", help="both ends in one process over a modeled link")
     _add_geometry(p)
     _add_outputs(p)
+    _add_server_csv(p)
     _add_net(p, CostModel())
+    p.set_defaults(run=_run_sim_mode)
 
     p = sub.add_parser("compare", help="native vs split over identical frames")
     _add_geometry(p)
     _add_outputs(p)
+    _add_server_csv(p)
     # Draw time proportional to rays shaded and nothing else: the native
     # and split arms then differ by their ray counts alone.
     _add_net(p, CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0,
                           merge=0.0, us_per_ray=1.0))
     p.add_argument("--native-csv", metavar="PATH", help="write native-arm timings")
+    p.set_defaults(run=_run_compare_mode)
 
     p = sub.add_parser("report", help="summarize per-frame CSVs")
     p.add_argument("inputs", nargs="+", metavar="CSV")
+    p.set_defaults(run=lambda args: run_report(args.inputs))
 
     return parser
 
 
-def parse_cli(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Parses argv into a validated RunConfig; exits with a usage error
-    (listing every geometry violation) on bad input."""
+def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parses argv; exits with a usage error (listing every geometry
+    violation) on bad input.
+
+    Subcommands that render get typed `spec`, `scene` and `path` attributes,
+    and `codec` unless they are `native`; `sim` and `compare` also get `net`
+    and `cost`.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.mode in ("server", "report"):
+        return args
 
-    if args.mode == "report":
-        return RunConfig(mode="report", inputs=tuple(args.inputs))
-
-    kwargs: dict = {"mode": args.mode}
-    if args.mode == "server":
-        kwargs.update(host=args.host, port=args.port, server_csv=args.server_csv)
-        return RunConfig(**kwargs)
-
-    spec = PartitionSpec.from_full(
+    args.spec = PartitionSpec.from_full(
         args.size[0], args.size[1], args.fovea[0], args.fovea[1], args.scale
     )
-    violations = validate(spec)
+    violations = validate(args.spec)
     if not 1 <= args.frames <= MAX_FRAMES:
         violations.append(f"frames must be in [1, {MAX_FRAMES}], got {args.frames}")
     if violations:
         parser.error("; ".join(violations))
+    if args.ppm_every is None:
+        args.ppm_every = 1
+    elif args.ppm_dir is None:
+        parser.error("--ppm-every needs --ppm-dir")
+    if args.mode != "native":
+        args.codec = _CODECS[args.codec]
+    args.scene = SceneConfig(_SCENES[args.scene])
+    args.path = CameraPath(frame_count=args.frames)
 
-    kwargs.update(
-        spec=spec,
-        codec=_CODECS[args.codec],
-        scene=SceneConfig(scene_id=_SCENES[args.scene]),
-        path_id=_PATHS[args.path],
-        frame_count=args.frames,
-        client_csv=args.client_csv,
-        server_csv=getattr(args, "server_csv", None),
-        summary_path=args.summary_path,
-        ppm_dir=args.ppm_dir,
-        ppm_every=args.ppm_every,
-    )
-    if args.mode == "client":
-        kwargs.update(host=args.host, port=args.port)
-    if args.mode == "native":
-        kwargs.update(clock=args.clock)
     if args.mode in ("sim", "compare"):
-        kwargs.update(
-            clock=args.clock,
-            net=NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth),
-            cost=CostModel(us_per_ray=args.us_per_ray,
-                           **{stage: getattr(args, f"cost_{stage}") for stage in _STAGES}),
-        )
-        if args.mode == "compare":
-            kwargs.update(native_csv=args.native_csv)
-    return RunConfig(**kwargs)
+        try:
+            args.net = NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth)
+        except ValueError as e:
+            parser.error(str(e))
+        costs = {f: v for f in (*_STAGES, "us_per_ray")
+                 if (v := getattr(args, f"cost_{f}")) is not None}
+        if costs and args.clock == "wall":
+            parser.error("cost flags apply to --clock virtual only")
+        args.cost = dataclasses.replace(args.cost, **costs)
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    config = parse_cli(argv)
-    if config.mode == "server":
-        ready = lambda port: print(f"listening on {config.host}:{port}", flush=True)
-    else:
-        ready = None
+    args = parse_cli(argv)
     try:
-        print(run(config, ready=ready))
+        print(args.run(args))
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

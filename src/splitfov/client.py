@@ -36,6 +36,7 @@ from .wire import (
     SubframeMsg,
     read_msg,
     write_msg,
+    MAX_FRAMES,
     PROTOCOL_VERSION,
 )
 
@@ -208,6 +209,10 @@ class ClientSession:
         epoch: Optional[float] = None,
     ):
         require_valid(spec)
+        if path.frame_count > MAX_FRAMES:
+            raise ValueError(
+                f"frame_count must be at most {MAX_FRAMES} (u32), got {path.frame_count}"
+            )
         self.reader = _TimingReader(reader, clock)
         self.writer = writer
         self.spec = spec
@@ -228,7 +233,6 @@ class ClientSession:
             periph_scale=self.spec.periph_scale,
             codec=int(self.codec),
             scene_id=int(self.scene.scene_id),
-            path_id=int(self.path.path_id),
             frame_count=self.path.frame_count,
         )
         self.stopwatch.mark(SEND, "hello", 0)

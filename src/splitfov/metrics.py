@@ -16,6 +16,9 @@ from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
+from .client import ClientFrameRecord
+from .server import ServerFrameTiming
+
 R = TypeVar("R")
 
 
@@ -209,3 +212,24 @@ def read_csv(path: str, record_type: type[R]) -> list[R]:
                 kwargs[name] = int(raw) if is_int else float(raw)
             out.append(record_type(**kwargs))
     return out
+
+
+def run_report(paths: Sequence[str]) -> str:
+    """Re-summarizes per-frame CSVs written by earlier runs into the profile
+    tables. Each file holds client or server records, told apart by its
+    header; with no client file the server profile is shown alone."""
+    client_header = {f.name for f in dataclasses.fields(ClientFrameRecord)}
+    client_records: list[ClientFrameRecord] = []
+    server_records: list[ServerFrameTiming] = []
+    for path in paths:
+        with open(path, encoding="ascii") as f:
+            is_client = set(f.readline().strip().split(",")) == client_header
+        if is_client:
+            client_records = read_csv(path, ClientFrameRecord)
+        else:
+            server_records = read_csv(path, ServerFrameTiming)
+    if client_records:
+        return render_table(summarize(client_records, server_records))
+    if server_records:
+        return render_server_profile(stage_medians(server_records), len(server_records))
+    raise ValueError("no records found in inputs")

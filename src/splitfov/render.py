@@ -31,21 +31,18 @@ class SceneId(IntEnum):
     SPHERES = 1
 
 
-DEFAULT_BACKGROUND = (12, 14, 24)
+# Color of every ray that hits nothing, in every scene. The hello carries
+# only the scene id, so the server can draw no other.
+BACKGROUND = (12, 14, 24)
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     scene_id: SceneId = SceneId.SPHERES
-    background: tuple[int, int, int] = DEFAULT_BACKGROUND
 
     def __post_init__(self):
         if not isinstance(self.scene_id, SceneId):
             object.__setattr__(self, "scene_id", SceneId(self.scene_id))
-        bg = tuple(int(c) for c in self.background)
-        if len(bg) != 3 or any(not 0 <= c <= 255 for c in bg):
-            raise ValueError(f"background must be three bytes, got {self.background}")
-        object.__setattr__(self, "background", bg)
 
 
 LEFT, RIGHT = 0, 1
@@ -123,7 +120,7 @@ def _shade_grid(
 
     o = eye_origin(pose, rig, eye)
     h, w = len(fy), len(fx)
-    background = np.array(scene.background, dtype=np.uint8)
+    background = np.array(BACKGROUND, dtype=np.uint8)
 
     if scene.scene_id == SceneId.EMPTY:
         return np.broadcast_to(background, (h, w, 3)).copy()

@@ -31,7 +31,15 @@ from typing import Callable, Optional
 
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig, pose_at
-from .client import ClientFrameRecord, ClientSession, DisplaySink, ffr_frame, null_sink
+from .client import (
+    ClientFrameRecord,
+    ClientSession,
+    DisplaySink,
+    ffr_frame,
+    null_sink,
+    run_native,
+)
+from .metrics import Summary, improvement_pct, median, render_table, summarize
 from .partition import PartitionSpec, reduced_dims, require_valid
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
@@ -371,6 +379,61 @@ def run_sim_wall(
         spec, codec, scene, rig, path, net, display, trace
     )
     return SimResult(client_records, server_records, trace)
+
+
+@dataclass
+class CompareReport:
+    native_records: list[ClientFrameRecord]
+    split: SimResult
+    native_summary: Summary
+    split_summary: Summary
+    improvement_pct: float
+    text: str
+
+
+def run_compare(
+    spec: PartitionSpec,
+    codec: codec_mod.CodecId,
+    scene: SceneConfig,
+    path: CameraPath,
+    net: NetModel,
+    cost: CostModel,
+    clock: str = "virtual",
+    display: DisplaySink = null_sink,
+) -> CompareReport:
+    """Native baseline vs split session over identical frames and scene.
+
+    Both arms run on the same clock ("virtual" or "wall"); `cost` applies
+    to the virtual clock only. Only the split arm's frames go to `display`:
+    the native arm's are byte-identical to them.
+    """
+    rig = CameraRig()
+    if clock == "virtual":
+        native_records = run_native_virtual(spec, scene, rig, path, cost=cost)
+        split = run_sim_virtual(spec, codec, scene, rig, path, net=net, cost=cost, display=display)
+    elif clock == "wall":
+        native_records = run_native(spec, scene, rig, path)
+        split = run_sim_wall(spec, codec, scene, rig, path, net=net, display=display)
+    else:
+        raise ValueError(f"unknown clock {clock!r}, expected 'virtual' or 'wall'")
+    native_summary = summarize(native_records)
+    split_summary = summarize(
+        split.client_records, split.server_records, f"{spec.fov_w}x{spec.fov_h}"
+    )
+    native_med = median([r.total_ms for r in native_records])
+    split_med = median([r.total_ms for r in split.client_records])
+    imp = improvement_pct(native_med, split_med)
+    text = "\n".join(
+        [
+            render_table(native_summary, title="Native baseline"),
+            "",
+            render_table(split_summary, title="Split client"),
+            "",
+            f"median end-to-end: native {native_med:.2f} ms vs split {split_med:.2f} ms"
+            f" -> improvement {imp:.2f}%",
+        ]
+    )
+    return CompareReport(native_records, split, native_summary, split_summary, imp, text)
 
 
 def check_lockstep(trace: Trace, frame_count: int) -> list[str]:

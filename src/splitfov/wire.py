@@ -6,7 +6,7 @@ floats are IEEE-754 single precision little-endian:
 
     Hello    (1): u16 protocol_version | u16 full_w | u16 full_h |
                   u16 fov_w | u16 fov_h | f32 periph_scale | u8 codec |
-                  u8 scene_id | u8 path_id | u32 frame_count
+                  u8 scene_id | u32 frame_count
     Pose     (2): u64 frame_id | 3x f32 position | 4x f32 orientation (x,y,z,w)
     Subframe (3): u64 frame_id | u8 eye | u8 codec |
                   4x u16 rect (x,y,w,h, per-eye coords) | u32 payload_len |
@@ -25,7 +25,7 @@ from typing import Optional, Protocol, Union
 
 from .image import Rect
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MSG_HELLO = 1
 MSG_POSE = 2
@@ -39,7 +39,7 @@ MAX_PAYLOAD = 2**32 - 16
 MAX_DIM = 2**16 - 1
 MAX_FRAMES = 2**32 - 1
 
-_HELLO_FMT = struct.Struct("<HHHHHfBBBI")
+_HELLO_FMT = struct.Struct("<HHHHHfBBI")
 _POSE_FMT = struct.Struct("<Qfffffff")
 _SUBFRAME_FMT = struct.Struct("<QBBHHHHI")
 _END_FMT = struct.Struct("<Q")
@@ -69,7 +69,6 @@ class HelloMsg:
     periph_scale: float
     codec: int
     scene_id: int
-    path_id: int
     frame_count: int
 
 
@@ -109,7 +108,6 @@ def write_msg(msg: Message) -> bytes:
             msg.periph_scale,
             msg.codec,
             msg.scene_id,
-            msg.path_id,
             msg.frame_count,
         )
         msg_type = MSG_HELLO

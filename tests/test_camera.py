@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from splitfov.camera import (
     CameraPath,
     CameraRig,
-    PathId,
     Pose,
     QUAT_NORM_TOL,
     eye_origin,

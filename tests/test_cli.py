@@ -15,7 +15,7 @@ class TestDefaults:
         assert (s.full_w, s.full_h) == (2400, 1080)
         assert (s.fov_w, s.fov_h) == (512, 360)
         assert s.periph_scale == pytest.approx(0.6)
-        assert config.frame_count == 1000
+        assert config.path.frame_count == 1000
         assert config.codec == CodecId.PRED_DEFLATE
         assert config.clock == "virtual"
 
@@ -25,7 +25,7 @@ class TestDefaults:
         s = config.spec
         assert (s.full_w, s.full_h, s.fov_w, s.fov_h) == (600, 270, 128, 90)
         assert s.periph_scale == 0.5
-        assert config.frame_count == 12
+        assert config.path.frame_count == 12
 
     def test_codec_and_scene_choices(self):
         config = parse_cli(["sim", "--codec", "raw", "--scene", "empty"])
@@ -60,7 +60,7 @@ class TestDefaults:
         p = str(tmp_path / "a.csv")
         config = parse_cli(["report", p])
         assert config.mode == "report"
-        assert config.inputs == (p,)
+        assert config.inputs == [p]
 
 
 class TestUsageErrors:
@@ -98,6 +98,52 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             parse_cli(["client", "--bandwidth", "100"])
         assert e.value.code == 2
+
+    def test_report_needs_inputs(self):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["report"])
+        assert e.value.code == 2
+
+    def test_unknown_clock(self):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--clock", "sundial"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["native", "--server-csv", "x.csv"],
+        ["client", "--server-csv", "x.csv"],
+        ["native", "--clock", "virtual"],
+        ["sim", "--path", "orbit"],
+        ["native", "--codec", "raw"],
+        ["sim", "--ppm-every", "2"],
+    ])
+    def test_flags_that_would_do_nothing_are_refused(self, argv):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(argv)
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--clock", "wall", "--us-per-ray", "3"],
+        ["compare", "--clock", "wall", "--cost-merge", "1"],
+    ])
+    def test_cost_flags_refused_on_the_wall_clock(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(argv)
+        assert e.value.code == 2
+        assert "--clock virtual only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["server", "--port", "70000"], ["client", "--port", "-1"]])
+    def test_port_out_of_range(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(argv)
+        assert e.value.code == 2
+        assert "port must be in [0, 65535]" in capsys.readouterr().err
+
+    def test_negative_latency(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--latency", "-1"])
+        assert e.value.code == 2
+        assert "latency_ms must be non-negative" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as e:

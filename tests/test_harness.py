@@ -1,73 +1,78 @@
-import threading
-from concurrent.futures import ThreadPoolExecutor
+"""The run modes end to end: each subcommand through `main`, the CLI as a
+subprocess, and the library entry points `run_compare` and `run_report`."""
 
+import io
+import os
+import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from splitfov.client import ClientFrameRecord, run_client
+from splitfov.camera import CameraPath, CameraRig, pose_at
+from splitfov.cli import main
+from splitfov.client import ClientFrameRecord, ClientSession, CollectSink, ffr_frame
 from splitfov.codec import CodecId
-from splitfov.harness import (
-    RunConfig,
-    run,
-    run_compare,
-    run_report,
-    run_sim,
-)
-from splitfov.metrics import read_csv
+from splitfov.metrics import read_csv, run_report
+from splitfov.render import SceneConfig
 from splitfov.server import ServerFrameTiming
-from splitfov.sim import CostModel, ZERO_NET
+from splitfov.sim import CostModel, ZERO_NET, run_compare, run_sim_wall
+from splitfov.wire import MAX_FRAMES
+
+TINY = ["--size", "160x80", "--fovea", "32x24", "--scale", "0.5"]
+FREE_LINK = ["--latency", "0", "--bandwidth", "inf"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def sim_config(spec, frames=4, **kw):
-    defaults = dict(mode="sim", spec=spec, frame_count=frames, net=ZERO_NET,
-                    cost=CostModel())
-    defaults.update(kw)
-    return RunConfig(**defaults)
+def compare(spec, frames, codec=CodecId.PRED_DEFLATE, cost=CostModel(), **kw):
+    return run_compare(spec, codec, SceneConfig(), CameraPath(frame_count=frames),
+                       ZERO_NET, cost, **kw)
 
 
 class TestValidate:
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            RunConfig(mode="banana").validate()
+    """Library entry points reject what the CLI's usage errors also catch."""
 
     def test_report_needs_inputs(self):
-        with pytest.raises(ValueError):
-            RunConfig(mode="report").validate()
+        with pytest.raises(ValueError, match="no records"):
+            run_report([])
 
-    def test_frames_positive(self, tiny_spec):
-        with pytest.raises(ValueError):
-            RunConfig(mode="sim", spec=tiny_spec, frame_count=0).validate()
-
-    def test_frames_fit_the_hello(self, tiny_spec):
-        RunConfig(mode="sim", spec=tiny_spec, frame_count=2**32 - 1).validate()
-        with pytest.raises(ValueError):
-            RunConfig(mode="sim", spec=tiny_spec, frame_count=2**32).validate()
+    def test_frames_fit_the_hello(self, tiny_spec, scene, rig):
+        # Checked where the hello's u32 is written: a typed error before any
+        # byte is sent, not the server's EOF at the handshake.
+        ClientSession(io.BytesIO(), lambda data: None, tiny_spec, CodecId.RAW, scene, rig,
+                      CameraPath(frame_count=MAX_FRAMES))
+        with pytest.raises(ValueError, match="frame_count"):
+            run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=MAX_FRAMES + 1))
 
     def test_bad_clock(self, tiny_spec):
-        with pytest.raises(ValueError):
-            RunConfig(mode="sim", spec=tiny_spec, clock="sundial").validate()
+        with pytest.raises(ValueError, match="sundial"):
+            compare(tiny_spec, 1, clock="sundial")
 
 
 class TestRunSim:
-    def test_virtual_dispatch(self, tiny_spec):
-        res = run_sim(sim_config(tiny_spec, frames=3, clock="virtual"))
-        assert len(res.client_records) == 3
+    def test_virtual_dispatch(self, tmp_path):
+        c = str(tmp_path / "c.csv")
+        assert main(["sim", *TINY, "--frames", "3", "--clock", "virtual", "--client-csv", c]) == 0
+        assert len(read_csv(c, ClientFrameRecord)) == 3
 
-    def test_wall_dispatch(self, tiny_spec):
-        res = run_sim(sim_config(tiny_spec, frames=2, clock="wall"))
-        assert len(res.client_records) == 2
-        assert res.client_records[0].total_ms > 0
+    def test_wall_dispatch(self, tmp_path):
+        c = str(tmp_path / "c.csv")
+        assert main(["sim", *TINY, "--frames", "2", "--clock", "wall", "--client-csv", c]) == 0
+        records = read_csv(c, ClientFrameRecord)
+        assert len(records) == 2
+        assert records[0].total_ms > 0
 
 
 class TestCompare:
     def test_draw_bound_improvement_matches_ray_ratio(self, desk_spec):
         # per-ray costs, free network: the split arm is bound by the
         # peripheral draw; improvement = foveal rays / peripheral rays
-        config = RunConfig(mode="compare", spec=desk_spec, frame_count=3,
-                           net=ZERO_NET,
-                           cost=CostModel(server_draw=0, encode=0, client_draw=0, decode=0,
-                                          merge=0, us_per_ray=1.0),
-                           codec=CodecId.RAW)
-        report = run_compare(config)
+        report = compare(desk_spec, 3, codec=CodecId.RAW,
+                         cost=CostModel(server_draw=0, encode=0, client_draw=0, decode=0,
+                                        merge=0, us_per_ray=1.0))
         fovea_rays = 2 * desk_spec.fov_w * desk_spec.fov_h   # 23040
         periph_rays = 360 * 162                              # reduced buffer
         want = 100.0 * fovea_rays / periph_rays
@@ -75,9 +80,7 @@ class TestCompare:
         assert report.improvement_pct == pytest.approx(39.506, abs=1e-3)
 
     def test_report_shape(self, tiny_spec):
-        report = run_compare(RunConfig(mode="compare", spec=tiny_spec,
-                                       frame_count=3, net=ZERO_NET,
-                                       cost=CostModel()))
+        report = compare(tiny_spec, 3)
         assert report.native_summary.frame_count == 3
         assert report.split_summary.frame_count == 3
         assert report.split_summary.server_stage_median_ms is not None
@@ -90,100 +93,113 @@ class TestCompare:
         line = f"{improvement_pct(32.2, 26.17):.2f}%"
         assert line == "23.04%"
 
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    def test_display_gets_each_frame_once(self, tiny_spec, clock):
+        # only the split arm displays; the native arm's frames are the same bytes
+        sink = CollectSink()
+        compare(tiny_spec, 2, clock=clock, display=sink)
+        path = CameraPath(frame_count=2)
+        assert len(sink.frames) == 2
+        for k, frame in enumerate(sink.frames):
+            assert np.array_equal(
+                frame, ffr_frame(SceneConfig(), CameraRig(), pose_at(path, k), tiny_spec))
+
 
 class TestRunAndOutputs:
-    def test_sim_writes_csvs(self, tiny_spec, tmp_path):
-        config = sim_config(
-            tiny_spec, frames=3,
-            client_csv=str(tmp_path / "c.csv"),
-            server_csv=str(tmp_path / "s.csv"),
-            summary_path=str(tmp_path / "sum.txt"),
-        )
-        text = run(config)
-        assert "end-to-end" in text
-        assert len(read_csv(str(tmp_path / "c.csv"), ClientFrameRecord)) == 3
-        assert len(read_csv(str(tmp_path / "s.csv"), ServerFrameTiming)) == 3
+    def test_sim_writes_csvs(self, tmp_path, capsys):
+        c, s, summary = (str(tmp_path / n) for n in ("c.csv", "s.csv", "sum.txt"))
+        assert main(["sim", *TINY, "--frames", "3", *FREE_LINK, "--client-csv", c,
+                     "--server-csv", s, "--summary", summary]) == 0
+        assert "end-to-end" in capsys.readouterr().out
+        assert len(read_csv(c, ClientFrameRecord)) == 3
+        assert len(read_csv(s, ServerFrameTiming)) == 3
         assert "frame_count=3" in (tmp_path / "sum.txt").read_text()
 
-    def test_native_mode(self, tiny_spec, tmp_path):
-        config = RunConfig(mode="native", spec=tiny_spec, frame_count=2,
-                           clock="wall", client_csv=str(tmp_path / "n.csv"))
-        text = run(config)
-        assert "Native baseline" in text
-        assert len(read_csv(str(tmp_path / "n.csv"), ClientFrameRecord)) == 2
+    def test_native_mode(self, tmp_path, capsys):
+        n = str(tmp_path / "n.csv")
+        assert main(["native", *TINY, "--frames", "2", "--client-csv", n]) == 0
+        assert "Native baseline" in capsys.readouterr().out
+        assert len(read_csv(n, ClientFrameRecord)) == 2
 
-    def test_compare_mode_writes_all_three(self, tiny_spec, tmp_path):
-        config = RunConfig(mode="compare", spec=tiny_spec, frame_count=2,
-                           net=ZERO_NET, cost=CostModel(),
-                           client_csv=str(tmp_path / "c.csv"),
-                           server_csv=str(tmp_path / "s.csv"),
-                           native_csv=str(tmp_path / "n.csv"))
-        run(config)
-        for name in ("c.csv", "s.csv", "n.csv"):
+    def test_compare_mode_writes_all_three(self, tmp_path):
+        names = ("c.csv", "s.csv", "n.csv")
+        c, s, n = (str(tmp_path / name) for name in names)
+        assert main(["compare", *TINY, "--frames", "2", *FREE_LINK,
+                     "--client-csv", c, "--server-csv", s, "--native-csv", n]) == 0
+        for name in names:
             assert (tmp_path / name).exists()
 
-    def test_ppm_frames_written(self, tiny_spec, tmp_path):
-        config = sim_config(tiny_spec, frames=2, ppm_dir=str(tmp_path / "f"))
-        run(config)
+    def test_ppm_frames_written(self, tmp_path):
+        assert main(["sim", *TINY, "--frames", "2", "--ppm-dir", str(tmp_path / "f")]) == 0
         assert sorted(p.name for p in (tmp_path / "f").iterdir()) == [
             "frame_000000.ppm", "frame_000001.ppm",
         ]
 
+    def test_compare_ppm_every_k(self, tmp_path):
+        assert main(["compare", *TINY, "--frames", "3", "--ppm-dir", str(tmp_path / "f"),
+                     "--ppm-every", "2"]) == 0
+        assert sorted(p.name for p in (tmp_path / "f").iterdir()) == [
+            "frame_000000.ppm", "frame_000002.ppm",
+        ]
+
 
 class TestReport:
-    def write_run(self, tiny_spec, tmp_path):
-        config = sim_config(tiny_spec, frames=4,
-                            client_csv=str(tmp_path / "c.csv"),
-                            server_csv=str(tmp_path / "s.csv"))
-        run(config)
-        return str(tmp_path / "c.csv"), str(tmp_path / "s.csv")
+    def write_run(self, tmp_path):
+        c, s = str(tmp_path / "c.csv"), str(tmp_path / "s.csv")
+        assert main(["sim", *TINY, "--frames", "4", *FREE_LINK,
+                     "--client-csv", c, "--server-csv", s]) == 0
+        return c, s
 
-    def test_round_trips_through_csv(self, tiny_spec, tmp_path):
-        c, s = self.write_run(tiny_spec, tmp_path)
-        text = run_report(RunConfig(mode="report", inputs=(c, s)))
+    def test_round_trips_through_csv(self, tmp_path):
+        c, s = self.write_run(tmp_path)
+        text = run_report([c, s])
         assert "4 frames" in text
         assert "Draw Time" in text  # server half present
 
-    def test_input_order_does_not_matter(self, tiny_spec, tmp_path):
-        c, s = self.write_run(tiny_spec, tmp_path)
-        a = run_report(RunConfig(mode="report", inputs=(c, s)))
-        b = run_report(RunConfig(mode="report", inputs=(s, c)))
-        assert a == b
+    def test_input_order_does_not_matter(self, tmp_path):
+        c, s = self.write_run(tmp_path)
+        assert run_report([c, s]) == run_report([s, c])
 
-    def test_client_only(self, tiny_spec, tmp_path):
-        c, _ = self.write_run(tiny_spec, tmp_path)
-        text = run_report(RunConfig(mode="report", inputs=(c,)))
-        assert "Server profile" not in text
+    def test_client_only(self, tmp_path):
+        c, _ = self.write_run(tmp_path)
+        assert "Server profile" not in run_report([c])
 
-    def test_server_only(self, tiny_spec, tmp_path):
-        _, s = self.write_run(tiny_spec, tmp_path)
-        text = run_report(RunConfig(mode="report", inputs=(s,)))
-        assert "Server profile" in text
+    def test_server_only(self, tmp_path):
+        _, s = self.write_run(tmp_path)
+        assert "Server profile" in run_report([s])
 
 
 class TestServerClientModes:
-    def test_networked_modes_meet_over_loopback(self, tiny_spec, tmp_path):
-        from splitfov.harness import run_server_mode
+    def test_networked_modes_meet_over_loopback(self, tmp_path):
+        # The installed entry point, run as `python -m splitfov.cli`: each run
+        # exits 0 and writes nothing to stderr (no runpy warning, no log noise).
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), SPLITFOV_HOST="127.0.0.1")
 
-        port_ready = threading.Event()
-        bound = {}
+        def cli(*args):
+            return [sys.executable, "-m", "splitfov.cli", *args]
 
-        def ready(port):
-            bound["port"] = port
-            port_ready.set()
+        def run(*args):
+            proc = subprocess.run(cli(*args), cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return proc.stdout
 
-        server_config = RunConfig(mode="server", port=0,
-                                  server_csv=str(tmp_path / "s.csv"))
+        server = subprocess.Popen(cli("server", "--port", "0", "--server-csv", "s.csv"),
+                                  cwd=tmp_path, env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         pool = ThreadPoolExecutor(max_workers=1)
-        future = pool.submit(run_server_mode, server_config, ready)
-        assert port_ready.wait(timeout=10.0)
-
-        client_config = RunConfig(mode="client", spec=tiny_spec, frame_count=2,
-                                  port=bound["port"],
-                                  client_csv=str(tmp_path / "c.csv"))
-        text = run(client_config)
-        assert "Split client" in text
-        records = future.result(timeout=30.0)
-        pool.shutdown()
-        assert len(records) == 2
-        assert len(read_csv(str(tmp_path / "c.csv"), ClientFrameRecord)) == 2
+        try:
+            first = pool.submit(server.stdout.readline).result(timeout=30)
+            port = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)\n", first).group(1)
+            out = run("client", "--port", port, *TINY, "--frames", "2", "--client-csv", "c.csv")
+            assert "Split client (2 frames" in out
+            server_out, server_err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()  # also ends a readline still waiting on its stdout
+                server.wait()
+            pool.shutdown()
+        assert (server.returncode, server_err) == (0, "")
+        assert "Server profile (2 frames" in server_out
+        report = run("report", "c.csv", "s.csv")
+        assert "2 frames" in report and "Draw Time" in report

@@ -4,6 +4,7 @@ import pytest
 from splitfov.camera import CameraPath, CameraRig, Pose, pose_at
 from splitfov.image import GeometryError, Rect, crop
 from splitfov.render import (
+    BACKGROUND,
     LEFT,
     RIGHT,
     SceneConfig,
@@ -80,10 +81,10 @@ class TestDeterminism:
 
 class TestScenes:
     def test_empty_scene_sky_is_background(self, rig):
-        cfg = SceneConfig(scene_id=SceneId.EMPTY, background=(7, 9, 11))
+        cfg = SceneConfig(scene_id=SceneId.EMPTY)
         pose = Pose(position=(0, 50, 0), orientation=(0, 0, 0, 1))
         img = render_region(cfg, rig, pose, LEFT, (16, 16), Rect(0, 0, 16, 8))
-        assert (img == np.array([7, 9, 11], dtype=np.uint8)).all()
+        assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
 
     def test_sphere_scene_hits_something(self, scene, rig):
         img = render_stereo(scene, rig, POSE, (64, 48))

@@ -55,7 +55,7 @@ def start_server(**kwargs):
 
 def hello_for(spec, codec=CodecId.PRED_DEFLATE, frames=2, version=PROTOCOL_VERSION):
     return HelloMsg(version, spec.full_w, spec.full_h, spec.fov_w, spec.fov_h,
-                    spec.periph_scale, int(codec), 1, 0, frames)
+                    spec.periph_scale, int(codec), 1, frames)
 
 
 class TestLoopbackSession:

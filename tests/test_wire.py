@@ -49,8 +49,7 @@ u64 = st.integers(0, 2**64 - 1)
 
 hello_msgs = st.builds(
     HelloMsg, protocol_version=u16, full_w=u16, full_h=u16, fov_w=u16,
-    fov_h=u16, periph_scale=finite_f32, codec=u8, scene_id=u8, path_id=u8,
-    frame_count=u32,
+    fov_h=u16, periph_scale=finite_f32, codec=u8, scene_id=u8, frame_count=u32,
 )
 pose_msgs = st.builds(
     PoseUpdateMsg, frame_id=u64,
@@ -88,8 +87,8 @@ class TestPinnedLayout:
         assert len(frame) == 13
 
     def test_fixed_sizes(self):
-        hello = HelloMsg(1, 2400, 1080, 512, 360, 0.6, 1, 1, 0, 1000)
-        assert len(write_msg(hello)) == 26
+        hello = HelloMsg(PROTOCOL_VERSION, 2400, 1080, 512, 360, 0.6, 1, 1, 1000)
+        assert len(write_msg(hello)) == 25
         assert len(write_msg(SubframeMsg(0, 0, 0, Rect(0, 0, 1, 1), b""))) == 27
 
     def test_little_endian_length_prefix(self):
@@ -182,8 +181,8 @@ class TestRejection:
 
 class TestHelloVersion:
     def test_current_version_ok(self):
-        check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 0, 1))
+        check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 1))
 
     def test_other_version_rejected(self):
         with pytest.raises(ProtocolError):
-            check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 0, 1))
+            check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 1))
