@@ -32,12 +32,20 @@ print(f"\nsubframe, {len(frame)} bytes ({len(frame) - len(sub.payload)} header +
 print("  " + frame.hex())
 
 #%%
-# Round trip through an in-memory stream. The scale field travels as
-# float32, so use a float32-exact value when comparing whole messages.
+# The hello opens a session: the partition, codec, scene and frame count,
+# then the camera rig as float64, which the server must draw with exactly.
+# The scale field travels as float32, so use a float32-exact value when
+# comparing whole messages.
 scale = float(np.float32(0.6))
+hello = HelloMsg(PROTOCOL_VERSION, 600, 270, 128, 90, scale, codec=1, scene_id=1,
+                 frame_count=4, ipd=0.064, horizontal_fov=90.0, near=0.1)
+print(f"\nhello, {len(write_msg(hello))} bytes on the wire")
+
+#%%
+# Round trip through an in-memory stream.
 buf = io.BytesIO()
 msgs = [
-    HelloMsg(PROTOCOL_VERSION, 600, 270, 128, 90, scale, codec=1, scene_id=1, frame_count=4),
+    hello,
     pose,
     sub,
     EndMsg(3),

@@ -151,9 +151,8 @@ class CameraRig:
 
 @dataclass(frozen=True)
 class CameraPath:
-    """An orbit around `center`; frame k of `frame_count` maps to one Pose."""
+    """An orbit around the origin; frame k of `frame_count` maps to one Pose."""
 
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     radius: float = 3.0
     height: float = 1.2
     frame_count: int = 1000
@@ -168,19 +167,18 @@ class CameraPath:
 def pose_at(path: CameraPath, frame_id: int) -> Pose:
     """Pose for `frame_id` on `path`; pure and deterministic.
 
-    The orbit circles the look-at center once over the whole path:
-    position = center + (radius*cos t, height, radius*sin t) with
-    t = 2*pi*frame_id/frame_count, camera facing the center.
+    The orbit circles the origin once over the whole path:
+    position = (radius*cos t, height, radius*sin t) with
+    t = 2*pi*frame_id/frame_count, camera facing the origin.
     """
     if not 0 <= frame_id < path.frame_count:
         raise ValueError(f"frame_id {frame_id} out of range for path of {path.frame_count} frames")
     theta = 2.0 * math.pi * frame_id / path.frame_count
-    cx, cy, cz = path.center
     position = np.array(
-        [cx + path.radius * math.cos(theta), cy + path.height, cz + path.radius * math.sin(theta)],
+        [path.radius * math.cos(theta), path.height, path.radius * math.sin(theta)],
         dtype=np.float64,
     )
-    orientation = look_at_quat(position, np.array(path.center, dtype=np.float64))
+    orientation = look_at_quat(position, np.zeros(3))
     return Pose(position.astype(np.float32), orientation)
 
 

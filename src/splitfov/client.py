@@ -11,7 +11,6 @@ flight (lockstep).
 from __future__ import annotations
 
 import socket
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .image import GeometryError, validate_image, write_ppm
 from .partition import Eye, PartitionSpec, foveal_rect, foveal_rect_stereo, require_valid
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
-from .trace import RECV, SEND, Stopwatch, Trace
+from .trace import RECV, SEND, Stopwatch, Trace, now_ms
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -102,7 +101,8 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
         raise GeometryError(f"reduced {rw}x{rh} larger than target {W}x{H}")
     xs = (np.arange(W) * rw) // W
     ys = (np.arange(H) * rh) // H
-    return reduced[ys[:, None], xs[None, :], :].copy()
+    # The 2-D gather already returns a fresh C-contiguous array.
+    return reduced[ys[:, None], xs[None, :], :]
 
 
 def merge(
@@ -168,12 +168,11 @@ def _decode_subframes(msgs: list[SubframeMsg]) -> dict[Eye, np.ndarray]:
 
 
 class _TimingReader:
-    """ByteStream wrapper that timestamps the first and last byte seen
-    since the last reset (the per-frame network window)."""
+    """ByteStream wrapper that stamps, on `now_ms`, the first and last byte
+    seen since the last reset (the per-frame network window)."""
 
-    def __init__(self, inner: ByteStream, clock: Callable[[], float]):
+    def __init__(self, inner: ByteStream):
         self.inner = inner
-        self.clock = clock
         self.first_byte_t: Optional[float] = None
         self.last_byte_t: Optional[float] = None
 
@@ -184,7 +183,7 @@ class _TimingReader:
     def read(self, n: int) -> bytes:
         data = self.inner.read(n)
         if data:
-            now = self.clock()
+            now = now_ms()
             if self.first_byte_t is None:
                 self.first_byte_t = now
             self.last_byte_t = now
@@ -205,15 +204,13 @@ class ClientSession:
         path: CameraPath,
         display: DisplaySink = null_sink,
         trace: Optional[Trace] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        epoch: Optional[float] = None,
     ):
         require_valid(spec)
         if path.frame_count > MAX_FRAMES:
             raise ValueError(
                 f"frame_count must be at most {MAX_FRAMES} (u32), got {path.frame_count}"
             )
-        self.reader = _TimingReader(reader, clock)
+        self.reader = _TimingReader(reader)
         self.writer = writer
         self.spec = spec
         self.codec = codec_mod.CodecId(codec)
@@ -221,7 +218,7 @@ class ClientSession:
         self.rig = rig
         self.path = path
         self.display = display
-        self.stopwatch = Stopwatch("client", trace, clock, epoch)
+        self.stopwatch = Stopwatch("client", trace)
 
     def hello(self) -> HelloMsg:
         msg = HelloMsg(
@@ -234,6 +231,9 @@ class ClientSession:
             codec=int(self.codec),
             scene_id=int(self.scene.scene_id),
             frame_count=self.path.frame_count,
+            ipd=self.rig.ipd,
+            horizontal_fov=self.rig.horizontal_fov,
+            near=self.rig.near,
         )
         self.stopwatch.mark(SEND, "hello", 0)
         self.writer(write_msg(msg))
@@ -263,14 +263,14 @@ class ClientSession:
                     f"subframe rect {msg.rect} does not match the session's foveal rect {rect}"
                 )
         assert self.reader.first_byte_t is not None and self.reader.last_byte_t is not None
-        network_ms = (self.reader.last_byte_t - self.reader.first_byte_t) * 1000.0
+        network_ms = self.reader.last_byte_t - self.reader.first_byte_t
         foveal, decode_ms = self.stopwatch.stage("decode", frame_id, _decode_subframes, msgs)
         bytes_received = sum(len(m.payload) for m in msgs)
         return foveal, network_ms, decode_ms, bytes_received
 
     def run_frame(self, frame_id: int, pool: ThreadPoolExecutor) -> ClientFrameRecord:
         sw = self.stopwatch
-        t0 = sw.now_ms()
+        t0 = now_ms()
         pose = pose_at(self.path, frame_id)
         msg = PoseUpdateMsg(
             frame_id,
@@ -279,7 +279,7 @@ class ClientSession:
         )
         sw.mark(SEND, "pose", frame_id)
         self.writer(write_msg(msg))
-        pose_ms = sw.now_ms() - t0
+        pose_ms = now_ms() - t0
 
         future = pool.submit(self._receive_and_decode, frame_id)
         reduced, draw_ms = sw.stage(
@@ -289,7 +289,7 @@ class ClientSession:
         foveal, network_ms, decode_ms, bytes_received = future.result()
         merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveal, self.spec)
         sw.stage("display", frame_id, self.display, frame_id, merged)
-        total_ms = sw.now_ms() - t0
+        total_ms = now_ms() - t0
         return ClientFrameRecord(
             frame_id=frame_id,
             draw_ms=draw_ms,
@@ -344,7 +344,6 @@ def run_native(
     rig: CameraRig,
     path: CameraPath,
     display: DisplaySink = null_sink,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> list[ClientFrameRecord]:
     """Baseline mode: the client renders everything itself.
 
@@ -354,16 +353,16 @@ def run_native(
     bytes_received is 0.
     """
     require_valid(spec)
-    sw = Stopwatch("client", clock=clock)
+    sw = Stopwatch("client")
     records = []
     for frame_id in range(path.frame_count):
-        t0 = sw.now_ms()
+        t0 = now_ms()
         pose = pose_at(path, frame_id)
-        pose_ms = sw.now_ms() - t0
+        pose_ms = now_ms() - t0
         (reduced, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
         merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveae, spec)
         display(frame_id, merged)
-        total_ms = sw.now_ms() - t0
+        total_ms = now_ms() - t0
         records.append(
             ClientFrameRecord(
                 frame_id=frame_id,

@@ -30,27 +30,33 @@ class PartitionError(ValueError):
 class PartitionSpec:
     """Dimensions of the foveal/peripheral split.
 
-    full_w, full_h: the stereo frame; eye_w, eye_h: one eye's viewport
-    (eye_w = full_w / 2); fov_w, fov_h: the foveal rectangle per eye;
-    periph_scale: sampling-rate fraction for the peripheral buffer.
+    full_w, full_h: the stereo frame; fov_w, fov_h: the foveal rectangle
+    per eye; periph_scale: sampling-rate fraction for the peripheral
+    buffer. One eye's viewport is the left or right half of the frame.
     """
 
     full_w: int
     full_h: int
-    eye_w: int
-    eye_h: int
     fov_w: int
     fov_h: int
     periph_scale: float
 
+    @property
+    def eye_w(self) -> int:
+        return self.full_w // 2
+
+    @property
+    def eye_h(self) -> int:
+        return self.full_h
+
     @classmethod
     def from_full(cls, full_w: int, full_h: int, fov_w: int, fov_h: int, periph_scale: float) -> "PartitionSpec":
-        return cls(full_w, full_h, full_w // 2, full_h, fov_w, fov_h, periph_scale)
+        return cls(full_w, full_h, fov_w, fov_h, periph_scale)
 
 
 # The dimensions the system defaults to: 2400x1080 stereo (1200x1080 per
 # eye), 512x360 fovea per eye, periphery sampled at 0.6 into 1440x648.
-DEFAULT_SPEC = PartitionSpec(2400, 1080, 1200, 1080, 512, 360, 0.6)
+DEFAULT_SPEC = PartitionSpec(2400, 1080, 512, 360, 0.6)
 
 
 def validate(spec: PartitionSpec) -> list[str]:
@@ -61,10 +67,8 @@ def validate(spec: PartitionSpec) -> list[str]:
             violations.append(f"{name} must be at least 1")
         elif getattr(spec, name) > MAX_DIM:
             violations.append(f"{name} must be at most {MAX_DIM}, the wire's u16 limit")
-    if spec.full_w != 2 * spec.eye_w:
-        violations.append("full width must be twice the eye width")
-    if spec.eye_h != spec.full_h:
-        violations.append("eye height must equal full height for side-by-side stereo")
+    if spec.full_w % 2:
+        violations.append("full width must be even")
     if spec.fov_w > spec.eye_w:
         violations.append("foveal width exceeds eye width")
     if spec.fov_h > spec.eye_h:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 import socket
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -85,13 +84,11 @@ class ServerSession:
         writer: Callable[[bytes], None],
         rig: CameraRig,
         trace: Optional[Trace] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        epoch: Optional[float] = None,
     ):
         self.reader = reader
         self.writer = writer
         self.rig = rig
-        self.stopwatch = Stopwatch("server", trace, clock, epoch)
+        self.stopwatch = Stopwatch("server", trace)
         self.spec: Optional[PartitionSpec] = None
         self.codec: Optional[codec_mod.CodecId] = None
         self.scene: Optional[SceneConfig] = None
@@ -118,6 +115,15 @@ class ServerSession:
             self.scene = SceneConfig(SceneId(msg.scene_id))
         except ValueError as e:
             raise ProtocolError(f"hello carries an unknown enum value: {e}") from None
+        # Matched exactly: the renderer derives its float32 constants from
+        # these float64 values, so a near-equal rig can still move pixels.
+        peer_rig = (msg.ipd, msg.horizontal_fov, msg.near)
+        own_rig = (self.rig.ipd, self.rig.horizontal_fov, self.rig.near)
+        if peer_rig != own_rig:
+            raise ProtocolError(
+                f"hello carries camera rig (ipd, horizontal_fov, near) = {peer_rig}, "
+                f"this server draws with {own_rig}"
+            )
         self.frame_count = msg.frame_count
         return msg
 

@@ -23,19 +23,17 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import codec as codec_mod
-from .camera import CameraPath, CameraRig, pose_at
+from .camera import CameraPath, CameraRig
 from .client import (
     ClientFrameRecord,
     ClientSession,
     DisplaySink,
-    ffr_frame,
     null_sink,
     run_native,
 )
@@ -43,7 +41,7 @@ from .metrics import Summary, improvement_pct, median, render_table, summarize
 from .partition import PartitionSpec, reduced_dims, require_valid
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
-from .trace import BEGIN, END, RECV, SEND, Trace
+from .trace import BEGIN, END, RECV, SEND, Trace, now_ms
 
 
 @dataclass(frozen=True)
@@ -225,27 +223,22 @@ def run_sim_virtual(
 
 
 def run_native_virtual(
-    spec: PartitionSpec,
-    scene: SceneConfig,
-    rig: CameraRig,
-    path: CameraPath,
-    cost: CostModel = CostModel(),
-    display: DisplaySink = null_sink,
+    spec: PartitionSpec, path: CameraPath, cost: CostModel = CostModel()
 ) -> list[ClientFrameRecord]:
-    """Native baseline on the virtual clock: one device draws the foveae at
-    full rate plus the reduced periphery, then merges and displays."""
+    """Native baseline on the virtual clock: the schedule of one device
+    drawing the foveae at full rate plus the reduced periphery, then
+    merging and displaying. It draws no frame: the native frames are
+    byte-identical to a lossless split session's, and nothing shows them."""
     require_valid(spec)
     rw, rh = reduced_dims(spec)
     rays = 2 * spec.fov_w * spec.fov_h + rw * rh
     records = []
     t = 0.0
     for frame_id in range(path.frame_count):
-        pose = pose_at(path, frame_id)
         pose_end = t + cost.pose
         draw_end = pose_end + cost.client_draw_ms(rays)
         merge_end = draw_end + cost.merge
         display_end = merge_end + cost.display
-        display(frame_id, ffr_frame(scene, rig, pose, spec))
         records.append(
             ClientFrameRecord(
                 frame_id=frame_id,
@@ -269,11 +262,10 @@ class SimplexPipe:
     transmission time); read() blocks until delivery, mimicking a socket
     with the modeled link in between. The first byte of each write is
     delivered at its own arrival time so receive-side first-byte
-    timestamps are meaningful.
+    timestamps are meaningful. Delivery times are `now_ms` readings.
     """
 
-    def __init__(self, net: NetModel, clock: Callable[[], float] = time.perf_counter):
-        self.clock = clock
+    def __init__(self, net: NetModel):
         self._cv = threading.Condition()
         self._pending: deque[tuple[float, bytes]] = deque()
         self._buf = bytearray()
@@ -285,13 +277,13 @@ class SimplexPipe:
         if not data:
             return
         self.sizes.append(len(data))
-        first_ms, last_ms = self._link.schedule(self.clock() * 1000.0, len(data))
+        first_ms, last_ms = self._link.schedule(now_ms(), len(data))
         with self._cv:
             if self._closed:
                 raise BrokenPipeError("pipe closed")
-            self._pending.append((first_ms / 1000.0, data[:1]))
+            self._pending.append((first_ms, data[:1]))
             if len(data) > 1:
-                self._pending.append((last_ms / 1000.0, data[1:]))
+                self._pending.append((last_ms, data[1:]))
             self._cv.notify_all()
 
     def close(self) -> None:
@@ -304,7 +296,7 @@ class SimplexPipe:
             return b""
         with self._cv:
             while True:
-                now = self.clock()
+                now = now_ms()
                 while self._pending and self._pending[0][0] <= now:
                     self._buf.extend(self._pending.popleft()[1])
                 if self._buf:
@@ -312,7 +304,7 @@ class SimplexPipe:
                     del self._buf[:n]
                     return out
                 if self._pending:
-                    self._cv.wait(timeout=self._pending[0][0] - now)
+                    self._cv.wait(timeout=(self._pending[0][0] - now) / 1000.0)
                     continue
                 if self._closed:
                     return b""
@@ -336,14 +328,12 @@ def _run_split(
     and the server wrote, in order. A server that fails closes the downlink,
     so the client ends instead of waiting, and its own error is raised.
     """
-    clock = time.perf_counter
-    epoch = clock()
-    c2s = SimplexPipe(net, clock)
-    s2c = SimplexPipe(net, clock)
-    server_session = ServerSession(c2s, s2c.write, rig, trace=trace, clock=clock, epoch=epoch)
+    c2s = SimplexPipe(net)
+    s2c = SimplexPipe(net)
+    server_session = ServerSession(c2s, s2c.write, rig, trace=trace)
     client_session = ClientSession(
         reader=s2c, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
-        path=path, display=display, trace=trace, clock=clock, epoch=epoch,
+        path=path, display=display, trace=trace,
     )
 
     def serve() -> list[ServerFrameTiming]:
@@ -409,7 +399,7 @@ def run_compare(
     """
     rig = CameraRig()
     if clock == "virtual":
-        native_records = run_native_virtual(spec, scene, rig, path, cost=cost)
+        native_records = run_native_virtual(spec, path, cost=cost)
         split = run_sim_virtual(spec, codec, scene, rig, path, net=net, cost=cost, display=display)
     elif clock == "wall":
         native_records = run_native(spec, scene, rig, path)

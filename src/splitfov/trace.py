@@ -12,7 +12,8 @@ can share one trace. Both clocks emit the same events:
   begin/end send, with send subframe0 and send subframe1 between them.
 
 The runtimes time every measured stage with a `Stopwatch`, so a record's
-stage duration is exactly the END minus BEGIN of its traced span.
+stage duration is exactly the END minus BEGIN of its traced span. Every
+wall-clock timestamp is a reading of `now_ms`, the one clock of the process.
 """
 
 from __future__ import annotations
@@ -70,36 +71,27 @@ class Trace:
         return event
 
 
+_T0 = time.perf_counter()
+
+
+def now_ms() -> float:
+    """The process clock: milliseconds of `time.perf_counter()` since this
+    module was imported. Every runtime timestamp reads it, so client and
+    server timestamps in one process line up."""
+    return (time.perf_counter() - _T0) * 1000.0
+
+
 class Stopwatch:
-    """One actor's stage clock: milliseconds since `epoch` (or since the
-    first reading when no epoch is given), each traced reading added to
-    `trace` when there is one.
+    """One actor's stage clock on `now_ms`, each traced reading added to
+    `trace` when there is one."""
 
-    A shared epoch lines client and server timestamps up when both run in
-    one process; otherwise each side starts its own clock.
-    """
-
-    def __init__(
-        self,
-        actor: str,
-        trace: Optional[Trace] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        epoch: Optional[float] = None,
-    ):
+    def __init__(self, actor: str, trace: Optional[Trace] = None):
         self.actor = actor
         self.trace = trace
-        self.clock = clock
-        self._t0 = epoch
-
-    def now_ms(self) -> float:
-        t = self.clock()
-        if self._t0 is None:
-            self._t0 = t
-        return (t - self._t0) * 1000.0
 
     def mark(self, kind: str, name: str, frame_id: int) -> float:
         """Reads the clock once and traces that reading; returns it."""
-        t_ms = self.now_ms()
+        t_ms = now_ms()
         if self.trace is not None:
             self.trace.add(t_ms, self.actor, kind, name, frame_id)
         return t_ms

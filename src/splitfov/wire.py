@@ -2,11 +2,12 @@
 
 Every message is one frame: a u32 length (bytes after the length field),
 a u8 message type, then the body. All integers are little-endian and all
-floats are IEEE-754 single precision little-endian:
+floats are IEEE-754 little-endian, single precision (f32) unless marked f64:
 
     Hello    (1): u16 protocol_version | u16 full_w | u16 full_h |
                   u16 fov_w | u16 fov_h | f32 periph_scale | u8 codec |
-                  u8 scene_id | u32 frame_count
+                  u8 scene_id | u32 frame_count |
+                  f64 ipd | f64 horizontal_fov | f64 near (the camera rig)
     Pose     (2): u64 frame_id | 3x f32 position | 4x f32 orientation (x,y,z,w)
     Subframe (3): u64 frame_id | u8 eye | u8 codec |
                   4x u16 rect (x,y,w,h, per-eye coords) | u32 payload_len |
@@ -25,7 +26,7 @@ from typing import Optional, Protocol, Union
 
 from .image import Rect
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MSG_HELLO = 1
 MSG_POSE = 2
@@ -39,7 +40,7 @@ MAX_PAYLOAD = 2**32 - 16
 MAX_DIM = 2**16 - 1
 MAX_FRAMES = 2**32 - 1
 
-_HELLO_FMT = struct.Struct("<HHHHHfBBI")
+_HELLO_FMT = struct.Struct("<HHHHHfBBIddd")
 _POSE_FMT = struct.Struct("<Qfffffff")
 _SUBFRAME_FMT = struct.Struct("<QBBHHHHI")
 _END_FMT = struct.Struct("<Q")
@@ -70,6 +71,9 @@ class HelloMsg:
     codec: int
     scene_id: int
     frame_count: int
+    ipd: float
+    horizontal_fov: float
+    near: float
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,9 @@ def write_msg(msg: Message) -> bytes:
             msg.codec,
             msg.scene_id,
             msg.frame_count,
+            msg.ipd,
+            msg.horizontal_fov,
+            msg.near,
         )
         msg_type = MSG_HELLO
     elif isinstance(msg, PoseUpdateMsg):

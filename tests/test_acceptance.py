@@ -147,7 +147,7 @@ def test_wire_robustness():
                 return HelloMsg(int(rng.integers(0, 2**16)), *(int(rng.integers(0, 2**16)) for _ in range(4)),
                                 float(np.float32(rng.uniform(0, 2))),
                                 int(rng.integers(0, 256)), int(rng.integers(0, 256)),
-                                int(rng.integers(0, 2**32)))
+                                int(rng.integers(0, 2**32)), *rng.uniform(0, 180, size=3).tolist())
             if kind == 1:
                 vals = [float(np.float32(v)) for v in rng.normal(size=7) * 100]
                 return PoseUpdateMsg(int(rng.integers(0, 2**64, dtype=np.uint64)),

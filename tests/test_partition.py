@@ -65,8 +65,7 @@ class TestValidate:
         assert len(msgs) >= 3
 
     def test_odd_stereo_width(self):
-        s = PartitionSpec(2401, 1080, 1200, 1080, 512, 360, 0.6)
-        assert validate(s)
+        assert validate(PartitionSpec(2401, 1080, 512, 360, 0.6)) == ["full width must be even"]
 
     def test_dimensions_beyond_the_wire(self):
         # the hello and subframe rects carry dimensions as u16

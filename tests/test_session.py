@@ -1,7 +1,9 @@
 """End-to-end client/server sessions over real loopback TCP and over
 in-memory streams."""
 
+import dataclasses
 import io
+import math
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,9 +55,11 @@ def start_server(**kwargs):
     return future, bound["port"]
 
 
-def hello_for(spec, codec=CodecId.PRED_DEFLATE, frames=2, version=PROTOCOL_VERSION):
+def hello_for(spec, codec=CodecId.PRED_DEFLATE, frames=2, version=PROTOCOL_VERSION,
+              rig=CameraRig()):
     return HelloMsg(version, spec.full_w, spec.full_h, spec.fov_w, spec.fov_h,
-                    spec.periph_scale, int(codec), 1, frames)
+                    spec.periph_scale, int(codec), 1, frames,
+                    rig.ipd, rig.horizontal_fov, rig.near)
 
 
 class TestLoopbackSession:
@@ -124,6 +128,13 @@ class TestServerSessionUnit:
         msg = HelloMsg(**{**msg.__dict__, "scene_id": 250})
         with pytest.raises(ProtocolError, match="enum"):
             self.run_session([msg])
+
+    @pytest.mark.parametrize("field", ["ipd", "horizontal_fov", "near"])
+    def test_rejects_a_rig_one_ulp_off(self, tiny_spec, field):
+        own = CameraRig()
+        other = dataclasses.replace(own, **{field: math.nextafter(getattr(own, field), math.inf)})
+        with pytest.raises(ProtocolError, match="camera rig"):
+            self.run_session([hello_for(tiny_spec, rig=other)])
 
     def test_rejects_pose_before_hello(self):
         with pytest.raises(ProtocolError, match="hello"):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from splitfov import client, codec, server
+from splitfov import client, codec, server, sim
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import CollectSink, ffr_frame, run_native
 from splitfov.codec import CodecId
@@ -13,6 +13,7 @@ from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession
 from splitfov.trace import RECV, SEND
+from splitfov.wire import ProtocolError
 from splitfov.sim import (
     CostModel,
     NetModel,
@@ -174,21 +175,28 @@ class TestVirtualTimeline:
 
 
 class TestNativeVirtual:
-    def test_totals_are_stage_sums(self, tiny_spec, scene, rig):
+    def test_totals_are_stage_sums(self, tiny_spec):
         cost = CostModel(pose=0.5, client_draw=9.0, merge=1.5, display=0.25)
-        records = run_native_virtual(tiny_spec, scene, rig,
-                                     CameraPath(frame_count=3), cost=cost)
+        records = run_native_virtual(tiny_spec, CameraPath(frame_count=3), cost=cost)
         for r in records:
             assert r.total_ms == pytest.approx(0.5 + 9.0 + 1.5 + 0.25)
             assert r.network_ms == 0.0 and r.bytes_received == 0
 
-    def test_per_ray_cost_counts_reduced_and_foveal_rays(self, scene, rig):
+    def test_per_ray_cost_counts_reduced_and_foveal_rays(self):
         spec = PartitionSpec.from_full(100, 50, 20, 10, 0.5)
         cost = CostModel(client_draw=0.0, us_per_ray=1.0)
-        records = run_native_virtual(spec, scene, rig, CameraPath(frame_count=1),
-                                     cost=cost)
+        records = run_native_virtual(spec, CameraPath(frame_count=1), cost=cost)
         rays = 2 * 20 * 10 + 50 * 25
         assert records[0].draw_ms == pytest.approx(rays / 1000.0)
+
+    def test_draws_no_frame(self, tiny_spec, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("the virtual native arm drew a frame")
+
+        monkeypatch.setattr(client, "render_scaled", no_draw)
+        monkeypatch.setattr(server, "render_region", no_draw)
+        records = run_native_virtual(tiny_spec, CameraPath(frame_count=3), cost=FIG_COST)
+        assert [r.frame_id for r in records] == [0, 1, 2]
 
 
 class TestSimplexPipe:
@@ -263,6 +271,20 @@ class TestWallClock:
             assert t("server", RECV, "pose", n) - t("client", SEND, "pose", n) >= 25.0
             assert t("client", RECV, "subframe1", n) - t("server", SEND, "subframe1", n) >= 25.0
         assert min(r.total_ms for r in res.client_records) >= 50.0
+
+
+class TestRigMismatch:
+    def test_other_rig_ends_the_session_before_any_frame(self, tiny_spec, scene, monkeypatch):
+        # The client draws with ipd 0.1; the server keeps the default rig.
+        monkeypatch.setattr(
+            sim, "ServerSession",
+            lambda reader, writer, rig, trace=None: ServerSession(reader, writer, CameraRig(), trace),
+        )
+        sink = CollectSink()
+        with pytest.raises(ProtocolError, match="camera rig"):
+            run_sim_wall(tiny_spec, CodecId.RAW, scene, CameraRig(ipd=0.1),
+                         CameraPath(frame_count=3), display=sink)
+        assert sink.frames == []
 
 
 class TestServerFailure:

@@ -1,16 +1,15 @@
+import time
+
 import pytest
 
-from splitfov.trace import BEGIN, END, SEND, Stopwatch, Trace
+from splitfov import trace as trace_mod
+from splitfov.trace import BEGIN, END, SEND, Stopwatch, Trace, now_ms
 
 
-class FakeClock:
-    """Returns the given readings in seconds, one per call."""
-
-    def __init__(self, *readings):
-        self.readings = list(readings)
-
-    def __call__(self):
-        return self.readings.pop(0)
+def fake_clock(monkeypatch, *readings):
+    """Makes `now_ms` return the given readings in ms, one per call."""
+    it = iter(readings)
+    monkeypatch.setattr(trace_mod, "now_ms", lambda: next(it))
 
 
 class TestTraceFind:
@@ -43,9 +42,10 @@ class TestTraceFind:
 
 
 class TestStopwatch:
-    def test_stage_is_end_minus_begin_of_its_traced_readings(self):
+    def test_stage_is_end_minus_begin_of_its_traced_readings(self, monkeypatch):
+        fake_clock(monkeypatch, 250.0, 500.0)
         trace = Trace()
-        sw = Stopwatch("server", trace, FakeClock(10.25, 10.5), epoch=10.0)
+        sw = Stopwatch("server", trace)
         result, ms = sw.stage("encode", 3, lambda a, b: a + b, 2, 5)
         assert result == 7
         begin = trace.find("server", BEGIN, "encode", 3).t_ms
@@ -53,12 +53,15 @@ class TestStopwatch:
         assert (begin, end) == (250.0, 500.0)
         assert ms == end - begin
 
-    def test_lazy_start_without_epoch(self):
-        sw = Stopwatch("client", clock=FakeClock(5.0, 5.002))
-        assert sw.now_ms() == 0.0
-        assert sw.now_ms() == pytest.approx(2.0)
-
-    def test_mark_without_trace_still_reads_the_clock(self):
-        sw = Stopwatch("client", clock=FakeClock(1.0, 1.5), epoch=0.0)
+    def test_mark_without_trace_still_reads_the_clock(self, monkeypatch):
+        fake_clock(monkeypatch, 1000.0, 1500.0)
+        sw = Stopwatch("client")
         assert sw.mark(SEND, "hello", 0) == 1000.0
         assert sw.mark(SEND, "end", 0) == 1500.0
+
+
+class TestProcessClock:
+    def test_now_ms_counts_milliseconds(self):
+        before = now_ms()
+        time.sleep(0.02)
+        assert 19.0 <= now_ms() - before < 5000.0

@@ -46,10 +46,12 @@ u16 = st.integers(0, 2**16 - 1)
 u8 = st.integers(0, 255)
 u32 = st.integers(0, 2**32 - 1)
 u64 = st.integers(0, 2**64 - 1)
+f64 = st.floats(allow_nan=False)
 
 hello_msgs = st.builds(
     HelloMsg, protocol_version=u16, full_w=u16, full_h=u16, fov_w=u16,
     fov_h=u16, periph_scale=finite_f32, codec=u8, scene_id=u8, frame_count=u32,
+    ipd=f64, horizontal_fov=f64, near=f64,
 )
 pose_msgs = st.builds(
     PoseUpdateMsg, frame_id=u64,
@@ -87,8 +89,8 @@ class TestPinnedLayout:
         assert len(frame) == 13
 
     def test_fixed_sizes(self):
-        hello = HelloMsg(PROTOCOL_VERSION, 2400, 1080, 512, 360, 0.6, 1, 1, 1000)
-        assert len(write_msg(hello)) == 25
+        hello = HelloMsg(PROTOCOL_VERSION, 2400, 1080, 512, 360, 0.6, 1, 1, 1000, 0.064, 90.0, 0.1)
+        assert len(write_msg(hello)) == 49
         assert len(write_msg(SubframeMsg(0, 0, 0, Rect(0, 0, 1, 1), b""))) == 27
 
     def test_little_endian_length_prefix(self):
@@ -181,8 +183,8 @@ class TestRejection:
 
 class TestHelloVersion:
     def test_current_version_ok(self):
-        check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 1))
+        check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 1, 0.0, 1.0, 1.0))
 
     def test_other_version_rejected(self):
         with pytest.raises(ProtocolError):
-            check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 1))
+            check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 1, 0.0, 1.0, 1.0))
