@@ -6,7 +6,7 @@ Where the foveal rectangles sit, how big the reduced peripheral render is,
 and why drawing the periphery at scale 0.6 shades exactly 36% of the rays.
 """
 
-from splitfov import Eye, PartitionSpec, foveal_rect_stereo, reduced_dims, validate
+from splitfov import Eye, PartitionError, PartitionSpec, foveal_rect_stereo, reduced_dims
 
 # The headset-scale default: 2400x1080 across both eyes, a 512x360 foveal
 # window per eye, periphery at scale 0.6.
@@ -36,6 +36,9 @@ foveal_px = 2 * spec.fov_w * spec.fov_h
 print(f"client rays/frame: {rw * rh}   server rays/frame: {foveal_px}")
 print(f"client draw is {100 * (1 - rw * rh / full_px):.0f}% cheaper than full rate")
 
-# Bad geometry is rejected with a reason rather than clipped silently.
-bad = PartitionSpec.from_full(600, 270, 400, 90, 0.6)
-print("validate(600x270 with 400-wide fovea):", validate(bad))
+# Bad geometry is rejected with every reason rather than clipped silently:
+# a spec that exists is valid.
+try:
+    PartitionSpec.from_full(600, 270, 400, 90, 0.6)
+except PartitionError as e:
+    print("600x270 with a 400-wide fovea:", e)

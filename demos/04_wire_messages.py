@@ -12,7 +12,7 @@ import io
 import numpy as np
 
 from splitfov import (
-    EndMsg, HelloMsg, PoseUpdateMsg, Rect, SubframeMsg, read_msg, write_msg,
+    EndMsg, HelloMsg, PoseUpdateMsg, SubframeMsg, read_msg, write_msg,
 )
 from splitfov.wire import PROTOCOL_VERSION
 
@@ -25,20 +25,22 @@ print("  " + frame.hex())
 print("  length prefix:", int.from_bytes(frame[:4], "little"), "| type:", frame[4])
 
 #%%
-# A foveal subframe: routing header plus opaque compressed payload.
-sub = SubframeMsg(2, eye=0, codec=1, rect=Rect(236, 90, 128, 90), payload=b"ABC")
+# A foveal subframe: frame id and eye, then the encoded payload. Its rect
+# and codec are fixed by the hello, so the subframe does not repeat them.
+sub = SubframeMsg(2, eye=0, payload=b"ABC")
 frame = write_msg(sub)
 print(f"\nsubframe, {len(frame)} bytes ({len(frame) - len(sub.payload)} header + payload):")
 print("  " + frame.hex())
 
 #%%
-# The hello opens a session: the partition, codec, scene and frame count,
-# then the camera rig as float64, which the server must draw with exactly.
+# The hello opens a session: the partition, codec and scene, then the
+# camera rig as float64, which the server must draw with exactly. It
+# carries no frame count: the session lasts until the client's End.
 # The scale field travels as float32, so use a float32-exact value when
 # comparing whole messages.
 scale = float(np.float32(0.6))
 hello = HelloMsg(PROTOCOL_VERSION, 600, 270, 128, 90, scale, codec=1, scene_id=1,
-                 frame_count=4, ipd=0.064, horizontal_fov=90.0, near=0.1)
+                 ipd=0.064, horizontal_fov=90.0, near=0.1)
 print(f"\nhello, {len(write_msg(hello))} bytes on the wire")
 
 #%%

@@ -53,8 +53,6 @@ from .partition import (
     foveal_rect,
     foveal_rect_stereo,
     reduced_dims,
-    require_valid,
-    validate,
 )
 from .render import (
     SceneConfig,
@@ -100,7 +98,7 @@ __all__ = [
     "Summary", "fps_display", "improvement_pct", "iqr", "mbps", "median",
     "read_csv", "render_table", "run_report", "summarize", "write_csv",
     "DEFAULT_SPEC", "Eye", "PartitionError", "PartitionSpec", "foveal_rect",
-    "foveal_rect_stereo", "reduced_dims", "require_valid", "validate",
+    "foveal_rect_stereo", "reduced_dims",
     "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",
     "ServerFrameTiming", "ServerSession", "run_server",
     "CompareReport", "CostModel", "NetModel", "SimResult", "ZERO_NET",

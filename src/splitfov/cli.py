@@ -28,11 +28,11 @@ from .metrics import (
     write_csv,
     write_summary_kv,
 )
-from .partition import DEFAULT_SPEC, PartitionSpec, validate
+from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec
 from .render import SceneConfig, SceneId
 from .server import run_server
 from .sim import CostModel, NetModel, run_compare, run_sim_virtual, run_sim_wall
-from .wire import MAX_FRAMES
+from .wire import ProtocolError
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 4460
@@ -248,12 +248,13 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     if args.mode in ("server", "report"):
         return args
 
-    args.spec = PartitionSpec.from_full(
-        args.size[0], args.size[1], args.fovea[0], args.fovea[1], args.scale
-    )
-    violations = validate(args.spec)
-    if not 1 <= args.frames <= MAX_FRAMES:
-        violations.append(f"frames must be in [1, {MAX_FRAMES}], got {args.frames}")
+    violations = []
+    try:
+        args.spec = PartitionSpec(*args.size, *args.fovea, args.scale)
+    except PartitionError as e:
+        violations.append(str(e))
+    if args.frames < 1:
+        violations.append(f"frames must be at least 1, got {args.frames}")
     if violations:
         parser.error("; ".join(violations))
     if args.ppm_every is None:
@@ -266,15 +267,15 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     args.path = CameraPath(frame_count=args.frames)
 
     if args.mode in ("sim", "compare"):
-        try:
-            args.net = NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth)
-        except ValueError as e:
-            parser.error(str(e))
         costs = {f: v for f in (*_STAGES, "us_per_ray")
                  if (v := getattr(args, f"cost_{f}")) is not None}
         if costs and args.clock == "wall":
             parser.error("cost flags apply to --clock virtual only")
-        args.cost = dataclasses.replace(args.cost, **costs)
+        try:
+            args.net = NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth)
+            args.cost = dataclasses.replace(args.cost, **costs)
+        except ValueError as e:
+            parser.error(str(e))
     return args
 
 
@@ -282,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_cli(argv)
     try:
         print(args.run(args))
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ProtocolError, codec_mod.CodecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

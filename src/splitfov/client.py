@@ -21,11 +21,12 @@ import numpy as np
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig, Pose, pose_at
 from .image import GeometryError, validate_image, write_ppm
-from .partition import Eye, PartitionSpec, foveal_rect, foveal_rect_stereo, require_valid
+from .partition import Eye, PartitionSpec, foveal_rect_stereo
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
 from .trace import RECV, SEND, Stopwatch, Trace, now_ms
 from .wire import (
+    IO_TIMEOUT_S,
     ByteStream,
     ConnectionClosedError,
     EndMsg,
@@ -35,7 +36,6 @@ from .wire import (
     SubframeMsg,
     read_msg,
     write_msg,
-    MAX_FRAMES,
     PROTOCOL_VERSION,
 )
 
@@ -116,7 +116,6 @@ def merge(
     (stereo-frame coordinates) from the decoded subframes, everything
     else from `peripheral_full`.
     """
-    require_valid(spec)
     validate_image(peripheral_full)
     if peripheral_full.shape[:2] != (spec.full_h, spec.full_w):
         raise GeometryError(
@@ -160,11 +159,12 @@ def _draw_local(
     return reduced, foveae
 
 
-def _decode_subframes(msgs: list[SubframeMsg]) -> dict[Eye, np.ndarray]:
-    return {
-        Eye(m.eye): codec_mod.decode(codec_mod.CodecId(m.codec), m.payload, m.rect.w, m.rect.h)
-        for m in msgs
-    }
+def _decode_subframes(
+    codec: codec_mod.CodecId, msgs: list[SubframeMsg], spec: PartitionSpec
+) -> dict[Eye, np.ndarray]:
+    """Each eye's fovea, decoded with the session's codec at the session's
+    foveal size: a payload of any other size raises CodecError."""
+    return {Eye(m.eye): codec_mod.decode(codec, m.payload, spec.fov_w, spec.fov_h) for m in msgs}
 
 
 class _TimingReader:
@@ -205,11 +205,6 @@ class ClientSession:
         display: DisplaySink = null_sink,
         trace: Optional[Trace] = None,
     ):
-        require_valid(spec)
-        if path.frame_count > MAX_FRAMES:
-            raise ValueError(
-                f"frame_count must be at most {MAX_FRAMES} (u32), got {path.frame_count}"
-            )
         self.reader = _TimingReader(reader)
         self.writer = writer
         self.spec = spec
@@ -230,7 +225,6 @@ class ClientSession:
             periph_scale=self.spec.periph_scale,
             codec=int(self.codec),
             scene_id=int(self.scene.scene_id),
-            frame_count=self.path.frame_count,
             ipd=self.rig.ipd,
             horizontal_fov=self.rig.horizontal_fov,
             near=self.rig.near,
@@ -256,15 +250,11 @@ class ClientSession:
             msgs.append(msg)
         if {m.eye for m in msgs} != {int(Eye.LEFT), int(Eye.RIGHT)}:
             raise ProtocolError(f"expected one subframe per eye, got eyes {[m.eye for m in msgs]}")
-        for msg in msgs:
-            rect = foveal_rect(self.spec, Eye(msg.eye))
-            if msg.rect != rect:
-                raise ProtocolError(
-                    f"subframe rect {msg.rect} does not match the session's foveal rect {rect}"
-                )
         assert self.reader.first_byte_t is not None and self.reader.last_byte_t is not None
         network_ms = self.reader.last_byte_t - self.reader.first_byte_t
-        foveal, decode_ms = self.stopwatch.stage("decode", frame_id, _decode_subframes, msgs)
+        foveal, decode_ms = self.stopwatch.stage(
+            "decode", frame_id, _decode_subframes, self.codec, msgs, self.spec
+        )
         bytes_received = sum(len(m.payload) for m in msgs)
         return foveal, network_ms, decode_ms, bytes_received
 
@@ -324,8 +314,9 @@ def run_client(
     display: DisplaySink = null_sink,
     trace: Optional[Trace] = None,
 ) -> list[ClientFrameRecord]:
-    """Connects to a server and runs a full split-rendering session."""
-    with socket.create_connection((host, port)) as sock:
+    """Connects to a server and runs a full split-rendering session; a
+    server silent for IO_TIMEOUT_S raises TimeoutError."""
+    with socket.create_connection((host, port), timeout=IO_TIMEOUT_S) as sock:
         # Pose messages are on the frame critical path; never coalesce them.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         reader = sock.makefile("rb")
@@ -352,7 +343,6 @@ def run_native(
     to a lossless split session's. network/decode stay zero and
     bytes_received is 0.
     """
-    require_valid(spec)
     sw = Stopwatch("client")
     records = []
     for frame_id in range(path.frame_count):

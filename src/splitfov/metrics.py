@@ -53,6 +53,8 @@ def improvement_pct(t_native_ms: float, t_split_ms: float) -> float:
 
 def fps_display(median_total_ms: float) -> int:
     """Frames per second as displayed next to a median frame time."""
+    if median_total_ms <= 0:
+        raise ValueError(f"median_total_ms must be positive, got {median_total_ms}")
     return round(1000.0 / median_total_ms)
 
 

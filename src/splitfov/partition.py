@@ -28,11 +28,12 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Dimensions of the foveal/peripheral split.
+    """Dimensions of the foveal/peripheral split, valid by construction.
 
     full_w, full_h: the stereo frame; fov_w, fov_h: the foveal rectangle
     per eye; periph_scale: sampling-rate fraction for the peripheral
     buffer. One eye's viewport is the left or right half of the frame.
+    Construction raises PartitionError listing every violated invariant.
     """
 
     full_w: int
@@ -40,6 +41,24 @@ class PartitionSpec:
     fov_w: int
     fov_h: int
     periph_scale: float
+
+    def __post_init__(self):
+        violations = []
+        for name in ("full_w", "full_h", "eye_w", "eye_h", "fov_w", "fov_h"):
+            if getattr(self, name) < 1:
+                violations.append(f"{name} must be at least 1")
+            elif getattr(self, name) > MAX_DIM:
+                violations.append(f"{name} must be at most {MAX_DIM}, the wire's u16 limit")
+        if self.full_w % 2:
+            violations.append("full width must be even")
+        if self.fov_w > self.eye_w:
+            violations.append("foveal width exceeds eye width")
+        if self.fov_h > self.eye_h:
+            violations.append("foveal height exceeds eye height")
+        if not 0.0 < self.periph_scale <= 1.0:
+            violations.append("peripheral scale must be in (0, 1]")
+        if violations:
+            raise PartitionError("; ".join(violations))
 
     @property
     def eye_w(self) -> int:
@@ -59,36 +78,8 @@ class PartitionSpec:
 DEFAULT_SPEC = PartitionSpec(2400, 1080, 512, 360, 0.6)
 
 
-def validate(spec: PartitionSpec) -> list[str]:
-    """Returns every violated invariant (empty list means the spec is valid)."""
-    violations = []
-    for name in ("full_w", "full_h", "eye_w", "eye_h", "fov_w", "fov_h"):
-        if getattr(spec, name) < 1:
-            violations.append(f"{name} must be at least 1")
-        elif getattr(spec, name) > MAX_DIM:
-            violations.append(f"{name} must be at most {MAX_DIM}, the wire's u16 limit")
-    if spec.full_w % 2:
-        violations.append("full width must be even")
-    if spec.fov_w > spec.eye_w:
-        violations.append("foveal width exceeds eye width")
-    if spec.fov_h > spec.eye_h:
-        violations.append("foveal height exceeds eye height")
-    if not 0.0 < spec.periph_scale <= 1.0:
-        violations.append("peripheral scale must be in (0, 1]")
-    return violations
-
-
-def require_valid(spec: PartitionSpec) -> PartitionSpec:
-    """Raises PartitionError listing all violations; returns the spec if valid."""
-    violations = validate(spec)
-    if violations:
-        raise PartitionError("; ".join(violations))
-    return spec
-
-
 def foveal_rect(spec: PartitionSpec, eye: Eye) -> Rect:
     """The eye's centered foveal rectangle in per-eye coordinates."""
-    require_valid(spec)
     Eye(eye)
     return Rect(
         (spec.eye_w - spec.fov_w) // 2,
@@ -106,14 +97,13 @@ def foveal_rect_stereo(spec: PartitionSpec, eye: Eye) -> Rect:
     return r
 
 
-def reduced_dims(spec: PartitionSpec) -> tuple[int, int]:
-    """Peripheral buffer dimensions: round(full * scale), clamped to >= 1.
+def scaled_dims(full_w: int, full_h: int, scale: float) -> tuple[int, int]:
+    """A frame's dimensions sampled at `scale`: round(full * scale) per
+    axis (Python's round, ties to even), clamped to at least 1."""
+    return max(1, round(full_w * scale)), max(1, round(full_h * scale))
 
-    Rounding is Python's round (ties to even), matching the renderer's
-    reduced-buffer sizing.
-    """
-    require_valid(spec)
-    return (
-        max(1, round(spec.full_w * spec.periph_scale)),
-        max(1, round(spec.full_h * spec.periph_scale)),
-    )
+
+def reduced_dims(spec: PartitionSpec) -> tuple[int, int]:
+    """Peripheral buffer dimensions, as the renderer sizes its reduced
+    buffer."""
+    return scaled_dims(spec.full_w, spec.full_h, spec.periph_scale)

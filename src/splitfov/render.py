@@ -22,6 +22,7 @@ import numpy as np
 
 from .camera import CameraRig, Pose, eye_origin, quat_to_matrix
 from .image import GeometryError, Rect
+from .partition import scaled_dims
 
 
 class SceneId(IntEnum):
@@ -225,7 +226,7 @@ def render_scaled(
     Reduced pixel (i, j) casts the ray through full-frame coordinate
     ((i + 0.5) / scale, (j + 0.5) / scale); columns mapping left of the
     stereo midline belong to the left eye. Output dimensions are
-    round(w * scale) x round(h * scale), clamped to at least 1x1, so
+    `scaled_dims` (round(w * scale) x round(h * scale), at least 1x1), so
     scale = 1.0 reproduces the full-rate stereo render exactly.
     """
     if not 0.0 < scale <= 1.0:
@@ -233,8 +234,7 @@ def render_scaled(
     full_w, full_h = eye_pair_dims
     if full_w < 1 or full_h < 1:
         raise GeometryError(f"frame dims must be at least 1x1, got {eye_pair_dims}")
-    rw = max(1, round(full_w * scale))
-    rh = max(1, round(full_h * scale))
+    rw, rh = scaled_dims(full_w, full_h, scale)
     s = np.float32(scale)
     fx = (np.arange(rw, dtype=np.float32) + np.float32(0.5)) / s
     fy = (np.arange(rh, dtype=np.float32) + np.float32(0.5)) / s

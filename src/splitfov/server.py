@@ -8,6 +8,7 @@ sends one SubframeMsg per eye. It never renders ahead.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import socket
@@ -18,10 +19,11 @@ import numpy as np
 
 from . import codec as codec_mod
 from .camera import CameraRig, Pose, normalize_quat
-from .partition import Eye, PartitionSpec, foveal_rect, validate
+from .partition import Eye, PartitionError, PartitionSpec, foveal_rect
 from .render import SceneConfig, SceneId, render_region
 from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
+    IO_TIMEOUT_S,
     ByteStream,
     ConnectionClosedError,
     EndMsg,
@@ -92,7 +94,6 @@ class ServerSession:
         self.spec: Optional[PartitionSpec] = None
         self.codec: Optional[codec_mod.CodecId] = None
         self.scene: Optional[SceneConfig] = None
-        self.frame_count = 0
         self.records: list[ServerFrameTiming] = []
 
     def handshake(self) -> HelloMsg:
@@ -103,13 +104,10 @@ class ServerSession:
             raise ProtocolError(f"expected a hello, got {type(msg).__name__}")
         check_hello_version(msg)
         self.stopwatch.mark(RECV, "hello", 0)
-        spec = PartitionSpec.from_full(
-            msg.full_w, msg.full_h, msg.fov_w, msg.fov_h, msg.periph_scale
-        )
-        violations = validate(spec)
-        if violations:
-            raise ProtocolError("hello carries an invalid partition: " + "; ".join(violations))
-        self.spec = spec
+        try:
+            self.spec = PartitionSpec(msg.full_w, msg.full_h, msg.fov_w, msg.fov_h, msg.periph_scale)
+        except PartitionError as e:
+            raise ProtocolError(f"hello carries an invalid partition: {e}") from None
         try:
             self.codec = codec_mod.CodecId(msg.codec)
             self.scene = SceneConfig(SceneId(msg.scene_id))
@@ -124,7 +122,6 @@ class ServerSession:
                 f"hello carries camera rig (ipd, horizontal_fov, near) = {peer_rig}, "
                 f"this server draws with {own_rig}"
             )
-        self.frame_count = msg.frame_count
         return msg
 
     def serve_frame(self, pose: Pose, frame_id: int) -> ServerFrameTiming:
@@ -141,18 +138,19 @@ class ServerSession:
     def _send_subframes(self, frame_id: int, payloads: dict[Eye, bytes]) -> None:
         for eye, payload in payloads.items():
             self.stopwatch.mark(SEND, f"subframe{int(eye)}", frame_id)
-            self.writer(write_msg(
-                SubframeMsg(frame_id, int(eye), int(self.codec), foveal_rect(self.spec, eye), payload)
-            ))
+            self.writer(write_msg(SubframeMsg(frame_id, int(eye), payload)))
 
     def run(self) -> list[ServerFrameTiming]:
-        """Handshake, then lockstep frame loop until EndMsg, EOF, or
-        frame_count frames served. Partial records survive a disconnect."""
+        """Handshake, then lockstep frame loop until the client's EndMsg or
+        EOF. Partial records survive a disconnect."""
         self.handshake()
-        for frame_id in range(self.frame_count):
+        for frame_id in itertools.count():
             msg = read_msg(self.reader)
-            if msg is None or isinstance(msg, EndMsg):
-                logger.warning("session ended early at frame %d of %d", frame_id, self.frame_count)
+            if msg is None:
+                logger.warning("client closed the session after %d frames without an end", frame_id)
+                return self.records
+            if isinstance(msg, EndMsg):
+                self.stopwatch.mark(RECV, "end", msg.frame_id)
                 return self.records
             if not isinstance(msg, PoseUpdateMsg):
                 raise ProtocolError(f"expected a pose update, got {type(msg).__name__}")
@@ -162,12 +160,6 @@ class ServerSession:
                 )
             self.stopwatch.mark(RECV, "pose", frame_id)
             self.records.append(self.serve_frame(pose_from_wire(msg), frame_id))
-        tail = read_msg(self.reader)
-        if tail is not None and not isinstance(tail, EndMsg):
-            raise ProtocolError(f"expected end-of-session, got {type(tail).__name__}")
-        if tail is not None:
-            self.stopwatch.mark(RECV, "end", tail.frame_id)
-        return self.records
 
 
 def run_server(
@@ -181,7 +173,8 @@ def run_server(
 
     `ready` is called with the bound port once listening (useful with
     port 0). A client disconnect mid-session is reported and the partial
-    records are returned.
+    records are returned; a client silent for IO_TIMEOUT_S raises
+    TimeoutError.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -192,6 +185,7 @@ def run_server(
         conn, peer = listener.accept()
         logger.info("client connected from %s:%d", *peer[:2])
         with conn:
+            conn.settimeout(IO_TIMEOUT_S)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = conn.makefile("rb")
             session = ServerSession(reader, conn.sendall, rig, trace=trace)

@@ -25,7 +25,7 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import codec as codec_mod
@@ -38,7 +38,7 @@ from .client import (
     run_native,
 )
 from .metrics import Summary, improvement_pct, median, render_table, summarize
-from .partition import PartitionSpec, reduced_dims, require_valid
+from .partition import PartitionSpec, reduced_dims
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
 from .trace import BEGIN, END, RECV, SEND, Trace, now_ms
@@ -57,8 +57,8 @@ class NetModel:
     bandwidth_mbps: float = 500.0
 
     def __post_init__(self):
-        if self.latency_ms < 0:
-            raise ValueError(f"latency_ms must be non-negative, got {self.latency_ms}")
+        if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0):
+            raise ValueError(f"latency_ms must be non-negative and finite, got {self.latency_ms}")
         if not self.bandwidth_mbps > 0:
             raise ValueError(f"bandwidth_mbps must be positive, got {self.bandwidth_mbps}")
 
@@ -100,6 +100,12 @@ class CostModel:
     merge: float = 1.0
     display: float = 0.0
     us_per_ray: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"cost {f.name} must be non-negative and finite, got {v}")
 
     def server_draw_ms(self, rays: int) -> float:
         return self.server_draw + rays * self.us_per_ray / 1000.0
@@ -229,7 +235,6 @@ def run_native_virtual(
     drawing the foveae at full rate plus the reduced periphery, then
     merging and displaying. It draws no frame: the native frames are
     byte-identical to a lossless split session's, and nothing shows them."""
-    require_valid(spec)
     rw, rh = reduced_dims(spec)
     rays = 2 * spec.fov_w * spec.fov_h + rw * rh
     records = []

@@ -6,16 +6,17 @@ floats are IEEE-754 little-endian, single precision (f32) unless marked f64:
 
     Hello    (1): u16 protocol_version | u16 full_w | u16 full_h |
                   u16 fov_w | u16 fov_h | f32 periph_scale | u8 codec |
-                  u8 scene_id | u32 frame_count |
+                  u8 scene_id |
                   f64 ipd | f64 horizontal_fov | f64 near (the camera rig)
     Pose     (2): u64 frame_id | 3x f32 position | 4x f32 orientation (x,y,z,w)
-    Subframe (3): u64 frame_id | u8 eye | u8 codec |
-                  4x u16 rect (x,y,w,h, per-eye coords) | u32 payload_len |
-                  payload bytes
+    Subframe (3): u64 frame_id | u8 eye | payload (the rest of the frame)
     End      (4): u64 frame_id (last completed)
 
-Serialization is deterministic and the reader tolerates arbitrary TCP
-segmentation; a clean EOF on a frame boundary reads as end-of-session.
+The hello states the session once: a subframe's rect and codec are the
+eye's foveal rect and the hello's codec, and the session runs until the
+client's End. Serialization is deterministic and the reader tolerates
+arbitrary TCP segmentation; a clean EOF on a frame boundary reads as
+end-of-session.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-from .image import Rect
-
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 MSG_HELLO = 1
 MSG_POSE = 2
@@ -35,14 +34,15 @@ MSG_END = 4
 
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 MAX_PAYLOAD = 2**32 - 16
-# Largest frame, fovea or rect dimension the hello and subframe carry (u16),
-# and the largest frame count the hello carries (u32).
+# Largest frame or fovea dimension the hello carries (u16).
 MAX_DIM = 2**16 - 1
-MAX_FRAMES = 2**32 - 1
+# Seconds a socket read or write may block before the session ends in a
+# TimeoutError: a silent peer cannot hang either side.
+IO_TIMEOUT_S = 20.0
 
-_HELLO_FMT = struct.Struct("<HHHHHfBBIddd")
+_HELLO_FMT = struct.Struct("<HHHHHfBBddd")
 _POSE_FMT = struct.Struct("<Qfffffff")
-_SUBFRAME_FMT = struct.Struct("<QBBHHHHI")
+_SUBFRAME_FMT = struct.Struct("<QB")
 _END_FMT = struct.Struct("<Q")
 _LEN_FMT = struct.Struct("<I")
 
@@ -70,7 +70,6 @@ class HelloMsg:
     periph_scale: float
     codec: int
     scene_id: int
-    frame_count: int
     ipd: float
     horizontal_fov: float
     near: float
@@ -87,8 +86,6 @@ class PoseUpdateMsg:
 class SubframeMsg:
     frame_id: int
     eye: int
-    codec: int
-    rect: Rect
     payload: bytes
 
 
@@ -112,7 +109,6 @@ def write_msg(msg: Message) -> bytes:
             msg.periph_scale,
             msg.codec,
             msg.scene_id,
-            msg.frame_count,
             msg.ipd,
             msg.horizontal_fov,
             msg.near,
@@ -124,9 +120,7 @@ def write_msg(msg: Message) -> bytes:
     elif isinstance(msg, SubframeMsg):
         if len(msg.payload) > MAX_PAYLOAD:
             raise ProtocolError(f"payload of {len(msg.payload)} bytes exceeds {MAX_PAYLOAD}")
-        body = _SUBFRAME_FMT.pack(
-            msg.frame_id, msg.eye, msg.codec, *msg.rect, len(msg.payload)
-        ) + msg.payload
+        body = _SUBFRAME_FMT.pack(msg.frame_id, msg.eye) + msg.payload
         msg_type = MSG_SUBFRAME
     elif isinstance(msg, EndMsg):
         body = _END_FMT.pack(msg.frame_id)
@@ -159,13 +153,7 @@ def _unpack_body(msg_type: int, body: bytes) -> Message:
             fields = _POSE_FMT.unpack(body)
             return PoseUpdateMsg(fields[0], fields[1:4], fields[4:8])
         if msg_type == MSG_SUBFRAME:
-            header = _SUBFRAME_FMT.unpack_from(body)
-            payload = body[_SUBFRAME_FMT.size :]
-            if header[7] != len(payload):
-                raise ProtocolError(
-                    f"payload_len {header[7]} does not match {len(payload)} payload bytes"
-                )
-            return SubframeMsg(header[0], header[1], header[2], Rect(*header[3:7]), payload)
+            return SubframeMsg(*_SUBFRAME_FMT.unpack_from(body), body[_SUBFRAME_FMT.size :])
         if msg_type == MSG_END:
             return EndMsg(*_END_FMT.unpack(body))
     except struct.error as e:

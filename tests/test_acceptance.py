@@ -147,7 +147,7 @@ def test_wire_robustness():
                 return HelloMsg(int(rng.integers(0, 2**16)), *(int(rng.integers(0, 2**16)) for _ in range(4)),
                                 float(np.float32(rng.uniform(0, 2))),
                                 int(rng.integers(0, 256)), int(rng.integers(0, 256)),
-                                int(rng.integers(0, 2**32)), *rng.uniform(0, 180, size=3).tolist())
+                                *rng.uniform(0, 180, size=3).tolist())
             if kind == 1:
                 vals = [float(np.float32(v)) for v in rng.normal(size=7) * 100]
                 return PoseUpdateMsg(int(rng.integers(0, 2**64, dtype=np.uint64)),
@@ -155,10 +155,8 @@ def test_wire_robustness():
             if kind == 2:
                 payload = rng.integers(0, 256, size=int(rng.integers(0, 400)),
                                        dtype=np.uint8).tobytes()
-                rect = Rect(*(int(rng.integers(0, 2**16)) for _ in range(4)))
                 return SubframeMsg(int(rng.integers(0, 2**64, dtype=np.uint64)),
-                                   int(rng.integers(0, 256)), int(rng.integers(0, 256)),
-                                   rect, payload)
+                                   int(rng.integers(0, 256)), payload)
             return EndMsg(int(rng.integers(0, 2**64, dtype=np.uint64)))
 
         msgs = [rand_msg(i) for i in range(1000)]

@@ -1,11 +1,19 @@
 import math
+import socket
+import struct
+import threading
+import time
 
 import pytest
 
+from splitfov import client
 from splitfov.cli import main, parse_cli
 from splitfov.codec import CodecId
 from splitfov.render import SceneId
 from splitfov.sim import CostModel
+from splitfov.wire import SubframeMsg, read_msg, write_msg
+
+TINY = ["--size", "160x80", "--fovea", "32x24", "--scale", "0.5"]
 
 
 class TestDefaults:
@@ -81,11 +89,6 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert "u16 limit" in capsys.readouterr().err
 
-    def test_frames_beyond_the_wire(self):
-        with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--frames", str(2**32)])
-        assert e.value.code == 2
-
     def test_bad_dims_format(self):
         with pytest.raises(SystemExit) as e:
             parse_cli(["sim", "--size", "600by270"])
@@ -144,6 +147,18 @@ class TestUsageErrors:
             parse_cli(["sim", "--latency", "-1"])
         assert e.value.code == 2
         assert "latency_ms must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["sim", "--latency", "nan"], "latency_ms must be non-negative and finite, got nan"),
+        (["compare", "--latency", "inf"], "latency_ms must be non-negative and finite, got inf"),
+        (["sim", "--cost-decode", "-20"], "cost decode must be non-negative and finite, got -20.0"),
+        (["compare", "--us-per-ray", "nan"], "cost us_per_ray must be non-negative and finite"),
+    ])
+    def test_models_that_cannot_be_scheduled(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(argv)
+        assert e.value.code == 2
+        assert error in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as e:
@@ -210,3 +225,60 @@ class TestMain:
         code = main(["report", str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestTypedErrors:
+    """A failing session ends in one `error: ...` line and exit 1, never a
+    traceback."""
+
+    @staticmethod
+    def peer(answer: bytes) -> int:
+        """Listens for one client, reads its hello, sends `answer`, then
+        reads until the client hangs up. Returns the port."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            with listener:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(10.0)
+                    reader = conn.makefile("rb")
+                    read_msg(reader)
+                    conn.sendall(answer)
+                    while reader.read(1):
+                        pass
+                    reader.close()
+
+        threading.Thread(target=serve, daemon=True).start()
+        return listener.getsockname()[1]
+
+    @pytest.mark.parametrize("answer, error", [
+        (struct.pack("<I", 2) + b"\x09\x00", "error: unknown message type 0x09\n"),
+        (b"".join(write_msg(SubframeMsg(0, eye, bytes(9))) for eye in (0, 1)),
+         "error: RAW payload is 9 bytes, expected 2304\n"),
+    ], ids=["protocol", "codec"])
+    def test_bad_peer(self, answer, error, capsys):
+        port = self.peer(answer)
+        code = main(["client", "--port", str(port), *TINY, "--frames", "1", "--codec", "raw"])
+        assert code == 1
+        assert capsys.readouterr().err == error
+
+    def test_silent_server_times_out(self, monkeypatch, capsys):
+        monkeypatch.setattr(client, "IO_TIMEOUT_S", 0.5)
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+            t0 = time.monotonic()
+            code = main(["client", "--port", str(listener.getsockname()[1]), *TINY,
+                         "--frames", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: timed out\n"
+        assert time.monotonic() - t0 < 5.0
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--latency", "0", "--bandwidth", "inf", "--cost-server-draw", "0",
+         "--cost-encode", "0", "--cost-client-draw", "0", "--cost-decode", "0",
+         "--cost-merge", "0"],
+        ["compare", "--us-per-ray", "0"],
+    ], ids=["sim", "compare"])
+    def test_zero_frame_time(self, argv, capsys):
+        assert main([*argv, *TINY, "--frames", "2"]) == 1
+        assert capsys.readouterr().err == "error: median_total_ms must be positive, got 0.0\n"

@@ -1,7 +1,6 @@
 """The run modes end to end: each subcommand through `main`, the CLI as a
 subprocess, and the library entry points `run_compare` and `run_report`."""
 
-import io
 import os
 import re
 import subprocess
@@ -14,13 +13,12 @@ import pytest
 
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.cli import main
-from splitfov.client import ClientFrameRecord, ClientSession, CollectSink, ffr_frame
+from splitfov.client import ClientFrameRecord, CollectSink, ffr_frame
 from splitfov.codec import CodecId
 from splitfov.metrics import read_csv, run_report
 from splitfov.render import SceneConfig
 from splitfov.server import ServerFrameTiming
-from splitfov.sim import CostModel, ZERO_NET, run_compare, run_sim_wall
-from splitfov.wire import MAX_FRAMES
+from splitfov.sim import CostModel, ZERO_NET, run_compare
 
 TINY = ["--size", "160x80", "--fovea", "32x24", "--scale", "0.5"]
 FREE_LINK = ["--latency", "0", "--bandwidth", "inf"]
@@ -38,14 +36,6 @@ class TestValidate:
     def test_report_needs_inputs(self):
         with pytest.raises(ValueError, match="no records"):
             run_report([])
-
-    def test_frames_fit_the_hello(self, tiny_spec, scene, rig):
-        # Checked where the hello's u32 is written: a typed error before any
-        # byte is sent, not the server's EOF at the handshake.
-        ClientSession(io.BytesIO(), lambda data: None, tiny_spec, CodecId.RAW, scene, rig,
-                      CameraPath(frame_count=MAX_FRAMES))
-        with pytest.raises(ValueError, match="frame_count"):
-            run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=MAX_FRAMES + 1))
 
     def test_bad_clock(self, tiny_spec):
         with pytest.raises(ValueError, match="sundial"):

@@ -90,6 +90,11 @@ class TestFps:
     def test_exact_division(self):
         assert fps_display(20.0) == 50
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_rejects_non_positive_frame_time(self, bad):
+        with pytest.raises(ValueError, match="median_total_ms must be positive"):
+            fps_display(bad)
+
 
 class TestSummarize:
     def test_stage_medians(self):

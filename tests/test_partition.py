@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,6 @@ from splitfov.partition import (
     foveal_rect,
     foveal_rect_stereo,
     reduced_dims,
-    require_valid,
-    validate,
 )
 
 
@@ -44,7 +44,7 @@ class TestDefaults:
         assert reduced_dims(DEFAULT_SPEC) == (1440, 648)
 
     def test_default_is_valid(self):
-        assert validate(DEFAULT_SPEC) == []
+        assert PartitionSpec(*dataclasses.astuple(DEFAULT_SPEC)) == DEFAULT_SPEC
 
     def test_default_foveal_rects(self):
         assert foveal_rect(DEFAULT_SPEC, Eye.LEFT) == Rect(344, 360, 512, 360)
@@ -52,32 +52,49 @@ class TestDefaults:
 
 
 class TestValidate:
+    """A spec is valid by construction: building one that breaks an
+    invariant raises PartitionError listing every violation."""
+
+    @staticmethod
+    def violations(*fields):
+        with pytest.raises(PartitionError) as e:
+            PartitionSpec(*fields)
+        return str(e.value).split("; ")
+
     def test_oversized_fovea_message(self):
-        s = PartitionSpec.from_full(2400, 1080, 1300, 360, 0.6)
-        msgs = validate(s)
-        assert any("foveal width exceeds eye width" in m for m in msgs)
-        with pytest.raises(PartitionError):
-            require_valid(s)
+        assert self.violations(2400, 1080, 1300, 360, 0.6) == ["foveal width exceeds eye width"]
 
     def test_all_violations_reported(self):
-        s = PartitionSpec.from_full(2400, 1080, 1300, 1200, 1.5)
-        msgs = validate(s)
-        assert len(msgs) >= 3
+        assert self.violations(2400, 1080, 1300, 1200, 1.5) == [
+            "foveal width exceeds eye width",
+            "foveal height exceeds eye height",
+            "peripheral scale must be in (0, 1]",
+        ]
 
     def test_odd_stereo_width(self):
-        assert validate(PartitionSpec(2401, 1080, 512, 360, 0.6)) == ["full width must be even"]
+        assert self.violations(2401, 1080, 512, 360, 0.6) == ["full width must be even"]
 
     def test_dimensions_beyond_the_wire(self):
-        # the hello and subframe rects carry dimensions as u16
-        assert validate(PartitionSpec.from_full(2 * 32767, 65535, 16, 16, 0.5)) == []
-        msgs = validate(PartitionSpec.from_full(140000, 32, 16, 16, 0.5))
-        assert any("full_w must be at most 65535" in m for m in msgs)
-        assert any("eye_w must be at most 65535" in m for m in msgs)
+        # the hello carries dimensions as u16
+        PartitionSpec.from_full(2 * 32767, 65535, 16, 16, 0.5)
+        msgs = self.violations(140000, 32, 16, 16, 0.5)
+        assert "full_w must be at most 65535, the wire's u16 limit" in msgs
+        assert "eye_w must be at most 65535, the wire's u16 limit" in msgs
+        assert self.violations(2, 65536, 1, 1, 0.5) == [
+            "full_h must be at most 65535, the wire's u16 limit",
+            "eye_h must be at most 65535, the wire's u16 limit",
+        ]
 
     def test_scale_bounds(self):
-        assert validate(PartitionSpec.from_full(100, 100, 10, 10, 0.0))
-        assert validate(PartitionSpec.from_full(100, 100, 10, 10, 1.0)) == []
-        assert validate(PartitionSpec.from_full(100, 100, 10, 10, -0.5))
+        PartitionSpec.from_full(100, 100, 10, 10, 1.0)
+        for bad in (0.0, -0.5, 1.0000001, float("nan")):
+            assert self.violations(100, 100, 10, 10, bad) == ["peripheral scale must be in (0, 1]"]
+
+    def test_dimensions_at_least_one(self):
+        assert self.violations(0, 0, 0, 0, 0.5) == [
+            "full_w must be at least 1", "full_h must be at least 1", "eye_w must be at least 1",
+            "eye_h must be at least 1", "fov_w must be at least 1", "fov_h must be at least 1",
+        ]
 
 
 class TestFovealRect:

@@ -6,16 +6,17 @@ import io
 import math
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from splitfov import client, server
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
-from splitfov.codec import CodecId, encode
-from splitfov.image import Rect
-from splitfov.partition import Eye, PartitionSpec, foveal_rect
+from splitfov.codec import CodecError, CodecId, encode
+from splitfov.partition import Eye
 from splitfov.server import ServerSession, pose_from_wire, run_server
 from splitfov.wire import (
     EndMsg,
@@ -55,10 +56,9 @@ def start_server(**kwargs):
     return future, bound["port"]
 
 
-def hello_for(spec, codec=CodecId.PRED_DEFLATE, frames=2, version=PROTOCOL_VERSION,
-              rig=CameraRig()):
+def hello_for(spec, codec=CodecId.PRED_DEFLATE, version=PROTOCOL_VERSION, rig=CameraRig()):
     return HelloMsg(version, spec.full_w, spec.full_h, spec.fov_w, spec.fov_h,
-                    spec.periph_scale, int(codec), 1, frames,
+                    spec.periph_scale, int(codec), 1,
                     rig.ipd, rig.horizontal_fov, rig.near)
 
 
@@ -88,7 +88,7 @@ class TestLoopbackSession:
     def test_client_disconnect_preserves_partial_records(self, desk_spec, rig):
         future, port = start_server(rig=rig)
         with socket.create_connection(("127.0.0.1", port)) as sock:
-            sock.sendall(write_msg(hello_for(desk_spec, frames=5)))
+            sock.sendall(write_msg(hello_for(desk_spec)))
             pose = pose_at(CameraPath(frame_count=5), 0)
             sock.sendall(write_msg(PoseUpdateMsg(
                 0, tuple(float(v) for v in pose.position),
@@ -107,6 +107,30 @@ class TestLoopbackSession:
         assert records[0].frame_id == 0
 
 
+class TestIoDeadline:
+    """A silent peer ends the session in a TimeoutError within a bounded
+    time on either side."""
+
+    def test_client_against_a_silent_listener(self, tiny_spec, scene, rig, monkeypatch):
+        monkeypatch.setattr(client, "IO_TIMEOUT_S", 0.5)
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                run_client("127.0.0.1", listener.getsockname()[1], tiny_spec, CodecId.RAW,
+                           scene, rig, CameraPath(frame_count=1))
+        assert time.monotonic() - t0 < 5.0
+
+    def test_server_whose_client_stalls_after_the_hello(self, tiny_spec, rig, monkeypatch):
+        monkeypatch.setattr(server, "IO_TIMEOUT_S", 0.5)
+        future, port = start_server(rig=rig)
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(write_msg(hello_for(tiny_spec)))
+            t0 = time.monotonic()
+            error = future.exception(timeout=5.0)
+        assert isinstance(error, TimeoutError)
+        assert time.monotonic() - t0 < 5.0
+
+
 class TestServerSessionUnit:
     def run_session(self, messages, **kwargs):
         stream = io.BytesIO(b"".join(write_msg(m) for m in messages))
@@ -118,10 +142,12 @@ class TestServerSessionUnit:
         with pytest.raises(ProtocolError, match="version"):
             self.run_session([hello_for(tiny_spec, version=99)])
 
-    def test_rejects_invalid_geometry(self):
-        bad = PartitionSpec.from_full(160, 80, 200, 24, 0.5)
-        with pytest.raises(ProtocolError, match="exceeds eye width"):
-            self.run_session([hello_for(bad)])
+    def test_rejects_invalid_geometry(self, tiny_spec):
+        # a fovea wider than the eye and an odd frame width, both listed
+        bad = HelloMsg(**{**hello_for(tiny_spec).__dict__, "full_w": 161, "fov_w": 200})
+        with pytest.raises(ProtocolError, match="invalid partition: full width must be even; "
+                                                "foveal width exceeds eye width"):
+            self.run_session([bad])
 
     def test_rejects_unknown_scene(self, tiny_spec):
         msg = hello_for(tiny_spec)
@@ -152,7 +178,7 @@ class TestServerSessionUnit:
     def test_eof_mid_session_returns_partial(self, tiny_spec):
         pose = pose_at(CameraPath(frame_count=4), 0)
         _, records = self.run_session([
-            hello_for(tiny_spec, frames=4),
+            hello_for(tiny_spec),
             PoseUpdateMsg(0, tuple(float(v) for v in pose.position),
                           tuple(float(v) for v in pose.orientation)),
         ])
@@ -160,19 +186,23 @@ class TestServerSessionUnit:
 
 
 class TestClientSessionUnit:
-    def test_rejects_subframe_with_wrong_rect(self, tiny_spec, scene, rig):
-        rect = foveal_rect(tiny_spec, Eye.LEFT)
-        wrong = Rect(rect.x, rect.y, rect.w - 8, rect.h)
-        payload = encode(CodecId.RAW, np.zeros((wrong.h, wrong.w, 3), dtype=np.uint8))
-        stream = io.BytesIO(b"".join(
-            write_msg(SubframeMsg(0, int(eye), int(CodecId.RAW), wrong, payload))
-            for eye in (Eye.LEFT, Eye.RIGHT)
-        ))
-        session = ClientSession(stream, Collected(), tiny_spec, CodecId.RAW, scene, rig,
-                                CameraPath(frame_count=1))
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(ProtocolError, match="does not match the session's foveal rect"):
-                session.run_frame(0, pool)
+    def test_rejects_subframe_eight_columns_short(self, tiny_spec, scene, rig):
+        # The subframe carries no size: it is decoded at the session's
+        # foveal size, so a payload 8 columns short cannot be displayed.
+        short = np.zeros((tiny_spec.fov_h, tiny_spec.fov_w - 8, 3), dtype=np.uint8)
+        for codec, error in ((CodecId.RAW, "RAW payload is"),
+                             (CodecId.PRED_DEFLATE, "decompressed to")):
+            stream = io.BytesIO(b"".join(
+                write_msg(SubframeMsg(0, int(eye), encode(codec, short)))
+                for eye in (Eye.LEFT, Eye.RIGHT)
+            ))
+            sink = CollectSink()
+            session = ClientSession(stream, Collected(), tiny_spec, codec, scene, rig,
+                                    CameraPath(frame_count=1), display=sink)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                with pytest.raises(CodecError, match=error):
+                    session.run_frame(0, pool)
+            assert sink.frames == []
 
 
 class TestPoseFromWire:

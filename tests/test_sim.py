@@ -58,12 +58,30 @@ class TestNetModel:
         with pytest.raises(ValueError):
             NetModel(bandwidth_mbps=0.0)
 
+    @pytest.mark.parametrize("latency", [math.nan, math.inf])
+    def test_latency_must_be_finite(self, latency):
+        with pytest.raises(ValueError, match="latency_ms must be non-negative and finite"):
+            NetModel(latency_ms=latency)
+        assert math.isinf(NetModel(bandwidth_mbps=math.inf).bandwidth_mbps)
+
     def test_link_is_fifo(self):
         link = _Link(NetModel(latency_ms=1.0, bandwidth_mbps=8.0))
         f0, l0 = link.schedule(0.0, 1000)  # tx 1 ms
         f1, l1 = link.schedule(0.0, 1000)  # queued behind the first
         assert (f0, l0) == (1.0, 2.0)
         assert (f1, l1) == (2.0, 3.0)
+
+
+class TestCostModel:
+    @pytest.mark.parametrize("field", ["decode", "us_per_ray"])
+    @pytest.mark.parametrize("value", [-20.0, math.nan, math.inf])
+    def test_rejects_costs_it_cannot_schedule(self, field, value):
+        with pytest.raises(ValueError, match=f"cost {field} must be non-negative and finite"):
+            CostModel(**{field: value})
+
+    def test_zero_costs_are_allowed(self):
+        assert CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0,
+                         merge=0.0).server_draw_ms(10) == 0.0
 
 
 class TestVirtualTimeline:
@@ -110,7 +128,7 @@ class TestVirtualTimeline:
     def test_network_window_scales_with_payload(self, scene, rig):
         # first-to-last-byte window = transmitted bytes / link rate, so
         # growing the RAW payload grows the window by exactly the extra
-        # payload bits over the rate (the fixed 27-byte headers cancel)
+        # payload bits over the rate (the fixed 14-byte headers cancel)
         net = NetModel(latency_ms=5.0, bandwidth_mbps=100.0)
         windows = {}
         for fov_w in (32, 64):
@@ -119,7 +137,7 @@ class TestVirtualTimeline:
                                   CameraPath(frame_count=1), net=net, cost=FIG_COST)
             windows[fov_w] = res.client_records[0].network_ms
         per_ms = lambda nbytes: nbytes * 8.0 / (100.0 * 1e6) * 1000.0
-        assert windows[32] == pytest.approx(per_ms(2 * 32 * 24 * 3 + 54), rel=1e-9)
+        assert windows[32] == pytest.approx(per_ms(2 * 32 * 24 * 3 + 28), rel=1e-9)
         assert windows[64] - windows[32] == pytest.approx(per_ms(2 * 32 * 24 * 3), rel=1e-9)
         assert windows[64] == pytest.approx(2 * windows[32], rel=0.01)
 

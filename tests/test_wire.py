@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitfov.image import Rect
 from splitfov.wire import (
     DEFAULT_MAX_FRAME,
     ConnectionClosedError,
@@ -44,13 +43,12 @@ finite_f32 = st.floats(min_value=f32(-1e30), max_value=f32(1e30),
                        allow_nan=False, width=32).map(f32)
 u16 = st.integers(0, 2**16 - 1)
 u8 = st.integers(0, 255)
-u32 = st.integers(0, 2**32 - 1)
 u64 = st.integers(0, 2**64 - 1)
 f64 = st.floats(allow_nan=False)
 
 hello_msgs = st.builds(
     HelloMsg, protocol_version=u16, full_w=u16, full_h=u16, fov_w=u16,
-    fov_h=u16, periph_scale=finite_f32, codec=u8, scene_id=u8, frame_count=u32,
+    fov_h=u16, periph_scale=finite_f32, codec=u8, scene_id=u8,
     ipd=f64, horizontal_fov=f64, near=f64,
 )
 pose_msgs = st.builds(
@@ -59,9 +57,7 @@ pose_msgs = st.builds(
     orientation=st.tuples(finite_f32, finite_f32, finite_f32, finite_f32),
 )
 subframe_msgs = st.builds(
-    SubframeMsg, frame_id=u64, eye=u8, codec=u8,
-    rect=st.builds(Rect, x=u16, y=u16, w=u16, h=u16),
-    payload=st.binary(max_size=300),
+    SubframeMsg, frame_id=u64, eye=u8, payload=st.binary(max_size=300),
 )
 end_msgs = st.builds(EndMsg, frame_id=u64)
 any_msg = st.one_of(hello_msgs, pose_msgs, subframe_msgs, end_msgs)
@@ -79,9 +75,9 @@ class TestPinnedLayout:
         assert len(frame) == 41
 
     def test_subframe_frame_bytes(self):
-        frame = write_msg(SubframeMsg(7, 1, 1, Rect(344, 360, 512, 360), b"ABC"))
-        assert frame.hex() == "1a0000000307000000000000000101580168010002680103000000414243"
-        assert len(frame) == 27 + 3
+        frame = write_msg(SubframeMsg(7, 1, b"ABC"))
+        assert frame.hex() == "0d00000003070000000000000001414243"
+        assert len(frame) == 14 + 3
 
     def test_end_frame_bytes(self):
         frame = write_msg(EndMsg(41))
@@ -89,9 +85,9 @@ class TestPinnedLayout:
         assert len(frame) == 13
 
     def test_fixed_sizes(self):
-        hello = HelloMsg(PROTOCOL_VERSION, 2400, 1080, 512, 360, 0.6, 1, 1, 1000, 0.064, 90.0, 0.1)
-        assert len(write_msg(hello)) == 49
-        assert len(write_msg(SubframeMsg(0, 0, 0, Rect(0, 0, 1, 1), b""))) == 27
+        hello = HelloMsg(PROTOCOL_VERSION, 2400, 1080, 512, 360, 0.6, 1, 1, 0.064, 90.0, 0.1)
+        assert len(write_msg(hello)) == 45
+        assert len(write_msg(SubframeMsg(0, 0, b""))) == 14
 
     def test_little_endian_length_prefix(self):
         frame = write_msg(EndMsg(0))
@@ -159,21 +155,20 @@ class TestRejection:
         frame = struct.pack("<I", DEFAULT_MAX_FRAME + 1) + b"\x04"
         with pytest.raises(ProtocolError):
             read_msg(io.BytesIO(frame))
-        small_cap = write_msg(SubframeMsg(0, 0, 0, Rect(0, 0, 1, 1), b"x" * 100))
+        small_cap = write_msg(SubframeMsg(0, 0, b"x" * 100))
         with pytest.raises(ProtocolError):
             read_msg(io.BytesIO(small_cap), max_frame=50)
-
-    def test_payload_len_mismatch(self):
-        # declares 5 payload bytes but carries 3
-        body = struct.pack("<QBBHHHHI", 0, 0, 0, 0, 0, 1, 1, 5) + b"abc"
-        frame = struct.pack("<I", len(body) + 1) + b"\x03" + body
-        with pytest.raises(ProtocolError):
-            read_msg(io.BytesIO(frame))
 
     def test_short_body(self):
         body = b"\x00" * 4
         frame = struct.pack("<I", len(body) + 1) + b"\x02" + body
         with pytest.raises(ProtocolError):
+            read_msg(io.BytesIO(frame))
+
+    def test_subframe_shorter_than_its_header(self):
+        body = b"\x00" * 8  # a frame id, no eye byte
+        frame = struct.pack("<I", len(body) + 1) + b"\x03" + body
+        with pytest.raises(ProtocolError, match="malformed"):
             read_msg(io.BytesIO(frame))
 
     def test_not_a_message(self):
@@ -183,8 +178,8 @@ class TestRejection:
 
 class TestHelloVersion:
     def test_current_version_ok(self):
-        check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 1, 0.0, 1.0, 1.0))
+        check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 0.0, 1.0, 1.0))
 
     def test_other_version_rejected(self):
         with pytest.raises(ProtocolError):
-            check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 1, 0.0, 1.0, 1.0))
+            check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 0.0, 1.0, 1.0))
