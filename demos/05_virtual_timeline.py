@@ -18,9 +18,9 @@ scene, rig = SceneConfig(), CameraRig()
 
 #%%
 # Stage costs chosen to be easy to add up in your head, and a link with
-# 2 ms one-way latency and no bandwidth cap.
-cost = CostModel(pose=0, server_draw=5, encode=3, client_draw=6,
-                 decode=4, merge=1, display=0)
+# 2 ms one-way latency and no bandwidth cap. Sending the pose and showing
+# the frame take no modeled time.
+cost = CostModel(server_draw=5, encode=3, client_draw=6, decode=4, merge=1)
 net = NetModel(latency_ms=2.0, bandwidth_mbps=float("inf"))
 res = run_sim_virtual(spec, CodecId.PRED_DEFLATE, scene, rig,
                       CameraPath(frame_count=12), net=net, cost=cost)

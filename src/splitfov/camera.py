@@ -105,22 +105,22 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     return (q / np.linalg.norm(q)).astype(np.float32)
 
 
-def look_at_quat(position, target, up=(0.0, 1.0, 0.0)) -> np.ndarray:
-    """Orientation quaternion for a camera at `position` facing `target`.
+def look_at_quat(position, target) -> np.ndarray:
+    """Orientation quaternion for a camera at `position` facing `target`,
+    with world +y up.
 
     Camera space follows the usual convention: looks along -z, +x right,
     +y up. Falls back to the world x axis as "right" when the view
-    direction is (anti)parallel to `up`.
+    direction is (anti)parallel to +y.
     """
     position = np.asarray(position, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    up = np.asarray(up, dtype=np.float64)
     fwd = target - position
     n = np.linalg.norm(fwd)
     if n == 0.0:
         raise ValueError("camera position coincides with look-at target")
     fwd = fwd / n
-    right = np.cross(fwd, up)
+    right = np.cross(fwd, (0.0, 1.0, 0.0))
     rn = np.linalg.norm(right)
     if rn < 1e-12:
         right = np.array([1.0, 0.0, 0.0])

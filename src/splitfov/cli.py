@@ -26,7 +26,6 @@ from .metrics import (
     stage_medians,
     summarize,
     write_csv,
-    write_summary_kv,
 )
 from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec
 from .render import SceneConfig, SceneId
@@ -39,7 +38,6 @@ DEFAULT_PORT = 4460
 
 _CODECS = {"raw": codec_mod.CodecId.RAW, "pred-deflate": codec_mod.CodecId.PRED_DEFLATE}
 _SCENES = {"empty": SceneId.EMPTY, "spheres": SceneId.SPHERES}
-_STAGES = ("pose", "server_draw", "encode", "client_draw", "decode", "merge", "display")
 _RIG = CameraRig()
 
 
@@ -71,7 +69,7 @@ def _add_geometry(p: argparse.ArgumentParser, codec: bool = True) -> None:
                    metavar="WxH", help="per-eye foveal region size (default %(default)s)")
     p.add_argument("--scale", type=float, default=DEFAULT_SPEC.periph_scale,
                    help="peripheral resolution scale in (0, 1] (default %(default)s)")
-    p.add_argument("--frames", type=int, default=1000,
+    p.add_argument("--frames", type=int, default=CameraPath().frame_count,
                    help="frames to run (default %(default)s)")
     p.add_argument("--scene", choices=sorted(_SCENES), default="spheres")
     if codec:  # the subframe codec; native sends no subframes
@@ -80,8 +78,6 @@ def _add_geometry(p: argparse.ArgumentParser, codec: bool = True) -> None:
 
 def _add_outputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--client-csv", metavar="PATH", help="write per-frame client timings")
-    p.add_argument("--summary", dest="summary_path", metavar="PATH",
-                   help="write key=value summary")
     p.add_argument("--ppm-dir", metavar="DIR", help="dump displayed frames as PPM here")
     p.add_argument("--ppm-every", type=int, metavar="K",
                    help="with --ppm-dir: dump every K-th frame (default 1)")
@@ -100,23 +96,26 @@ def _add_endpoint(p: argparse.ArgumentParser) -> None:
 
 
 def _add_net(p: argparse.ArgumentParser, cost: CostModel) -> None:
-    """Link and clock flags. The cost flags default to None so parse_cli can
-    tell them apart from `cost`, the subcommand's own model."""
+    """Link and clock flags, one cost flag per CostModel field. The cost
+    flags default to None so parse_cli can tell them apart from `cost`, the
+    subcommand's own model."""
     p.set_defaults(cost=cost)
+    net = NetModel()
     p.add_argument("--clock", choices=("virtual", "wall"), default="virtual",
                    help="virtual: modeled stage costs, bit-reproducible; "
                         "wall: real concurrent runtimes, honest timings")
-    p.add_argument("--latency", type=float, default=2.0, metavar="MS",
+    p.add_argument("--latency", type=float, default=net.latency_ms, metavar="MS",
                    help="one-way link latency (default %(default)s)")
-    p.add_argument("--bandwidth", type=_bandwidth, default=500.0, metavar="MBPS",
+    p.add_argument("--bandwidth", type=_bandwidth, default=net.bandwidth_mbps, metavar="MBPS",
                    help="link rate, or 'inf' (default %(default)s)")
     p.add_argument("--us-per-ray", dest="cost_us_per_ray", type=float, metavar="US",
                    help="virtual clock: draw cost per ray shaded, added to each"
                         f" draw's fixed cost (default {cost.us_per_ray})")
-    for stage in _STAGES:
-        p.add_argument(f"--cost-{stage.replace('_', '-')}", type=float, metavar="MS",
-                       help=f"virtual clock: fixed {stage.replace('_', ' ')} cost"
-                            f" (default {getattr(cost, stage)})")
+    for f in dataclasses.fields(CostModel):
+        if f.name != "us_per_ray":
+            p.add_argument(f"--cost-{f.name.replace('_', '-')}", type=float, metavar="MS",
+                           help=f"virtual clock: fixed {f.name.replace('_', ' ')} cost"
+                                f" (default {getattr(cost, f.name)})")
 
 
 def _display(args: argparse.Namespace) -> DisplaySink:
@@ -131,13 +130,10 @@ def _write_csv(path: Optional[str], records) -> None:
 
 
 def _client_report(args, records, title: str, server_records=None) -> str:
-    """Writes a run's client CSV and summary; returns its profile table."""
+    """Writes a run's client CSV; returns its profile table."""
     dims = f"{args.spec.fov_w}x{args.spec.fov_h}" if server_records else None
-    summary = summarize(records, server_records, dims)
     _write_csv(args.client_csv, records)
-    if args.summary_path:
-        write_summary_kv(summary, args.summary_path)
-    return render_table(summary, title=title)
+    return render_table(summarize(records, server_records, dims), title=title)
 
 
 def _run_server_mode(args: argparse.Namespace) -> str:
@@ -181,8 +177,6 @@ def _run_compare_mode(args: argparse.Namespace) -> str:
     _write_csv(args.client_csv, report.split.client_records)
     _write_csv(args.server_csv, report.split.server_records)
     _write_csv(args.native_csv, report.native_records)
-    if args.summary_path:
-        write_summary_kv(report.split_summary, args.summary_path)
     return report.text
 
 
@@ -267,8 +261,8 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     args.path = CameraPath(frame_count=args.frames)
 
     if args.mode in ("sim", "compare"):
-        costs = {f: v for f in (*_STAGES, "us_per_ray")
-                 if (v := getattr(args, f"cost_{f}")) is not None}
+        costs = {f.name: v for f in dataclasses.fields(CostModel)
+                 if (v := getattr(args, f"cost_{f.name}")) is not None}
         if costs and args.clock == "wall":
             parser.error("cost flags apply to --clock virtual only")
         try:

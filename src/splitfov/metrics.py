@@ -60,15 +60,14 @@ def fps_display(median_total_ms: float) -> int:
 
 @dataclass(frozen=True)
 class Summary:
-    """Per-stage medians/IQRs plus the headline end-to-end numbers."""
+    """Per-stage medians plus the headline end-to-end numbers."""
 
     frame_count: int
     stage_median_ms: dict[str, float]
-    stage_iqr_ms: dict[str, float]
+    total_iqr_ms: float
     median_fps: int
     mbps: Optional[float]
     server_stage_median_ms: Optional[dict[str, float]] = None
-    server_stage_iqr_ms: Optional[dict[str, float]] = None
     server_dims: Optional[str] = None
 
 
@@ -83,7 +82,8 @@ def stage_medians(records: Sequence) -> dict[str, float]:
 
 def summarize(client_records: Sequence, server_records: Optional[Sequence] = None,
               server_dims: Optional[str] = None) -> Summary:
-    """Aggregates per-frame records into medians, IQRs, fps, and Mbps.
+    """Aggregates per-frame records into stage medians, the end-to-end
+    IQR, fps, and Mbps.
 
     `client_records` must carry *_ms stage fields plus total_ms and
     bytes_received; `server_records` (optional) carry their own *_ms
@@ -93,7 +93,6 @@ def summarize(client_records: Sequence, server_records: Optional[Sequence] = Non
     if len(client_records) == 0:
         raise ValueError("no client records to summarize")
     med = stage_medians(client_records)
-    spread = {s: iqr([getattr(r, s) for r in client_records]) for s in med}
 
     rates = [
         mbps(r.bytes_received, r.network_ms / 1000.0)
@@ -102,19 +101,13 @@ def summarize(client_records: Sequence, server_records: Optional[Sequence] = Non
     ]
     rate = median(rates) if rates else None
 
-    server_med = server_iqr = None
-    if server_records:
-        server_med = stage_medians(server_records)
-        server_iqr = {s: iqr([getattr(r, s) for r in server_records]) for s in server_med}
-
     return Summary(
         frame_count=len(client_records),
         stage_median_ms=med,
-        stage_iqr_ms=spread,
+        total_iqr_ms=iqr([r.total_ms for r in client_records]),
         median_fps=fps_display(med["total_ms"]),
         mbps=rate,
-        server_stage_median_ms=server_med,
-        server_stage_iqr_ms=server_iqr,
+        server_stage_median_ms=stage_medians(server_records) if server_records else None,
         server_dims=server_dims,
     )
 
@@ -154,7 +147,7 @@ def render_table(summary: Summary, title: str = "Client profile") -> str:
     lines = [
         f"{title} ({summary.frame_count} frames, all times median ms)",
         f"  end-to-end: {med['total_ms']:.2f} ms/frame"
-        f" ({summary.median_fps} fps, IQR = {summary.stage_iqr_ms['total_ms']:.3f})",
+        f" ({summary.median_fps} fps, IQR = {summary.total_iqr_ms:.3f})",
     ]
     lines += _columns(["Server Dims", "Network", "Decode", "Merge", "Mbps"],
                       [dims, _fmt(med.get("network_ms")), _fmt(med.get("decode_ms")),
@@ -164,24 +157,6 @@ def render_table(summary: Summary, title: str = "Client profile") -> str:
         lines.append(render_server_profile(
             summary.server_stage_median_ms, summary.frame_count, summary.server_dims))
     return "\n".join(lines)
-
-
-def write_summary_kv(summary: Summary, path: str) -> None:
-    """Machine-readable key=value dump of a Summary."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"frame_count={summary.frame_count}\n")
-        f.write(f"median_fps={summary.median_fps}\n")
-        if summary.mbps is not None:
-            f.write(f"mbps={summary.mbps!r}\n")
-        for s, v in summary.stage_median_ms.items():
-            f.write(f"client.{s}.median={v!r}\n")
-        for s, v in summary.stage_iqr_ms.items():
-            f.write(f"client.{s}.iqr={v!r}\n")
-        for name, d in (("median", summary.server_stage_median_ms),
-                        ("iqr", summary.server_stage_iqr_ms)):
-            if d:
-                for s, v in d.items():
-                    f.write(f"server.{s}.{name}={v!r}\n")
 
 
 def write_csv(records: Sequence, path: str) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .image import Rect
-from .wire import MAX_DIM
+from .wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
 
 
 class Eye(IntEnum):
@@ -32,8 +32,9 @@ class PartitionSpec:
 
     full_w, full_h: the stereo frame; fov_w, fov_h: the foveal rectangle
     per eye; periph_scale: sampling-rate fraction for the peripheral
-    buffer. One eye's viewport is the left or right half of the frame.
-    Construction raises PartitionError listing every violated invariant.
+    buffer. One eye's viewport is the left or right half of the frame, and
+    one eye's RAW subframe must fit the wire's frame cap. Construction
+    raises PartitionError listing every violated invariant.
     """
 
     full_w: int
@@ -57,6 +58,10 @@ class PartitionSpec:
             violations.append("foveal height exceeds eye height")
         if not 0.0 < self.periph_scale <= 1.0:
             violations.append("peripheral scale must be in (0, 1]")
+        raw_frame = 3 * self.fov_w * self.fov_h + SUBFRAME_HEADER
+        if raw_frame > DEFAULT_MAX_FRAME:
+            violations.append(f"one eye's RAW subframe is a {raw_frame}-byte frame, above the"
+                              f" wire's frame cap of {DEFAULT_MAX_FRAME} bytes")
         if violations:
             raise PartitionError("; ".join(violations))
 

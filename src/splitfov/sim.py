@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import codec as codec_mod
+from . import wire
 from .camera import CameraPath, CameraRig
 from .client import (
     ClientFrameRecord,
@@ -90,15 +91,14 @@ class _Link:
 @dataclass(frozen=True)
 class CostModel:
     """Stage durations in ms for the virtual clock: a fixed cost per stage,
-    plus `us_per_ray` microseconds for each ray a draw shades."""
+    plus `us_per_ray` microseconds for each ray a draw shades. Sending a
+    pose and displaying a frame take no modeled time."""
 
-    pose: float = 0.0
     server_draw: float = 5.0
     encode: float = 3.0
     client_draw: float = 6.0
     decode: float = 4.0
     merge: float = 1.0
-    display: float = 0.0
     us_per_ray: float = 0.0
 
     def __post_init__(self):
@@ -156,8 +156,7 @@ def run_sim_virtual(
     for frame_id in range(path.frame_count):
         payload_bytes = served[frame_id].bytes_sent
         trace.add(t, "client", SEND, "pose", frame_id)
-        pose_send_end = t + cost.pose
-        (_, pose_arrive) = uplink.schedule(pose_send_end, up[1 + frame_id])
+        (_, pose_arrive) = uplink.schedule(t, up[1 + frame_id])
         trace.add(pose_arrive, "server", RECV, "pose", frame_id)
 
         # Server pipeline: draw both foveae, encode, transmit.
@@ -188,9 +187,8 @@ def run_sim_virtual(
         )
 
         # Client pipeline: peripheral draw overlaps receive+decode.
-        cdraw_begin = pose_send_end
-        cdraw_end = cdraw_begin + cost.client_draw_ms(rw * rh)
-        trace.add(cdraw_begin, "client", BEGIN, "draw", frame_id)
+        cdraw_end = t + cost.client_draw_ms(rw * rh)
+        trace.add(t, "client", BEGIN, "draw", frame_id)
         trace.add(cdraw_end, "client", END, "draw", frame_id)
 
         network_ms = last1 - first0
@@ -203,23 +201,23 @@ def run_sim_virtual(
         trace.add(merge_begin, "client", BEGIN, "merge", frame_id)
         trace.add(merge_end, "client", END, "merge", frame_id)
 
-        display_end = merge_end + cost.display
+        # Sending the pose and displaying the frame take no modeled time.
         trace.add(merge_end, "client", BEGIN, "display", frame_id)
-        trace.add(display_end, "client", END, "display", frame_id)
+        trace.add(merge_end, "client", END, "display", frame_id)
 
         client_records.append(
             ClientFrameRecord(
                 frame_id=frame_id,
-                draw_ms=cdraw_end - cdraw_begin,
+                draw_ms=cdraw_end - t,
                 network_ms=network_ms,
                 decode_ms=decode_end - last1,
                 merge_ms=merge_end - merge_begin,
-                pose_ms=pose_send_end - t,
-                total_ms=display_end - t,
+                pose_ms=0.0,
+                total_ms=merge_end - t,
                 bytes_received=payload_bytes,
             )
         )
-        t = display_end
+        t = merge_end
 
     last = path.frame_count - 1 if path.frame_count else 0
     trace.add(t, "client", SEND, "end", last)
@@ -240,23 +238,21 @@ def run_native_virtual(
     records = []
     t = 0.0
     for frame_id in range(path.frame_count):
-        pose_end = t + cost.pose
-        draw_end = pose_end + cost.client_draw_ms(rays)
+        draw_end = t + cost.client_draw_ms(rays)
         merge_end = draw_end + cost.merge
-        display_end = merge_end + cost.display
         records.append(
             ClientFrameRecord(
                 frame_id=frame_id,
-                draw_ms=draw_end - pose_end,
+                draw_ms=draw_end - t,
                 network_ms=0.0,
                 decode_ms=0.0,
                 merge_ms=merge_end - draw_end,
-                pose_ms=pose_end - t,
-                total_ms=display_end - t,
+                pose_ms=0.0,
+                total_ms=merge_end - t,
                 bytes_received=0,
             )
         )
-        t = display_end
+        t = merge_end
     return records
 
 
@@ -267,7 +263,9 @@ class SimplexPipe:
     transmission time); read() blocks until delivery, mimicking a socket
     with the modeled link in between. The first byte of each write is
     delivered at its own arrival time so receive-side first-byte
-    timestamps are meaningful. Delivery times are `now_ms` readings.
+    timestamps are meaningful. Delivery times are `now_ms` readings. Like
+    a socket, a read that sees nothing in flight for `wire.IO_TIMEOUT_S`
+    raises TimeoutError.
     """
 
     def __init__(self, net: NetModel):
@@ -313,7 +311,8 @@ class SimplexPipe:
                     continue
                 if self._closed:
                     return b""
-                self._cv.wait()
+                if not self._cv.wait(timeout=wire.IO_TIMEOUT_S):
+                    raise TimeoutError("timed out")
 
 
 def _run_split(

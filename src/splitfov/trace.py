@@ -13,7 +13,7 @@ can share one trace. Both clocks emit the same events:
 
 The runtimes time every measured stage with a `Stopwatch`, so a record's
 stage duration is exactly the END minus BEGIN of its traced span. Every
-wall-clock timestamp is a reading of `now_ms`, the one clock of the process.
+wall-clock timestamp is a reading of `now_ms`, the one clock of the machine.
 """
 
 from __future__ import annotations
@@ -71,14 +71,11 @@ class Trace:
         return event
 
 
-_T0 = time.perf_counter()
-
-
 def now_ms() -> float:
-    """The process clock: milliseconds of `time.perf_counter()` since this
-    module was imported. Every runtime timestamp reads it, so client and
-    server timestamps in one process line up."""
-    return (time.perf_counter() - _T0) * 1000.0
+    """The machine clock: `time.perf_counter()` in milliseconds. It is
+    CLOCK_MONOTONIC, which every process on the machine shares, so the
+    timestamps of a client and a server in separate processes line up."""
+    return time.perf_counter() * 1000.0
 
 
 class Stopwatch:

@@ -32,8 +32,8 @@ MSG_POSE = 2
 MSG_SUBFRAME = 3
 MSG_END = 4
 
+# Largest frame (bytes after the length field) either side writes or reads.
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
-MAX_PAYLOAD = 2**32 - 16
 # Largest frame or fovea dimension the hello carries (u16).
 MAX_DIM = 2**16 - 1
 # Seconds a socket read or write may block before the session ends in a
@@ -45,6 +45,8 @@ _POSE_FMT = struct.Struct("<Qfffffff")
 _SUBFRAME_FMT = struct.Struct("<QB")
 _END_FMT = struct.Struct("<Q")
 _LEN_FMT = struct.Struct("<I")
+# Bytes of a subframe's frame before its payload: type, frame id and eye.
+SUBFRAME_HEADER = 1 + _SUBFRAME_FMT.size
 
 
 class ProtocolError(RuntimeError):
@@ -98,7 +100,8 @@ Message = Union[HelloMsg, PoseUpdateMsg, SubframeMsg, EndMsg]
 
 
 def write_msg(msg: Message) -> bytes:
-    """Serializes one message to its full frame (length prefix included)."""
+    """Serializes one message to its full frame (length prefix included);
+    a frame longer than DEFAULT_MAX_FRAME raises ProtocolError."""
     if isinstance(msg, HelloMsg):
         body = _HELLO_FMT.pack(
             msg.protocol_version,
@@ -118,8 +121,6 @@ def write_msg(msg: Message) -> bytes:
         body = _POSE_FMT.pack(msg.frame_id, *msg.position, *msg.orientation)
         msg_type = MSG_POSE
     elif isinstance(msg, SubframeMsg):
-        if len(msg.payload) > MAX_PAYLOAD:
-            raise ProtocolError(f"payload of {len(msg.payload)} bytes exceeds {MAX_PAYLOAD}")
         body = _SUBFRAME_FMT.pack(msg.frame_id, msg.eye) + msg.payload
         msg_type = MSG_SUBFRAME
     elif isinstance(msg, EndMsg):
@@ -127,7 +128,10 @@ def write_msg(msg: Message) -> bytes:
         msg_type = MSG_END
     else:
         raise TypeError(f"not a wire message: {type(msg).__name__}")
-    return _LEN_FMT.pack(len(body) + 1) + bytes([msg_type]) + body
+    length = len(body) + 1
+    if length > DEFAULT_MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds limit {DEFAULT_MAX_FRAME}")
+    return _LEN_FMT.pack(length) + bytes([msg_type]) + body
 
 
 def _read_exact(stream: ByteStream, n: int, at_boundary: bool) -> Optional[bytes]:
@@ -161,7 +165,7 @@ def _unpack_body(msg_type: int, body: bytes) -> Message:
     raise ProtocolError(f"unknown message type {msg_type:#04x}")
 
 
-def read_msg(stream: ByteStream, max_frame: int = DEFAULT_MAX_FRAME) -> Optional[Message]:
+def read_msg(stream: ByteStream) -> Optional[Message]:
     """Reads one message, blocking until a full frame is available.
 
     Returns None on a clean EOF at a frame boundary (end of session).
@@ -173,8 +177,8 @@ def read_msg(stream: ByteStream, max_frame: int = DEFAULT_MAX_FRAME) -> Optional
     (length,) = _LEN_FMT.unpack(prefix)
     if length < 1:
         raise ProtocolError("frame length must cover the message type byte")
-    if length > max_frame:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit {max_frame}")
+    if length > DEFAULT_MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds limit {DEFAULT_MAX_FRAME}")
     frame = _read_exact(stream, length, at_boundary=False)
     assert frame is not None
     return _unpack_body(frame[0], frame[1:])

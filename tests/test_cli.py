@@ -1,19 +1,29 @@
+import argparse
+import dataclasses
 import math
+import re
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from splitfov import client
-from splitfov.cli import main, parse_cli
+from splitfov.camera import CameraPath
+from splitfov.cli import build_parser, main, parse_cli
 from splitfov.codec import CodecId
 from splitfov.render import SceneId
-from splitfov.sim import CostModel
+from splitfov.sim import CostModel, NetModel
 from splitfov.wire import SubframeMsg, read_msg, write_msg
 
 TINY = ["--size", "160x80", "--fovea", "32x24", "--scale", "0.5"]
+COST_FLAGS = {
+    "--cost-server-draw": "server_draw", "--cost-encode": "encode",
+    "--cost-client-draw": "client_draw", "--cost-decode": "decode",
+    "--cost-merge": "merge", "--us-per-ray": "us_per_ray",
+}
 
 
 class TestDefaults:
@@ -59,10 +69,19 @@ class TestDefaults:
             server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0, merge=0.0, us_per_ray=1.0
         )
 
+    def test_one_cost_flag_per_model_field(self):
+        assert sorted(COST_FLAGS.values()) == sorted(f.name for f in dataclasses.fields(CostModel))
+
     def test_every_cost_flag_reaches_the_model(self):
         # each flag is honoured on both subcommands, none silently ignored
-        assert parse_cli(["sim", "--us-per-ray", "3"]).cost.us_per_ray == 3.0
-        assert parse_cli(["compare", "--cost-server-draw", "9"]).cost.server_draw == 9.0
+        for mode in ("sim", "compare"):
+            for flag, field in COST_FLAGS.items():
+                assert getattr(parse_cli([mode, flag, "7.5"]).cost, field) == 7.5, (mode, flag)
+
+    def test_defaults_come_from_the_models(self):
+        config = parse_cli(["sim"])
+        assert config.path == CameraPath()
+        assert config.net == NetModel()
 
     def test_report_config(self, tmp_path):
         p = str(tmp_path / "a.csv")
@@ -124,6 +143,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             parse_cli(argv)
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        *([mode, "--summary", "x.txt"] for mode in ("client", "native", "sim", "compare")),
+        *([mode, flag, "1"] for mode in ("sim", "compare")
+          for flag in ("--cost-pose", "--cost-display")),
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(argv)
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_fovea_beyond_the_frame_cap(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--size", "12000x4000", "--fovea", "6000x4000", "--scale", "0.5"])
+        assert e.value.code == 2
+        assert "above the wire's frame cap of 67108864 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["sim", "--clock", "wall", "--us-per-ray", "3"],
@@ -282,3 +318,20 @@ class TestTypedErrors:
     def test_zero_frame_time(self, argv, capsys):
         assert main([*argv, *TINY, "--frames", "2"]) == 1
         assert capsys.readouterr().err == "error: median_total_ms must be positive, got 0.0\n"
+
+
+class TestReadme:
+    """README and the CLI name the same flags, so a flag cannot be added or
+    removed without its documentation following."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_readme_and_cli_name_the_same_flags(self):
+        modes = next(a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices.values()
+        cli = {opt for p in modes for a in p._actions for opt in a.option_strings
+               if opt.startswith("--")}
+        readme = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", self.README.read_text()))
+        readme.discard("--no-build-isolation")  # pip's, in the install steps
+        assert cli - readme == set(), "flags the README does not mention"
+        assert readme - cli == set(), "README flags no subcommand defines"

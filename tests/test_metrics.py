@@ -14,7 +14,6 @@ from splitfov.metrics import (
     render_table,
     summarize,
     write_csv,
-    write_summary_kv,
 )
 from splitfov.server import ServerFrameTiming
 
@@ -172,14 +171,3 @@ class TestCsv:
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], str(tmp_path / "x.csv"))
-
-
-class TestSummaryKv:
-    def test_keys_present(self, tmp_path):
-        s = summarize([client_rec(0, total=10.0, network=1.0, rx=125)])
-        p = tmp_path / "summary.txt"
-        write_summary_kv(s, str(p))
-        text = p.read_text()
-        assert "frame_count=1" in text
-        assert "client.total_ms.median=10.0" in text
-        assert "median_fps=100" in text

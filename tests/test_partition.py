@@ -14,6 +14,7 @@ from splitfov.partition import (
     foveal_rect_stereo,
     reduced_dims,
 )
+from splitfov.wire import DEFAULT_MAX_FRAME, SUBFRAME_HEADER
 
 
 def spec_strategy():
@@ -89,6 +90,22 @@ class TestValidate:
         PartitionSpec.from_full(100, 100, 10, 10, 1.0)
         for bad in (0.0, -0.5, 1.0000001, float("nan")):
             assert self.violations(100, 100, 10, 10, bad) == ["peripheral scale must be in (0, 1]"]
+
+    def test_raw_subframe_beyond_the_frame_cap(self):
+        # 3 * 6000 * 4000 payload bytes + 10 header bytes
+        assert self.violations(12000, 4000, 6000, 4000, 0.5) == [
+            "one eye's RAW subframe is a 72000010-byte frame, above the wire's"
+            " frame cap of 67108864 bytes"
+        ]
+
+    def test_largest_fovea_within_the_frame_cap(self):
+        # 3 * 17449 * 1282 + 10 is exactly 64 MiB
+        assert 3 * 17449 * 1282 + SUBFRAME_HEADER == DEFAULT_MAX_FRAME
+        PartitionSpec(2 * 17449, 1283, 17449, 1282, 0.5)
+        assert self.violations(2 * 17449, 1283, 17449, 1283, 0.5) == [
+            "one eye's RAW subframe is a 67161211-byte frame, above the wire's"
+            " frame cap of 67108864 bytes"
+        ]
 
     def test_dimensions_at_least_one(self):
         assert self.violations(0, 0, 0, 0, 0.5) == [

@@ -149,6 +149,13 @@ class TestServerSessionUnit:
                                                 "foveal width exceeds eye width"):
             self.run_session([bad])
 
+    def test_rejects_a_fovea_beyond_the_frame_cap(self, tiny_spec):
+        # its RAW subframes could not cross the wire, so no frame is served
+        big = {"full_w": 12000, "full_h": 4000, "fov_w": 6000, "fov_h": 4000}
+        bad = HelloMsg(**{**hello_for(tiny_spec).__dict__, **big})
+        with pytest.raises(ProtocolError, match="invalid partition: .* frame cap of 67108864"):
+            self.run_session([bad])
+
     def test_rejects_unknown_scene(self, tiny_spec):
         msg = hello_for(tiny_spec)
         msg = HelloMsg(**{**msg.__dict__, "scene_id": 250})

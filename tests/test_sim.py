@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from splitfov import client, codec, server, sim
+from splitfov import client, codec, server, sim, wire
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import CollectSink, ffr_frame, run_native
 from splitfov.codec import CodecId
@@ -26,8 +26,7 @@ from splitfov.sim import (
     run_sim_wall,
 )
 
-FIG_COST = CostModel(pose=0.0, server_draw=5.0, encode=3.0,
-                     client_draw=6.0, decode=4.0, merge=1.0)
+FIG_COST = CostModel(server_draw=5.0, encode=3.0, client_draw=6.0, decode=4.0, merge=1.0)
 LAT2 = NetModel(latency_ms=2.0, bandwidth_mbps=math.inf)
 
 
@@ -104,8 +103,7 @@ class TestVirtualTimeline:
         assert res.client_records[1].total_ms == pytest.approx(17.0)
 
     def test_draw_bound_frame(self, tiny_spec, scene, rig):
-        cost = CostModel(pose=0.0, server_draw=5.0, encode=3.0,
-                         client_draw=20.0, decode=4.0, merge=1.0)
+        cost = CostModel(server_draw=5.0, encode=3.0, client_draw=20.0, decode=4.0, merge=1.0)
         res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig,
                               CameraPath(frame_count=1), net=LAT2, cost=cost)
         o = offsets(res.trace, 0)
@@ -148,18 +146,6 @@ class TestVirtualTimeline:
                  and e.name == "pose"]
         assert [e.frame_id for e in sends] == [0, 1, 2, 3, 4]
 
-    def test_injected_display_stall_delays_next_pose(self, tiny_spec, scene, rig):
-        cost = CostModel(pose=0.0, server_draw=5.0, encode=3.0,
-                         client_draw=6.0, decode=4.0, merge=1.0, display=50.0)
-        res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig,
-                              CameraPath(frame_count=3), net=LAT2, cost=cost)
-        tr = res.trace
-        for n in (1, 2):
-            idle = (tr.find("server", "recv", "pose", n).t_ms
-                    - tr.find("server", "end", "send", n - 1).t_ms)
-            # server sits idle for at least the display stall (lockstep)
-            assert idle >= 50.0
-
     def test_lockstep_holds_over_100_frames(self, tiny_spec, scene, rig):
         res = run_sim_virtual(tiny_spec, CodecId.PRED_DEFLATE, scene, rig,
                               CameraPath(frame_count=100),
@@ -194,11 +180,11 @@ class TestVirtualTimeline:
 
 class TestNativeVirtual:
     def test_totals_are_stage_sums(self, tiny_spec):
-        cost = CostModel(pose=0.5, client_draw=9.0, merge=1.5, display=0.25)
+        cost = CostModel(client_draw=9.0, merge=1.5)
         records = run_native_virtual(tiny_spec, CameraPath(frame_count=3), cost=cost)
         for r in records:
-            assert r.total_ms == pytest.approx(0.5 + 9.0 + 1.5 + 0.25)
-            assert r.network_ms == 0.0 and r.bytes_received == 0
+            assert r.total_ms == pytest.approx(9.0 + 1.5)
+            assert r.pose_ms == r.network_ms == 0.0 and r.bytes_received == 0
 
     def test_per_ray_cost_counts_reduced_and_foveal_rays(self):
         spec = PartitionSpec.from_full(100, 50, 20, 10, 0.5)
@@ -276,6 +262,19 @@ class TestWallClock:
                            CameraPath(frame_count=5), net=ZERO_NET)
         assert check_lockstep(res.trace, 5) == []
 
+    def test_display_stall_delays_next_pose(self, tiny_spec, scene, rig):
+        def slow_display(frame_id, frame):
+            time.sleep(0.05)
+
+        res = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=3),
+                           display=slow_display)
+        tr = res.trace
+        for n in (1, 2):
+            idle = (tr.find("server", RECV, "pose", n).t_ms
+                    - tr.find("server", "end", "send", n - 1).t_ms)
+            # the server sits idle for at least the display stall (lockstep)
+            assert idle >= 50.0
+
     def test_modeled_latency_shows_up_in_totals(self, tiny_spec, scene, rig):
         res = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=3),
                            net=NetModel(latency_ms=25.0, bandwidth_mbps=math.inf))
@@ -330,6 +329,36 @@ class TestServerFailure:
         assert not worker.is_alive(), "the session hung after the server failed"
         assert isinstance(outcome.get("error"), RuntimeError)
         assert str(outcome["error"]) == "server failed at frame 1"
+
+
+class TestSilentServer:
+    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    def test_missing_subframes_time_out(self, run, tiny_spec, scene, rig, monkeypatch):
+        # Like a socket session, the in-process link ends a wait on a peer
+        # that sends nothing in a TimeoutError.
+        send_subframes = ServerSession._send_subframes
+
+        def skip_frame_1(self, frame_id, payloads):
+            if frame_id != 1:
+                send_subframes(self, frame_id, payloads)
+
+        monkeypatch.setattr(ServerSession, "_send_subframes", skip_frame_1)
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
+        shown, outcome = [], {}
+
+        def session():
+            try:
+                run(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=3),
+                    display=lambda frame_id, frame: shown.append(frame_id))
+            except Exception as e:
+                outcome["error"] = e
+
+        worker = threading.Thread(target=session, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "the session hung on a silent server"
+        assert isinstance(outcome.get("error"), TimeoutError)
+        assert shown == [0]
 
 
 class TestBenchmarkSeams:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +69,17 @@ class TestProcessClock:
         before = now_ms()
         time.sleep(0.02)
         assert 19.0 <= now_ms() - before < 5000.0
+
+
+class TestMachineClock:
+    def test_a_child_process_reads_the_same_clock(self):
+        # A client and a server in separate processes stamp comparable times.
+        src = Path(__file__).resolve().parent.parent / "src"
+        before = now_ms()
+        child = subprocess.run(
+            [sys.executable, "-c", "from splitfov.trace import now_ms; print(repr(now_ms()))"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        after = now_ms()
+        assert before <= float(child.stdout) <= after

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitfov import wire
 from splitfov.wire import (
     DEFAULT_MAX_FRAME,
+    SUBFRAME_HEADER,
     ConnectionClosedError,
     EndMsg,
     HelloMsg,
@@ -151,13 +153,23 @@ class TestRejection:
         with pytest.raises(ProtocolError):
             read_msg(io.BytesIO(struct.pack("<I", 0)))
 
-    def test_oversized_frame(self):
+    def test_oversized_frame(self, monkeypatch):
         frame = struct.pack("<I", DEFAULT_MAX_FRAME + 1) + b"\x04"
         with pytest.raises(ProtocolError):
             read_msg(io.BytesIO(frame))
         small_cap = write_msg(SubframeMsg(0, 0, b"x" * 100))
-        with pytest.raises(ProtocolError):
-            read_msg(io.BytesIO(small_cap), max_frame=50)
+        monkeypatch.setattr(wire, "DEFAULT_MAX_FRAME", 50)
+        with pytest.raises(ProtocolError, match="frame of 110 bytes exceeds limit 50"):
+            read_msg(io.BytesIO(small_cap))
+
+    def test_writer_refuses_what_the_reader_would(self, monkeypatch):
+        # one cap on both ends: a frame of exactly the cap crosses, one
+        # byte more is refused before it is sent
+        monkeypatch.setattr(wire, "DEFAULT_MAX_FRAME", 110)
+        at_cap = SubframeMsg(0, 0, b"x" * (110 - SUBFRAME_HEADER))
+        assert read_msg(io.BytesIO(write_msg(at_cap))) == at_cap
+        with pytest.raises(ProtocolError, match="frame of 111 bytes exceeds limit 110"):
+            write_msg(SubframeMsg(0, 0, b"x" * (111 - SUBFRAME_HEADER)))
 
     def test_short_body(self):
         body = b"\x00" * 4
