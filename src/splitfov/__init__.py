@@ -33,16 +33,14 @@ from .client import (
 from .codec import CodecError, CodecId, decode, encode
 from .image import GeometryError, Rect, crop, images_equal, read_ppm, write_ppm
 from .metrics import (
-    Summary,
     fps_display,
     improvement_pct,
     iqr,
     mbps,
     median,
     read_csv,
-    render_table,
+    render_profile,
     run_report,
-    summarize,
     write_csv,
 )
 from .partition import (
@@ -95,8 +93,8 @@ __all__ = [
     "merge", "null_sink", "run_client", "run_native", "upsample_nearest",
     "CodecError", "CodecId", "decode", "encode",
     "GeometryError", "Rect", "crop", "images_equal", "read_ppm", "write_ppm",
-    "Summary", "fps_display", "improvement_pct", "iqr", "mbps", "median",
-    "read_csv", "render_table", "run_report", "summarize", "write_csv",
+    "fps_display", "improvement_pct", "iqr", "mbps", "median",
+    "read_csv", "render_profile", "run_report", "write_csv",
     "DEFAULT_SPEC", "Eye", "PartitionError", "PartitionSpec", "foveal_rect",
     "foveal_rect_stereo", "reduced_dims",
     "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",

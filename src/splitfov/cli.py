@@ -19,14 +19,7 @@ from typing import Optional, Sequence
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig
 from .client import DisplaySink, PpmSink, null_sink, run_client, run_native
-from .metrics import (
-    render_server_profile,
-    render_table,
-    run_report,
-    stage_medians,
-    summarize,
-    write_csv,
-)
+from .metrics import render_profile, run_report, write_csv
 from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec
 from .render import SceneConfig, SceneId
 from .server import run_server
@@ -129,13 +122,6 @@ def _write_csv(path: Optional[str], records) -> None:
         write_csv(records, path)
 
 
-def _client_report(args, records, title: str, server_records=None) -> str:
-    """Writes a run's client CSV; returns its profile table."""
-    dims = f"{args.spec.fov_w}x{args.spec.fov_h}" if server_records else None
-    _write_csv(args.client_csv, records)
-    return render_table(summarize(records, server_records, dims), title=title)
-
-
 def _run_server_mode(args: argparse.Namespace) -> str:
     records = run_server(
         args.host, args.port, _RIG,
@@ -144,18 +130,20 @@ def _run_server_mode(args: argparse.Namespace) -> str:
     _write_csv(args.server_csv, records)
     if not records:
         return "server: session ended before any frame completed"
-    return render_server_profile(stage_medians(records), len(records))
+    return render_profile(server_records=records)
 
 
 def _run_client_mode(args: argparse.Namespace) -> str:
     records = run_client(args.host, args.port, args.spec, args.codec, args.scene, _RIG,
                          args.path, display=_display(args))
-    return _client_report(args, records, "Split client")
+    _write_csv(args.client_csv, records)
+    return render_profile(records, title="Split client")
 
 
 def _run_native_mode(args: argparse.Namespace) -> str:
     records = run_native(args.spec, args.scene, _RIG, args.path, display=_display(args))
-    return _client_report(args, records, "Native baseline")
+    _write_csv(args.client_csv, records)
+    return render_profile(records, title="Native baseline")
 
 
 def _run_sim_mode(args: argparse.Namespace) -> str:
@@ -166,9 +154,10 @@ def _run_sim_mode(args: argparse.Namespace) -> str:
     else:
         result = run_sim_wall(args.spec, args.codec, args.scene, _RIG, args.path,
                               net=args.net, display=display)
+    _write_csv(args.client_csv, result.client_records)
     _write_csv(args.server_csv, result.server_records)
-    return _client_report(args, result.client_records, "Split client (sim)",
-                          result.server_records)
+    return render_profile(result.client_records, result.server_records,
+                          f"{args.spec.fov_w}x{args.spec.fov_h}", "Split client (sim)")
 
 
 def _run_compare_mode(args: argparse.Namespace) -> str:
@@ -255,6 +244,8 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
         args.ppm_every = 1
     elif args.ppm_dir is None:
         parser.error("--ppm-every needs --ppm-dir")
+    elif args.ppm_every < 1:
+        parser.error(f"--ppm-every must be at least 1, got {args.ppm_every}")
     if args.mode != "native":
         args.codec = _CODECS[args.codec]
     args.scene = SceneConfig(_SCENES[args.scene])

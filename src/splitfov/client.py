@@ -57,7 +57,6 @@ class ClientFrameRecord:
     network_ms: float
     decode_ms: float
     merge_ms: float
-    pose_ms: float
     total_ms: float
     bytes_received: int
 
@@ -269,7 +268,6 @@ class ClientSession:
         )
         sw.mark(SEND, "pose", frame_id)
         self.writer(write_msg(msg))
-        pose_ms = now_ms() - t0
 
         future = pool.submit(self._receive_and_decode, frame_id)
         reduced, draw_ms = sw.stage(
@@ -286,7 +284,6 @@ class ClientSession:
             network_ms=network_ms,
             decode_ms=decode_ms,
             merge_ms=merge_ms,
-            pose_ms=pose_ms,
             total_ms=total_ms,
             bytes_received=bytes_received,
         )
@@ -348,7 +345,6 @@ def run_native(
     for frame_id in range(path.frame_count):
         t0 = now_ms()
         pose = pose_at(path, frame_id)
-        pose_ms = now_ms() - t0
         (reduced, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
         merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveae, spec)
         display(frame_id, merged)
@@ -360,7 +356,6 @@ def run_native(
                 network_ms=0.0,
                 decode_ms=0.0,
                 merge_ms=merge_ms,
-                pose_ms=pose_ms,
                 total_ms=total_ms,
                 bytes_received=0,
             )

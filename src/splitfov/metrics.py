@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from dataclasses import dataclass
 from typing import Optional, Sequence, TypeVar
 
 import numpy as np
@@ -58,58 +57,10 @@ def fps_display(median_total_ms: float) -> int:
     return round(1000.0 / median_total_ms)
 
 
-@dataclass(frozen=True)
-class Summary:
-    """Per-stage medians plus the headline end-to-end numbers."""
-
-    frame_count: int
-    stage_median_ms: dict[str, float]
-    total_iqr_ms: float
-    median_fps: int
-    mbps: Optional[float]
-    server_stage_median_ms: Optional[dict[str, float]] = None
-    server_dims: Optional[str] = None
-
-
-def _stage_fields(record) -> list[str]:
-    return [f.name for f in dataclasses.fields(record) if f.name.endswith("_ms")]
-
-
-def stage_medians(records: Sequence) -> dict[str, float]:
+def _stage_medians(records: Sequence) -> dict[str, float]:
     """Median of each *_ms stage field across per-frame records."""
-    return {s: median([getattr(r, s) for r in records]) for s in _stage_fields(records[0])}
-
-
-def summarize(client_records: Sequence, server_records: Optional[Sequence] = None,
-              server_dims: Optional[str] = None) -> Summary:
-    """Aggregates per-frame records into stage medians, the end-to-end
-    IQR, fps, and Mbps.
-
-    `client_records` must carry *_ms stage fields plus total_ms and
-    bytes_received; `server_records` (optional) carry their own *_ms
-    fields. Frames with a zero network window (local modes, infinite
-    simulated bandwidth) are excluded from the Mbps median.
-    """
-    if len(client_records) == 0:
-        raise ValueError("no client records to summarize")
-    med = stage_medians(client_records)
-
-    rates = [
-        mbps(r.bytes_received, r.network_ms / 1000.0)
-        for r in client_records
-        if r.network_ms > 0
-    ]
-    rate = median(rates) if rates else None
-
-    return Summary(
-        frame_count=len(client_records),
-        stage_median_ms=med,
-        total_iqr_ms=iqr([r.total_ms for r in client_records]),
-        median_fps=fps_display(med["total_ms"]),
-        mbps=rate,
-        server_stage_median_ms=stage_medians(server_records) if server_records else None,
-        server_dims=server_dims,
-    )
+    stages = [f.name for f in dataclasses.fields(records[0]) if f.name.endswith("_ms")]
+    return {s: median([getattr(r, s) for r in records]) for s in stages}
 
 
 def _fmt(v: Optional[float]) -> str:
@@ -130,32 +81,41 @@ def _other_stages(med: dict[str, float], shown: tuple[str, ...]) -> list[str]:
     return ["  (" + ", ".join(f"{s[:-3]} {med[s]:.2f} ms" for s in extras) + ")"]
 
 
-def render_server_profile(medians: dict[str, float], frame_count: int,
-                          dims: Optional[str] = None) -> str:
-    """The server profiling table from per-stage medians (ms)."""
-    lines = [f"Server profile ({frame_count} frames, all times median ms)"]
-    lines += _columns(["Server Dims", "Draw Time", "Encode Time"],
-                      [dims or "-", _fmt(medians.get("draw_ms")), _fmt(medians.get("encode_ms"))])
-    lines += _other_stages(medians, ("draw_ms", "encode_ms"))
-    return "\n".join(lines)
+def render_profile(client_records: Sequence[ClientFrameRecord] = (),
+                   server_records: Sequence[ServerFrameTiming] = (),
+                   dims: Optional[str] = None, title: str = "Client profile") -> str:
+    """The client and server profiling tables of a run, each block
+    aggregated over its own records; a block with no records is left out.
 
-
-def render_table(summary: Summary, title: str = "Client profile") -> str:
-    """Aligned text tables in the shape of the client/server profiling tables."""
-    dims = summary.server_dims or "-"
-    med = summary.stage_median_ms
-    lines = [
-        f"{title} ({summary.frame_count} frames, all times median ms)",
-        f"  end-to-end: {med['total_ms']:.2f} ms/frame"
-        f" ({summary.median_fps} fps, IQR = {summary.total_iqr_ms:.3f})",
-    ]
-    lines += _columns(["Server Dims", "Network", "Decode", "Merge", "Mbps"],
-                      [dims, _fmt(med.get("network_ms")), _fmt(med.get("decode_ms")),
-                       _fmt(med.get("merge_ms")), _fmt(summary.mbps)])
-    lines += _other_stages(med, ("network_ms", "decode_ms", "merge_ms", "total_ms"))
-    if summary.server_stage_median_ms is not None:
-        lines.append(render_server_profile(
-            summary.server_stage_median_ms, summary.frame_count, summary.server_dims))
+    The client block shows the end-to-end median, IQR and fps, then the
+    Network / Decode / Merge stage medians and the median Mbps. Frames with
+    a zero network window (local modes, infinite simulated bandwidth) are
+    left out of the Mbps median. The server block shows the Draw / Encode
+    medians. `dims` fills both Server Dims columns; `title` heads the
+    client block.
+    """
+    if not client_records and not server_records:
+        raise ValueError("no records to profile")
+    lines = []
+    if client_records:
+        med = _stage_medians(client_records)
+        rates = [mbps(r.bytes_received, r.network_ms / 1000.0)
+                 for r in client_records if r.network_ms > 0]
+        lines += [
+            f"{title} ({len(client_records)} frames, all times median ms)",
+            f"  end-to-end: {med['total_ms']:.2f} ms/frame ({fps_display(med['total_ms'])} fps,"
+            f" IQR = {iqr([r.total_ms for r in client_records]):.3f})",
+        ]
+        lines += _columns(["Server Dims", "Network", "Decode", "Merge", "Mbps"],
+                          [dims or "-", _fmt(med["network_ms"]), _fmt(med["decode_ms"]),
+                           _fmt(med["merge_ms"]), _fmt(median(rates) if rates else None)])
+        lines += _other_stages(med, ("network_ms", "decode_ms", "merge_ms", "total_ms"))
+    if server_records:
+        med = _stage_medians(server_records)
+        lines.append(f"Server profile ({len(server_records)} frames, all times median ms)")
+        lines += _columns(["Server Dims", "Draw Time", "Encode Time"],
+                          [dims or "-", _fmt(med["draw_ms"]), _fmt(med["encode_ms"])])
+        lines += _other_stages(med, ("draw_ms", "encode_ms"))
     return "\n".join(lines)
 
 
@@ -173,15 +133,19 @@ def write_csv(records: Sequence, path: str) -> None:
 
 
 def read_csv(path: str, record_type: type[R]) -> list[R]:
-    """Reads CSV written by `write_csv` back into `record_type` instances."""
+    """Reads CSV written by `write_csv` back into `record_type` instances.
+    A header or row that does not match `record_type` raises ValueError."""
     fields = {f.name: f.type for f in dataclasses.fields(record_type)}
     out = []
     with open(path, newline="", encoding="ascii") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header is None or set(header) != set(fields):
+        if header is None or sorted(header) != sorted(fields):
             raise ValueError(f"CSV header {header} does not match {record_type.__name__}")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields,"
+                                 f" expected {len(header)}")
             kwargs = {}
             for name, raw in zip(header, row):
                 typ = fields[name]
@@ -192,21 +156,17 @@ def read_csv(path: str, record_type: type[R]) -> list[R]:
 
 
 def run_report(paths: Sequence[str]) -> str:
-    """Re-summarizes per-frame CSVs written by earlier runs into the profile
+    """Re-renders per-frame CSVs written by earlier runs as the profile
     tables. Each file holds client or server records, told apart by its
-    header; with no client file the server profile is shown alone."""
+    header; at most one file of each kind is accepted."""
     client_header = {f.name for f in dataclasses.fields(ClientFrameRecord)}
-    client_records: list[ClientFrameRecord] = []
-    server_records: list[ServerFrameTiming] = []
+    found: dict[type, list] = {}
     for path in paths:
         with open(path, encoding="ascii") as f:
             is_client = set(f.readline().strip().split(",")) == client_header
-        if is_client:
-            client_records = read_csv(path, ClientFrameRecord)
-        else:
-            server_records = read_csv(path, ServerFrameTiming)
-    if client_records:
-        return render_table(summarize(client_records, server_records))
-    if server_records:
-        return render_server_profile(stage_medians(server_records), len(server_records))
-    raise ValueError("no records found in inputs")
+        kind = ClientFrameRecord if is_client else ServerFrameTiming
+        if kind in found:
+            raise ValueError(f"{path} is a second {kind.__name__} CSV;"
+                             " report takes at most one client and one server CSV")
+        found[kind] = read_csv(path, kind)
+    return render_profile(found.get(ClientFrameRecord, ()), found.get(ServerFrameTiming, ()))

@@ -38,7 +38,7 @@ from .client import (
     null_sink,
     run_native,
 )
-from .metrics import Summary, improvement_pct, median, render_table, summarize
+from .metrics import improvement_pct, median, render_profile
 from .partition import PartitionSpec, reduced_dims
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
@@ -212,7 +212,6 @@ def run_sim_virtual(
                 network_ms=network_ms,
                 decode_ms=decode_end - last1,
                 merge_ms=merge_end - merge_begin,
-                pose_ms=0.0,
                 total_ms=merge_end - t,
                 bytes_received=payload_bytes,
             )
@@ -247,7 +246,6 @@ def run_native_virtual(
                 network_ms=0.0,
                 decode_ms=0.0,
                 merge_ms=merge_end - draw_end,
-                pose_ms=0.0,
                 total_ms=merge_end - t,
                 bytes_received=0,
             )
@@ -379,8 +377,6 @@ def run_sim_wall(
 class CompareReport:
     native_records: list[ClientFrameRecord]
     split: SimResult
-    native_summary: Summary
-    split_summary: Summary
     improvement_pct: float
     text: str
 
@@ -410,24 +406,24 @@ def run_compare(
         split = run_sim_wall(spec, codec, scene, rig, path, net=net, display=display)
     else:
         raise ValueError(f"unknown clock {clock!r}, expected 'virtual' or 'wall'")
-    native_summary = summarize(native_records)
-    split_summary = summarize(
-        split.client_records, split.server_records, f"{spec.fov_w}x{spec.fov_h}"
-    )
+    # The tables come first, so a zero frame time fails on the fps it cannot show.
+    native_table = render_profile(native_records, title="Native baseline")
+    split_table = render_profile(split.client_records, split.server_records,
+                                 f"{spec.fov_w}x{spec.fov_h}", "Split client")
     native_med = median([r.total_ms for r in native_records])
     split_med = median([r.total_ms for r in split.client_records])
     imp = improvement_pct(native_med, split_med)
     text = "\n".join(
         [
-            render_table(native_summary, title="Native baseline"),
+            native_table,
             "",
-            render_table(split_summary, title="Split client"),
+            split_table,
             "",
             f"median end-to-end: native {native_med:.2f} ms vs split {split_med:.2f} ms"
             f" -> improvement {imp:.2f}%",
         ]
     )
-    return CompareReport(native_records, split, native_summary, split_summary, imp, text)
+    return CompareReport(native_records, split, imp, text)
 
 
 def check_lockstep(trace: Trace, frame_count: int) -> list[str]:

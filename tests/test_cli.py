@@ -155,6 +155,13 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_ppm_every_below_one(self, every, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--ppm-dir", "frames", "--ppm-every", every])
+        assert e.value.code == 2
+        assert f"--ppm-every must be at least 1, got {every}" in capsys.readouterr().err
+
     def test_fovea_beyond_the_frame_cap(self, capsys):
         with pytest.raises(SystemExit) as e:
             parse_cli(["sim", "--size", "12000x4000", "--fovea", "6000x4000", "--scale", "0.5"])
@@ -261,6 +268,76 @@ class TestMain:
         code = main(["report", str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+DESK_RAW = ["--size", "600x270", "--fovea", "128x90", "--frames", "6", "--codec", "raw"]
+
+# The virtual clock's text at the desk geometry. RAW subframes keep every
+# byte count, and so the Network and Mbps cells, independent of zlib.
+CLIENT_STAGES = "  Server Dims  Network  Decode  Merge  Mbps  "
+NATIVE_TABLE = [
+    "  end-to-end: 81.36 ms/frame (12 fps, IQR = 0.000)",
+    "  Server Dims  Network  Decode  Merge  Mbps",
+    "  -            0.00     0.00    0.00   -   ",
+    "  (draw 81.36 ms)",
+]
+SIM_TABLE = [
+    "  end-to-end: 18.11 ms/frame (55 fps, IQR = 0.000)",
+    CLIENT_STAGES,
+    "  {dims}       1.11     4.00    1.00   499.80",
+    "  (draw 6.00 ms)",
+    "Server profile (6 frames, all times median ms)",
+    "  Server Dims  Draw Time  Encode Time",
+    "  {dims}       5.00       3.00       ",
+    "  (send 1.11 ms)",
+]
+SPLIT_TABLE = [
+    "  end-to-end: 58.32 ms/frame (17 fps, IQR = 0.000)",
+    CLIENT_STAGES,
+    "  {dims}       1.11     0.00    0.00   499.80",
+    "  (draw 58.32 ms)",
+    "Server profile (6 frames, all times median ms)",
+    "  Server Dims  Draw Time  Encode Time",
+    "  {dims}       23.04      0.00       ",
+    "  (send 1.11 ms)",
+]
+
+
+def text(title, table, dims="128x90"):
+    """A profile table's lines under its title; `dims` fills the Server Dims cells."""
+    return [f"{title} (6 frames, all times median ms)",
+            *(line.format(dims=dims.ljust(6)) for line in table)]
+
+
+class TestPinnedText:
+    """The printed text of `sim`, `compare` and `report` on the virtual clock,
+    byte for byte."""
+
+    @staticmethod
+    def run(argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_sim_and_its_report(self, tmp_path, capsys):
+        c, s = str(tmp_path / "c.csv"), str(tmp_path / "s.csv")
+        out = self.run(["sim", *DESK_RAW, "--client-csv", c, "--server-csv", s], capsys)
+        assert out == "\n".join(text("Split client (sim)", SIM_TABLE)) + "\n"
+        assert self.run(["report", c, s], capsys) == (
+            "\n".join(text("Client profile", SIM_TABLE, dims="-")) + "\n")
+
+    def test_compare_and_its_report(self, tmp_path, capsys):
+        c, s, n = (str(tmp_path / name) for name in ("c.csv", "s.csv", "n.csv"))
+        out = self.run(["compare", *DESK_RAW, "--client-csv", c, "--server-csv", s,
+                        "--native-csv", n], capsys)
+        assert out == "\n".join([
+            *text("Native baseline", NATIVE_TABLE), "",
+            *text("Split client", SPLIT_TABLE), "",
+            "median end-to-end: native 81.36 ms vs split 58.32 ms -> improvement 39.51%",
+        ]) + "\n"
+        assert self.run(["report", n], capsys) == (
+            "\n".join(text("Client profile", NATIVE_TABLE)) + "\n")
+        assert self.run(["report", s, c], capsys) == (
+            "\n".join(text("Client profile", SPLIT_TABLE, dims="-")) + "\n")
 
 
 class TestTypedErrors:

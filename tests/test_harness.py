@@ -71,11 +71,10 @@ class TestCompare:
 
     def test_report_shape(self, tiny_spec):
         report = compare(tiny_spec, 3)
-        assert report.native_summary.frame_count == 3
-        assert report.split_summary.frame_count == 3
-        assert report.split_summary.server_stage_median_ms is not None
+        for title in ("Native baseline", "Split client", "Server profile"):
+            assert f"{title} (3 frames, all times median ms)" in report.text
+        assert report.text.count("Server profile") == 1  # the native arm has no server
         assert "improvement" in report.text
-        assert "Native baseline" in report.text and "Split client" in report.text
 
     def test_fixture_medians_render_to_two_decimals(self):
         # the improvement line prints a two-decimal percentage
@@ -156,6 +155,35 @@ class TestReport:
     def test_server_only(self, tmp_path):
         _, s = self.write_run(tmp_path)
         assert "Server profile" in run_report([s])
+
+    def test_each_file_counts_its_own_frames(self, tmp_path):
+        c, s = self.write_run(tmp_path)
+        short = str(tmp_path / "short.csv")
+        with open(c, encoding="ascii") as f:
+            lines = f.readlines()
+        with open(short, "w", encoding="ascii") as f:
+            f.writelines(lines[:3])  # the header and 2 of the 4 frames
+        text = run_report([short, s])
+        assert "Client profile (2 frames, all times median ms)" in text
+        assert "Server profile (4 frames, all times median ms)" in text
+
+    @pytest.mark.parametrize("kind", ["client", "server"])
+    def test_a_second_file_of_one_kind_is_refused(self, tmp_path, kind):
+        c, s = self.write_run(tmp_path)
+        again, record = {"client": (c, "ClientFrameRecord"),
+                         "server": (s, "ServerFrameTiming")}[kind]
+        with pytest.raises(ValueError, match=f"is a second {record} CSV"):
+            run_report([c, s, again])
+
+    @pytest.mark.parametrize("row, fields", [("2,6.0,0.1", 3), ("2,6.0,0.1,4.0,1.0,9.0,5,7,8", 9)],
+                             ids=["short", "long"])
+    def test_row_of_the_wrong_width_is_an_error(self, tmp_path, capsys, row, fields):
+        c, _ = self.write_run(tmp_path)
+        with open(c, "a", encoding="ascii") as f:
+            f.write(row + "\n")
+        capsys.readouterr()
+        assert main(["report", c]) == 1
+        assert capsys.readouterr().err == f"error: {c}, line 6: {fields} fields, expected 7\n"
 
 
 class TestServerClientModes:

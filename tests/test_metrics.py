@@ -11,8 +11,7 @@ from splitfov.metrics import (
     mbps,
     median,
     read_csv,
-    render_table,
-    summarize,
+    render_profile,
     write_csv,
 )
 from splitfov.server import ServerFrameTiming
@@ -20,7 +19,7 @@ from splitfov.server import ServerFrameTiming
 
 def client_rec(frame_id, total, network=0.0, rx=0, **kw):
     base = dict(draw_ms=1.0, network_ms=network, decode_ms=2.0, merge_ms=0.5,
-                pose_ms=0.1, total_ms=total, bytes_received=rx)
+                total_ms=total, bytes_received=rx)
     base.update(kw)
     return ClientFrameRecord(frame_id=frame_id, **base)
 
@@ -95,14 +94,25 @@ class TestFps:
             fps_display(bad)
 
 
+def value_row(text, header):
+    """The cells of the line under the table header that starts with `header`."""
+    lines = text.splitlines()
+    i = next(k for k, line in enumerate(lines) if line.strip().startswith(header))
+    return lines[i + 1].split()
+
+
 class TestSummarize:
+    """The numbers `render_profile` aggregates from per-frame records."""
+
     def test_stage_medians(self):
         recs = [client_rec(i, total=10.0 + i, network=2.0, rx=1000) for i in range(5)]
-        s = summarize(recs)
-        assert s.frame_count == 5
-        assert s.stage_median_ms["total_ms"] == 12.0
-        assert s.stage_median_ms["draw_ms"] == 1.0
-        assert s.median_fps == fps_display(12.0)
+        text = render_profile(recs)
+        assert text.splitlines()[:2] == [
+            "Client profile (5 frames, all times median ms)",
+            f"  end-to-end: 12.00 ms/frame ({fps_display(12.0)} fps, IQR = 2.000)",
+        ]
+        assert value_row(text, "Server Dims  Network") == ["-", "2.00", "2.00", "0.50", "4.00"]
+        assert text.splitlines()[-1] == "  (draw 1.00 ms)"
 
     def test_mbps_median_skips_zero_network_frames(self):
         recs = [
@@ -110,23 +120,24 @@ class TestSummarize:
             client_rec(1, total=10.0, network=1.0, rx=125_000),  # 1000 Mbps
             client_rec(2, total=10.0, network=1.0, rx=62_500),   # 500 Mbps
         ]
-        s = summarize(recs)
-        assert s.mbps == pytest.approx(750.0)
+        assert value_row(render_profile(recs), "Server Dims  Network")[-1] == "750.00"
 
     def test_all_local_frames_have_no_rate(self):
-        s = summarize([client_rec(0, total=5.0)])
-        assert s.mbps is None
+        assert value_row(render_profile([client_rec(0, total=5.0)]),
+                         "Server Dims  Network")[-1] == "-"
 
     def test_server_stages(self):
-        srecs = [ServerFrameTiming(i, 4.0, 15.0, 0.5, 40_000) for i in range(3)]
-        s = summarize([client_rec(0, total=9.0)], srecs, server_dims="512x360")
-        assert s.server_stage_median_ms["draw_ms"] == 4.0
-        assert s.server_stage_median_ms["encode_ms"] == 15.0
-        assert s.server_dims == "512x360"
+        srecs = [ServerFrameTiming(i, 4.0 + i, 15.0, 0.5, 40_000) for i in range(3)]
+        text = render_profile([client_rec(0, total=9.0)], srecs, dims="512x360")
+        assert value_row(text, "Server Dims  Network")[0] == "512x360"
+        assert value_row(text, "Server Dims  Draw Time") == ["512x360", "5.00", "15.00"]
+        assert text.splitlines()[-1] == "  (send 0.50 ms)"
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
+        with pytest.raises(ValueError, match="no records to profile"):
+            render_profile()
+        with pytest.raises(ValueError, match="no records to profile"):
+            render_profile([], [])
 
 
 class TestRenderTable:
@@ -134,7 +145,7 @@ class TestRenderTable:
         recs = [client_rec(i, total=26.17, network=4.99, decode_ms=18.64,
                            merge_ms=0.96, rx=441509) for i in range(4)]
         srecs = [ServerFrameTiming(i, 4.42, 15.33, 0.2, 441509) for i in range(4)]
-        text = render_table(summarize(recs, srecs, "512x360"))
+        text = render_profile(recs, srecs, "512x360")
         assert "26.17" in text
         assert "38 fps" in text
         assert "18.64" in text
@@ -143,7 +154,7 @@ class TestRenderTable:
         assert "707.8" in text
 
     def test_native_table_has_no_server_half(self):
-        text = render_table(summarize([client_rec(0, total=7.0)]))
+        text = render_profile([client_rec(0, total=7.0)])
         assert "Server profile" not in text
 
 
@@ -167,6 +178,10 @@ class TestCsv:
         write_csv(recs, p)
         with pytest.raises(ValueError):
             read_csv(p, ClientFrameRecord)
+        with open(p, "w", encoding="ascii") as f:  # every name, one of them twice
+            f.write("frame_id,draw_ms,encode_ms,send_ms,bytes_sent,send_ms\n")
+        with pytest.raises(ValueError):
+            read_csv(p, ServerFrameTiming)
 
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
