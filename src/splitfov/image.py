@@ -38,12 +38,6 @@ def validate_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def image_dims(img: np.ndarray) -> tuple[int, int]:
-    """Returns (width, height) of a validated image."""
-    validate_image(img)
-    return img.shape[1], img.shape[0]
-
-
 def crop(img: np.ndarray, rect: Rect) -> np.ndarray:
     """Copies the `rect` subregion out of `img`.
 

@@ -132,16 +132,22 @@ def write_csv(records: Sequence, path: str) -> None:
                              (getattr(r, n) for n in names)])
 
 
-def read_csv(path: str, record_type: type[R]) -> list[R]:
-    """Reads CSV written by `write_csv` back into `record_type` instances.
-    A header or row that does not match `record_type` raises ValueError."""
-    fields = {f.name: f.type for f in dataclasses.fields(record_type)}
-    out = []
+def _read_records(path: str, kinds: Sequence[type]) -> tuple[type, list]:
+    """Reads CSV written by `write_csv` into instances of the one of `kinds`
+    whose fields its header names, each once and in any order. A header
+    that matches none of `kinds`, or a row of the wrong width, raises
+    ValueError."""
     with open(path, newline="", encoding="ascii") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header is None or sorted(header) != sorted(fields):
-            raise ValueError(f"CSV header {header} does not match {record_type.__name__}")
+        for kind in kinds:
+            fields = {f.name: f.type for f in dataclasses.fields(kind)}
+            if header is not None and sorted(header) == sorted(fields):
+                break
+        else:
+            names = " or ".join(k.__name__ for k in kinds)
+            raise ValueError(f"{path}: CSV header {header} does not match {names}")
+        out = []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields,"
@@ -151,22 +157,26 @@ def read_csv(path: str, record_type: type[R]) -> list[R]:
                 typ = fields[name]
                 is_int = typ in (int, "int")
                 kwargs[name] = int(raw) if is_int else float(raw)
-            out.append(record_type(**kwargs))
-    return out
+            out.append(kind(**kwargs))
+    return kind, out
+
+
+def read_csv(path: str, record_type: type[R]) -> list[R]:
+    """Reads CSV written by `write_csv` back into `record_type` instances.
+    A header or row that does not match `record_type` raises ValueError."""
+    return _read_records(path, [record_type])[1]
 
 
 def run_report(paths: Sequence[str]) -> str:
     """Re-renders per-frame CSVs written by earlier runs as the profile
     tables. Each file holds client or server records, told apart by its
-    header; at most one file of each kind is accepted."""
-    client_header = {f.name for f in dataclasses.fields(ClientFrameRecord)}
+    header; at most one file of each kind is accepted, and a header that
+    matches neither kind raises ValueError."""
     found: dict[type, list] = {}
     for path in paths:
-        with open(path, encoding="ascii") as f:
-            is_client = set(f.readline().strip().split(",")) == client_header
-        kind = ClientFrameRecord if is_client else ServerFrameTiming
+        kind, records = _read_records(path, [ClientFrameRecord, ServerFrameTiming])
         if kind in found:
             raise ValueError(f"{path} is a second {kind.__name__} CSV;"
                              " report takes at most one client and one server CSV")
-        found[kind] = read_csv(path, kind)
+        found[kind] = records
     return render_profile(found.get(ClientFrameRecord, ()), found.get(ServerFrameTiming, ()))

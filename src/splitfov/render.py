@@ -22,7 +22,7 @@ import numpy as np
 
 from .camera import CameraRig, Pose, eye_origin, quat_to_matrix
 from .image import GeometryError, Rect
-from .partition import scaled_dims
+from .partition import Eye, scaled_dims
 
 
 class SceneId(IntEnum):
@@ -45,8 +45,6 @@ class SceneConfig:
         if not isinstance(self.scene_id, SceneId):
             object.__setattr__(self, "scene_id", SceneId(self.scene_id))
 
-
-LEFT, RIGHT = 0, 1
 
 _FAR = np.float32(120.0)
 _PLANE_Y = np.float32(-1.0)
@@ -243,9 +241,9 @@ def render_scaled(
     eye_dims = (full_w / 2.0, float(full_h))
     parts = []
     if split > 0:
-        parts.append(_shade_grid(scene, rig, pose, LEFT, eye_dims, fx[:split], fy))
+        parts.append(_shade_grid(scene, rig, pose, Eye.LEFT, eye_dims, fx[:split], fy))
     if split < rw:
-        parts.append(_shade_grid(scene, rig, pose, RIGHT, eye_dims, fx[split:] - eye_w, fy))
+        parts.append(_shade_grid(scene, rig, pose, Eye.RIGHT, eye_dims, fx[split:] - eye_w, fy))
     return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
@@ -255,6 +253,6 @@ def render_stereo(
     """Full-rate side-by-side stereo render (both eyes, full sampling)."""
     w, h = eye_dims
     full = Rect(0, 0, w, h)
-    left = render_region(scene, rig, pose, LEFT, eye_dims, full)
-    right = render_region(scene, rig, pose, RIGHT, eye_dims, full)
+    left = render_region(scene, rig, pose, Eye.LEFT, eye_dims, full)
+    right = render_region(scene, rig, pose, Eye.RIGHT, eye_dims, full)
     return np.hstack([left, right])

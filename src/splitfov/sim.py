@@ -148,34 +148,48 @@ def run_sim_virtual(
     client_records: list[ClientFrameRecord] = []
     server_records: list[ServerFrameTiming] = []
 
-    trace.add(0.0, "client", SEND, "hello", 0)
-    (_, hello_arrive) = uplink.schedule(0.0, up[0])
-    trace.add(hello_arrive, "server", RECV, "hello", 0)
+    def span(actor: str, name: str, frame_id: int, begin: float, ms: float) -> float:
+        """Adds a stage's BEGIN and END, as `Stopwatch.stage` does; returns the END."""
+        end = begin + ms
+        trace.add(begin, actor, BEGIN, name, frame_id)
+        trace.add(end, actor, END, name, frame_id)
+        return end
 
-    t = hello_arrive  # frames start once the session is established
+    def send(link: _Link, sender: str, receiver: str, name: str, frame_id: int,
+             t: float, nbytes: int) -> tuple[float, float]:
+        """Adds the SEND at t, schedules the message on `link` and adds the
+        RECV at its last byte; returns its (first, last) byte arrivals."""
+        trace.add(t, sender, SEND, name, frame_id)
+        first, last = link.schedule(t, nbytes)
+        trace.add(last, receiver, RECV, name, frame_id)
+        return first, last
+
+    # Frames start once the session is established.
+    _, t = send(uplink, "client", "server", "hello", 0, 0.0, up[0])
     for frame_id in range(path.frame_count):
         payload_bytes = served[frame_id].bytes_sent
-        trace.add(t, "client", SEND, "pose", frame_id)
-        (_, pose_arrive) = uplink.schedule(t, up[1 + frame_id])
-        trace.add(pose_arrive, "server", RECV, "pose", frame_id)
+        _, pose_arrive = send(uplink, "client", "server", "pose", frame_id, t, up[1 + frame_id])
 
-        # Server pipeline: draw both foveae, encode, transmit.
-        sdraw_end = pose_arrive + cost.server_draw_ms(2 * fov_px)
-        trace.add(pose_arrive, "server", BEGIN, "draw", frame_id)
-        trace.add(sdraw_end, "server", END, "draw", frame_id)
-        enc_end = sdraw_end + cost.encode
-        trace.add(sdraw_end, "server", BEGIN, "encode", frame_id)
-        trace.add(enc_end, "server", END, "encode", frame_id)
-
+        # Server pipeline: draw both foveae, encode, then send both subframes
+        # back to back; the send stage ends when the link is free again.
+        sdraw_end = span("server", "draw", frame_id, pose_arrive, cost.server_draw_ms(2 * fov_px))
+        enc_end = span("server", "encode", frame_id, sdraw_end, cost.encode)
         trace.add(enc_end, "server", BEGIN, "send", frame_id)
-        trace.add(enc_end, "server", SEND, "subframe0", frame_id)
-        first0, last0 = downlink.schedule(enc_end, down[2 * frame_id])
-        trace.add(downlink.free_at_ms, "server", SEND, "subframe1", frame_id)
-        first1, last1 = downlink.schedule(enc_end, down[2 * frame_id + 1])
+        first0, _ = send(downlink, "server", "client", "subframe0", frame_id,
+                         enc_end, down[2 * frame_id])
+        _, last1 = send(downlink, "server", "client", "subframe1", frame_id,
+                        downlink.free_at_ms, down[2 * frame_id + 1])
         send_end = downlink.free_at_ms
         trace.add(send_end, "server", END, "send", frame_id)
-        trace.add(last0, "client", RECV, "subframe0", frame_id)
-        trace.add(last1, "client", RECV, "subframe1", frame_id)
+
+        # Client pipeline: peripheral draw overlaps receive+decode. Sending
+        # the pose and displaying the frame take no modeled time.
+        cdraw_end = span("client", "draw", frame_id, t, cost.client_draw_ms(rw * rh))
+        decode_end = span("client", "decode", frame_id, last1, cost.decode)
+        merge_begin = max(cdraw_end, decode_end)
+        merge_end = span("client", "merge", frame_id, merge_begin, cost.merge)
+        span("client", "display", frame_id, merge_end, 0.0)
+
         server_records.append(
             ServerFrameTiming(
                 frame_id=frame_id,
@@ -185,31 +199,11 @@ def run_sim_virtual(
                 bytes_sent=payload_bytes,
             )
         )
-
-        # Client pipeline: peripheral draw overlaps receive+decode.
-        cdraw_end = t + cost.client_draw_ms(rw * rh)
-        trace.add(t, "client", BEGIN, "draw", frame_id)
-        trace.add(cdraw_end, "client", END, "draw", frame_id)
-
-        network_ms = last1 - first0
-        decode_end = last1 + cost.decode
-        trace.add(last1, "client", BEGIN, "decode", frame_id)
-        trace.add(decode_end, "client", END, "decode", frame_id)
-
-        merge_begin = max(cdraw_end, decode_end)
-        merge_end = merge_begin + cost.merge
-        trace.add(merge_begin, "client", BEGIN, "merge", frame_id)
-        trace.add(merge_end, "client", END, "merge", frame_id)
-
-        # Sending the pose and displaying the frame take no modeled time.
-        trace.add(merge_end, "client", BEGIN, "display", frame_id)
-        trace.add(merge_end, "client", END, "display", frame_id)
-
         client_records.append(
             ClientFrameRecord(
                 frame_id=frame_id,
                 draw_ms=cdraw_end - t,
-                network_ms=network_ms,
+                network_ms=last1 - first0,
                 decode_ms=decode_end - last1,
                 merge_ms=merge_end - merge_begin,
                 total_ms=merge_end - t,
@@ -218,40 +212,32 @@ def run_sim_virtual(
         )
         t = merge_end
 
-    last = path.frame_count - 1 if path.frame_count else 0
-    trace.add(t, "client", SEND, "end", last)
-    (_, end_arrive) = uplink.schedule(t, up[-1])
-    trace.add(end_arrive, "server", RECV, "end", last)
+    send(uplink, "client", "server", "end", path.frame_count - 1, t, up[-1])
     return SimResult(client_records, server_records, trace)
 
 
 def run_native_virtual(
     spec: PartitionSpec, path: CameraPath, cost: CostModel = CostModel()
 ) -> list[ClientFrameRecord]:
-    """Native baseline on the virtual clock: the schedule of one device
-    drawing the foveae at full rate plus the reduced periphery, then
-    merging and displaying. It draws no frame: the native frames are
-    byte-identical to a lossless split session's, and nothing shows them."""
+    """Native baseline on the virtual clock: one device draws the foveae at
+    full rate plus the reduced periphery, then merges and displays. Lockstep
+    native frames share no state, so every frame has the same modeled cost.
+    It draws no frame: the native frames are byte-identical to a lossless
+    split session's, and nothing shows them."""
     rw, rh = reduced_dims(spec)
-    rays = 2 * spec.fov_w * spec.fov_h + rw * rh
-    records = []
-    t = 0.0
-    for frame_id in range(path.frame_count):
-        draw_end = t + cost.client_draw_ms(rays)
-        merge_end = draw_end + cost.merge
-        records.append(
-            ClientFrameRecord(
-                frame_id=frame_id,
-                draw_ms=draw_end - t,
-                network_ms=0.0,
-                decode_ms=0.0,
-                merge_ms=merge_end - draw_end,
-                total_ms=merge_end - t,
-                bytes_received=0,
-            )
+    draw = cost.client_draw_ms(2 * spec.fov_w * spec.fov_h + rw * rh)
+    return [
+        ClientFrameRecord(
+            frame_id=frame_id,
+            draw_ms=draw,
+            network_ms=0.0,
+            decode_ms=0.0,
+            merge_ms=cost.merge,
+            total_ms=draw + cost.merge,
+            bytes_received=0,
         )
-        t = merge_end
-    return records
+        for frame_id in range(path.frame_count)
+    ]
 
 
 class SimplexPipe:

@@ -185,6 +185,16 @@ class TestReport:
         assert main(["report", c]) == 1
         assert capsys.readouterr().err == f"error: {c}, line 6: {fields} fields, expected 7\n"
 
+    @pytest.mark.parametrize("header", ["frame_id,draw_ms,network_ms,decode_ms,merge_ms,pose_ms,"
+                                        "total_ms,bytes_received", "a,b"], ids=["pose_ms", "other"])
+    def test_a_header_of_neither_kind_names_both(self, tmp_path, capsys, header):
+        p = str(tmp_path / "x.csv")
+        with open(p, "w", encoding="ascii") as f:
+            f.write(header + "\n")
+        assert main(["report", p]) == 1
+        assert capsys.readouterr().err == (f"error: {p}: CSV header {header.split(',')} does not"
+                                           " match ClientFrameRecord or ServerFrameTiming\n")
+
 
 class TestServerClientModes:
     def test_networked_modes_meet_over_loopback(self, tmp_path):

@@ -5,7 +5,6 @@ from splitfov.image import (
     GeometryError,
     Rect,
     crop,
-    image_dims,
     images_equal,
     read_ppm,
     validate_image,
@@ -35,9 +34,6 @@ class TestValidate:
     def test_rejects_empty(self):
         with pytest.raises(GeometryError):
             validate_image(np.zeros((0, 4, 3), dtype=np.uint8))
-
-    def test_dims_are_width_height(self):
-        assert image_dims(np.zeros((7, 5, 3), dtype=np.uint8)) == (5, 7)
 
 
 class TestCrop:

@@ -3,10 +3,9 @@ import pytest
 
 from splitfov.camera import CameraPath, CameraRig, Pose, pose_at
 from splitfov.image import GeometryError, Rect, crop
+from splitfov.partition import Eye
 from splitfov.render import (
     BACKGROUND,
-    LEFT,
-    RIGHT,
     SceneConfig,
     SceneId,
     quantize,
@@ -38,7 +37,7 @@ class TestQuantize:
 class TestRegionOracle:
     """Rendering a sub-rectangle must equal cropping a full render."""
 
-    @pytest.mark.parametrize("eye", [LEFT, RIGHT])
+    @pytest.mark.parametrize("eye", [Eye.LEFT, Eye.RIGHT])
     def test_crop_equivalence(self, scene, rig, eye):
         dims = (96, 72)
         full = render_region(scene, rig, POSE, eye, dims, Rect(0, 0, 96, 72))
@@ -50,21 +49,21 @@ class TestRegionOracle:
     def test_many_random_rects(self, scene, rig):
         rng = np.random.default_rng(5)
         dims = (64, 48)
-        full = render_region(scene, rig, POSE, LEFT, dims, Rect(0, 0, 64, 48))
+        full = render_region(scene, rig, POSE, Eye.LEFT, dims, Rect(0, 0, 64, 48))
         for _ in range(25):
             w = int(rng.integers(1, 65))
             h = int(rng.integers(1, 49))
             x = int(rng.integers(0, 64 - w + 1))
             y = int(rng.integers(0, 48 - h + 1))
             rect = Rect(x, y, w, h)
-            region = render_region(scene, rig, POSE, LEFT, dims, rect)
+            region = render_region(scene, rig, POSE, Eye.LEFT, dims, rect)
             assert np.array_equal(region, crop(full, rect))
 
     def test_bounds_checked(self, scene, rig):
         with pytest.raises(GeometryError):
-            render_region(scene, rig, POSE, LEFT, (32, 32), Rect(30, 0, 4, 4))
+            render_region(scene, rig, POSE, Eye.LEFT, (32, 32), Rect(30, 0, 4, 4))
         with pytest.raises(GeometryError):
-            render_region(scene, rig, POSE, LEFT, (32, 32), Rect(0, 0, 0, 4))
+            render_region(scene, rig, POSE, Eye.LEFT, (32, 32), Rect(0, 0, 0, 4))
 
 
 class TestDeterminism:
@@ -83,7 +82,7 @@ class TestScenes:
     def test_empty_scene_sky_is_background(self, rig):
         cfg = SceneConfig(scene_id=SceneId.EMPTY)
         pose = Pose(position=(0, 50, 0), orientation=(0, 0, 0, 1))
-        img = render_region(cfg, rig, pose, LEFT, (16, 16), Rect(0, 0, 16, 8))
+        img = render_region(cfg, rig, pose, Eye.LEFT, (16, 16), Rect(0, 0, 16, 8))
         assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
 
     def test_sphere_scene_hits_something(self, scene, rig):

@@ -7,7 +7,7 @@ import pytest
 
 from splitfov import client, codec, server, sim, wire
 from splitfov.camera import CameraPath, CameraRig, pose_at
-from splitfov.client import CollectSink, ffr_frame, run_native
+from splitfov.client import ClientFrameRecord, CollectSink, ffr_frame, run_native
 from splitfov.codec import CodecId
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
@@ -201,6 +201,13 @@ class TestNativeVirtual:
         monkeypatch.setattr(server, "render_region", no_draw)
         records = run_native_virtual(tiny_spec, CameraPath(frame_count=3), cost=FIG_COST)
         assert [r.frame_id for r in records] == [0, 1, 2]
+
+    def test_every_frame_reads_the_model(self):
+        cost = CostModel(1.5, 2.25, 3.1, 0.7, 0.3, 0.01)
+        records = run_native_virtual(PartitionSpec(64, 32, 16, 8, 0.5),
+                                     CameraPath(frame_count=9), cost=cost)
+        d = cost.client_draw_ms(2 * 16 * 8 + 32 * 16)
+        assert records == [ClientFrameRecord(n, d, 0.0, 0.0, 0.3, d + 0.3, 0) for n in range(9)]
 
 
 class TestSimplexPipe:
@@ -405,6 +412,22 @@ class TestOneStageClock:
             n = r.frame_id
             assert (r.draw_ms, r.decode_ms, r.merge_ms) == (
                 span("client", "draw", n), span("client", "decode", n), span("client", "merge", n))
+        for s in res.server_records:
+            n = s.frame_id
+            assert (s.draw_ms, s.encode_ms, s.send_ms) == (
+                span("server", "draw", n), span("server", "encode", n), span("server", "send", n))
+
+    def test_virtual_records_match_their_trace_spans(self, tiny_spec, scene, rig):
+        res = run_sim_virtual(tiny_spec, CodecId.PRED_DEFLATE, scene, rig,
+                              CameraPath(frame_count=4), net=NetModel(1.5, 300.0), cost=FIG_COST)
+        at = lambda actor, kind, name, n: res.trace.find(actor, kind, name, n).t_ms
+        span = lambda actor, name, n: at(actor, "end", name, n) - at(actor, "begin", name, n)
+        assert len(res.client_records) == len(res.server_records) == 4
+        for r in res.client_records:
+            n = r.frame_id
+            assert (r.draw_ms, r.decode_ms, r.merge_ms) == (
+                span("client", "draw", n), span("client", "decode", n), span("client", "merge", n))
+            assert r.total_ms == at("client", "end", "display", n) - at("client", "send", "pose", n)
         for s in res.server_records:
             n = s.frame_id
             assert (s.draw_ms, s.encode_ms, s.send_ms) == (
