@@ -100,8 +100,9 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
         raise GeometryError(f"reduced {rw}x{rh} larger than target {W}x{H}")
     xs = (np.arange(W) * rw) // W
     ys = (np.arange(H) * rh) // H
-    # The 2-D gather already returns a fresh C-contiguous array.
-    return reduced[ys[:, None], xs[None, :], :]
+    # Rows then columns: two 1-D gathers are far cheaper than one 2-D
+    # gather, and `take` returns a fresh C-contiguous array.
+    return np.take(np.take(reduced, ys, axis=0), xs, axis=1)
 
 
 def merge(

@@ -83,6 +83,11 @@ def quantize(channels: np.ndarray) -> np.ndarray:
     return np.clip(v, 0.0, 255.0).astype(np.uint8)
 
 
+def _lambert(lam):
+    """Ambient plus diffuse light for the cosine `lam`, in float32."""
+    return _AMBIENT + (np.float32(1.0) - _AMBIENT) * lam
+
+
 def _shade_grid(
     scene: SceneConfig,
     rig: CameraRig,
@@ -100,6 +105,11 @@ def _shade_grid(
     reduced-rate peripheral rendering, which is what makes the two
     bit-compatible.
     """
+    h, w = len(fy), len(fx)
+    background = np.array(BACKGROUND, dtype=np.uint8)
+    if scene.scene_id == SceneId.EMPTY:
+        return np.broadcast_to(background, (h, w, 3)).copy()
+
     ew, eh = float(eye_dims[0]), float(eye_dims[1])
     tan_h = np.float32(math.tan(math.radians(rig.horizontal_fov) / 2.0))
     tan_v = np.float32(tan_h * np.float32(eh / ew))
@@ -118,25 +128,20 @@ def _shade_grid(
     d2 = rot[2, 0] * dx + rot[2, 1] * dy - rot[2, 2]
 
     o = eye_origin(pose, rig, eye)
-    h, w = len(fy), len(fx)
-    background = np.array(BACKGROUND, dtype=np.uint8)
-
-    if scene.scene_id == SceneId.EMPTY:
-        return np.broadcast_to(background, (h, w, 3)).copy()
-
     near = np.float32(rig.near)
-    t_best = np.full((h, w), np.inf, dtype=np.float32)
-    kind = np.zeros((h, w), dtype=np.uint8)  # 0 miss, 1 plane, 2+i sphere i
 
-    # Ground plane y = _PLANE_Y.
+    # Ground plane y = _PLANE_Y. kind: 0 miss, 1 plane, 2+i sphere i.
     with np.errstate(divide="ignore", invalid="ignore"):
         t_plane = (_PLANE_Y - o[1]) / d1
-    hit = np.isfinite(t_plane) & (t_plane >= near) & (t_plane <= _FAR) & (t_plane < t_best)
-    t_best = np.where(hit, t_plane, t_best)
-    kind = np.where(hit, np.uint8(1), kind)
+        hit = (t_plane >= near) & (t_plane <= _FAR)  # false on inf and NaN
+    t_best = np.where(hit, t_plane, np.float32(np.inf))
+    kind = hit.astype(np.uint8)
 
-    # Spheres, in fixed order (ties broken by order for determinism).
+    # Spheres, in fixed order (ties broken by order for determinism). Only
+    # rays with disc >= 0 can hit, so the root, the divides and the update
+    # run on the bounding box of those rays; `boxes[i]` keeps it for shading.
     a = d0 * d0 + d1 * d1 + d2 * d2
+    boxes = []
     for i in range(len(_SPHERE_RADII)):
         c = _SPHERE_CENTERS[i]
         r = _SPHERE_RADII[i]
@@ -144,46 +149,61 @@ def _shade_grid(
         half_b = ocx * d0 + ocy * d1 + ocz * d2
         cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
         disc = half_b * half_b - a * cc
-        sq = np.sqrt(np.maximum(disc, np.float32(0.0)))
-        t1 = (-half_b - sq) / a
-        t2 = (-half_b + sq) / a
+        box = _nonneg_box(disc)
+        boxes.append(box)
+        if box is None:
+            continue
+        hb, db, ab, tb = half_b[box], disc[box], a[box], t_best[box]
+        sq = np.sqrt(np.maximum(db, np.float32(0.0)))
+        t1 = (-hb - sq) / ab
+        t2 = (-hb + sq) / ab
         t = np.where(t1 >= near, t1, t2)
-        hit = (disc >= 0) & (t >= near) & (t <= _FAR) & (t < t_best)
-        t_best = np.where(hit, t, t_best)
-        kind = np.where(hit, np.uint8(2 + i), kind)
+        hit = (db >= 0) & (t >= near) & (t <= _FAR) & (t < tb)
+        np.copyto(tb, t, where=hit)
+        kind[box][hit] = 2 + i
 
-    any_hit = kind > 0
-    t_eff = np.where(any_hit, t_best, np.float32(1.0))
-    px = o[0] + t_eff * d0
-    py = o[1] + t_eff * d1
-    pz = o[2] + t_eff * d2
+    # The floor has one normal, so it shades to exactly two colours; each
+    # pixel picks background, light or dark checker from a palette.
+    shade = _lambert(_LIGHT_DIR[1])  # plane normal is +y
+    palette = np.stack([background, quantize(_CHECKER_LIGHT * shade),
+                        quantize(_CHECKER_DARK * shade)])
+    with np.errstate(invalid="ignore"):  # inf * 0 on missed rays
+        px = o[0] + t_best * d0
+        pz = o[2] + t_best * d2
+        cell = np.floor(px) + np.floor(pz)
+        # An odd integer sum: exact, and much cheaper than `cell % 2 != 0`.
+        dark = np.floor(cell * np.float32(0.5)) * np.float32(2.0) != cell
+    idx = (kind == 1).view(np.uint8)  # palette index: 0 miss, 1 light, 2 dark
+    idx += idx & dark.view(np.uint8)
+    frame = np.take(palette, idx, axis=0)
 
-    albedo = np.zeros((h, w, 3), dtype=np.float32)
-    lam = np.zeros((h, w), dtype=np.float32)
-
-    plane_mask = kind == 1
-    if plane_mask.any():
-        parity = (np.floor(px[plane_mask]) + np.floor(pz[plane_mask])) % np.float32(2.0)
-        albedo[plane_mask] = np.where(parity[:, None] == 0, _CHECKER_LIGHT, _CHECKER_DARK)
-        lam[plane_mask] = _LIGHT_DIR[1]  # plane normal is +y
-
-    for i in range(len(_SPHERE_RADII)):
-        m = kind == 2 + i
+    for i, box in enumerate(boxes):
+        if box is None:
+            continue
+        m = kind[box] == 2 + i
         if not m.any():
             continue
         c = _SPHERE_CENTERS[i]
         inv_r = np.float32(1.0) / _SPHERE_RADII[i]
-        nx = (px[m] - c[0]) * inv_r
-        ny = (py[m] - c[1]) * inv_r
-        nz = (pz[m] - c[2]) * inv_r
+        t = t_best[box][m]
+        nx = (o[0] + t * d0[box][m] - c[0]) * inv_r
+        ny = (o[1] + t * d1[box][m] - c[1]) * inv_r
+        nz = (o[2] + t * d2[box][m] - c[2]) * inv_r
         ndotl = nx * _LIGHT_DIR[0] + ny * _LIGHT_DIR[1] + nz * _LIGHT_DIR[2]
-        lam[m] = np.maximum(ndotl, np.float32(0.0))
-        albedo[m] = _SPHERE_ALBEDOS[i]
+        shade = _lambert(np.maximum(ndotl, np.float32(0.0)))
+        frame[box][m] = quantize(_SPHERE_ALBEDOS[i] * shade[:, None])
+    return frame
 
-    shade = _AMBIENT + (np.float32(1.0) - _AMBIENT) * lam
-    out = quantize(albedo * shade[:, :, None])
-    out[~any_hit] = background
-    return out
+
+def _nonneg_box(disc: np.ndarray) -> tuple[slice, slice] | None:
+    """Bounding box of `disc >= 0` as (rows, cols) slices, None if empty."""
+    nonneg = disc >= 0
+    rows = np.flatnonzero(nonneg.any(axis=1))
+    if len(rows) == 0:
+        return None
+    r0, r1 = rows[0], rows[-1] + 1
+    cols = np.flatnonzero(nonneg[r0:r1].any(axis=0))
+    return slice(r0, r1), slice(cols[0], cols[-1] + 1)
 
 
 def render_region(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from splitfov.camera import CameraPath, Pose, normalize_quat, pose_at
 from splitfov.client import (
@@ -50,6 +51,25 @@ class TestUpsample:
         for y in (0, 5, 16):
             for x in (0, 13, 28):
                 assert np.array_equal(out[y, x], reduced[(y * 7) // H, (x * 11) // W])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+        lambda wh: st.tuples(st.just(wh[0]), st.just(wh[1]),
+                             st.integers(1, wh[0]), st.integers(1, wh[1]))))
+    @example(dims=(1, 9, 1, 4))  # width 1
+    @example(dims=(17, 6, 17, 3))  # rw == W
+    @example(dims=(2400, 1080, 1440, 648))  # default geometry
+    @example(dims=(2400, 1080, 720, 324))  # fovea geometry
+    def test_equals_the_definitional_gather(self, dims):
+        W, H, rw, rh = dims
+        rng = np.random.default_rng(rw * 4099 + rh)
+        reduced = rng.integers(0, 256, size=(rh, rw, 3), dtype=np.uint8)
+        out = upsample_nearest(reduced, (W, H))
+        xs = (np.arange(W) * rw) // W
+        ys = (np.arange(H) * rh) // H
+        want = reduced[ys[:, None], xs[None, :]]
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert out.flags.c_contiguous and out.flags.owndata
 
     def test_rejects_upside_down_scaling(self):
         with pytest.raises(GeometryError):

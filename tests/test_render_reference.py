@@ -165,6 +165,8 @@ def ref_scaled(scene, rig, pose, eye_pair_dims, scale):
 
 # ---- End of the frozen reference. ------------------------------------------
 
+from splitfov.partition import Eye, PartitionSpec, foveal_rect  # noqa: E402
+
 RIG = CameraRig()
 SPHERES = SceneConfig(SceneId.SPHERES)
 EMPTY = SceneConfig(SceneId.EMPTY)
@@ -226,3 +228,85 @@ def test_look_at_poses(pose, geometry, scale):
                           ref_region(SPHERES, RIG, pose, eye, eye_dims, full))
     assert same_bytes(render_scaled(SPHERES, RIG, pose, geometry, scale),
                       ref_scaled(SPHERES, RIG, pose, geometry, scale))
+
+
+# The geometries the benchmark gates: 2400x1080 stereo with a 512x360 fovea
+# at scale 0.6 (the default) and a 768x540 fovea at scale 0.3.
+GATED = [PartitionSpec(2400, 1080, 512, 360, 0.6), PartitionSpec(2400, 1080, 768, 540, 0.3)]
+GATED_IDS = ["default", "fovea"]
+
+
+def _assert_spec_matches(spec, pose):
+    geometry = (spec.full_w, spec.full_h)
+    assert same_bytes(render_scaled(SPHERES, RIG, pose, geometry, spec.periph_scale),
+                      ref_scaled(SPHERES, RIG, pose, geometry, spec.periph_scale))
+    eye_dims = (spec.eye_w, spec.eye_h)
+    for eye in (Eye.LEFT, Eye.RIGHT):
+        rect = foveal_rect(spec, eye)
+        assert same_bytes(render_region(SPHERES, RIG, pose, eye, eye_dims, rect),
+                          ref_region(SPHERES, RIG, pose, eye, eye_dims, rect)), eye
+
+
+@pytest.mark.parametrize("spec", GATED, ids=GATED_IDS)
+def test_gated_geometry_orbit(spec):
+    for pose in POSES:
+        _assert_spec_matches(spec, pose)
+
+
+def _look_at_pose(pos, target):
+    return Pose(np.array(pos, dtype=np.float32), look_at_quat(pos, target))
+
+
+def _eye_origins(pose):
+    return [eye_origin(pose, RIG, eye).astype(np.float64) for eye in (Eye.LEFT, Eye.RIGHT)]
+
+
+def _inside_sphere_0():
+    """Both eyes inside sphere 0, so every ray has disc >= 0 against it."""
+    pose = _look_at_pose((0.05, -0.3, 0.1), (1.0, -0.3, 0.0))
+    for o in _eye_origins(pose):
+        assert np.linalg.norm(o - _SPHERE_CENTERS[0]) < _SPHERE_RADII[0]
+    return pose
+
+
+def _facing_away():
+    """Looking along +x from z = 5: the spheres lie 90 degrees off axis,
+    beyond the view's corner rays both ahead and behind, so no ray's line
+    meets any sphere."""
+    pose = _look_at_pose((0.0, 0.5, 5.0), (1.0, 0.5, 5.0))
+    tan_h = math.tan(math.radians(RIG.horizontal_fov) / 2.0)
+    corner = math.atan(tan_h * math.hypot(1.0, 1080 / 1200))
+    axis = quat_to_matrix(pose.orientation).astype(np.float64) @ (0.0, 0.0, -1.0)
+    for o in _eye_origins(pose):
+        for c, r in zip(_SPHERE_CENTERS.astype(np.float64), _SPHERE_RADII):
+            to_c = c - o
+            dist = np.linalg.norm(to_c)
+            off_axis = math.acos(abs(float(to_c @ axis)) / dist)
+            assert off_axis > corner + math.asin(float(r) / dist)
+    return pose
+
+
+def _straight_down():
+    return _look_at_pose((0.3, 3.0, 0.2), (0.3, 0.0, 0.2))
+
+
+EDGE_POSES = {"inside_sphere": _inside_sphere_0, "facing_away": _facing_away,
+              "straight_down": _straight_down}
+
+
+@pytest.mark.parametrize("spec", GATED, ids=GATED_IDS)
+@pytest.mark.parametrize("make_pose", EDGE_POSES.values(), ids=list(EDGE_POSES))
+def test_gated_geometry_edge_poses(spec, make_pose):
+    _assert_spec_matches(spec, make_pose())
+
+
+def test_horizon_row():
+    """A level camera over an odd eye height: the middle row's rays have
+    d1 == 0, so their plane intersection divides by zero."""
+    pose = Pose(np.array([0.2, 0.4, 4.0], dtype=np.float32), np.array([0, 0, 0, 1], dtype=np.float32))
+    eye_dims = (1200, 1081)
+    assert np.float32(1.0) - np.float32(540.5) / np.float32(1081) * np.float32(2.0) == 0
+    full = Rect(0, 0, *eye_dims)
+    for eye in (Eye.LEFT, Eye.RIGHT):
+        assert same_bytes(render_region(SPHERES, RIG, pose, eye, eye_dims, full),
+                          ref_region(SPHERES, RIG, pose, eye, eye_dims, full))
