@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 MSG_HELLO = 1
 MSG_POSE = 2

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,20 @@ POSE = pose_at(CameraPath(frame_count=9), 2)
 
 def random_image(rng, w, h):
     return rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+
+
+def deflate(body: bytes, level: int = 9) -> bytes:
+    compressor = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return compressor.compress(body) + compressor.flush()
+
+
+# A 3x2 image whose predictor misses only pixels 0 and 2 (row-major): the
+# top-left is predicted from zero, pixel 2 differs from its left neighbour by
+# (1, 0, 0), and row 1 repeats row 0 (its first column is predicted from above).
+TINY = np.array([[[10, 20, 30], [10, 20, 30], [11, 20, 30]],
+                 [[10, 20, 30], [10, 20, 30], [10, 20, 30]]], dtype=np.uint8)
+TINY_BITMAP = bytes([0b1010_0000])  # 6 pixel bits, then 2 padding bits
+TINY_RESIDUALS = bytes([10, 20, 30, 1, 0, 0])
 
 
 class TestPredictor:
@@ -93,6 +109,42 @@ class TestPayloads:
             decode(7, b"\x00" * 12, 2, 2)  # type: ignore[arg-type]
 
 
+class TestLayout:
+    def test_hand_computed_body(self):
+        payload = encode(CodecId.PRED_DEFLATE, TINY)
+        assert zlib.decompress(payload, -zlib.MAX_WBITS) == TINY_BITMAP + TINY_RESIDUALS
+        assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, 3, 2), TINY)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.integers(1, 48),
+        h=st.integers(1, 32),
+        palette=st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=1, max_size=4),
+        run=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_few_colour_round_trip(self, w, h, palette, run, seed):
+        # Runs of one palette colour: one colour leaves only the top-left pixel
+        # in the mask, runs of 1 over several colours fill most of it.
+        rng = np.random.default_rng(seed)
+        runs = rng.integers(0, len(palette), size=(h, -(-w // run)))
+        img = np.array(palette, dtype=np.uint8)[runs[:, np.arange(w) // run]]
+        payload = encode(CodecId.PRED_DEFLATE, img)
+        assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, w, h), img)
+        res = _predict_residuals(img)
+        n_missed = int(np.count_nonzero(res.any(axis=2)))
+        assert len(zlib.decompress(payload, -zlib.MAX_WBITS)) == -(-w * h // 8) + 3 * n_missed
+
+    @pytest.mark.parametrize("w, h, bound", [(128, 90, 0.005), (768, 540, 0.001)])
+    def test_noise_barely_grows(self, w, h, bound):
+        # Nearly every noise pixel is in the mask; DEFLATE shrinks the all-ones
+        # bitmap to almost nothing. Measured growth over deflating the whole
+        # residual stream at level 6: +0.13% at 128x90, +0.02% at 768x540.
+        img = random_image(np.random.default_rng(0), w, h)
+        whole_stream = len(deflate(_predict_residuals(img).tobytes(), level=6))
+        assert len(encode(CodecId.PRED_DEFLATE, img)) <= whole_stream * (1 + bound)
+
+
 class TestStrictDecode:
     def test_raw_wrong_length(self):
         with pytest.raises(CodecError):
@@ -114,9 +166,24 @@ class TestStrictDecode:
 
     def test_dims_mismatch(self):
         img = np.zeros((4, 4, 3), dtype=np.uint8)
-        payload = encode(CodecId.PRED_DEFLATE, img)
-        with pytest.raises(CodecError):
+        payload = encode(CodecId.PRED_DEFLATE, img)  # a 2-byte bitmap, no residuals
+        with pytest.raises(CodecError, match="^decompressed to 2 bytes, shorter than the 3-byte bitmap"):
             decode(CodecId.PRED_DEFLATE, payload, 4, 5)
+
+    @pytest.mark.parametrize("residuals", [TINY_RESIDUALS[:3], TINY_RESIDUALS + bytes(3),
+                                           TINY_RESIDUALS[:-1], b""],
+                             ids=["one-triple", "three-triples", "one-byte-short", "none"])
+    def test_residuals_not_three_bytes_per_set_bit(self, residuals):
+        with pytest.raises(CodecError, match="decompressed to .* set bits"):
+            decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + residuals), 3, 2)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_set_padding_bit(self, extra):
+        # The padding bit would otherwise give TINY a second payload (extra=0)
+        # or name a seventh pixel (extra=1).
+        padded = bytes([TINY_BITMAP[0] | 0b01])
+        with pytest.raises(CodecError, match="padding bit"):
+            decode(CodecId.PRED_DEFLATE, deflate(padded + TINY_RESIDUALS + bytes(3 * extra)), 3, 2)
 
     def test_bad_dims(self):
         with pytest.raises(CodecError):

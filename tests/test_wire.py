@@ -192,6 +192,12 @@ class TestHelloVersion:
     def test_current_version_ok(self):
         check_hello_version(HelloMsg(PROTOCOL_VERSION, 1, 1, 1, 1, 1.0, 0, 0, 0.0, 1.0, 1.0))
 
+    def test_version_4_rejected(self):
+        # A v4 peer deflates the whole residual stream; it would misread
+        # every PRED_DEFLATE payload of this build.
+        with pytest.raises(ProtocolError, match="version 4"):
+            check_hello_version(HelloMsg(4, 1, 1, 1, 1, 1.0, 0, 0, 0.0, 1.0, 1.0))
+
     def test_other_version_rejected(self):
         with pytest.raises(ProtocolError):
             check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 0.0, 1.0, 1.0))
