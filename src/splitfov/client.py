@@ -105,6 +105,11 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
     return np.take(np.take(reduced, ys, axis=0), xs, axis=1)
 
 
+class _Canvas(np.ndarray):
+    """A full frame that `compose` has just drawn and owns: `merge` pastes
+    the foveae into a canvas in place instead of into a copy."""
+
+
 def merge(
     peripheral_full: np.ndarray,
     foveal: dict[Eye, np.ndarray],
@@ -114,7 +119,8 @@ def merge(
 
     Every output pixel comes from exactly one source: the foveal rects
     (stereo-frame coordinates) from the decoded subframes, everything
-    else from `peripheral_full`.
+    else from `peripheral_full`. The result is a new frame, and
+    `peripheral_full` is left as it was, unless it is `compose`'s canvas.
     """
     validate_image(peripheral_full)
     if peripheral_full.shape[:2] != (spec.full_h, spec.full_w):
@@ -122,7 +128,10 @@ def merge(
             f"peripheral frame is {peripheral_full.shape[1]}x{peripheral_full.shape[0]}, "
             f"spec wants {spec.full_w}x{spec.full_h}"
         )
-    out = peripheral_full.copy()
+    if isinstance(peripheral_full, _Canvas):
+        out = peripheral_full.view(np.ndarray)
+    else:
+        out = peripheral_full.copy()
     for eye in (Eye.LEFT, Eye.RIGHT):
         img = foveal[eye]
         validate_image(img)
@@ -138,8 +147,10 @@ def merge(
 
 def compose(reduced: np.ndarray, foveae: dict[Eye, np.ndarray], spec: PartitionSpec) -> np.ndarray:
     """The displayed frame: the reduced periphery upsampled to the full
-    frame, with each eye's full-rate fovea composited over it."""
-    return merge(upsample_nearest(reduced, (spec.full_w, spec.full_h)), foveae, spec)
+    frame, with each eye's full-rate fovea pasted straight into it. Each
+    call returns a fresh array."""
+    frame = upsample_nearest(reduced, (spec.full_w, spec.full_h))
+    return merge(frame.view(_Canvas), foveae, spec)
 
 
 def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:

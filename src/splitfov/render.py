@@ -138,22 +138,28 @@ def _shade_grid(
     kind = hit.astype(np.uint8)
 
     # Spheres, in fixed order (ties broken by order for determinism). Only
-    # rays with disc >= 0 can hit, so the root, the divides and the update
-    # run on the bounding box of those rays; `boxes[i]` keeps it for shading.
-    a = d0 * d0 + d1 * d1 + d2 * d2
+    # rays with disc >= 0 can hit. `_sphere_bound` boxes them analytically,
+    # the disc runs inside that box, and the root, the divides and the update
+    # run on the bounding box of its disc >= 0 rays; `boxes[i]` keeps that
+    # box for shading.
     boxes = []
     for i in range(len(_SPHERE_RADII)):
         c = _SPHERE_CENTERS[i]
         r = _SPHERE_RADII[i]
         ocx, ocy, ocz = o[0] - c[0], o[1] - c[1], o[2] - c[2]
-        half_b = ocx * d0 + ocy * d1 + ocz * d2
-        cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
-        disc = half_b * half_b - a * cc
-        box = _nonneg_box(disc)
+        box = _sphere_bound(rot, (ocx, ocy, ocz), r, dir_x_row, dir_y_col)
+        if box is not None:
+            e0, e1, e2 = d0[box], d1[box], d2[box]
+            a = e0 * e0 + e1 * e1 + e2 * e2
+            half_b = ocx * e0 + ocy * e1 + ocz * e2
+            cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
+            disc = half_b * half_b - a * cc
+            inner = _nonneg_box(disc)
+            box = None if inner is None else _offset(box, inner)
         boxes.append(box)
         if box is None:
             continue
-        hb, db, ab, tb = half_b[box], disc[box], a[box], t_best[box]
+        hb, db, ab, tb = half_b[inner], disc[inner], a[inner], t_best[box]
         sq = np.sqrt(np.maximum(db, np.float32(0.0)))
         t1 = (-hb - sq) / ab
         t2 = (-hb + sq) / ab
@@ -204,6 +210,90 @@ def _nonneg_box(disc: np.ndarray) -> tuple[slice, slice] | None:
     r0, r1 = rows[0], rows[-1] + 1
     cols = np.flatnonzero(nonneg[r0:r1].any(axis=0))
     return slice(r0, r1), slice(cols[0], cols[-1] + 1)
+
+
+def _offset(outer: tuple[slice, slice], inner: tuple[slice, slice]) -> tuple[slice, slice]:
+    """`inner`, a box within the array `outer` cuts out, in `outer`'s frame."""
+    return tuple(slice(o.start + i.start, o.start + i.stop) for o, i in zip(outer, inner))
+
+
+# The screen-space sphere bound tests the sphere grown to r * 1.01 + 1e-4.
+# The float32 disc of a ray differs from its exact value by under
+# 4 * 2**-23 * |oc|^2 * |d|^2 (measured 3.5 over random rotations, cameras
+# and rays), while growing the radius raises the exact disc by
+# (r_big^2 - r^2) * |d|^2. So wherever |oc|^2 * 2**-19 stays below
+# r_big^2 - r^2 (a margin of 4x over that error), every ray whose float32
+# disc is >= 0 passes within r_big of the centre; farther cameras get the
+# full grid. The pad of 2 pixels on each side of the box is a further margin
+# for the float64 arithmetic of the bound itself, which is exact on the
+# float32 inputs only up to a few ulps.
+_BOUND_GROW = 1.01
+_BOUND_SLACK = 1e-4
+_BOUND_REACH = 2.0**-19
+_BOUND_PAD = 2
+
+
+def _sphere_bound(
+    rot: np.ndarray,
+    oc: tuple[np.float32, np.float32, np.float32],
+    r: np.float32,
+    dir_x_row: np.ndarray,
+    dir_y_col: np.ndarray,
+) -> tuple[slice, slice] | None:
+    """A conservative (rows, cols) box of the rays whose float32 disc
+    against the sphere of radius `r` at `-oc` from the eye can be >= 0.
+
+    Camera-space ray (x, y, -1) with x = dir_x_row[col], y = dir_y_col[row]
+    has world direction d = rot @ (x, y, -1), and its line passes within
+    r_big of the centre iff (oc . d)^2 - |d|^2 (|oc|^2 - r_big^2) >= 0: a
+    quadratic form v^T m v >= 0 in v = (x, y, -1). With the eye outside the
+    sphere and the sphere wholly in front of or behind the eye's plane, that
+    set of (x, y) is an ellipse, and the box covers its x and y extents plus
+    the pad. Otherwise the box is the full grid. None: the box holds no ray.
+    """
+    h, w = len(dir_y_col), len(dir_x_row)
+    q = np.array(oc, dtype=np.float64)
+    r = float(r)
+    r_big = r * _BOUND_GROW + _BOUND_SLACK
+    qq = float(q @ q)
+    if qq * _BOUND_REACH >= r_big * r_big - r * r:
+        return slice(0, h), slice(0, w)
+    rot64 = rot.astype(np.float64)
+    m = rot64.T @ (np.outer(q, q) - (qq - r_big * r_big) * np.eye(3)) @ rot64
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+    det = m00 * m11 - m01 * m01
+    # An ellipse needs a negative definite (x, y) part; m00 < 0 also needs
+    # the eye outside the grown sphere.
+    if not (m00 < 0.0 and det > 0.0):
+        return slice(0, h), slice(0, w)
+    # Some y has v^T m v >= 0 iff x satisfies the first quadratic; likewise
+    # for y and the second.
+    xs = _nonneg_interval(-det, m11 * m02 - m01 * m12, m12 * m12 - m11 * m22)
+    ys = _nonneg_interval(-det, m00 * m12 - m01 * m02, m02 * m02 - m00 * m22)
+    if xs is None or ys is None:
+        return None
+    c0, c1 = _padded_range(dir_x_row, *xs)
+    r0, r1 = _padded_range(-dir_y_col, -ys[1], -ys[0])  # dir_y_col descends
+    if c0 >= c1 or r0 >= r1:
+        return None
+    return slice(r0, r1), slice(c0, c1)
+
+
+def _nonneg_interval(a: float, half_b: float, c: float) -> tuple[float, float] | None:
+    """Where a t^2 + 2 half_b t + c >= 0 for a < 0, None if nowhere."""
+    disc = half_b * half_b - a * c
+    if disc < 0.0:
+        return None
+    sq = math.sqrt(disc)
+    return (-half_b + sq) / a, (-half_b - sq) / a
+
+
+def _padded_range(coords: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
+    """The index range of the ascending `coords` in [lo, hi], widened by
+    the pad and clipped to the array. The compare is in float64."""
+    i0 = int(np.searchsorted(coords, np.float64(lo), side="left")) - _BOUND_PAD
+    i1 = int(np.searchsorted(coords, np.float64(hi), side="right")) + _BOUND_PAD
+    return max(i0, 0), min(i1, len(coords))
 
 
 def render_region(

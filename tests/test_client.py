@@ -6,6 +6,7 @@ from splitfov.camera import CameraPath, Pose, normalize_quat, pose_at
 from splitfov.client import (
     CollectSink,
     PpmSink,
+    compose,
     ffr_frame,
     merge,
     run_native,
@@ -139,6 +140,21 @@ class TestComposedFrame:
         a = ffr_frame(scene, rig, POSE, desk_spec)
         b = ffr_frame(scene, rig, POSE, desk_spec)
         assert a.tobytes() == b.tobytes()
+
+    def test_compose_returns_a_fresh_frame_each_call(self, desk_spec, scene, rig):
+        """compose pastes into its own upsampled frame, not a copy of it:
+        a display that keeps frames by reference still gets a new plain
+        array each time, with the same pixels as upsample then merge."""
+        spec = desk_spec
+        reduced = render_scaled(scene, rig, POSE, (spec.full_w, spec.full_h), spec.periph_scale)
+        foveae = {eye: rgb(40 * (eye + 1), 0, 0, spec.fov_w, spec.fov_h) for eye in (Eye.LEFT, Eye.RIGHT)}
+        kept = [compose(reduced, foveae, spec) for _ in range(2)]
+        want = merge(upsample_nearest(reduced, (spec.full_w, spec.full_h)), foveae, spec)
+        for frame in kept:
+            assert type(frame) is np.ndarray
+            assert np.array_equal(frame, want)
+        assert not np.shares_memory(kept[0], kept[1])
+        assert not np.shares_memory(kept[0], reduced)
 
 
 class TestNative:

@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splitfov.camera import CameraPath, CameraRig, Pose, pose_at
+from splitfov import render
+from splitfov.camera import CameraPath, CameraRig, Pose, normalize_quat, pose_at, quat_to_matrix
+from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
-from splitfov.partition import Eye
+from splitfov.partition import Eye, PartitionSpec
 from splitfov.render import (
+    _SPHERE_CENTERS,
+    _SPHERE_RADII,
     BACKGROUND,
     SceneConfig,
     SceneId,
@@ -12,6 +19,7 @@ from splitfov.render import (
     render_region,
     render_scaled,
     render_stereo,
+    _sphere_bound,
 )
 
 POSE = pose_at(CameraPath(frame_count=16), 3)
@@ -136,3 +144,129 @@ class TestScaled:
     def test_tiny_output_clamped(self, scene, rig):
         out = render_scaled(scene, rig, POSE, (8, 8), 0.05)
         assert out.shape == (1, 1, 3)
+
+
+def _plane_coords(eye_dims, fx, fy, rig=CameraRig()):
+    """A grid's camera-plane ray coordinates (x of each column, y of each
+    row), computed as `_shade_grid` computes them."""
+    ew, eh = float(eye_dims[0]), float(eye_dims[1])
+    tan_h = np.float32(math.tan(math.radians(rig.horizontal_fov) / 2.0))
+    tan_v = np.float32(tan_h * np.float32(eh / ew))
+    ndc_x = fx.astype(np.float32) / np.float32(ew) * np.float32(2.0) - np.float32(1.0)
+    ndc_y = np.float32(1.0) - fy.astype(np.float32) / np.float32(eh) * np.float32(2.0)
+    return ndc_x * tan_h, ndc_y * tan_v
+
+
+def _full_grid(w, h):
+    return np.arange(w, dtype=np.float32) + np.float32(0.5), np.arange(h, dtype=np.float32) + np.float32(0.5)
+
+
+def _scaled_eye_grid(w, h, scale):
+    s = np.float32(scale)
+    fx = (np.arange(round(w * scale), dtype=np.float32) + np.float32(0.5)) / s
+    fy = (np.arange(round(h * scale), dtype=np.float32) + np.float32(0.5)) / s
+    return fx, fy
+
+
+# (eye dims, fx, fy): a desk eye at full rate, a wide eye at full rate, and
+# the left half of the fovea workload's 0.3 periphery.
+BOUND_GRIDS = [
+    ((64, 48), *_full_grid(64, 48)),
+    ((160, 90), *_full_grid(160, 90)),
+    ((1200, 1080), *_scaled_eye_grid(1200, 1080, 0.3)),
+]
+
+
+def _disc(rot, oc, r, dir_x_row, dir_y_col):
+    """Every ray's float32 disc against one sphere, by the renderer's formula."""
+    dx = dir_x_row[None, :]
+    dy = dir_y_col[:, None]
+    d0 = rot[0, 0] * dx + rot[0, 1] * dy - rot[0, 2]
+    d1 = rot[1, 0] * dx + rot[1, 1] * dy - rot[1, 2]
+    d2 = rot[2, 0] * dx + rot[2, 1] * dy - rot[2, 2]
+    ocx, ocy, ocz = oc
+    a = d0 * d0 + d1 * d1 + d2 * d2
+    half_b = ocx * d0 + ocy * d1 + ocz * d2
+    cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
+    return half_b * half_b - a * cc
+
+
+unit_vectors = st.tuples(*[st.floats(-1, 1)] * 3).map(np.array).filter(
+    lambda u: np.linalg.norm(u) > 0.1).map(lambda u: u / np.linalg.norm(u))
+quaternions = st.tuples(*[st.floats(-1, 1)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1).map(normalize_quat)
+
+
+@st.composite
+def bound_cases(draw):
+    """A sphere, a grid, any orientation (so any roll) and an eye placed
+    inside, on, near or far from the sphere, or on a line that grazes it
+    through one pixel centre, ahead of or behind the eye."""
+    i = draw(st.integers(0, len(_SPHERE_RADII) - 1))
+    c, r = _SPHERE_CENTERS[i].astype(np.float64), float(_SPHERE_RADII[i])
+    dims, fx, fy = draw(st.sampled_from(BOUND_GRIDS))
+    dir_x_row, dir_y_col = _plane_coords(dims, fx, fy)
+    q = draw(quaternions)
+    rot = quat_to_matrix(q)
+    place = draw(st.sampled_from(["grazing", "inside", "touching", "near", "far"]))
+    if place == "grazing":
+        col = draw(st.integers(0, len(fx) - 1))
+        row = draw(st.integers(0, len(fy) - 1))
+        d = rot.astype(np.float64) @ (float(dir_x_row[col]), float(dir_y_col[row]), -1.0)
+        d /= np.linalg.norm(d)
+        n = draw(unit_vectors.map(lambda u: u - (u @ d) * d).filter(lambda n: np.linalg.norm(n) > 0.1))
+        n /= np.linalg.norm(n)
+        # < 0: the sphere is behind the eye. From far off, float32 rounding
+        # of the disc outgrows the radius margin and the bound must give up.
+        ahead = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-150.0, 150.0)).filter(
+            lambda s: abs(s) > 1e-3))
+        o = c + r * draw(st.floats(0.99, 1.05)) * n - ahead * d
+    else:
+        lo, hi = {"inside": (0.0, 0.999), "touching": (0.999, 1.02),
+                  "near": (1.02, 3.0), "far": (3.0, 60.0)}[place]
+        o = c + r * draw(st.floats(lo, hi)) * draw(unit_vectors)
+    oc = o.astype(np.float32) - _SPHERE_CENTERS[i]
+    return rot, tuple(oc), _SPHERE_RADII[i], dir_x_row, dir_y_col
+
+
+class TestSphereBound:
+    """`_sphere_bound` may only ever widen the sphere tests: any ray whose
+    float32 disc is >= 0 must lie inside its box."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    def test_box_holds_every_nonnegative_disc(self, case):
+        nonneg = _disc(*case) >= 0
+        box = _sphere_bound(*case)
+        if box is not None:
+            nonneg[box] = False
+        assert not nonneg.any()
+
+    def test_gated_orbit_boxes_are_tight(self, monkeypatch):
+        """Every bound the renderer takes on orbit poses of both gated
+        geometries is an ellipse's box, not the full-grid fallback: each
+        covers under a tenth of its eye's view (the whole grid for a
+        periphery half, the full-rate eye for a fovea)."""
+        coverage = []
+        view_rays = [0]
+
+        def recorded(rot, oc, r, dir_x_row, dir_y_col):
+            box = _sphere_bound(rot, oc, r, dir_x_row, dir_y_col)
+            rays = 0 if box is None else (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
+            coverage.append(rays / (view_rays[0] or len(dir_y_col) * len(dir_x_row)))
+            return box
+
+        monkeypatch.setattr(render, "_sphere_bound", recorded)
+        scene, rig = SceneConfig(), CameraRig()
+        corners = [(2.95, 1.15), (3.05, 1.25), (2.95, 1.25), (3.05, 1.15)]
+        poses = [pose_at(CameraPath(radius=rad, height=hgt, frame_count=15), k)
+                 for k in range(15) for rad, hgt in [corners[k % 4]]]
+        for spec in (PartitionSpec(2400, 1080, 512, 360, 0.6), PartitionSpec(2400, 1080, 768, 540, 0.3)):
+            for pose in poses:
+                view_rays[0] = spec.eye_w * spec.eye_h
+                draw_foveae(scene, rig, pose, spec)
+                view_rays[0] = 0
+                render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
+        assert len(coverage) == 2 * 15 * 4 * len(_SPHERE_RADII)
+        assert max(coverage) < 0.1
+        assert sum(c > 0 for c in coverage) > len(coverage) // 2

@@ -165,6 +165,7 @@ def ref_scaled(scene, rig, pose, eye_pair_dims, scale):
 
 # ---- End of the frozen reference. ------------------------------------------
 
+from splitfov.camera import normalize_quat  # noqa: E402
 from splitfov.partition import Eye, PartitionSpec, foveal_rect  # noqa: E402
 
 RIG = CameraRig()
@@ -217,10 +218,7 @@ look_at_poses = st.builds(
 ).filter(lambda p: p is not None)
 
 
-@settings(max_examples=25, deadline=None)
-@given(pose=look_at_poses, geometry=st.sampled_from([(96, 48), (160, 90)]),
-       scale=st.sampled_from([0.35, 0.6, 1.0]))
-def test_look_at_poses(pose, geometry, scale):
+def _assert_pose_matches(pose, geometry, scale):
     eye_dims = (geometry[0] // 2, geometry[1])
     for eye in (0, 1):
         full = Rect(0, 0, *eye_dims)
@@ -228,6 +226,37 @@ def test_look_at_poses(pose, geometry, scale):
                           ref_region(SPHERES, RIG, pose, eye, eye_dims, full))
     assert same_bytes(render_scaled(SPHERES, RIG, pose, geometry, scale),
                       ref_scaled(SPHERES, RIG, pose, geometry, scale))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pose=look_at_poses, geometry=st.sampled_from([(96, 48), (160, 90)]),
+       scale=st.sampled_from([0.35, 0.6, 1.0]))
+def test_look_at_poses(pose, geometry, scale):
+    _assert_pose_matches(pose, geometry, scale)
+
+
+# Any orientation, so any roll and any sphere ahead of, beside or behind
+# the eye; the eye anywhere in the scene or within 0.5 of a sphere centre,
+# so inside, on or grazing it.
+quaternions = st.tuples(*[st.floats(-1, 1)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1).map(normalize_quat)
+near_a_sphere = st.builds(
+    lambda i, off: _SPHERE_CENTERS[i] + off,
+    st.integers(0, len(_SPHERE_RADII) - 1),
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3).map(np.array).filter(lambda off: np.linalg.norm(off) <= 0.5),
+)
+any_poses = st.builds(
+    Pose,
+    st.one_of(st.tuples(st.floats(-4, 4), st.floats(-0.5, 3), st.floats(-4, 4)), near_a_sphere),
+    quaternions,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pose=any_poses, geometry=st.sampled_from([(160, 90), (64, 48)]),
+       scale=st.sampled_from([0.35, 0.6, 1.0]))
+def test_any_orientation_poses(pose, geometry, scale):
+    _assert_pose_matches(pose, geometry, scale)
 
 
 # The geometries the benchmark gates: 2400x1080 stereo with a 512x360 fovea
