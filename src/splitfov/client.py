@@ -1,15 +1,16 @@
 """Client runtime: peripheral rendering, subframe receive/decode, merge.
 
-Each frame the client sends the pose, then renders its reduced-rate
-peripheral buffer while a second thread receives and decodes the two
-encoded foveal subframes. Once both finish, the foveae are composited
-over the nearest-upsampled periphery, the frame goes to the display
-sink, and per-stage timings are recorded. Exactly one frame is in
-flight (lockstep).
+Each frame the client sends the pose, then draws its periphery (rendered
+at the reduced rate and nearest-upsampled to the full frame) while a
+second thread receives and decodes the two encoded foveal subframes.
+Once both finish, the foveae are pasted into the periphery, the frame
+goes to the display sink, and per-stage timings are recorded. Exactly
+one frame is in flight (lockstep).
 """
 
 from __future__ import annotations
 
+import logging
 import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ from .wire import (
     PROTOCOL_VERSION,
 )
 
+logger = logging.getLogger(__name__)
+
 DisplaySink = Callable[[int, np.ndarray], None]
 
 
@@ -47,9 +50,10 @@ class ClientFrameRecord:
     """Per-frame client timings in milliseconds plus received payload bytes.
 
     network_ms spans first byte received to last byte received across both
-    subframes; merge_ms includes the peripheral upsample; total_ms runs
-    from just before the pose send to just after display. Stages overlap,
-    so total_ms is not the sum of the parts.
+    subframes; draw_ms includes the peripheral upsample, and merge_ms is
+    the paste of the foveae alone; total_ms runs from just before the pose
+    send to just after display. Stages overlap, so total_ms is not the sum
+    of the parts.
     """
 
     frame_id: int
@@ -100,14 +104,16 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
         raise GeometryError(f"reduced {rw}x{rh} larger than target {W}x{H}")
     xs = (np.arange(W) * rw) // W
     ys = (np.arange(H) * rh) // H
-    # Rows then columns: two 1-D gathers are far cheaper than one 2-D
-    # gather, and `take` returns a fresh C-contiguous array.
-    return np.take(np.take(reduced, ys, axis=0), xs, axis=1)
+    # Columns then rows: two 1-D gathers are far cheaper than one 2-D
+    # gather, the pixel-by-pixel column gather runs on the rh reduced rows
+    # only, and the row gather then copies whole contiguous rows. `take`
+    # returns a fresh C-contiguous array.
+    return np.take(np.take(reduced, xs, axis=1), ys, axis=0)
 
 
 class _Canvas(np.ndarray):
-    """A full frame that `compose` has just drawn and owns: `merge` pastes
-    the foveae into a canvas in place instead of into a copy."""
+    """A full frame that `draw_periphery` has just drawn and owns: `merge`
+    pastes the foveae into a canvas in place instead of into a copy."""
 
 
 def merge(
@@ -120,7 +126,8 @@ def merge(
     Every output pixel comes from exactly one source: the foveal rects
     (stereo-frame coordinates) from the decoded subframes, everything
     else from `peripheral_full`. The result is a new frame, and
-    `peripheral_full` is left as it was, unless it is `compose`'s canvas.
+    `peripheral_full` is left as it was, unless it is a canvas from
+    `draw_periphery`.
     """
     validate_image(peripheral_full)
     if peripheral_full.shape[:2] != (spec.full_h, spec.full_w):
@@ -145,29 +152,29 @@ def merge(
     return out
 
 
-def compose(reduced: np.ndarray, foveae: dict[Eye, np.ndarray], spec: PartitionSpec) -> np.ndarray:
-    """The displayed frame: the reduced periphery upsampled to the full
-    frame, with each eye's full-rate fovea pasted straight into it. Each
-    call returns a fresh array."""
-    frame = upsample_nearest(reduced, (spec.full_w, spec.full_h))
-    return merge(frame.view(_Canvas), foveae, spec)
+def draw_periphery(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> _Canvas:
+    """The client's part of a frame: the periphery rendered at the reduced
+    rate and nearest-upsampled to the full frame, as a fresh canvas that
+    `merge` pastes the foveae into."""
+    full = (spec.full_w, spec.full_h)
+    reduced = render_scaled(scene, rig, pose, full, spec.periph_scale)
+    return upsample_nearest(reduced, full).view(_Canvas)
 
 
 def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
     """One fixed-foveation frame composed locally: full-rate foveae over
     nearest-upsampled reduced periphery. This is what both native mode and
-    a lossless split session display."""
-    return compose(*_draw_local(scene, rig, pose, spec), spec)
+    a lossless split session display; each call returns a fresh array."""
+    return merge(*_draw_local(scene, rig, pose, spec), spec)
 
 
 def _draw_local(
     scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec
-) -> tuple[np.ndarray, dict[Eye, np.ndarray]]:
-    """Everything one device draws for a frame: the reduced periphery and
+) -> tuple[_Canvas, dict[Eye, np.ndarray]]:
+    """Everything one device draws for a frame: the periphery's canvas and
     both full-rate foveae."""
     foveae = draw_foveae(scene, rig, pose, spec)
-    reduced = render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
-    return reduced, foveae
+    return draw_periphery(scene, rig, pose, spec), foveae
 
 
 def _decode_subframes(
@@ -282,12 +289,11 @@ class ClientSession:
         self.writer(write_msg(msg))
 
         future = pool.submit(self._receive_and_decode, frame_id)
-        reduced, draw_ms = sw.stage(
-            "draw", frame_id, render_scaled,
-            self.scene, self.rig, pose, (self.spec.full_w, self.spec.full_h), self.spec.periph_scale,
+        canvas, draw_ms = sw.stage(
+            "draw", frame_id, draw_periphery, self.scene, self.rig, pose, self.spec
         )
         foveal, network_ms, decode_ms, bytes_received = future.result()
-        merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveal, self.spec)
+        merged, merge_ms = sw.stage("merge", frame_id, merge, canvas, foveal, self.spec)
         sw.stage("display", frame_id, self.display, frame_id, merged)
         total_ms = now_ms() - t0
         return ClientFrameRecord(
@@ -328,14 +334,17 @@ def run_client(
     with socket.create_connection((host, port), timeout=IO_TIMEOUT_S) as sock:
         # Pose messages are on the frame critical path; never coalesce them.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        logger.info("connected to server at %s:%d", host, port)
         reader = sock.makefile("rb")
         try:
             session = ClientSession(
                 reader, sock.sendall, spec, codec, scene, rig, path, display, trace
             )
-            return session.run()
+            records = session.run()
         finally:
             reader.close()
+    logger.info("session ended after %d frames", len(records))
+    return records
 
 
 def run_native(
@@ -357,8 +366,8 @@ def run_native(
     for frame_id in range(path.frame_count):
         t0 = now_ms()
         pose = pose_at(path, frame_id)
-        (reduced, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
-        merged, merge_ms = sw.stage("merge", frame_id, compose, reduced, foveae, spec)
+        (canvas, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
+        merged, merge_ms = sw.stage("merge", frame_id, merge, canvas, foveae, spec)
         display(frame_id, merged)
         total_ms = now_ms() - t0
         records.append(

@@ -92,7 +92,9 @@ class _Link:
 class CostModel:
     """Stage durations in ms for the virtual clock: a fixed cost per stage,
     plus `us_per_ray` microseconds for each ray a draw shades. Sending a
-    pose and displaying a frame take no modeled time."""
+    pose and displaying a frame take no modeled time. On the wall clock
+    the client's draw stage includes the peripheral upsample, and its
+    merge stage is the paste of the foveae alone."""
 
     server_draw: float = 5.0
     encode: float = 3.0

@@ -6,15 +6,17 @@ from splitfov.camera import CameraPath, Pose, normalize_quat, pose_at
 from splitfov.client import (
     CollectSink,
     PpmSink,
-    compose,
     ffr_frame,
     merge,
     run_native,
     upsample_nearest,
 )
+from splitfov.codec import CodecId
 from splitfov.image import GeometryError, crop, read_ppm
 from splitfov.partition import Eye, foveal_rect_stereo, reduced_dims
 from splitfov.render import render_scaled, render_stereo
+from splitfov.server import draw_foveae
+from splitfov.sim import run_sim_wall
 
 POSE = pose_at(CameraPath(frame_count=12), 5)
 
@@ -141,20 +143,46 @@ class TestComposedFrame:
         b = ffr_frame(scene, rig, POSE, desk_spec)
         assert a.tobytes() == b.tobytes()
 
-    def test_compose_returns_a_fresh_frame_each_call(self, desk_spec, scene, rig):
-        """compose pastes into its own upsampled frame, not a copy of it:
+    def test_ffr_frame_returns_a_fresh_frame_each_call(self, desk_spec, scene, rig):
+        """ffr_frame pastes into its own upsampled frame, not a copy of it:
         a display that keeps frames by reference still gets a new plain
         array each time, with the same pixels as upsample then merge."""
         spec = desk_spec
-        reduced = render_scaled(scene, rig, POSE, (spec.full_w, spec.full_h), spec.periph_scale)
-        foveae = {eye: rgb(40 * (eye + 1), 0, 0, spec.fov_w, spec.fov_h) for eye in (Eye.LEFT, Eye.RIGHT)}
-        kept = [compose(reduced, foveae, spec) for _ in range(2)]
-        want = merge(upsample_nearest(reduced, (spec.full_w, spec.full_h)), foveae, spec)
+        full = (spec.full_w, spec.full_h)
+        kept = [ffr_frame(scene, rig, POSE, spec) for _ in range(2)]
+        reduced = render_scaled(scene, rig, POSE, full, spec.periph_scale)
+        want = merge(upsample_nearest(reduced, full), draw_foveae(scene, rig, POSE, spec), spec)
         for frame in kept:
             assert type(frame) is np.ndarray
             assert np.array_equal(frame, want)
         assert not np.shares_memory(kept[0], kept[1])
-        assert not np.shares_memory(kept[0], reduced)
+
+
+class TestDisplayedFrames:
+    """A display may keep every frame it is shown: each is a plain
+    C-contiguous array of its own, never a canvas, and shares no memory
+    with another displayed frame."""
+
+    @staticmethod
+    def assert_plain_and_apart(frames):
+        for frame in frames:
+            assert type(frame) is np.ndarray and frame.flags.c_contiguous
+        for k, frame in enumerate(frames):
+            for later in frames[k + 1:]:
+                assert not np.shares_memory(frame, later)
+
+    def test_split_session(self, tiny_spec, scene, rig):
+        sink = CollectSink()
+        run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3),
+                     display=sink)
+        assert len(sink.frames) == 3
+        self.assert_plain_and_apart(sink.frames)
+
+    def test_native(self, tiny_spec, scene, rig):
+        sink = CollectSink()
+        run_native(tiny_spec, scene, rig, CameraPath(frame_count=3), display=sink)
+        assert len(sink.frames) == 3
+        self.assert_plain_and_apart(sink.frames)
 
 
 class TestNative:

@@ -3,6 +3,7 @@ in-memory streams."""
 
 import dataclasses
 import io
+import logging
 import math
 import socket
 import threading
@@ -84,6 +85,17 @@ class TestLoopbackSession:
             assert c.bytes_received == s.bytes_sent
             assert c.total_ms > 0 and c.network_ms >= 0 and c.decode_ms >= 0
             assert s.draw_ms > 0 and s.encode_ms >= 0
+
+    def test_client_logs_the_connect_and_the_end(self, tiny_spec, scene, rig, caplog):
+        caplog.set_level(logging.INFO, logger="splitfov.client")
+        future, port = start_server(rig=rig)
+        run_client("127.0.0.1", port, tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
+        future.result(timeout=30.0)
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "splitfov.client"]
+        assert logged == [
+            (logging.INFO, f"connected to server at 127.0.0.1:{port}"),
+            (logging.INFO, "session ended after 2 frames"),
+        ]
 
     def test_client_disconnect_preserves_partial_records(self, desk_spec, rig):
         future, port = start_server(rig=rig)

@@ -12,7 +12,7 @@ from splitfov.codec import CodecId
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession
-from splitfov.trace import RECV, SEND
+from splitfov.trace import RECV, SEND, now_ms
 from splitfov.wire import ProtocolError
 from splitfov.sim import (
     CostModel,
@@ -391,6 +391,29 @@ class TestBenchmarkSeams:
             monkeypatch.setattr(module, name, counted)
         run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=2))
         assert [key for key, n in calls.items() if n == 0] == []
+
+
+class TestClientDrawStage:
+    def test_upsample_runs_inside_the_draw_before_the_merge(self, tiny_spec, scene, rig,
+                                                             monkeypatch):
+        """The client upsamples its periphery while the foveae are in
+        flight: each upsample call lies inside its frame's draw span and
+        ends before that frame's merge begins."""
+        stamps = []
+
+        def stamped(*args, _inner=client.upsample_nearest):
+            begin = now_ms()
+            out = _inner(*args)
+            stamps.append((begin, now_ms()))
+            return out
+
+        monkeypatch.setattr(client, "upsample_nearest", stamped)
+        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        at = lambda kind, name, n: res.trace.find("client", kind, name, n).t_ms
+        assert len(stamps) == 3
+        for n, (begin, end) in enumerate(stamps):
+            assert at("begin", "draw", n) <= begin <= end <= at("end", "draw", n)
+            assert end <= at("begin", "merge", n)
 
 
 class TestOneStageClock:
