@@ -79,13 +79,26 @@ _LIGHT_DIR = (_LIGHT / np.linalg.norm(_LIGHT)).astype(np.float32)
 
 def quantize(channels: np.ndarray) -> np.ndarray:
     """floor(c * 255 + 0.5) clamped to [0, 255], as uint8."""
-    v = np.floor(channels.astype(np.float32) * np.float32(255.0) + np.float32(0.5))
-    return np.clip(v, 0.0, 255.0).astype(np.uint8)
+    v = np.multiply(channels, np.float32(255.0), dtype=np.float32)
+    v += np.float32(0.5)
+    np.floor(v, out=v)
+    return np.clip(v, 0.0, 255.0, out=v).astype(np.uint8)
 
 
 def _lambert(lam):
     """Ambient plus diffuse light for the cosine `lam`, in float32."""
     return _AMBIENT + (np.float32(1.0) - _AMBIENT) * lam
+
+
+def _lit_normal_term(t, d, o, c, inv_r, light):
+    """One axis's term of n . l: (o + t * d - c) * inv_r * light, in float32
+    and in that order, in one buffer."""
+    n = t * d
+    n += o
+    n -= c
+    n *= inv_r
+    n *= light
+    return n
 
 
 def _shade_grid(
@@ -123,19 +136,23 @@ def _shade_grid(
     # World-space direction d = R @ (dx, dy, -1); broadcast rows x cols.
     dx = dir_x_row[None, :]
     dy = dir_y_col[:, None]
-    d0 = rot[0, 0] * dx + rot[0, 1] * dy - rot[0, 2]
-    d1 = rot[1, 0] * dx + rot[1, 1] * dy - rot[1, 2]
-    d2 = rot[2, 0] * dx + rot[2, 1] * dy - rot[2, 2]
+    d0 = rot[0, 0] * dx + rot[0, 1] * dy
+    d0 -= rot[0, 2]
+    d1 = rot[1, 0] * dx + rot[1, 1] * dy
+    d1 -= rot[1, 2]
+    d2 = rot[2, 0] * dx + rot[2, 1] * dy
+    d2 -= rot[2, 2]
 
     o = eye_origin(pose, rig, eye)
     near = np.float32(rig.near)
 
     # Ground plane y = _PLANE_Y. kind: 0 miss, 1 plane, 2+i sphere i.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_plane = (_PLANE_Y - o[1]) / d1
-        hit = (t_plane >= near) & (t_plane <= _FAR)  # false on inf and NaN
-    t_best = np.where(hit, t_plane, np.float32(np.inf))
-    kind = hit.astype(np.uint8)
+        t_best = (_PLANE_Y - o[1]) / d1
+        hit = t_best >= near
+        hit &= t_best <= _FAR  # false on inf and NaN
+    np.copyto(t_best, np.float32(np.inf), where=~hit)
+    kind = hit.view(np.uint8)
 
     # Spheres, in fixed order (ties broken by order for determinism). Only
     # rays with disc >= 0 can hit. `_sphere_bound` boxes them analytically,
@@ -150,23 +167,35 @@ def _shade_grid(
         box = _sphere_bound(rot, (ocx, ocy, ocz), r, dir_x_row, dir_y_col)
         if box is not None:
             e0, e1, e2 = d0[box], d1[box], d2[box]
-            a = e0 * e0 + e1 * e1 + e2 * e2
-            half_b = ocx * e0 + ocy * e1 + ocz * e2
+            a = e0 * e0
+            a += e1 * e1
+            a += e2 * e2
+            half_b = ocx * e0
+            half_b += ocy * e1
+            half_b += ocz * e2
             cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
-            disc = half_b * half_b - a * cc
+            disc = half_b * half_b
+            disc -= a * cc
             inner = _nonneg_box(disc)
             box = None if inner is None else _offset(box, inner)
         boxes.append(box)
         if box is None:
             continue
         hb, db, ab, tb = half_b[inner], disc[inner], a[inner], t_best[box]
-        sq = np.sqrt(np.maximum(db, np.float32(0.0)))
-        t1 = (-hb - sq) / ab
-        t2 = (-hb + sq) / ab
-        t = np.where(t1 >= near, t1, t2)
-        hit = (db >= 0) & (t >= near) & (t <= _FAR) & (t < tb)
-        np.copyto(tb, t, where=hit)
-        kind[box][hit] = 2 + i
+        hit = db >= 0
+        sq = np.maximum(db, np.float32(0.0))
+        np.sqrt(sq, out=sq)
+        t1 = -hb
+        t2 = t1 + sq
+        t1 -= sq
+        t1 /= ab
+        t2 /= ab
+        np.copyto(t2, t1, where=t1 >= near)  # t: the near root if ahead, else the far
+        hit &= t2 >= near
+        hit &= t2 <= _FAR
+        hit &= t2 < tb
+        np.copyto(tb, t2, where=hit)
+        np.copyto(kind[box], np.uint8(2 + i), where=hit)
 
     # The floor has one normal, so it shades to exactly two colours; each
     # pixel picks background, light or dark checker from a palette.
@@ -174,15 +203,27 @@ def _shade_grid(
     palette = np.stack([background, quantize(_CHECKER_LIGHT * shade),
                         quantize(_CHECKER_DARK * shade)])
     with np.errstate(invalid="ignore"):  # inf * 0 on missed rays
-        px = o[0] + t_best * d0
-        pz = o[2] + t_best * d2
-        cell = np.floor(px) + np.floor(pz)
+        cell = t_best * d0
+        cell += o[0]
+        np.floor(cell, out=cell)
+        pz = t_best * d2
+        pz += o[2]
+        np.floor(pz, out=pz)
+        cell += pz
         # An odd integer sum: exact, and much cheaper than `cell % 2 != 0`.
-        dark = np.floor(cell * np.float32(0.5)) * np.float32(2.0) != cell
+        half = np.multiply(cell, np.float32(0.5), out=pz)
+        np.floor(half, out=half)
+        half *= np.float32(2.0)
+        dark = (half != cell).view(np.uint8)
+    del cell, pz, half  # two grids freed before the frame and the sphere shading
     idx = (kind == 1).view(np.uint8)  # palette index: 0 miss, 1 light, 2 dark
-    idx += idx & dark.view(np.uint8)
+    dark &= idx
+    idx += dark
     frame = np.take(palette, idx, axis=0)
 
+    # Each sphere shades its whole box, then pastes by mask: the box's plane
+    # and missed rays are shaded too and dropped, which costs less than
+    # gathering the sphere's rays out of the box and scattering them back.
     for i, box in enumerate(boxes):
         if box is None:
             continue
@@ -191,13 +232,16 @@ def _shade_grid(
             continue
         c = _SPHERE_CENTERS[i]
         inv_r = np.float32(1.0) / _SPHERE_RADII[i]
-        t = t_best[box][m]
-        nx = (o[0] + t * d0[box][m] - c[0]) * inv_r
-        ny = (o[1] + t * d1[box][m] - c[1]) * inv_r
-        nz = (o[2] + t * d2[box][m] - c[2]) * inv_r
-        ndotl = nx * _LIGHT_DIR[0] + ny * _LIGHT_DIR[1] + nz * _LIGHT_DIR[2]
-        shade = _lambert(np.maximum(ndotl, np.float32(0.0)))
-        frame[box][m] = quantize(_SPHERE_ALBEDOS[i] * shade[:, None])
+        t = t_best[box]
+        # A missed ray's t is inf, so its normal and shade are inf or NaN;
+        # the mask drops them.
+        with np.errstate(invalid="ignore"):
+            ndotl = _lit_normal_term(t, d0[box], o[0], c[0], inv_r, _LIGHT_DIR[0])
+            ndotl += _lit_normal_term(t, d1[box], o[1], c[1], inv_r, _LIGHT_DIR[1])
+            ndotl += _lit_normal_term(t, d2[box], o[2], c[2], inv_r, _LIGHT_DIR[2])
+            shade = _lambert(np.maximum(ndotl, np.float32(0.0), out=ndotl))
+            for ch, albedo in enumerate(_SPHERE_ALBEDOS[i]):
+                np.copyto(frame[box][:, :, ch], quantize(albedo * shade), where=m)
     return frame
 
 

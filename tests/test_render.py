@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from splitfov import render
 from splitfov.camera import CameraPath, CameraRig, Pose, normalize_quat, pose_at, quat_to_matrix
 from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
-from splitfov.partition import Eye, PartitionSpec
+from splitfov.partition import Eye, PartitionSpec, foveal_rect
 from splitfov.render import (
     _SPHERE_CENTERS,
     _SPHERE_RADII,
@@ -144,6 +145,25 @@ class TestScaled:
     def test_tiny_output_clamped(self, scene, rig):
         out = render_scaled(scene, rig, POSE, (8, 8), 0.05)
         assert out.shape == (1, 1, 3)
+
+
+class TestAllocation:
+    def test_fovea_peak_stays_under_ten_grids(self, scene, rig):
+        """One 768x540 fovea, the server's critical-path draw, allocates at
+        most ten float32 grids at its peak: the ray directions, the depth
+        and the floor's checker run in place rather than into a fresh
+        temporary per operation."""
+        spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
+        rect = foveal_rect(spec, Eye.LEFT)
+        pose = pose_at(CameraPath(), 0)
+        render_region(scene, rig, pose, Eye.LEFT, (spec.eye_w, spec.eye_h), rect)  # warm up
+        tracemalloc.start()
+        try:
+            render_region(scene, rig, pose, Eye.LEFT, (spec.eye_w, spec.eye_h), rect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 4 * rect.w * rect.h
 
 
 def _plane_coords(eye_dims, fx, fy, rig=CameraRig()):

@@ -165,6 +165,7 @@ def ref_scaled(scene, rig, pose, eye_pair_dims, scale):
 
 # ---- End of the frozen reference. ------------------------------------------
 
+from splitfov import render  # noqa: E402
 from splitfov.camera import normalize_quat  # noqa: E402
 from splitfov.partition import Eye, PartitionSpec, foveal_rect  # noqa: E402
 
@@ -339,3 +340,34 @@ def test_horizon_row():
     for eye in (Eye.LEFT, Eye.RIGHT):
         assert same_bytes(render_region(SPHERES, RIG, pose, eye, eye_dims, full),
                           ref_region(SPHERES, RIG, pose, eye, eye_dims, full))
+
+
+def test_sphere_boxes_hold_missed_and_floor_rays(monkeypatch):
+    """A level eye just above the floor puts the horizon through every
+    sphere, so each box the live renderer shades whole, and pastes by mask,
+    holds missed rays (t = inf, so their normals are inf or NaN) and floor
+    rays. No sphere shades to the background or to a checker colour, so
+    the colours give each pixel's kind. pytest turns a leaked
+    RuntimeWarning into an error."""
+    boxes = []
+    offset = render._offset
+
+    def recorded(outer, inner):
+        boxes.append(offset(outer, inner))
+        return boxes[-1]
+
+    monkeypatch.setattr(render, "_offset", recorded)
+    pose = _look_at_pose((2.0, -0.8, 1.0), (0.0, -0.8, 0.0))
+    floor_shade = _AMBIENT + (np.float32(1.0) - _AMBIENT) * _LIGHT_DIR[1]
+    checker = np.stack([ref_quantize(_CHECKER_LIGHT * floor_shade), ref_quantize(_CHECKER_DARK * floor_shade)])
+    eye_dims = (160, 90)
+    full = Rect(0, 0, *eye_dims)
+    for eye in (Eye.LEFT, Eye.RIGHT):
+        boxes.clear()
+        live = render_region(SPHERES, RIG, pose, eye, eye_dims, full)
+        assert same_bytes(live, ref_region(SPHERES, RIG, pose, eye, eye_dims, full))
+        assert len(boxes) == len(_SPHERE_RADII)
+        for box in boxes:
+            pixels = live[box].reshape(-1, 1, 3)
+            assert (pixels == _BACKGROUND).all(axis=-1).any(), box
+            assert (pixels == checker).all(axis=-1).any(), box
