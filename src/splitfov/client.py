@@ -111,34 +111,22 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
     return np.take(np.take(reduced, xs, axis=1), ys, axis=0)
 
 
-class _Canvas(np.ndarray):
-    """A full frame that `draw_periphery` has just drawn and owns: `merge`
-    pastes the foveae into a canvas in place instead of into a copy."""
-
-
 def merge(
     peripheral_full: np.ndarray,
     foveal: dict[Eye, np.ndarray],
     spec: PartitionSpec,
 ) -> np.ndarray:
-    """Composites each eye's foveal image over the upsampled periphery.
-
-    Every output pixel comes from exactly one source: the foveal rects
-    (stereo-frame coordinates) from the decoded subframes, everything
-    else from `peripheral_full`. The result is a new frame, and
-    `peripheral_full` is left as it was, unless it is a canvas from
-    `draw_periphery`.
-    """
+    """Composites each eye's foveal image over the upsampled periphery, in
+    place: the foveal rects (stereo-frame coordinates) of
+    `peripheral_full` are overwritten with the decoded subframes, every
+    other pixel is left as it was, and `peripheral_full` itself is
+    returned. Pass a copy to keep the periphery."""
     validate_image(peripheral_full)
     if peripheral_full.shape[:2] != (spec.full_h, spec.full_w):
         raise GeometryError(
             f"peripheral frame is {peripheral_full.shape[1]}x{peripheral_full.shape[0]}, "
             f"spec wants {spec.full_w}x{spec.full_h}"
         )
-    if isinstance(peripheral_full, _Canvas):
-        out = peripheral_full.view(np.ndarray)
-    else:
-        out = peripheral_full.copy()
     for eye in (Eye.LEFT, Eye.RIGHT):
         img = foveal[eye]
         validate_image(img)
@@ -148,17 +136,17 @@ def merge(
                 f"spec wants {spec.fov_w}x{spec.fov_h}"
             )
         r = foveal_rect_stereo(spec, eye)
-        out[r.y : r.y + r.h, r.x : r.x + r.w] = img
-    return out
+        peripheral_full[r.y : r.y + r.h, r.x : r.x + r.w] = img
+    return peripheral_full
 
 
-def draw_periphery(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> _Canvas:
+def draw_periphery(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
     """The client's part of a frame: the periphery rendered at the reduced
-    rate and nearest-upsampled to the full frame, as a fresh canvas that
-    `merge` pastes the foveae into."""
+    rate and nearest-upsampled to a fresh full frame, which `merge` then
+    pastes the foveae into."""
     full = (spec.full_w, spec.full_h)
     reduced = render_scaled(scene, rig, pose, full, spec.periph_scale)
-    return upsample_nearest(reduced, full).view(_Canvas)
+    return upsample_nearest(reduced, full)
 
 
 def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
@@ -170,8 +158,8 @@ def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpe
 
 def _draw_local(
     scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec
-) -> tuple[_Canvas, dict[Eye, np.ndarray]]:
-    """Everything one device draws for a frame: the periphery's canvas and
+) -> tuple[np.ndarray, dict[Eye, np.ndarray]]:
+    """Everything one device draws for a frame: the upsampled periphery and
     both full-rate foveae."""
     foveae = draw_foveae(scene, rig, pose, spec)
     return draw_periphery(scene, rig, pose, spec), foveae
@@ -289,11 +277,11 @@ class ClientSession:
         self.writer(write_msg(msg))
 
         future = pool.submit(self._receive_and_decode, frame_id)
-        canvas, draw_ms = sw.stage(
+        periphery, draw_ms = sw.stage(
             "draw", frame_id, draw_periphery, self.scene, self.rig, pose, self.spec
         )
         foveal, network_ms, decode_ms, bytes_received = future.result()
-        merged, merge_ms = sw.stage("merge", frame_id, merge, canvas, foveal, self.spec)
+        merged, merge_ms = sw.stage("merge", frame_id, merge, periphery, foveal, self.spec)
         sw.stage("display", frame_id, self.display, frame_id, merged)
         total_ms = now_ms() - t0
         return ClientFrameRecord(
@@ -366,8 +354,8 @@ def run_native(
     for frame_id in range(path.frame_count):
         t0 = now_ms()
         pose = pose_at(path, frame_id)
-        (canvas, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
-        merged, merge_ms = sw.stage("merge", frame_id, merge, canvas, foveae, spec)
+        (periphery, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
+        merged, merge_ms = sw.stage("merge", frame_id, merge, periphery, foveae, spec)
         display(frame_id, merged)
         total_ms = now_ms() - t0
         records.append(

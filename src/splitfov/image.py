@@ -7,7 +7,7 @@ All geometry uses a top-left origin with x growing right and y growing down.
 from __future__ import annotations
 
 import re
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,30 +57,22 @@ def images_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.array_equal(a, b))
 
 
-def write_ppm(dest: str | BinaryIO, img: np.ndarray) -> None:
-    """Writes a binary PPM (P6, maxval 255)."""
+def write_ppm(path: str, img: np.ndarray) -> None:
+    """Writes a binary PPM (P6, maxval 255) to the file at `path`."""
     validate_image(img)
     h, w = img.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    if isinstance(dest, str):
-        with open(dest, "wb") as f:
-            f.write(header)
-            f.write(img.tobytes())
-    else:
-        dest.write(header)
-        dest.write(img.tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(img.tobytes())
 
 
 _PPM_HEADER = re.compile(rb"^P6\s+(\d+)\s+(\d+)\s+255\s")
 
 
-def read_ppm(src: str | BinaryIO) -> np.ndarray:
+def read_ppm(path: str) -> np.ndarray:
     """Reads a binary PPM written by `write_ppm` (plain P6, no comments)."""
-    if isinstance(src, str):
-        with open(src, "rb") as f:
-            data = f.read()
-    else:
-        data = src.read()
+    with open(path, "rb") as f:
+        data = f.read()
     m = _PPM_HEADER.match(data)
     if m is None:
         raise GeometryError("not a supported P6 PPM file")

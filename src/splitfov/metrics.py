@@ -135,8 +135,8 @@ def write_csv(records: Sequence, path: str) -> None:
 def _read_records(path: str, kinds: Sequence[type]) -> tuple[type, list]:
     """Reads CSV written by `write_csv` into instances of the one of `kinds`
     whose fields its header names, each once and in any order. A header
-    that matches none of `kinds`, or a row of the wrong width, raises
-    ValueError."""
+    that matches none of `kinds`, a row of the wrong width, or a cell that
+    does not parse as its field's type raises ValueError."""
     with open(path, newline="", encoding="ascii") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -154,9 +154,12 @@ def _read_records(path: str, kinds: Sequence[type]) -> tuple[type, list]:
                                  f" expected {len(header)}")
             kwargs = {}
             for name, raw in zip(header, row):
-                typ = fields[name]
-                is_int = typ in (int, "int")
-                kwargs[name] = int(raw) if is_int else float(raw)
+                parse = int if fields[name] in (int, "int") else float
+                try:
+                    kwargs[name] = parse(raw)
+                except ValueError:
+                    raise ValueError(f"{path}, line {reader.line_num}: {name} is {raw!r},"
+                                     f" expected {parse.__name__}") from None
             out.append(kind(**kwargs))
     return kind, out
 

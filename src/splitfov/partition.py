@@ -8,11 +8,18 @@ Odd centering remainders floor toward the top-left.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
 from .image import Rect
 from .wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
+
+# The least peripheral scale: 1/MAX_DIM as the hello's f32 carries it, so a
+# scale the client accepts stays accepted on the server. Below 1/MAX_DIM
+# every frame the wire can carry has a one-pixel periphery, and far below
+# it the renderer's float32 shading overflows.
+MIN_SCALE = struct.unpack("<f", struct.pack("<f", 1 / MAX_DIM))[0]
 
 
 class Eye(IntEnum):
@@ -58,6 +65,8 @@ class PartitionSpec:
             violations.append("foveal height exceeds eye height")
         if not 0.0 < self.periph_scale <= 1.0:
             violations.append("peripheral scale must be in (0, 1]")
+        elif self.periph_scale < MIN_SCALE:
+            violations.append(f"peripheral scale must be at least 1/{MAX_DIM}")
         raw_frame = 3 * self.fov_w * self.fov_h + SUBFRAME_HEADER
         if raw_frame > DEFAULT_MAX_FRAME:
             violations.append(f"one eye's RAW subframe is a {raw_frame}-byte frame, above the"

@@ -162,6 +162,14 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert f"--ppm-every must be at least 1, got {every}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["1e-20", "1e-46"])
+    def test_scale_below_the_least_periphery(self, scale, capsys):
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", "--size", "64x32", "--fovea", "8x8", "--frames", "1",
+                       "--scale", scale])
+        assert e.value.code == 2
+        assert "peripheral scale must be at least 1/65535" in capsys.readouterr().err
+
     def test_fovea_beyond_the_frame_cap(self, capsys):
         with pytest.raises(SystemExit) as e:
             parse_cli(["sim", "--size", "12000x4000", "--fovea", "6000x4000", "--scale", "0.5"])

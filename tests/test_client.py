@@ -95,13 +95,22 @@ class TestMerge:
             mask[r.y : r.y + r.h, r.x : r.x + r.w] = True
         assert (out[~mask] == 10).all()
 
-    def test_input_not_mutated(self, desk_spec):
+    def test_pastes_into_the_frame_it_is_given(self, desk_spec):
+        """merge writes the foveae into its input and returns that array;
+        every pixel outside the foveal rects keeps its value."""
         spec = desk_spec
-        periph = rgb(9, 9, 9, spec.full_w, spec.full_h)
-        before = periph.copy()
-        merge(periph, {Eye.LEFT: rgb(1, 1, 1, spec.fov_w, spec.fov_h),
-                       Eye.RIGHT: rgb(2, 2, 2, spec.fov_w, spec.fov_h)}, spec)
-        assert np.array_equal(periph, before)
+        rng = np.random.default_rng(15)
+        frame = rng.integers(0, 256, size=(spec.full_h, spec.full_w, 3), dtype=np.uint8)
+        before = frame.copy()
+        foveal = {eye: rng.integers(0, 256, size=(spec.fov_h, spec.fov_w, 3), dtype=np.uint8)
+                  for eye in (Eye.LEFT, Eye.RIGHT)}
+        assert merge(frame, foveal, spec) is frame
+        mask = np.zeros((spec.full_h, spec.full_w), dtype=bool)
+        for eye, img in foveal.items():
+            r = foveal_rect_stereo(spec, eye)
+            assert np.array_equal(crop(frame, r), img)
+            mask[r.y : r.y + r.h, r.x : r.x + r.w] = True
+        assert np.array_equal(frame[~mask], before[~mask])
 
     def test_dim_mismatches_rejected(self, desk_spec):
         spec = desk_spec
@@ -160,7 +169,7 @@ class TestComposedFrame:
 
 class TestDisplayedFrames:
     """A display may keep every frame it is shown: each is a plain
-    C-contiguous array of its own, never a canvas, and shares no memory
+    C-contiguous array of its own, never an ndarray subclass, and shares no memory
     with another displayed frame."""
 
     @staticmethod

@@ -1,6 +1,7 @@
 """The run modes end to end: each subcommand through `main`, the CLI as a
 subprocess, and the library entry points `run_compare` and `run_report`."""
 
+import csv
 import os
 import re
 import subprocess
@@ -184,6 +185,26 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", c]) == 1
         assert capsys.readouterr().err == f"error: {c}, line 6: {fields} fields, expected 7\n"
+
+    @pytest.mark.parametrize("kind, field, value, want", [
+        ("client", "total_ms", "abc", "float"),
+        ("server", "bytes_sent", "12.5", "int"),
+    ])
+    def test_a_cell_that_does_not_parse_names_file_line_and_field(
+        self, tmp_path, capsys, kind, field, value, want
+    ):
+        c, s = self.write_run(tmp_path)
+        path = {"client": c, "server": s}[kind]
+        with open(path, newline="", encoding="ascii") as f:
+            rows = list(csv.reader(f))
+        rows[2][rows[0].index(field)] = value
+        with open(path, "w", newline="", encoding="ascii") as f:
+            csv.writer(f).writerows(rows)
+        capsys.readouterr()
+        assert main(["report", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 3: {field} is {value!r}, expected {want}\n"
+        )
 
     @pytest.mark.parametrize("header", ["frame_id,draw_ms,network_ms,decode_ms,merge_ms,pose_ms,"
                                         "total_ms,bytes_received", "a,b"], ids=["pose_ms", "other"])

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from splitfov.partition import (
     foveal_rect_stereo,
     reduced_dims,
 )
-from splitfov.wire import DEFAULT_MAX_FRAME, SUBFRAME_HEADER
+from splitfov.wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
 
 
 def spec_strategy():
@@ -90,6 +91,19 @@ class TestValidate:
         PartitionSpec.from_full(100, 100, 10, 10, 1.0)
         for bad in (0.0, -0.5, 1.0000001, float("nan")):
             assert self.violations(100, 100, 10, 10, bad) == ["peripheral scale must be in (0, 1]"]
+
+    def test_scale_lower_bound(self):
+        # Below 1/65535 every frame the wire carries has a one-pixel
+        # periphery, and 1e-20 overflows the renderer's float32 shading.
+        for bad in (1e-20, 1e-46):
+            assert self.violations(100, 100, 10, 10, bad) == [
+                "peripheral scale must be at least 1/65535"
+            ]
+        PartitionSpec(100, 100, 10, 10, 1 / MAX_DIM)
+        # the hello carries the scale as f32, which rounds 1/65535 down
+        hello_scale = struct.unpack("<f", struct.pack("<f", 1 / MAX_DIM))[0]
+        assert hello_scale < 1 / MAX_DIM
+        PartitionSpec(100, 100, 10, 10, hello_scale)
 
     def test_raw_subframe_beyond_the_frame_cap(self):
         # 3 * 6000 * 4000 payload bytes + 10 header bytes
