@@ -10,7 +10,7 @@ hand-picked stage costs and read its schedule back out of the trace.
 
 from splitfov import (
     CameraPath, CameraRig, CodecId, CostModel, NetModel, PartitionSpec,
-    SceneConfig, check_lockstep, render_profile, run_sim_virtual,
+    SceneConfig, check_lockstep, render_profile, run_sim_virtual, server_dims,
 )
 
 spec = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
@@ -54,4 +54,4 @@ print("lockstep violations:", violations or "none")
 #%%
 # Per-frame records aggregate into the usual profile table.
 print()
-print(render_profile(res.client_records, res.server_records, f"{spec.fov_w}x{spec.fov_h}"))
+print(render_profile(res.client_records, res.server_records, server_dims(spec)))

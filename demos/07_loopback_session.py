@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from splitfov import (
     CameraPath, CameraRig, CodecId, CollectSink, PartitionSpec, SceneConfig,
-    ffr_frame, pose_at, render_profile, run_client, run_server,
+    ffr_frame, pose_at, render_profile, run_client, run_server, server_dims,
 )
 
 spec = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
@@ -42,7 +42,7 @@ with ThreadPoolExecutor(1) as pool:
 
 print(f"streamed {len(client_records)} frames over 127.0.0.1:{port_box['port']}")
 print()
-print(render_profile(client_records, server_records, f"{spec.fov_w}x{spec.fov_h}"))
+print(render_profile(client_records, server_records, server_dims(spec)))
 
 # The session is lossless end to end: each displayed frame matches a
 # local composition of the same pose, byte for byte.

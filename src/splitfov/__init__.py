@@ -1,10 +1,11 @@
 """splitfov: split rendering with losslessly streamed foveal regions.
 
-A server renders the center of each eye's view at full sampling and
-streams it losslessly; the client renders the periphery at reduced
-resolution, composites both in lockstep, and profiles every stage of
-every frame. A single-process simulator reproduces the whole pipeline
-on a virtual or wall clock with a pluggable network model.
+A server renders the top rows of the center of each eye's view at full
+sampling and streams them losslessly; the client renders the periphery
+at reduced resolution and the rest of each center at full sampling,
+composites both in lockstep, and profiles every stage of every frame.
+A single-process simulator reproduces the whole pipeline on a virtual
+or wall clock with a pluggable network model.
 """
 
 from .camera import (
@@ -51,6 +52,8 @@ from .partition import (
     foveal_rect,
     foveal_rect_stereo,
     reduced_dims,
+    server_dims,
+    server_rows,
 )
 from .render import (
     SceneConfig,
@@ -96,7 +99,7 @@ __all__ = [
     "fps_display", "improvement_pct", "iqr", "mbps", "median",
     "read_csv", "render_profile", "run_report", "write_csv",
     "DEFAULT_SPEC", "Eye", "PartitionError", "PartitionSpec", "foveal_rect",
-    "foveal_rect_stereo", "reduced_dims",
+    "foveal_rect_stereo", "reduced_dims", "server_dims", "server_rows",
     "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",
     "ServerFrameTiming", "ServerSession", "run_server",
     "CompareReport", "CostModel", "NetModel", "SimResult", "ZERO_NET",

@@ -20,7 +20,7 @@ from . import codec as codec_mod
 from .camera import CameraPath, CameraRig
 from .client import DisplaySink, PpmSink, null_sink, run_client, run_native
 from .metrics import render_profile, run_report, write_csv
-from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec
+from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec, server_dims
 from .render import SceneConfig, SceneId
 from .server import run_server
 from .sim import CostModel, NetModel, run_compare, run_sim_virtual, run_sim_wall
@@ -137,7 +137,7 @@ def _run_client_mode(args: argparse.Namespace) -> str:
     records = run_client(args.host, args.port, args.spec, args.codec, args.scene, _RIG,
                          args.path, display=_display(args))
     _write_csv(args.client_csv, records)
-    return render_profile(records, title="Split client")
+    return render_profile(records, dims=server_dims(args.spec), title="Split client")
 
 
 def _run_native_mode(args: argparse.Namespace) -> str:
@@ -157,7 +157,7 @@ def _run_sim_mode(args: argparse.Namespace) -> str:
     _write_csv(args.client_csv, result.client_records)
     _write_csv(args.server_csv, result.server_records)
     return render_profile(result.client_records, result.server_records,
-                          f"{args.spec.fov_w}x{args.spec.fov_h}", "Split client (sim)")
+                          server_dims(args.spec), "Split client (sim)")
 
 
 def _run_compare_mode(args: argparse.Namespace) -> str:

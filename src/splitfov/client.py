@@ -1,9 +1,11 @@
 """Client runtime: peripheral rendering, subframe receive/decode, merge.
 
-Each frame the client sends the pose, then draws its periphery (rendered
-at the reduced rate and nearest-upsampled to the full frame) while a
-second thread receives and decodes the two encoded foveal subframes.
-Once both finish, the foveae are pasted into the periphery, the frame
+Each frame the client sends the pose, then draws its part of the frame
+while a second thread receives and decodes the two encoded foveal
+subframes. Its part is the periphery (rendered at the reduced rate and
+nearest-upsampled to the full frame) and the bottom rows
+[server_rows, fov_h) of each foveal rect; the server draws the top rows.
+Once both finish, the server's rows are pasted into the frame, the frame
 goes to the display sink, and per-stage timings are recorded. Exactly
 one frame is in flight (lockstep).
 """
@@ -22,7 +24,7 @@ import numpy as np
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig, Pose, pose_at
 from .image import GeometryError, validate_image, write_ppm
-from .partition import Eye, PartitionSpec, foveal_rect_stereo
+from .partition import Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, server_rows
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
 from .trace import RECV, SEND, Stopwatch, Trace, now_ms
@@ -50,10 +52,10 @@ class ClientFrameRecord:
     """Per-frame client timings in milliseconds plus received payload bytes.
 
     network_ms spans first byte received to last byte received across both
-    subframes; draw_ms includes the peripheral upsample, and merge_ms is
-    the paste of the foveae alone; total_ms runs from just before the pose
-    send to just after display. Stages overlap, so total_ms is not the sum
-    of the parts.
+    subframes; draw_ms includes the peripheral upsample and the client's
+    own foveal rows, and merge_ms is the paste of the server's rows alone;
+    total_ms runs from just before the pose send to just after display.
+    Stages overlap, so total_ms is not the sum of the parts.
     """
 
     frame_id: int
@@ -115,38 +117,58 @@ def merge(
     peripheral_full: np.ndarray,
     foveal: dict[Eye, np.ndarray],
     spec: PartitionSpec,
+    rows: Optional[tuple[int, int]] = None,
 ) -> np.ndarray:
-    """Composites each eye's foveal image over the upsampled periphery, in
-    place: the foveal rects (stereo-frame coordinates) of
-    `peripheral_full` are overwritten with the decoded subframes, every
-    other pixel is left as it was, and `peripheral_full` itself is
-    returned. Pass a copy to keep the periphery."""
+    """Composites rows [lo, hi) of each eye's foveal rect (all rows by
+    default) over the upsampled periphery, in place: those rows
+    (stereo-frame coordinates) of `peripheral_full` are overwritten with
+    the eye's image, which must be fov_w x (hi - lo), every other pixel is
+    left as it was, and `peripheral_full` itself is returned. Pass a copy
+    to keep the periphery."""
     validate_image(peripheral_full)
     if peripheral_full.shape[:2] != (spec.full_h, spec.full_w):
         raise GeometryError(
             f"peripheral frame is {peripheral_full.shape[1]}x{peripheral_full.shape[0]}, "
             f"spec wants {spec.full_w}x{spec.full_h}"
         )
-    for eye in (Eye.LEFT, Eye.RIGHT):
-        img = foveal[eye]
-        validate_image(img)
-        if img.shape[:2] != (spec.fov_h, spec.fov_w):
-            raise GeometryError(
-                f"{eye.name.lower()} foveal image is {img.shape[1]}x{img.shape[0]}, "
-                f"spec wants {spec.fov_w}x{spec.fov_h}"
-            )
-        r = foveal_rect_stereo(spec, eye)
-        peripheral_full[r.y : r.y + r.h, r.x : r.x + r.w] = img
+    _paste(peripheral_full, foveal, spec, (0, spec.fov_h) if rows is None else rows)
     return peripheral_full
 
 
+def _paste(frame: np.ndarray, foveal: dict[Eye, np.ndarray], spec: PartitionSpec,
+           rows: tuple[int, int]) -> None:
+    """Writes each eye's image over rows `rows` of its foveal rect in
+    `frame`; an image of any other size raises GeometryError."""
+    for eye in (Eye.LEFT, Eye.RIGHT):
+        img = foveal[eye]
+        validate_image(img)
+        r = foveal_rows(foveal_rect_stereo(spec, eye), rows)
+        if img.shape[:2] != (r.h, r.w):
+            raise GeometryError(
+                f"{eye.name.lower()} foveal image is {img.shape[1]}x{img.shape[0]}, "
+                f"rows [{rows[0]}, {rows[1]}) want {r.w}x{r.h}"
+            )
+        frame[r.y : r.y + r.h, r.x : r.x + r.w] = img
+
+
 def draw_periphery(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
-    """The client's part of a frame: the periphery rendered at the reduced
-    rate and nearest-upsampled to a fresh full frame, which `merge` then
-    pastes the foveae into."""
+    """The periphery rendered at the reduced rate and nearest-upsampled to
+    a fresh full frame, which `merge` then pastes the foveae into."""
     full = (spec.full_w, spec.full_h)
     reduced = render_scaled(scene, rig, pose, full, spec.periph_scale)
     return upsample_nearest(reduced, full)
+
+
+def draw_client_part(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec,
+                     k: int) -> np.ndarray:
+    """The client's part of a split frame: the upsampled periphery with
+    rows [k, fov_h) of each eye's fovea drawn and pasted in. The server's
+    rows [0, k) are left for `merge`."""
+    frame = draw_periphery(scene, rig, pose, spec)
+    if k < spec.fov_h:
+        own = (k, spec.fov_h)
+        _paste(frame, draw_foveae(scene, rig, pose, spec, own), spec, own)
+    return frame
 
 
 def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
@@ -166,11 +188,11 @@ def _draw_local(
 
 
 def _decode_subframes(
-    codec: codec_mod.CodecId, msgs: list[SubframeMsg], spec: PartitionSpec
+    codec: codec_mod.CodecId, msgs: list[SubframeMsg], w: int, h: int
 ) -> dict[Eye, np.ndarray]:
-    """Each eye's fovea, decoded with the session's codec at the session's
-    foveal size: a payload of any other size raises CodecError."""
-    return {Eye(m.eye): codec_mod.decode(codec, m.payload, spec.fov_w, spec.fov_h) for m in msgs}
+    """Each eye's served rows, decoded with the session's codec at w x h:
+    a payload of any other size raises CodecError."""
+    return {Eye(m.eye): codec_mod.decode(codec, m.payload, w, h) for m in msgs}
 
 
 class _TimingReader:
@@ -214,6 +236,7 @@ class ClientSession:
         self.reader = _TimingReader(reader)
         self.writer = writer
         self.spec = spec
+        self.k = server_rows(spec)  # the server's foveal rows; the client draws the rest
         self.codec = codec_mod.CodecId(codec)
         self.scene = scene
         self.rig = rig
@@ -259,7 +282,7 @@ class ClientSession:
         assert self.reader.first_byte_t is not None and self.reader.last_byte_t is not None
         network_ms = self.reader.last_byte_t - self.reader.first_byte_t
         foveal, decode_ms = self.stopwatch.stage(
-            "decode", frame_id, _decode_subframes, self.codec, msgs, self.spec
+            "decode", frame_id, _decode_subframes, self.codec, msgs, self.spec.fov_w, self.k
         )
         bytes_received = sum(len(m.payload) for m in msgs)
         return foveal, network_ms, decode_ms, bytes_received
@@ -277,11 +300,11 @@ class ClientSession:
         self.writer(write_msg(msg))
 
         future = pool.submit(self._receive_and_decode, frame_id)
-        periphery, draw_ms = sw.stage(
-            "draw", frame_id, draw_periphery, self.scene, self.rig, pose, self.spec
+        frame, draw_ms = sw.stage(
+            "draw", frame_id, draw_client_part, self.scene, self.rig, pose, self.spec, self.k
         )
-        foveal, network_ms, decode_ms, bytes_received = future.result()
-        merged, merge_ms = sw.stage("merge", frame_id, merge, periphery, foveal, self.spec)
+        served, network_ms, decode_ms, bytes_received = future.result()
+        merged, merge_ms = sw.stage("merge", frame_id, merge, frame, served, self.spec, (0, self.k))
         sw.stage("display", frame_id, self.display, frame_id, merged)
         total_ms = now_ms() - t0
         return ClientFrameRecord(

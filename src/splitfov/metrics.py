@@ -91,8 +91,9 @@ def render_profile(client_records: Sequence[ClientFrameRecord] = (),
     Network / Decode / Merge stage medians and the median Mbps. Frames with
     a zero network window (local modes, infinite simulated bandwidth) are
     left out of the Mbps median. The server block shows the Draw / Encode
-    medians. `dims` fills both Server Dims columns; `title` heads the
-    client block.
+    medians. `dims` (the rect the server draws per eye, as
+    `partition.server_dims` gives it) fills both Server Dims columns;
+    `title` heads the client block.
     """
     if not client_records and not server_records:
         raise ValueError("no records to profile")

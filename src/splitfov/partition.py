@@ -3,7 +3,10 @@
 The stereo frame is two side-by-side eye viewports. Each eye gets a
 centered foveal rectangle rendered at full sampling rate; everything else
 is peripheral and rendered into a buffer scaled down by `periph_scale`.
-Odd centering remainders floor toward the top-left.
+Odd centering remainders floor toward the top-left. The server draws the
+top `server_rows` rows of each foveal rect and the client draws the rest,
+which splits the frame's rays about evenly wherever the foveae hold more
+than half of them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .image import Rect
+from .image import GeometryError, Rect
 from .wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
 
 # The least peripheral scale: 1/MAX_DIM as the hello's f32 carries it, so a
@@ -121,3 +124,27 @@ def reduced_dims(spec: PartitionSpec) -> tuple[int, int]:
     """Peripheral buffer dimensions, as the renderer sizes its reduced
     buffer."""
     return scaled_dims(spec.full_w, spec.full_h, spec.periph_scale)
+
+
+def server_rows(spec: PartitionSpec) -> int:
+    """The k top rows of each foveal rect that the server draws; the client
+    draws rows [k, fov_h) itself. k is the fewest rows whose rays
+    (2 * fov_w * k) are at least half of the frame's rays (both foveae and
+    the reduced periphery), and at most fov_h, so always at least 1. Both
+    sides derive it from the hello's geometry."""
+    rw, rh = reduced_dims(spec)
+    total = 2 * spec.fov_w * spec.fov_h + rw * rh
+    return min(spec.fov_h, -(-total // (4 * spec.fov_w)))
+
+
+def server_dims(spec: PartitionSpec) -> str:
+    """The rect the server draws per eye, as WxH."""
+    return f"{spec.fov_w}x{server_rows(spec)}"
+
+
+def foveal_rows(rect: Rect, rows: tuple[int, int]) -> Rect:
+    """Rows [lo, hi) of a foveal rect, in the rect's own coordinates."""
+    lo, hi = rows
+    if not 0 <= lo < hi <= rect.h:
+        raise GeometryError(f"rows [{lo}, {hi}) are not a band of a {rect.h}-row fovea")
+    return Rect(rect.x, rect.y + lo, rect.w, hi - lo)

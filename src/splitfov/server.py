@@ -1,9 +1,10 @@
 """Server runtime: render foveal rects on demand, encode, stream.
 
 The server is pose-driven and strictly lockstep: it idles until the
-client's PoseUpdateMsg for frame n arrives, renders both eyes' foveal
-rectangles at full sampling rate, encodes each eye independently, and
-sends one SubframeMsg per eye. It never renders ahead.
+client's PoseUpdateMsg for frame n arrives, renders the top
+`partition.server_rows` rows of both eyes' foveal rectangles at full
+sampling rate, encodes each eye independently, and sends one SubframeMsg
+per eye. It never renders ahead.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import codec as codec_mod
 from .camera import CameraRig, Pose, normalize_quat
-from .partition import Eye, PartitionError, PartitionSpec, foveal_rect
+from .partition import Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows
 from .render import SceneConfig, SceneId, render_region
 from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
@@ -64,11 +65,15 @@ def pose_from_wire(msg: PoseUpdateMsg) -> Pose:
 
 
 def draw_foveae(
-    scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec
+    scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec,
+    rows: Optional[tuple[int, int]] = None,
 ) -> dict[Eye, np.ndarray]:
-    """Both eyes' foveal rectangles rendered at full sampling rate."""
+    """Rows [lo, hi) of both eyes' foveal rectangles (all rows by default)
+    rendered at full sampling rate."""
+    rows = (0, spec.fov_h) if rows is None else rows
     return {
-        eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h), foveal_rect(spec, eye))
+        eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h),
+                           foveal_rows(foveal_rect(spec, eye), rows))
         for eye in (Eye.LEFT, Eye.RIGHT)
     }
 
@@ -92,6 +97,7 @@ class ServerSession:
         self.rig = rig
         self.stopwatch = Stopwatch("server", trace)
         self.spec: Optional[PartitionSpec] = None
+        self.k: Optional[int] = None  # foveal rows drawn here, from the hello
         self.codec: Optional[codec_mod.CodecId] = None
         self.scene: Optional[SceneConfig] = None
         self.records: list[ServerFrameTiming] = []
@@ -108,6 +114,7 @@ class ServerSession:
             self.spec = PartitionSpec(msg.full_w, msg.full_h, msg.fov_w, msg.fov_h, msg.periph_scale)
         except PartitionError as e:
             raise ProtocolError(f"hello carries an invalid partition: {e}") from None
+        self.k = server_rows(self.spec)
         try:
             self.codec = codec_mod.CodecId(msg.codec)
             self.scene = SceneConfig(SceneId(msg.scene_id))
@@ -125,11 +132,14 @@ class ServerSession:
         return msg
 
     def serve_frame(self, pose: Pose, frame_id: int) -> ServerFrameTiming:
-        """Renders, encodes, and sends both eyes' foveal subframes."""
+        """Renders, encodes, and sends the server's rows of both eyes'
+        foveae."""
         assert self.spec is not None and self.codec is not None and self.scene is not None
+        assert self.k is not None
         spec, codec, scene = self.spec, self.codec, self.scene
         sw = self.stopwatch
-        images, draw_ms = sw.stage("draw", frame_id, draw_foveae, scene, self.rig, pose, spec)
+        images, draw_ms = sw.stage("draw", frame_id, draw_foveae, scene, self.rig, pose, spec,
+                                   (0, self.k))
         payloads, encode_ms = sw.stage("encode", frame_id, _encode_subframes, codec, images)
         _, send_ms = sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
         bytes_sent = sum(len(p) for p in payloads.values())

@@ -39,7 +39,7 @@ from .client import (
     run_native,
 )
 from .metrics import improvement_pct, median, render_profile
-from .partition import PartitionSpec, reduced_dims
+from .partition import PartitionSpec, reduced_dims, server_dims, server_rows
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
 from .trace import BEGIN, END, RECV, SEND, Trace, now_ms
@@ -91,10 +91,12 @@ class _Link:
 @dataclass(frozen=True)
 class CostModel:
     """Stage durations in ms for the virtual clock: a fixed cost per stage,
-    plus `us_per_ray` microseconds for each ray a draw shades. Sending a
-    pose and displaying a frame take no modeled time. On the wall clock
-    the client's draw stage includes the peripheral upsample, and its
-    merge stage is the paste of the foveae alone."""
+    plus `us_per_ray` microseconds for each ray a draw shades: the server
+    shades its foveal rows, the client the reduced periphery and its own
+    foveal rows. Sending a pose and displaying a frame take no modeled
+    time. On the wall clock the client's draw stage includes the
+    peripheral upsample and the paste of its own rows, and its merge stage
+    is the paste of the server's rows alone."""
 
     server_draw: float = 5.0
     encode: float = 3.0
@@ -146,7 +148,9 @@ def run_sim_virtual(
     uplink = _Link(net)
     downlink = _Link(net)
     rw, rh = reduced_dims(spec)
-    fov_px = spec.fov_w * spec.fov_h
+    k = server_rows(spec)
+    server_rays = 2 * spec.fov_w * k
+    client_rays = rw * rh + 2 * spec.fov_w * (spec.fov_h - k)
     client_records: list[ClientFrameRecord] = []
     server_records: list[ServerFrameTiming] = []
 
@@ -172,9 +176,10 @@ def run_sim_virtual(
         payload_bytes = served[frame_id].bytes_sent
         _, pose_arrive = send(uplink, "client", "server", "pose", frame_id, t, up[1 + frame_id])
 
-        # Server pipeline: draw both foveae, encode, then send both subframes
-        # back to back; the send stage ends when the link is free again.
-        sdraw_end = span("server", "draw", frame_id, pose_arrive, cost.server_draw_ms(2 * fov_px))
+        # Server pipeline: draw its rows of both foveae, encode, then send
+        # both subframes back to back; the send stage ends when the link is
+        # free again.
+        sdraw_end = span("server", "draw", frame_id, pose_arrive, cost.server_draw_ms(server_rays))
         enc_end = span("server", "encode", frame_id, sdraw_end, cost.encode)
         trace.add(enc_end, "server", BEGIN, "send", frame_id)
         first0, _ = send(downlink, "server", "client", "subframe0", frame_id,
@@ -184,9 +189,10 @@ def run_sim_virtual(
         send_end = downlink.free_at_ms
         trace.add(send_end, "server", END, "send", frame_id)
 
-        # Client pipeline: peripheral draw overlaps receive+decode. Sending
-        # the pose and displaying the frame take no modeled time.
-        cdraw_end = span("client", "draw", frame_id, t, cost.client_draw_ms(rw * rh))
+        # Client pipeline: the draw of the periphery and of the client's
+        # foveal rows overlaps receive+decode. Sending the pose and
+        # displaying the frame take no modeled time.
+        cdraw_end = span("client", "draw", frame_id, t, cost.client_draw_ms(client_rays))
         decode_end = span("client", "decode", frame_id, last1, cost.decode)
         merge_begin = max(cdraw_end, decode_end)
         merge_end = span("client", "merge", frame_id, merge_begin, cost.merge)
@@ -397,7 +403,7 @@ def run_compare(
     # The tables come first, so a zero frame time fails on the fps it cannot show.
     native_table = render_profile(native_records, title="Native baseline")
     split_table = render_profile(split.client_records, split.server_records,
-                                 f"{spec.fov_w}x{spec.fov_h}", "Split client")
+                                 server_dims(spec), "Split client")
     native_med = median([r.total_ms for r in native_records])
     split_med = median([r.total_ms for r in split.client_records])
     imp = improvement_pct(native_med, split_med)

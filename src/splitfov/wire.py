@@ -12,11 +12,16 @@ floats are IEEE-754 little-endian, single precision (f32) unless marked f64:
     Subframe (3): u64 frame_id | u8 eye | payload (the rest of the frame)
     End      (4): u64 frame_id (last completed)
 
-The hello states the session once: a subframe's rect and codec are the
-eye's foveal rect and the hello's codec, and the session runs until the
-client's End. Serialization is deterministic and the reader tolerates
-arbitrary TCP segmentation; a clean EOF on a frame boundary reads as
-end-of-session.
+The hello states the session once, and the session runs until the
+client's End. A subframe carries rows [0, k) of the eye's foveal rect,
+fov_w x k pixels in the hello's codec, where k = partition.server_rows of
+the hello's geometry: the fewest top rows holding at least half of the
+frame's rays. The client draws rows [k, fov_h) itself. Both sides derive
+k, so no message carries it. Protocol 6 is the first to split the fovea
+by rows; a protocol 5 subframe carried all fov_h rows.
+
+Serialization is deterministic and the reader tolerates arbitrary TCP
+segmentation; a clean EOF on a frame boundary reads as end-of-session.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 MSG_HELLO = 1
 MSG_POSE = 2

@@ -1,5 +1,6 @@
 import pytest
 
+from splitfov import codec
 from splitfov.camera import CameraPath, CameraRig
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
@@ -15,6 +16,27 @@ def desk_spec() -> PartitionSpec:
 @pytest.fixture(scope="session")
 def tiny_spec() -> PartitionSpec:
     return PartitionSpec.from_full(160, 80, 32, 24, 0.5)
+
+
+@pytest.fixture(scope="session")
+def split_spec() -> PartitionSpec:
+    """The server draws 43 of the 80 foveal rows (`server_rows`), so the
+    client draws the other 37 itself; every other fixture gives the server
+    all rows."""
+    return PartitionSpec(160, 80, 80, 80, 0.25)
+
+
+@pytest.fixture
+def decoded_dims(monkeypatch) -> list[tuple[int, int]]:
+    """The (w, h) of every subframe decoded while the test runs, in order."""
+    dims = []
+
+    def recorded(codec_id, data, w, h, _inner=codec.decode):
+        dims.append((w, h))
+        return _inner(codec_id, data, w, h)
+
+    monkeypatch.setattr(codec, "decode", recorded)
+    return dims
 
 
 @pytest.fixture(scope="session")

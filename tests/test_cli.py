@@ -1,9 +1,12 @@
 import argparse
 import dataclasses
 import math
+import os
 import re
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -11,14 +14,18 @@ from pathlib import Path
 import pytest
 
 from splitfov import client
-from splitfov.camera import CameraPath
+from splitfov.camera import CameraPath, CameraRig
 from splitfov.cli import build_parser, main, parse_cli
 from splitfov.codec import CodecId
 from splitfov.render import SceneId
+from splitfov.server import run_server
 from splitfov.sim import CostModel, NetModel
 from splitfov.wire import SubframeMsg, read_msg, write_msg
 
 TINY = ["--size", "160x80", "--fovea", "32x24", "--scale", "0.5"]
+# The server draws 43 of each fovea's 80 rows at this geometry.
+SPLIT = ["--size", "160x80", "--fovea", "80x80", "--scale", "0.25"]
+ROOT = Path(__file__).resolve().parent.parent
 COST_FLAGS = {
     "--cost-server-draw": "server_draw", "--cost-encode": "encode",
     "--cost-client-draw": "client_draw", "--cost-decode": "decode",
@@ -276,6 +283,52 @@ class TestMain:
         code = main(["report", str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def server_dims_cells(out: str) -> list[str]:
+    """The first cell of the line under each Server Dims header."""
+    lines = out.splitlines()
+    return [lines[i + 1].split()[0] for i, line in enumerate(lines)
+            if line.strip().startswith("Server Dims")]
+
+
+class TestServerDims:
+    """Every profile that has a Server Dims cell shows the rect the server
+    draws per eye: the fovea's width by the server's rows."""
+
+    @pytest.mark.parametrize("mode", ["sim", "compare"])
+    def test_sim_and_compare(self, mode, capsys):
+        assert main([mode, *SPLIT, "--frames", "2"]) == 0
+        cells = server_dims_cells(capsys.readouterr().out)
+        # compare's native table has no server: its cell stays "-"
+        assert cells == {"sim": ["80x43"] * 2, "compare": ["-", "80x43", "80x43"]}[mode]
+
+    def test_client(self, capsys):
+        ready = threading.Event()
+        bound = {}
+
+        def serve():
+            run_server("127.0.0.1", 0, CameraRig(),
+                       ready=lambda port: (bound.setdefault("port", port), ready.set()))
+
+        worker = threading.Thread(target=serve, daemon=True)
+        worker.start()
+        assert ready.wait(timeout=10.0)
+        assert main(["client", "--port", str(bound["port"]), *SPLIT, "--frames", "2"]) == 0
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert server_dims_cells(capsys.readouterr().out) == ["80x43"]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitfov", "sim", *TINY, "--frames", "2"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("Split client (sim) (2 frames, all times median ms)\n")
 
 
 DESK_RAW = ["--size", "600x270", "--fovea", "128x90", "--frames", "6", "--codec", "raw"]

@@ -6,6 +6,7 @@ from splitfov.camera import CameraPath, Pose, normalize_quat, pose_at
 from splitfov.client import (
     CollectSink,
     PpmSink,
+    draw_client_part,
     ffr_frame,
     merge,
     run_native,
@@ -13,7 +14,7 @@ from splitfov.client import (
 )
 from splitfov.codec import CodecId
 from splitfov.image import GeometryError, crop, read_ppm
-from splitfov.partition import Eye, foveal_rect_stereo, reduced_dims
+from splitfov.partition import Eye, foveal_rect_stereo, foveal_rows, reduced_dims, server_rows
 from splitfov.render import render_scaled, render_stereo
 from splitfov.server import draw_foveae
 from splitfov.sim import run_sim_wall
@@ -122,6 +123,51 @@ class TestMerge:
         bad[Eye.RIGHT] = rgb(0, 0, 0, spec.fov_w + 1, spec.fov_h)
         with pytest.raises(GeometryError):
             merge(rgb(0, 0, 0, spec.full_w, spec.full_h), bad, spec)
+
+
+    def test_pastes_only_the_rows_it_is_given(self, split_spec):
+        spec, rows = split_spec, (43, 80)
+        rng = np.random.default_rng(17)
+        frame = rng.integers(0, 256, size=(spec.full_h, spec.full_w, 3), dtype=np.uint8)
+        before = frame.copy()
+        band = {eye: rng.integers(0, 256, size=(37, spec.fov_w, 3), dtype=np.uint8)
+                for eye in (Eye.LEFT, Eye.RIGHT)}
+        assert merge(frame, band, spec, rows) is frame
+        mask = np.zeros((spec.full_h, spec.full_w), dtype=bool)
+        for eye, img in band.items():
+            r = foveal_rows(foveal_rect_stereo(spec, eye), rows)
+            assert np.array_equal(crop(frame, r), img)
+            mask[r.y : r.y + r.h, r.x : r.x + r.w] = True
+        assert np.array_equal(frame[~mask], before[~mask])
+
+    @pytest.mark.parametrize("rows", [(0, 43), (0, 80), (1, 44)])
+    def test_images_must_have_exactly_the_rows(self, split_spec, rows):
+        spec = split_spec
+        images = {eye: rgb(0, 0, 0, spec.fov_w, 42) for eye in (Eye.LEFT, Eye.RIGHT)}
+        with pytest.raises(GeometryError, match="foveal image is 80x42"):
+            merge(rgb(0, 0, 0, spec.full_w, spec.full_h), images, spec, rows)
+
+
+class TestRowSplit:
+    """The server's rows and the client's rows of a fovea are the rows of
+    the whole fovea, so the split frame is the native frame."""
+
+    def test_row_bands_are_rows_of_the_whole_fovea(self, split_spec, scene, rig):
+        k = server_rows(split_spec)
+        whole = draw_foveae(scene, rig, POSE, split_spec)
+        top = draw_foveae(scene, rig, POSE, split_spec, (0, k))
+        bottom = draw_foveae(scene, rig, POSE, split_spec, (k, split_spec.fov_h))
+        for eye in (Eye.LEFT, Eye.RIGHT):
+            assert top[eye].shape == (k, split_spec.fov_w, 3)
+            assert top[eye].tobytes() == whole[eye][:k].tobytes()
+            assert bottom[eye].tobytes() == whole[eye][k:].tobytes()
+
+    def test_client_part_and_server_rows_make_the_native_frame(self, split_spec, scene, rig):
+        k = server_rows(split_spec)
+        frame = draw_client_part(scene, rig, POSE, split_spec, k)
+        served = draw_foveae(scene, rig, POSE, split_spec, (0, k))
+        merged = merge(frame, served, split_spec, (0, k))
+        assert merged.tobytes() == ffr_frame(scene, rig, POSE, split_spec).tobytes()
 
 
 class TestComposedFrame:

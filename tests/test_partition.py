@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from splitfov.image import Rect
+from splitfov.image import GeometryError, Rect
 from splitfov.partition import (
     DEFAULT_SPEC,
     Eye,
@@ -13,7 +13,10 @@ from splitfov.partition import (
     PartitionSpec,
     foveal_rect,
     foveal_rect_stereo,
+    foveal_rows,
     reduced_dims,
+    server_dims,
+    server_rows,
 )
 from splitfov.wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
 
@@ -172,3 +175,41 @@ class TestReducedDims:
 
     def test_desk_scale(self, desk_spec):
         assert reduced_dims(desk_spec) == (360, 162)
+
+
+def frame_rays(spec: PartitionSpec) -> int:
+    rw, rh = reduced_dims(spec)
+    return 2 * spec.fov_w * spec.fov_h + rw * rh
+
+
+class TestServerRows:
+    @pytest.mark.parametrize("spec, k", [
+        (DEFAULT_SPEC, 360),
+        (PartitionSpec(600, 270, 128, 90, 0.6), 90),
+        (PartitionSpec(2400, 1080, 768, 540, 0.3), 346),
+        (PartitionSpec(160, 80, 80, 80, 0.25), 43),
+    ], ids=["default", "desk", "fovea", "split"])
+    def test_gated_and_fixture_geometries(self, spec, k):
+        assert server_rows(spec) == k
+        assert server_dims(spec) == f"{spec.fov_w}x{k}"
+
+    @given(spec_strategy())
+    def test_fewest_rows_holding_half_the_rays(self, spec):
+        k = server_rows(spec)
+        total = frame_rays(spec)
+        assert 1 <= k <= spec.fov_h
+        # One row fewer would leave the server less than half of the rays.
+        assert 2 * (2 * spec.fov_w * (k - 1)) < total
+        if k < spec.fov_h:
+            assert 2 * (2 * spec.fov_w * k) >= total
+
+
+class TestFovealRows:
+    def test_a_band_of_the_rect(self):
+        assert foveal_rows(Rect(10, 20, 30, 40), (5, 12)) == Rect(10, 25, 30, 7)
+        assert foveal_rows(Rect(10, 20, 30, 40), (0, 40)) == Rect(10, 20, 30, 40)
+
+    @pytest.mark.parametrize("rows", [(-1, 3), (3, 3), (4, 3), (0, 41)])
+    def test_rows_outside_the_rect_are_refused(self, rows):
+        with pytest.raises(GeometryError, match="not a band of a 40-row fovea"):
+            foveal_rows(Rect(10, 20, 30, 40), rows)

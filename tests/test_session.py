@@ -86,6 +86,25 @@ class TestLoopbackSession:
             assert c.total_ms > 0 and c.network_ms >= 0 and c.decode_ms >= 0
             assert s.draw_ms > 0 and s.encode_ms >= 0
 
+    @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
+                             ids=["raw", "pred-deflate"])
+    def test_split_rows_session_lossless(self, split_spec, scene, rig, codec_id, decoded_dims):
+        """The server ships 43 of the 80 foveal rows and the client draws
+        the rest; the displayed frames are the native composition."""
+        future, port = start_server(rig=rig)
+        sink = CollectSink()
+        path = CameraPath(frame_count=3)
+        client_records = run_client("127.0.0.1", port, split_spec, codec_id, scene,
+                                    rig, path, display=sink)
+        server_records = future.result(timeout=30.0)
+        assert decoded_dims == [(80, 43)] * 6
+        assert len(sink.frames) == 3
+        for k, frame in enumerate(sink.frames):
+            assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
+        assert [c.bytes_received for c in client_records] == [s.bytes_sent for s in server_records]
+        if codec_id == CodecId.RAW:
+            assert [s.bytes_sent for s in server_records] == [2 * 3 * 80 * 43] * 3
+
     def test_client_logs_the_connect_and_the_end(self, tiny_spec, scene, rig, caplog):
         caplog.set_level(logging.INFO, logger="splitfov.client")
         future, port = start_server(rig=rig)
@@ -153,6 +172,11 @@ class TestServerSessionUnit:
     def test_rejects_wrong_version(self, tiny_spec):
         with pytest.raises(ProtocolError, match="version"):
             self.run_session([hello_for(tiny_spec, version=99)])
+
+    def test_rejects_a_protocol_5_hello(self, tiny_spec):
+        # Protocol 5 served whole foveae; this server sends only its rows.
+        with pytest.raises(ProtocolError, match="peer speaks protocol version 5"):
+            self.run_session([hello_for(tiny_spec, version=5)])
 
     def test_rejects_invalid_geometry(self, tiny_spec):
         # a fovea wider than the eye and an odd frame width, both listed
@@ -222,6 +246,27 @@ class TestClientSessionUnit:
                 with pytest.raises(CodecError, match=error):
                     session.run_frame(0, pool)
             assert sink.frames == []
+
+
+    @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
+                             ids=["raw", "pred-deflate"])
+    def test_rejects_subframes_of_any_other_row_count(self, split_spec, scene, rig, codec_id):
+        # The session's subframes carry k = 43 rows; a protocol 5 server
+        # would send all 80. No frame is shown.
+        for rows in (80, 42, 44):
+            img = np.zeros((rows, split_spec.fov_w, 3), dtype=np.uint8)
+            img[::3, ::5] = (200, 30, 90)
+            stream = io.BytesIO(b"".join(
+                write_msg(SubframeMsg(0, int(eye), encode(codec_id, img)))
+                for eye in (Eye.LEFT, Eye.RIGHT)
+            ))
+            sink = CollectSink()
+            session = ClientSession(stream, Collected(), split_spec, codec_id, scene, rig,
+                                    CameraPath(frame_count=1), display=sink)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                with pytest.raises(CodecError):
+                    session.run_frame(0, pool)
+            assert sink.frames == [], rows
 
 
 class TestPoseFromWire:

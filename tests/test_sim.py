@@ -178,6 +178,43 @@ class TestVirtualTimeline:
             assert frame.tobytes() == ref.tobytes()
 
 
+class TestRowSplit:
+    """At `split_spec` the server draws and ships the top 43 of the 80
+    foveal rows and the client draws the other 37; the frames on display
+    are still the native composition."""
+
+    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
+                             ids=["raw", "pred-deflate"])
+    def test_split_frames_are_native(self, run, codec_id, split_spec, scene, rig, decoded_dims):
+        sink = CollectSink()
+        path = CameraPath(frame_count=3)
+        res = run(split_spec, codec_id, scene, rig, path, display=sink)
+        assert decoded_dims == [(80, 43)] * 6
+        assert len(sink.frames) == 3
+        for k, frame in enumerate(sink.frames):
+            assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
+        assert check_lockstep(res.trace, 3) == []
+
+    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    def test_raw_payload_is_the_served_rows(self, run, split_spec, scene, rig):
+        res = run(split_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
+        assert [s.bytes_sent for s in res.server_records] == [2 * 3 * 80 * 43] * 2
+        assert [c.bytes_received for c in res.client_records] == [2 * 3 * 80 * 43] * 2
+
+    def test_virtual_draws_charge_each_side_its_rays(self, split_spec, scene, rig):
+        cost = CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0,
+                         merge=0.0, us_per_ray=1.0)
+        res = run_sim_virtual(split_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
+                              cost=cost)
+        # Server: 2 eyes x 80 x 43 rows. Client: the 40x20 reduced periphery
+        # and 2 eyes x 80 x the other 37 rows.
+        assert [s.draw_ms for s in res.server_records] == [pytest.approx(6.88)] * 2
+        assert [c.draw_ms for c in res.client_records] == [pytest.approx(0.8 + 5.92)] * 2
+        native = run_native_virtual(split_spec, CameraPath(frame_count=1), cost=cost)
+        assert native[0].draw_ms == pytest.approx(6.88 + 0.8 + 5.92)
+
+
 class TestNativeVirtual:
     def test_totals_are_stage_sums(self, tiny_spec):
         cost = CostModel(client_draw=9.0, merge=1.5)
