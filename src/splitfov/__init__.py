@@ -6,8 +6,13 @@ at reduced resolution and the rest of each center at full sampling,
 composites both in lockstep, and profiles every stage of every frame.
 A single-process simulator reproduces the whole pipeline on a virtual
 or wall clock with a pluggable network model.
+
+Importing the package pins the C allocator's mmap and trim thresholds
+for the whole process (see `_alloc`), so freed frame buffers stay in the
+heap for the next frame.
 """
 
+from . import _alloc  # noqa: F401  (first: pins the allocator before any frame buffer)
 from .camera import (
     CameraPath,
     CameraRig,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import codec as codec_mod
 from .camera import CameraPath, CameraRig
 from .client import DisplaySink, PpmSink, null_sink, run_client, run_native
-from .metrics import render_profile, run_report, write_csv
+from .metrics import process_usage, render_profile, run_report, usage_line, write_csv
 from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec, server_dims
 from .render import SceneConfig, SceneId
 from .server import run_server
@@ -122,28 +122,37 @@ def _write_csv(path: Optional[str], records) -> None:
         write_csv(records, path)
 
 
+# The server, client and native summaries end with the process's page
+# faults and kernel CPU per frame (`metrics.usage_line`).
+
 def _run_server_mode(args: argparse.Namespace) -> str:
+    before = process_usage()
     records = run_server(
         args.host, args.port, _RIG,
         ready=lambda port: print(f"listening on {args.host}:{port}", flush=True),
     )
-    _write_csv(args.server_csv, records)
     if not records:
         return "server: session ended before any frame completed"
-    return render_profile(server_records=records)
+    usage = usage_line(before, len(records))
+    _write_csv(args.server_csv, records)
+    return f"{render_profile(server_records=records)}\n{usage}"
 
 
 def _run_client_mode(args: argparse.Namespace) -> str:
+    before = process_usage()
     records = run_client(args.host, args.port, args.spec, args.codec, args.scene, _RIG,
                          args.path, display=_display(args))
+    usage = usage_line(before, len(records))
     _write_csv(args.client_csv, records)
-    return render_profile(records, dims=server_dims(args.spec), title="Split client")
+    return f"{render_profile(records, dims=server_dims(args.spec), title='Split client')}\n{usage}"
 
 
 def _run_native_mode(args: argparse.Namespace) -> str:
+    before = process_usage()
     records = run_native(args.spec, args.scene, _RIG, args.path, display=_display(args))
+    usage = usage_line(before, len(records))
     _write_csv(args.client_csv, records)
-    return render_profile(records, title="Native baseline")
+    return f"{render_profile(records, title='Native baseline')}\n{usage}"
 
 
 def _run_sim_mode(args: argparse.Namespace) -> str:

@@ -15,6 +15,11 @@ from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .client import ClientFrameRecord
 from .server import ServerFrameTiming
 
@@ -118,6 +123,26 @@ def render_profile(client_records: Sequence[ClientFrameRecord] = (),
                           [dims or "-", _fmt(med["draw_ms"]), _fmt(med["encode_ms"])])
         lines += _other_stages(med, ("draw_ms", "encode_ms"))
     return "\n".join(lines)
+
+
+def process_usage() -> Optional[tuple[int, float]]:
+    """This process's minor page faults and kernel CPU ms so far (all of
+    its threads), or None where `resource` is missing."""
+    if resource is None:
+        return None
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_minflt, ru.ru_stime * 1000.0
+
+
+def usage_line(before: Optional[tuple[int, float]], frames: int) -> str:
+    """The minor faults and kernel CPU ms per frame over `frames` frames
+    since `process_usage()` returned `before`; `-` without `resource`."""
+    faults = kernel = "-"
+    if before is not None:
+        after = process_usage()
+        faults = f"{(after[0] - before[0]) / frames:.0f}"
+        kernel = f"{(after[1] - before[1]) / frames:.2f}"
+    return f"  process: {faults} minor faults/frame, {kernel} ms kernel CPU/frame"
 
 
 def write_csv(records: Sequence, path: str) -> None:

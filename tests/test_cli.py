@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from splitfov import client
+from splitfov import cli, client, metrics
 from splitfov.camera import CameraPath, CameraRig
 from splitfov.cli import build_parser, main, parse_cli
 from splitfov.codec import CodecId
@@ -329,6 +329,48 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("Split client (sim) (2 frames, all times median ms)\n")
+
+
+USAGE_LINE = re.compile(r"  process: \d+ minor faults/frame, \d+\.\d\d ms kernel CPU/frame")
+
+
+class TestProcessUsage:
+    """The server, client and native summaries end with the process's minor
+    faults and kernel CPU ms per frame over the run."""
+
+    def test_native(self, capsys):
+        assert main(["native", *TINY, "--frames", "2"]) == 0
+        assert USAGE_LINE.fullmatch(capsys.readouterr().out.splitlines()[-1])
+
+    def test_without_resource(self, monkeypatch, capsys):
+        monkeypatch.setattr(metrics, "resource", None)
+        assert main(["native", *TINY, "--frames", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "  process: - minor faults/frame, - ms kernel CPU/frame")
+
+    def test_server_and_client(self, monkeypatch):
+        listening = threading.Event()
+        bound, texts = {}, {}
+
+        def spied_run_server(*args, ready, **kwargs):
+            def on_ready(port):
+                bound["port"] = port
+                listening.set()
+                ready(port)
+            return run_server(*args, ready=on_ready, **kwargs)
+
+        monkeypatch.setattr(cli, "run_server", spied_run_server)
+        server_args = parse_cli(["server", "--port", "0"])
+        worker = threading.Thread(
+            target=lambda: texts.setdefault("server", server_args.run(server_args)), daemon=True)
+        worker.start()
+        assert listening.wait(timeout=10.0)
+        client_args = parse_cli(["client", "--port", str(bound["port"]), *TINY, "--frames", "2"])
+        texts["client"] = client_args.run(client_args)
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        for mode in ("server", "client"):
+            assert USAGE_LINE.fullmatch(texts[mode].splitlines()[-1]), mode
 
 
 DESK_RAW = ["--size", "600x270", "--fovea", "128x90", "--frames", "6", "--codec", "raw"]

@@ -1,0 +1,91 @@
+"""Freed frame buffers stay in the heap: a frame loop takes no page faults
+once warm, on the server's part of a frame and on a native frame."""
+
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from splitfov import _alloc
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run in a fresh interpreter, so the allocator's history is this loop's
+# alone. It prints the minor faults per timed frame of the server's part
+# (its rows of both foveae, then a PRED_DEFLATE encode of each eye) and
+# of a native frame, at the fovea_tcp geometry. The timed frames replay
+# the warm-up poses: a frame whose buffers the heap has held before must
+# not fault, while a new pose may still raise the heap's high-water mark
+# once.
+CHILD = """
+import resource
+from splitfov import CameraPath, CameraRig, CodecId, PartitionSpec, SceneConfig
+from splitfov import encode, ffr_frame, pose_at, server_rows
+from splitfov.server import draw_foveae
+
+POSES = range(4)
+spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
+scene, rig, path = SceneConfig(), CameraRig(), CameraPath()
+rows = (0, server_rows(spec))
+
+def server_part(n):
+    for img in draw_foveae(scene, rig, pose_at(path, n), spec, rows).values():
+        encode(CodecId.PRED_DEFLATE, img)
+
+def native(n):
+    ffr_frame(scene, rig, pose_at(path, n), spec)
+
+for part in (server_part, native):
+    for n in POSES:
+        part(n)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for n in POSES:
+        part(n)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(POSES))
+"""
+
+# Under glibc's sliding thresholds a warm frame took about 2,200 (server
+# part) and 4,200 (native) faults; with the thresholds pinned, 0.
+MAX_FAULTS_PER_FRAME = 64
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+def test_warm_frames_take_no_page_faults():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    server_part, native = (float(v) for v in proc.stdout.split())
+    assert server_part < MAX_FAULTS_PER_FRAME
+    assert native < MAX_FAULTS_PER_FRAME
+
+
+class FakeMallopt:
+    """Records its calls; takes `argtypes` and `restype` like a ctypes function."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class FakeLibc:
+    def __init__(self):
+        self.mallopt = FakeMallopt()
+
+
+class TestPin:
+    def test_sets_each_threshold_once(self):
+        libc = FakeLibc()
+        _alloc.pin(libc)
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at 1 GiB
+        assert sorted(libc.mallopt.calls) == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_a_libc_without_mallopt_is_left_alone(self):
+        _alloc.pin(object())
+        _alloc.pin(None)
