@@ -107,10 +107,16 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
     xs = (np.arange(W) * rw) // W
     ys = (np.arange(H) * rh) // H
     # Columns then rows: two 1-D gathers are far cheaper than one 2-D
-    # gather, the pixel-by-pixel column gather runs on the rh reduced rows
-    # only, and the row gather then copies whole contiguous rows. `take`
-    # returns a fresh C-contiguous array.
-    return np.take(np.take(reduced, xs, axis=1), ys, axis=0)
+    # gather. The pixel-by-pixel column gather runs once per run of equal
+    # reduced rows (the sky is whole rows of one colour), and the row
+    # gather then copies whole contiguous rows, mapping each output row to
+    # its run's expanded row. `take` returns a fresh C-contiguous array.
+    flat = reduced.reshape(rh, -1)
+    starts = np.ones(rh, dtype=bool)
+    starts[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    run = np.cumsum(starts) - 1
+    expanded = np.take(reduced[starts], xs, axis=1)
+    return np.take(expanded, run[ys], axis=0)
 
 
 def merge(

@@ -90,6 +90,13 @@ def _lambert(lam):
     return _AMBIENT + (np.float32(1.0) - _AMBIENT) * lam
 
 
+_BACKGROUND_PIXEL = np.array(BACKGROUND, dtype=np.uint8)
+# The floor has one normal (+y), so it shades to exactly two colours; each
+# pixel picks background, light or dark checker from this palette.
+_FLOOR_PALETTE = np.vstack([_BACKGROUND_PIXEL,
+                            quantize(np.stack([_CHECKER_LIGHT, _CHECKER_DARK]) * _lambert(_LIGHT_DIR[1]))])
+
+
 def _lit_normal_term(t, d, o, c, inv_r, light):
     """One axis's term of n . l: (o + t * d - c) * inv_r * light, in float32
     and in that order, in one buffer."""
@@ -119,9 +126,10 @@ def _shade_grid(
     bit-compatible.
     """
     h, w = len(fy), len(fx)
-    background = np.array(BACKGROUND, dtype=np.uint8)
     if scene.scene_id == SceneId.EMPTY:
-        return np.broadcast_to(background, (h, w, 3)).copy()
+        frame = np.empty((h, w, 3), dtype=np.uint8)
+        _fill_background(frame)
+        return frame
 
     ew, eh = float(eye_dims[0]), float(eye_dims[1])
     tan_h = np.float32(math.tan(math.radians(rig.horizontal_fov) / 2.0))
@@ -133,18 +141,26 @@ def _shade_grid(
     dir_y_col = ndc_y * tan_v  # (h,)
 
     rot = quat_to_matrix(pose.orientation)
+    o = eye_origin(pose, rig, eye)
+    near = np.float32(rig.near)
+
+    # Each sphere's screen box and the floor's rows bound every ray that can
+    # hit anything, so the rows outside their hull are all background and
+    # everything below runs on the hull's rows only, in its own row frame.
+    ocs = [(o[0] - c[0], o[1] - c[1], o[2] - c[2]) for c in _SPHERE_CENTERS]
+    bounds = [_sphere_bound(rot, oc, r, dir_x_row, dir_y_col) for oc, r in zip(ocs, _SPHERE_RADII)]
+    rows = _hull([_floor_rows(rot, _PLANE_Y - o[1], near, dir_x_row, dir_y_col)]
+                 + [b[0] for b in bounds if b is not None])
+
     # World-space direction d = R @ (dx, dy, -1); broadcast rows x cols.
     dx = dir_x_row[None, :]
-    dy = dir_y_col[:, None]
+    dy = dir_y_col[rows, None]
     d0 = rot[0, 0] * dx + rot[0, 1] * dy
     d0 -= rot[0, 2]
     d1 = rot[1, 0] * dx + rot[1, 1] * dy
     d1 -= rot[1, 2]
     d2 = rot[2, 0] * dx + rot[2, 1] * dy
     d2 -= rot[2, 2]
-
-    o = eye_origin(pose, rig, eye)
-    near = np.float32(rig.near)
 
     # Ground plane y = _PLANE_Y. kind: 0 miss, 1 plane, 2+i sphere i.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,18 +171,17 @@ def _shade_grid(
     kind = hit.view(np.uint8)
 
     # Spheres, in fixed order (ties broken by order for determinism). Only
-    # rays with disc >= 0 can hit. `_sphere_bound` boxes them analytically,
-    # the disc runs inside that box, and the root, the divides and the update
-    # run on the bounding box of its disc >= 0 rays; `boxes[i]` keeps that
-    # box for shading.
+    # rays with disc >= 0 can hit. The disc runs inside the sphere's bound,
+    # and the root, the divides and the update run on the bounding box of its
+    # disc >= 0 rays; `boxes[i]` keeps that box, in the hull's rows, for
+    # shading.
     boxes = []
-    for i in range(len(_SPHERE_RADII)):
-        c = _SPHERE_CENTERS[i]
+    for i, box in enumerate(bounds):
         r = _SPHERE_RADII[i]
-        ocx, ocy, ocz = o[0] - c[0], o[1] - c[1], o[2] - c[2]
-        box = _sphere_bound(rot, (ocx, ocy, ocz), r, dir_x_row, dir_y_col)
+        ocx, ocy, ocz = ocs[i]
         if box is not None:
-            e0, e1, e2 = d0[box], d1[box], d2[box]
+            local = _rows_from(box, rows.start)
+            e0, e1, e2 = d0[local], d1[local], d2[local]
             a = e0 * e0
             a += e1 * e1
             a += e2 * e2
@@ -177,7 +192,7 @@ def _shade_grid(
             disc = half_b * half_b
             disc -= a * cc
             inner = _nonneg_box(disc)
-            box = None if inner is None else _offset(box, inner)
+            box = None if inner is None else _rows_from(_offset(box, inner), rows.start)
         boxes.append(box)
         if box is None:
             continue
@@ -197,11 +212,7 @@ def _shade_grid(
         np.copyto(tb, t2, where=hit)
         np.copyto(kind[box], np.uint8(2 + i), where=hit)
 
-    # The floor has one normal, so it shades to exactly two colours; each
-    # pixel picks background, light or dark checker from a palette.
-    shade = _lambert(_LIGHT_DIR[1])  # plane normal is +y
-    palette = np.stack([background, quantize(_CHECKER_LIGHT * shade),
-                        quantize(_CHECKER_DARK * shade)])
+    # Each pixel's `_FLOOR_PALETTE` index: 0 miss, 1 light, 2 dark checker.
     with np.errstate(invalid="ignore"):  # inf * 0 on missed rays
         cell = t_best * d0
         cell += o[0]
@@ -216,10 +227,15 @@ def _shade_grid(
         half *= np.float32(2.0)
         dark = (half != cell).view(np.uint8)
     del cell, pz, half  # two grids freed before the frame and the sphere shading
-    idx = (kind == 1).view(np.uint8)  # palette index: 0 miss, 1 light, 2 dark
+    idx = (kind == 1).view(np.uint8)
     dark &= idx
     idx += dark
-    frame = np.take(palette, idx, axis=0)
+    frame = np.empty((h, w, 3), dtype=np.uint8)
+    _fill_background(frame[: rows.start])
+    _fill_background(frame[rows.stop :])
+    # Gathered straight into the hull's rows; every index is in range, so
+    # "clip" changes none, and unlike "raise" it writes `out` unbuffered.
+    content = np.take(_FLOOR_PALETTE, idx, axis=0, out=frame[rows], mode="clip")
 
     # Each sphere shades its whole box, then pastes by mask: the box's plane
     # and missed rays are shaded too and dropped, which costs less than
@@ -241,8 +257,29 @@ def _shade_grid(
             ndotl += _lit_normal_term(t, d2[box], o[2], c[2], inv_r, _LIGHT_DIR[2])
             shade = _lambert(np.maximum(ndotl, np.float32(0.0), out=ndotl))
             for ch, albedo in enumerate(_SPHERE_ALBEDOS[i]):
-                np.copyto(frame[box][:, :, ch], quantize(albedo * shade), where=m)
+                np.copyto(content[box][:, :, ch], quantize(albedo * shade), where=m)
     return frame
+
+
+def _fill_background(rows: np.ndarray) -> None:
+    """Fills the (n, w, 3) `rows` with the background colour. Assigning one
+    tiled row copies whole rows; assigning the (3,) colour would loop per
+    pixel, about 30 times slower."""
+    rows[:] = np.tile(_BACKGROUND_PIXEL, (rows.shape[1], 1))
+
+
+def _hull(spans: list[slice | None]) -> slice:
+    """The smallest slice holding every non-None slice; empty if there is none."""
+    spans = [s for s in spans if s is not None]
+    if not spans:
+        return slice(0, 0)
+    return slice(min(s.start for s in spans), max(s.stop for s in spans))
+
+
+def _rows_from(box: tuple[slice, slice], r0: int) -> tuple[slice, slice]:
+    """`box` with its rows counted from row `r0`."""
+    rows, cols = box
+    return slice(rows.start - r0, rows.stop - r0), cols
 
 
 def _nonneg_box(disc: np.ndarray) -> tuple[slice, slice] | None:
@@ -321,6 +358,50 @@ def _sphere_bound(
     if c0 >= c1 or r0 >= r1:
         return None
     return slice(r0, r1), slice(c0, c1)
+
+
+# The floor bound. A ray meets the floor at float32 t = c / d1, where
+# c = _PLANE_Y - o_y and d1 = r10 x + r11 y - r12, and hits it when
+# near <= t <= _FAR. As near > 0, that needs d1 of c's sign (c = 0 never
+# hits) and |d1| >= |c| / _FAR, up to rounding: the float32 quotient is over
+# _FAR once the exact one is over _FAR * (1 + 2**-24), and the float32 d1 (two
+# products, a sum and a difference) is within 3 * 2**-24 * (|r10 x| + |r11 y|
+# + |r12|) of the exact one. A slack of 2**-20 times both terms covers both
+# with a margin of 4x, at any fov. The exact d1 is linear in x, so a row's
+# extremes lie at its end columns. The pad covers the float64 arithmetic of
+# the bound, as for the spheres.
+_FLOOR_SLACK = 2.0**-20
+
+
+def _floor_rows(
+    rot: np.ndarray,
+    c: np.float32,
+    near: np.float32,
+    dir_x_row: np.ndarray,
+    dir_y_col: np.ndarray,
+) -> slice | None:
+    """A conservative range of the rows holding every ray whose float32
+    plane t, `c / d1`, lies in [near, _FAR]. None: no row holds one."""
+    h = len(dir_y_col)
+    if not near > 0:  # a rig nearer than float32 can carry: t = 0 would hit
+        return slice(0, h)
+    c = float(c)
+    if c == 0.0:
+        return None
+    r10, r11, r12 = rot[1].astype(np.float64).tolist()
+    y = dir_y_col.astype(np.float64)
+    ends = np.array([dir_x_row[0], dir_x_row[-1]], dtype=np.float64)
+    d1 = r10 * ends[:, None] + r11 * y - r12  # (2, h): each row's end columns
+    edge = c / float(_FAR)
+    slack = _FLOOR_SLACK * (abs(r10) * np.abs(ends).max() + np.abs(r11 * y) + abs(r12) + abs(edge))
+    if c < 0:
+        can = d1.min(axis=0) <= edge + slack
+    else:
+        can = d1.max(axis=0) >= edge - slack
+    hits = np.flatnonzero(can)
+    if len(hits) == 0:
+        return None
+    return slice(max(int(hits[0]) - _BOUND_PAD, 0), min(int(hits[-1]) + 1 + _BOUND_PAD, h))
 
 
 def _nonneg_interval(a: float, half_b: float, c: float) -> tuple[float, float] | None:

@@ -75,6 +75,49 @@ class TestUpsample:
         assert out.shape == want.shape and out.tobytes() == want.tobytes()
         assert out.flags.c_contiguous and out.flags.owndata
 
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(st.integers(0, 3), min_size=1, max_size=30), rw=st.integers(1, 20),
+           grow=st.tuples(st.integers(0, 30), st.integers(0, 60)))
+    @example(runs=[0], rw=1, grow=(0, 0))  # one pixel
+    @example(runs=[2], rw=9, grow=(7, 0))  # one row
+    @example(runs=[0] * 12, rw=16, grow=(20, 30))  # constant
+    @example(runs=[0, 1, 0, 1], rw=5, grow=(3, 9))  # rows a byte apart
+    def test_runs_of_equal_rows_equal_the_definitional_gather(self, runs, rw, grow):
+        """Images made of runs of equal rows, among them one-row and
+        constant images: row 1 differs from row 0 in its last byte only."""
+        rng = np.random.default_rng(rw * 31 + len(runs))
+        rows = rng.integers(0, 256, size=(4, rw, 3), dtype=np.uint8)
+        rows[1] = rows[0]
+        rows[1, -1, -1] ^= 1
+        rows[3] = rows[2, 0]
+        reduced = rows[runs]
+        rh = len(runs)
+        W, H = rw + grow[0], rh + grow[1]
+        out = upsample_nearest(reduced, (W, H))
+        xs = (np.arange(W) * rw) // W
+        ys = (np.arange(H) * rh) // H
+        want = np.take(np.take(reduced, xs, axis=1), ys, axis=0)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+    def test_expands_each_run_of_equal_rows_once(self, monkeypatch):
+        """The column gather, pixel by pixel, runs on one row per run of
+        equal reduced rows: five runs here, over ten rows."""
+        reduced = rgb(1, 2, 3, 6, 10)
+        reduced[3:5] = (4, 5, 6)
+        reduced[6:] = (7, 8, 9)
+        reduced[7:, 2] = (0, 0, 0)
+        gathered = []
+
+        def recorded(a, indices, axis=None, _inner=np.take, **kwargs):
+            if axis == 1:
+                gathered.append(a.shape[0])
+            return _inner(a, indices, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np, "take", recorded)
+        out = upsample_nearest(reduced, (12, 20))
+        assert gathered == [5]
+        assert np.array_equal(out, reduced.repeat(2, axis=0).repeat(2, axis=1))
+
     def test_rejects_upside_down_scaling(self):
         with pytest.raises(GeometryError):
             upsample_nearest(rgb(0, 0, 0, 8, 8), (4, 4))

@@ -9,8 +9,10 @@ from splitfov import render
 from splitfov.camera import CameraPath, CameraRig, Pose, normalize_quat, pose_at, quat_to_matrix
 from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
-from splitfov.partition import Eye, PartitionSpec, foveal_rect
+from splitfov.partition import Eye, PartitionSpec, foveal_rect, reduced_dims
 from splitfov.render import (
+    _FAR,
+    _PLANE_Y,
     _SPHERE_CENTERS,
     _SPHERE_RADII,
     BACKGROUND,
@@ -20,6 +22,7 @@ from splitfov.render import (
     render_region,
     render_scaled,
     render_stereo,
+    _floor_rows,
     _sphere_bound,
 )
 
@@ -197,6 +200,13 @@ BOUND_GRIDS = [
 ]
 
 
+def _plane_d1(rot, dir_x_row, dir_y_col):
+    """Every ray's float32 world y direction, by the renderer's formula."""
+    d1 = rot[1, 0] * dir_x_row[None, :] + rot[1, 1] * dir_y_col[:, None]
+    d1 -= rot[1, 2]
+    return d1
+
+
 def _disc(rot, oc, r, dir_x_row, dir_y_col):
     """Every ray's float32 disc against one sphere, by the renderer's formula."""
     dx = dir_x_row[None, :]
@@ -290,3 +300,98 @@ class TestSphereBound:
         assert len(coverage) == 2 * 15 * 4 * len(_SPHERE_RADII)
         assert max(coverage) < 0.1
         assert sum(c > 0 for c in coverage) > len(coverage) // 2
+
+
+@st.composite
+def floor_cases(draw):
+    """Any orientation, a grid on a 90 or a 170 degree rig, and an eye far
+    above or below the floor, within 1e-6 of it, or placed so that one
+    pixel centre's ray meets the floor at about _FAR."""
+    rig = draw(st.sampled_from([CameraRig(), CameraRig(horizontal_fov=170.0)]))
+    dims, fx, fy = draw(st.sampled_from(BOUND_GRIDS))
+    dir_x_row, dir_y_col = _plane_coords(dims, fx, fy, rig)
+    rot = quat_to_matrix(draw(quaternions))
+    place = draw(st.sampled_from(["above", "below", "on", "grazing"]))
+    if place == "grazing":
+        # A row's floor rays start at one of its end columns, so an end
+        # pixel put a few ulps either side of t = _FAR tests the bound's
+        # slack on the row where the floor starts.
+        row = draw(st.integers(0, len(fy) - 1))
+        col = draw(st.sampled_from([0, len(fx) - 1]))
+        d1 = float(_plane_d1(rot, dir_x_row, dir_y_col)[row, col])
+        o_y = float(_PLANE_Y) - d1 * float(_FAR) * (1.0 + draw(st.integers(-16, 16)) * 2.0**-24)
+    else:
+        lo, hi = {"above": (1e-3, 100.0), "below": (-100.0, -1e-3), "on": (-1e-6, 1e-6)}[place]
+        o_y = float(_PLANE_Y) + draw(st.floats(lo, hi))
+    c = _PLANE_Y - np.float32(o_y)
+    return rot, c, np.float32(rig.near), dir_x_row, dir_y_col
+
+
+class TestFloorBound:
+    """`_floor_rows` may only ever widen the floor test: every ray whose
+    float32 plane t lies in [near, _FAR] must lie in its rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=floor_cases())
+    def test_rows_hold_every_floor_hit(self, case):
+        rot, c, near, dir_x_row, dir_y_col = case
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = c / _plane_d1(rot, dir_x_row, dir_y_col)
+        hit = (t >= near) & (t <= _FAR)
+        rows = _floor_rows(*case)
+        if rows is not None:
+            hit[rows] = False
+        assert not hit.any()
+
+    def test_gated_orbit_rows_are_tight(self, monkeypatch):
+        """On orbit poses of both gated geometries, the rows each grid
+        shades reach at most the pad beyond its first and last rows that
+        show anything but the background, and each periphery half skips
+        at least a fifth of its rows: the sky is filled, not shaded."""
+        grids = []
+
+        def hull(spans, _inner=render._hull):
+            grids.append([_inner(spans)])
+            return grids[-1][0]
+
+        def shade(*args, _inner=render._shade_grid):
+            img = _inner(*args)  # calls `hull` once
+            grids[-1].append(img)
+            return img
+
+        monkeypatch.setattr(render, "_hull", hull)
+        monkeypatch.setattr(render, "_shade_grid", shade)
+        scene, rig = SceneConfig(), CameraRig()
+        background = np.array(BACKGROUND, dtype=np.uint8)
+        corners = [(2.95, 1.15), (3.05, 1.25), (2.95, 1.25), (3.05, 1.15)]
+        poses = [pose_at(CameraPath(radius=rad, height=hgt, frame_count=15), k)
+                 for k in range(15) for rad, hgt in [corners[k % 4]]]
+        for spec in (PartitionSpec(2400, 1080, 512, 360, 0.6), PartitionSpec(2400, 1080, 768, 540, 0.3)):
+            for pose in poses:
+                grids.clear()
+                draw_foveae(scene, rig, pose, spec)
+                render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale)
+                assert [img.shape[0] for _, img in grids] == [spec.fov_h] * 2 + [reduced_dims(spec)[1]] * 2
+                for rows, img in grids:
+                    shown = np.flatnonzero((img != background).any(axis=(1, 2)))
+                    assert 0 <= shown[0] - rows.start <= render._BOUND_PAD
+                    assert 0 <= rows.stop - (shown[-1] + 1) <= render._BOUND_PAD
+                for rows, img in grids[2:]:
+                    assert rows.stop - rows.start <= 0.8 * img.shape[0]
+
+    def test_a_view_of_the_sky_shades_no_row(self, monkeypatch):
+        """A view straight up: no ray meets the floor within _FAR, so with
+        no sphere box either (as if no sphere's box held a ray) no row is
+        shaded and each eye's grid is all background."""
+        hulls = []
+
+        def hull(spans, _inner=render._hull):
+            hulls.append(_inner(spans))
+            return hulls[-1]
+
+        monkeypatch.setattr(render, "_hull", hull)
+        monkeypatch.setattr(render, "_sphere_bound", lambda *args: None)
+        up = Pose((3.0, 2.0, 3.0), (math.sin(math.pi / 4), 0.0, 0.0, math.cos(math.pi / 4)))
+        img = render_stereo(SceneConfig(), CameraRig(), up, (40, 30))
+        assert [(rows.start, rows.stop) for rows in hulls] == [(0, 0), (0, 0)]
+        assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
