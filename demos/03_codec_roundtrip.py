@@ -3,11 +3,15 @@ Lossless subframe compression
 =============================
 
 The foveal subframes cross the link losslessly. The default codec runs a
-left-neighbor prediction filter per channel and deflates two parts: a
-bitmap of the pixels the prediction missed and the residuals of just those
-pixels. Rendered content compresses well because most of its pixels equal
-their left neighbor, so DEFLATE never sees their zero residuals.
+left-neighbor prediction filter per channel and deflates three parts: a
+bitmap of the pixels the prediction missed, one symbol byte per missed
+pixel, and the 3 residual bytes of each missed pixel whose symbol is the
+escape. Rendered content compresses well because most of its pixels equal
+their left neighbor, so DEFLATE never sees their zero residuals, and most
+of the rest differ from it by at most 2 per channel, which one symbol codes.
 """
+
+import zlib
 
 import numpy as np
 
@@ -26,7 +30,7 @@ print("RAW bytes:         ", len(raw))
 print("PRED_DEFLATE bytes:", len(packed))
 
 #%%
-# On this rendered fovea the payload is about 8x smaller than RAW. Noise, by
+# On this rendered fovea the payload is about 10x smaller than RAW. Noise, by
 # contrast, has no structure to predict: nearly every pixel is in the bitmap,
 # which deflates to almost nothing, and the payload stays near 1x.
 scene, rig = SceneConfig(), CameraRig()
@@ -38,6 +42,20 @@ for name, img in (("rendered fovea", fovea), ("uniform noise", noise)):
     plain = len(encode(CodecId.RAW, img))
     packed = len(encode(CodecId.PRED_DEFLATE, img))
     print(f"{name}: {plain} -> {packed} bytes ({plain / packed:.2f}x)")
+
+#%%
+# Where the bytes go: inflate each payload and split its body into the
+# bitmap (one bit per pixel), the symbols (one byte per set bit; 126 is the
+# escape) and the escaped pixels' residual triples. The rendered fovea's
+# symbols are mostly one-byte codes; noise escapes nearly every pixel.
+for name, img in (("rendered fovea", fovea), ("uniform noise", noise)):
+    payload = encode(CodecId.PRED_DEFLATE, img)
+    body = zlib.decompress(payload, -zlib.MAX_WBITS)
+    bitmap_len = -(-img.shape[0] * img.shape[1] // 8)
+    n_symbols = int(np.unpackbits(np.frombuffer(body[:bitmap_len], dtype=np.uint8)).sum())
+    n_escapes = body[bitmap_len : bitmap_len + n_symbols].count(126)
+    print(f"{name}: bitmap {bitmap_len} bytes, {n_symbols} symbols, "
+          f"{n_escapes / max(n_symbols, 1):.1%} escaped, deflated to {len(payload)} bytes")
 
 #%%
 # Round trips are exact. Not close: exact.

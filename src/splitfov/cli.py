@@ -127,15 +127,17 @@ def _write_csv(path: Optional[str], records) -> None:
 
 def _run_server_mode(args: argparse.Namespace) -> str:
     before = process_usage()
+    specs: list[PartitionSpec] = []
     records = run_server(
         args.host, args.port, _RIG,
         ready=lambda port: print(f"listening on {args.host}:{port}", flush=True),
+        on_hello=specs.append,
     )
     if not records:
         return "server: session ended before any frame completed"
     usage = usage_line(before, len(records))
     _write_csv(args.server_csv, records)
-    return f"{render_profile(server_records=records)}\n{usage}"
+    return f"{render_profile(server_records=records, dims=server_dims(specs[0]))}\n{usage}"
 
 
 def _run_client_mode(args: argparse.Namespace) -> str:

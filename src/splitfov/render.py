@@ -415,7 +415,13 @@ def _nonneg_interval(a: float, half_b: float, c: float) -> tuple[float, float] |
 
 def _padded_range(coords: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
     """The index range of the ascending `coords` in [lo, hi], widened by
-    the pad and clipped to the array. The compare is in float64."""
+    the pad and clipped to the array; empty when [lo, hi] lies more than
+    the pad beyond either end, where the pad is taken in coordinates, as
+    that many of the grid's mean spacings. The compares are in float64."""
+    first, last = float(coords[0]), float(coords[-1])
+    reach = _BOUND_PAD * (last - first) / (len(coords) - 1) if len(coords) > 1 else math.inf
+    if hi < first - reach or lo > last + reach:
+        return 0, 0
     i0 = int(np.searchsorted(coords, np.float64(lo), side="left")) - _BOUND_PAD
     i1 = int(np.searchsorted(coords, np.float64(hi), side="right")) + _BOUND_PAD
     return max(i0, 0), min(i1, len(coords))

@@ -150,10 +150,13 @@ class ServerSession:
             self.stopwatch.mark(SEND, f"subframe{int(eye)}", frame_id)
             self.writer(write_msg(SubframeMsg(frame_id, int(eye), payload)))
 
-    def run(self) -> list[ServerFrameTiming]:
+    def run(self, on_hello: Optional[Callable[[PartitionSpec], None]] = None) -> list[ServerFrameTiming]:
         """Handshake, then lockstep frame loop until the client's EndMsg or
-        EOF. Partial records survive a disconnect."""
+        EOF. Partial records survive a disconnect. `on_hello` is called
+        with the hello's partition once the hello is accepted."""
         self.handshake()
+        if on_hello is not None:
+            on_hello(self.spec)
         for frame_id in itertools.count():
             msg = read_msg(self.reader)
             if msg is None:
@@ -178,12 +181,14 @@ def run_server(
     rig: CameraRig,
     trace: Optional[Trace] = None,
     ready: Optional[Callable[[int], None]] = None,
+    on_hello: Optional[Callable[[PartitionSpec], None]] = None,
 ) -> list[ServerFrameTiming]:
     """Listens for one client, serves the whole session, returns its timings.
 
     `ready` is called with the bound port once listening (useful with
-    port 0). A client disconnect mid-session is reported and the partial
-    records are returned; a client silent for IO_TIMEOUT_S raises
+    port 0), and `on_hello` with the session's partition once the client's
+    hello is accepted. A client disconnect mid-session is reported and the
+    partial records are returned; a client silent for IO_TIMEOUT_S raises
     TimeoutError.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
@@ -200,7 +205,7 @@ def run_server(
             reader = conn.makefile("rb")
             session = ServerSession(reader, conn.sendall, rig, trace=trace)
             try:
-                return session.run()
+                return session.run(on_hello)
             except (ConnectionClosedError, ConnectionError) as e:
                 logger.warning("client disconnected: %s", e)
                 return session.records

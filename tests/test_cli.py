@@ -17,7 +17,7 @@ from splitfov import cli, client, metrics
 from splitfov.camera import CameraPath, CameraRig
 from splitfov.cli import build_parser, main, parse_cli
 from splitfov.codec import CodecId
-from splitfov.render import SceneId
+from splitfov.render import SceneConfig, SceneId
 from splitfov.server import run_server
 from splitfov.sim import CostModel, NetModel
 from splitfov.wire import SubframeMsg, read_msg, write_msg
@@ -317,6 +317,30 @@ class TestServerDims:
         assert main(["client", "--port", str(bound["port"]), *SPLIT, "--frames", "2"]) == 0
         worker.join(timeout=30.0)
         assert not worker.is_alive()
+        assert server_dims_cells(capsys.readouterr().out) == ["80x43"]
+
+    def test_server(self, capsys, monkeypatch):
+        # The server learns the geometry from the hello alone.
+        listening = threading.Event()
+        bound, codes = {}, []
+        serve = cli.run_server
+
+        def spied(*args, ready, **kwargs):
+            def tell(port):
+                bound["port"] = port
+                ready(port)
+                listening.set()
+            return serve(*args, ready=tell, **kwargs)
+
+        monkeypatch.setattr(cli, "run_server", spied)
+        worker = threading.Thread(target=lambda: codes.append(main(["server", "--port", "0"])),
+                                  daemon=True)
+        worker.start()
+        assert listening.wait(timeout=10.0)
+        client.run_client("127.0.0.1", bound["port"], parse_cli(["client", *SPLIT]).spec,
+                           CodecId.PRED_DEFLATE, SceneConfig(), CameraRig(), CameraPath(frame_count=2))
+        worker.join(timeout=30.0)
+        assert codes == [0]
         assert server_dims_cells(capsys.readouterr().out) == ["80x43"]
 
 

@@ -28,13 +28,41 @@ def deflate(body: bytes, level: int = 9) -> bytes:
     return compressor.compress(body) + compressor.flush()
 
 
+def deflate_parts(parts: list[bytes]) -> list[bytes]:
+    """The prefixes of one level-5 raw DEFLATE stream of `parts` that end
+    each part: a Z_BLOCK flush after each part but the last, then the end."""
+    compressor = zlib.compressobj(5, zlib.DEFLATED, -zlib.MAX_WBITS)
+    stream, prefixes = b"", []
+    for i, part in enumerate(parts):
+        stream += compressor.compress(part)
+        stream += compressor.flush(zlib.Z_BLOCK if i < len(parts) - 1 else zlib.Z_FINISH)
+        prefixes.append(stream)
+    return prefixes
+
+
+def definitional_body(img: np.ndarray) -> tuple[bytes, bytes, bytes]:
+    """The three parts of `img`'s PRED_DEFLATE body, by the format's
+    definition: the bitmap, then per missed pixel 1 + 25(r+2) + 5(g+2) +
+    (b+2) for int8 residuals in [-2, 2] or 126, then the escapes' bytes."""
+    res = _predict_residuals(img).reshape(-1, 3)
+    missed = res[res.any(axis=1)]
+    signed = missed.view(np.int8).astype(np.int64)
+    fits = (np.abs(signed) <= 2).all(axis=1)
+    symbols = np.where(fits, 1 + (signed + 2) @ np.array([25, 5, 1]), 126)
+    return (np.packbits(res.any(axis=1)).tobytes(), symbols.astype(np.uint8).tobytes(),
+            missed[~fits].tobytes())
+
+
 # A 3x2 image whose predictor misses only pixels 0 and 2 (row-major): the
 # top-left is predicted from zero, pixel 2 differs from its left neighbour by
 # (1, 0, 0), and row 1 repeats row 0 (its first column is predicted from above).
 TINY = np.array([[[10, 20, 30], [10, 20, 30], [11, 20, 30]],
                  [[10, 20, 30], [10, 20, 30], [10, 20, 30]]], dtype=np.uint8)
 TINY_BITMAP = bytes([0b1010_0000])  # 6 pixel bits, then 2 padding bits
-TINY_RESIDUALS = bytes([10, 20, 30, 1, 0, 0])
+# Pixel 0's (10, 20, 30) does not fit the alphabet and is escaped; pixel 2's
+# (1, 0, 0) is 1 + 25 * 3 + 5 * 2 + 2 = 88.
+TINY_SYMBOLS = bytes([126, 88])
+TINY_ESCAPES = bytes([10, 20, 30])
 
 
 class TestPredictor:
@@ -112,7 +140,9 @@ class TestPayloads:
 class TestLayout:
     def test_hand_computed_body(self):
         payload = encode(CodecId.PRED_DEFLATE, TINY)
-        assert zlib.decompress(payload, -zlib.MAX_WBITS) == TINY_BITMAP + TINY_RESIDUALS
+        assert zlib.decompress(payload, -zlib.MAX_WBITS) == TINY_BITMAP + TINY_SYMBOLS + TINY_ESCAPES
+        # One stream, a Z_BLOCK flush after each of the first two parts.
+        assert payload == deflate_parts([TINY_BITMAP, TINY_SYMBOLS, TINY_ESCAPES])[-1]
         assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, 3, 2), TINY)
 
     @settings(max_examples=150, deadline=None)
@@ -131,9 +161,39 @@ class TestLayout:
         img = np.array(palette, dtype=np.uint8)[runs[:, np.arange(w) // run]]
         payload = encode(CodecId.PRED_DEFLATE, img)
         assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, w, h), img)
-        res = _predict_residuals(img)
-        n_missed = int(np.count_nonzero(res.any(axis=2)))
-        assert len(zlib.decompress(payload, -zlib.MAX_WBITS)) == -(-w * h // 8) + 3 * n_missed
+        res = _predict_residuals(img).reshape(-1, 3)
+        missed = res[res.any(axis=1)].view(np.int8)
+        n_escaped = int(np.count_nonzero((np.abs(missed.astype(np.int64)) > 2).any(axis=1)))
+        body = zlib.decompress(payload, -zlib.MAX_WBITS)
+        assert len(body) == -(-w * h // 8) + len(missed) + 3 * n_escaped
+        assert body == b"".join(definitional_body(img))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.integers(1, 40),
+        h=st.integers(1, 24),
+        kind=st.sampled_from(["edges", "no-escape", "all-escape"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residuals_at_the_alphabet_edge_round_trip(self, w, h, kind, seed):
+        # Residuals (as int8) of 0, +-1, +-2 fit a symbol; +-3, -128 and 127
+        # escape, and 0/255 pixels make them wrap around mod 256.
+        rng = np.random.default_rng(seed)
+        fit, escape = [0, 1, 2, 254, 255], [3, 253, 127, 128]
+        res = rng.choice(fit + escape if kind == "edges" else fit, size=(h, w, 3)).astype(np.uint8)
+        if kind == "all-escape":
+            res[..., rng.integers(0, 3)] = rng.choice(escape, size=(h, w))
+        img = _unpredict_residuals(res.copy())
+        if kind == "edges":
+            img[rng.random((h, w)) < 0.2] = rng.choice([0, 255], size=3)
+        payload = encode(CodecId.PRED_DEFLATE, img)
+        assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, w, h), img)
+        bitmap, symbols, escapes = definitional_body(img)
+        assert zlib.decompress(payload, -zlib.MAX_WBITS) == bitmap + symbols + escapes
+        if kind == "no-escape":
+            assert escapes == b""
+        if kind == "all-escape":
+            assert symbols == bytes([126]) * (w * h) and len(escapes) == 3 * w * h
 
     @pytest.mark.parametrize("w, h, bound", [(128, 90, 0.005), (768, 540, 0.001)])
     def test_noise_barely_grows(self, w, h, bound):
@@ -170,20 +230,56 @@ class TestStrictDecode:
         with pytest.raises(CodecError, match="^decompressed to 2 bytes, shorter than the 3-byte bitmap"):
             decode(CodecId.PRED_DEFLATE, payload, 4, 5)
 
-    @pytest.mark.parametrize("residuals", [TINY_RESIDUALS[:3], TINY_RESIDUALS + bytes(3),
-                                           TINY_RESIDUALS[:-1], b""],
+    # After the bitmap, TINY's body is 2 symbols and 1 escaped triple. The
+    # cases: the triple alone (read as symbols 10 and 20, which escape
+    # nothing, and a stray byte), the body and a second triple, the body one
+    # byte short, and the symbols with no triple.
+    @pytest.mark.parametrize("residuals", [TINY_ESCAPES, TINY_SYMBOLS + TINY_ESCAPES + bytes(3),
+                                           TINY_SYMBOLS + TINY_ESCAPES[:-1], TINY_SYMBOLS],
                              ids=["one-triple", "three-triples", "one-byte-short", "none"])
     def test_residuals_not_three_bytes_per_set_bit(self, residuals):
-        with pytest.raises(CodecError, match="decompressed to .* set bits"):
+        with pytest.raises(CodecError, match="decompressed to .* set bits and 3 bytes for each of [01] escapes"):
             decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + residuals), 3, 2)
+
+    @pytest.mark.parametrize("symbols", [TINY_SYMBOLS[:1], TINY_SYMBOLS + bytes([88])],
+                             ids=["one-short", "one-extra"])
+    def test_symbols_not_one_per_set_bit(self, symbols):
+        with pytest.raises(CodecError, match="decompressed to .* set bits"):
+            decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + symbols + TINY_ESCAPES), 3, 2)
+
+    @pytest.mark.parametrize("symbol", [0, 63, 127, 128, 200, 255])
+    def test_symbol_outside_the_alphabet(self, symbol):
+        # 63 is the zero triple, which the bitmap already excludes.
+        with pytest.raises(CodecError, match=f"^symbol {symbol} is outside the alphabet"):
+            decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + bytes([126, symbol]) + TINY_ESCAPES), 3, 2)
+
+    @pytest.mark.parametrize("triple", [(1, 0, 0), (254, 2, 0), (0, 0, 0), (2, 2, 2)])
+    def test_escaped_triple_that_fits(self, triple):
+        # Pixel 2 escaped, although its triple has a one-byte symbol.
+        body = TINY_BITMAP + bytes([126, 126]) + TINY_ESCAPES + bytes(triple)
+        with pytest.raises(CodecError, match="escaped residual fits"):
+            decode(CodecId.PRED_DEFLATE, deflate(body), 3, 2)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_set_padding_bit(self, extra):
         # The padding bit would otherwise give TINY a second payload (extra=0)
         # or name a seventh pixel (extra=1).
         padded = bytes([TINY_BITMAP[0] | 0b01])
+        body = padded + TINY_SYMBOLS + bytes([88]) * extra + TINY_ESCAPES
         with pytest.raises(CodecError, match="padding bit"):
-            decode(CodecId.PRED_DEFLATE, deflate(padded + TINY_RESIDUALS + bytes(3 * extra)), 3, 2)
+            decode(CodecId.PRED_DEFLATE, deflate(body), 3, 2)
+
+    def test_truncated_at_each_part_boundary(self):
+        img = np.array([[[10, 20, 30], [11, 20, 30], [40, 0, 0], [40, 0, 0]]], dtype=np.uint8)
+        parts = definitional_body(img)
+        assert all(parts)  # a bitmap, symbols and escapes
+        prefixes = deflate_parts(list(parts))
+        payload = encode(CodecId.PRED_DEFLATE, img)
+        assert payload == prefixes[-1]
+        ends = (len(prefixes[0]), len(prefixes[1]), len(payload) - 1)
+        for cut in sorted({min(end + d, len(payload) - 1) for end in ends for d in (-1, 0, 1)}):
+            with pytest.raises(CodecError):
+                decode(CodecId.PRED_DEFLATE, payload[:cut], 4, 1)
 
     def test_bad_dims(self):
         with pytest.raises(CodecError):

@@ -227,22 +227,31 @@ quaternions = st.tuples(*[st.floats(-1, 1)] * 4).filter(
     lambda q: np.linalg.norm(q) > 0.1).map(normalize_quat)
 
 
+def _virtual_coord(coords, i):
+    """Coordinate i of the grid `coords`, continued evenly past its ends."""
+    if 0 <= i < len(coords):
+        return float(coords[i])
+    return float(coords[0]) + i * (float(coords[-1]) - float(coords[0])) / (len(coords) - 1)
+
+
 @st.composite
-def bound_cases(draw):
+def bound_cases(draw, beyond=0, places=("grazing", "inside", "touching", "near", "far")):
     """A sphere, a grid, any orientation (so any roll) and an eye placed
     inside, on, near or far from the sphere, or on a line that grazes it
-    through one pixel centre, ahead of or behind the eye."""
+    through one pixel centre, ahead of or behind the eye. With `beyond`,
+    that pixel may lie up to that many pixels off each edge of the grid."""
     i = draw(st.integers(0, len(_SPHERE_RADII) - 1))
     c, r = _SPHERE_CENTERS[i].astype(np.float64), float(_SPHERE_RADII[i])
     dims, fx, fy = draw(st.sampled_from(BOUND_GRIDS))
     dir_x_row, dir_y_col = _plane_coords(dims, fx, fy)
     q = draw(quaternions)
     rot = quat_to_matrix(q)
-    place = draw(st.sampled_from(["grazing", "inside", "touching", "near", "far"]))
+    place = draw(st.sampled_from(places))
     if place == "grazing":
-        col = draw(st.integers(0, len(fx) - 1))
-        row = draw(st.integers(0, len(fy) - 1))
-        d = rot.astype(np.float64) @ (float(dir_x_row[col]), float(dir_y_col[row]), -1.0)
+        col = draw(st.integers(-beyond, len(fx) - 1 + beyond))
+        row = draw(st.integers(-beyond, len(fy) - 1 + beyond))
+        x, y = _virtual_coord(dir_x_row, col), _virtual_coord(dir_y_col, row)
+        d = rot.astype(np.float64) @ (x, y, -1.0)
         d /= np.linalg.norm(d)
         n = draw(unit_vectors.map(lambda u: u - (u @ d) * d).filter(lambda n: np.linalg.norm(n) > 0.1))
         n /= np.linalg.norm(n)
@@ -271,6 +280,40 @@ class TestSphereBound:
         if box is not None:
             nonneg[box] = False
         assert not nonneg.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases(beyond=3 * render._BOUND_PAD, places=("grazing",)))
+    def test_box_holds_every_nonnegative_disc_off_the_grid(self, case):
+        # Spheres grazed through a pixel up to 3 pads off the grid's edges:
+        # their ellipses lie on, just beyond and wholly beyond the grid.
+        nonneg = _disc(*case) >= 0
+        box = _sphere_bound(*case)
+        if box is not None:
+            nonneg[box] = False
+        assert not nonneg.any()
+
+    def test_a_view_straight_up_gets_no_box(self, monkeypatch):
+        """A 30 degree view straight up from (3, 2, 3): every sphere's
+        ellipse lies wholly below the grid, so no sphere gets a box (not
+        even a strip of pad rows at the edge), no row is shaded and each
+        30-row eye is all background."""
+        hulls, boxes = [], []
+
+        def hull(spans, _inner=render._hull):
+            hulls.append(_inner(spans))
+            return hulls[-1]
+
+        def bound(*args, _inner=render._sphere_bound):
+            boxes.append(_inner(*args))
+            return boxes[-1]
+
+        monkeypatch.setattr(render, "_hull", hull)
+        monkeypatch.setattr(render, "_sphere_bound", bound)
+        up = Pose((3.0, 2.0, 3.0), (math.sin(math.pi / 4), 0.0, 0.0, math.cos(math.pi / 4)))
+        img = render_stereo(SceneConfig(), CameraRig(horizontal_fov=30.0), up, (40, 30))
+        assert boxes == [None] * 2 * len(_SPHERE_RADII)
+        assert [(rows.start, rows.stop) for rows in hulls] == [(0, 0), (0, 0)]
+        assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
 
     def test_gated_orbit_boxes_are_tight(self, monkeypatch):
         """Every bound the renderer takes on orbit poses of both gated

@@ -8,6 +8,7 @@ import math
 import socket
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +18,7 @@ from splitfov import client, server
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
 from splitfov.codec import CodecError, CodecId, encode
-from splitfov.partition import Eye
+from splitfov.partition import Eye, server_rows
 from splitfov.server import ServerSession, pose_from_wire, run_server
 from splitfov.wire import (
     EndMsg,
@@ -178,6 +179,12 @@ class TestServerSessionUnit:
         with pytest.raises(ProtocolError, match="peer speaks protocol version 5"):
             self.run_session([hello_for(tiny_spec, version=5)])
 
+    def test_rejects_a_protocol_6_hello(self, tiny_spec):
+        # Protocol 6 sent 3 residual bytes per missed pixel; this server
+        # sends the one-byte symbols, which a protocol 6 client cannot read.
+        with pytest.raises(ProtocolError, match="peer speaks protocol version 6"):
+            self.run_session([hello_for(tiny_spec, version=6)])
+
     def test_rejects_invalid_geometry(self, tiny_spec):
         # a fovea wider than the eye and an odd frame width, both listed
         bad = HelloMsg(**{**hello_for(tiny_spec).__dict__, "full_w": 161, "fov_w": 200})
@@ -247,6 +254,37 @@ class TestClientSessionUnit:
                     session.run_frame(0, pool)
             assert sink.frames == []
 
+
+    def test_body_truncated_at_a_part_boundary_shows_nothing(self, split_spec, scene, rig):
+        # The server's 80x43 rows of a rendered frame: a bitmap, symbols and
+        # escapes. Cut the left eye's body at the end of each of its first
+        # two parts, and one byte short of its end.
+        img = server.draw_foveae(scene, rig, pose_at(CameraPath(frame_count=4), 1), split_spec,
+                          (0, server_rows(split_spec)))[Eye.LEFT]
+        payload = encode(CodecId.PRED_DEFLATE, img)
+        body = zlib.decompress(payload, -zlib.MAX_WBITS)
+        n = img.shape[0] * img.shape[1]
+        bitmap_len = -(-n // 8)
+        n_missed = int(np.unpackbits(np.frombuffer(body[:bitmap_len], dtype=np.uint8)).sum())
+        assert len(body) > bitmap_len + n_missed  # some pixels are escaped
+        compressor = zlib.compressobj(5, zlib.DEFLATED, -zlib.MAX_WBITS)
+        prefix, cuts = b"", []
+        for part in (body[:bitmap_len], body[bitmap_len : bitmap_len + n_missed]):
+            prefix += compressor.compress(part) + compressor.flush(zlib.Z_BLOCK)
+            cuts.append(len(prefix))
+        assert payload.startswith(prefix)
+        for cut in cuts + [len(payload) - 1]:
+            stream = io.BytesIO(b"".join(
+                write_msg(SubframeMsg(0, int(eye), payload[:cut] if eye == Eye.LEFT else payload))
+                for eye in (Eye.LEFT, Eye.RIGHT)
+            ))
+            sink = CollectSink()
+            session = ClientSession(stream, Collected(), split_spec, CodecId.PRED_DEFLATE, scene, rig,
+                                    CameraPath(frame_count=1), display=sink)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                with pytest.raises(CodecError):
+                    session.run_frame(0, pool)
+            assert sink.frames == [], cut
 
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
