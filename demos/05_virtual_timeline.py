@@ -2,10 +2,12 @@
 A frame's life on the virtual clock
 ===================================
 
-The simulator pushes real pixels through the real pipeline but stamps
-every stage with an analytic clock, so a full latency budget is exact and
-reproducible down to the microsecond. Here we walk one frame with
-hand-picked stage costs and read its schedule back out of the trace.
+The simulator pushes real pixels through the real pipeline, then replays
+the runtimes' own event trace on a modeled clock: each stage takes its
+cost from a cost model and each message its modeled delivery, so a full
+latency budget is exact and reproducible down to the microsecond. Here we
+walk one frame with hand-picked stage costs and read its schedule back out
+of the trace.
 """
 
 from splitfov import (

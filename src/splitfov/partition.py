@@ -126,15 +126,18 @@ def reduced_dims(spec: PartitionSpec) -> tuple[int, int]:
     return scaled_dims(spec.full_w, spec.full_h, spec.periph_scale)
 
 
+def frame_rays(spec: PartitionSpec) -> int:
+    """The rays a frame shades: both full-rate foveae and the reduced periphery."""
+    rw, rh = reduced_dims(spec)
+    return 2 * spec.fov_w * spec.fov_h + rw * rh
+
+
 def server_rows(spec: PartitionSpec) -> int:
     """The k top rows of each foveal rect that the server draws; the client
     draws rows [k, fov_h) itself. k is the fewest rows whose rays
-    (2 * fov_w * k) are at least half of the frame's rays (both foveae and
-    the reduced periphery), and at most fov_h, so always at least 1. Both
-    sides derive it from the hello's geometry."""
-    rw, rh = reduced_dims(spec)
-    total = 2 * spec.fov_w * spec.fov_h + rw * rh
-    return min(spec.fov_h, -(-total // (4 * spec.fov_w)))
+    (2 * fov_w * k) are at least half of `frame_rays`, and at most fov_h,
+    so always at least 1. Both sides derive it from the hello's geometry."""
+    return min(spec.fov_h, -(-frame_rays(spec) // (4 * spec.fov_w)))
 
 
 def server_dims(spec: PartitionSpec) -> str:

@@ -5,12 +5,12 @@ an in-memory duplex channel, so the pixels, the wire messages and the
 display sink are exactly those of a networked session:
 
 * virtual: only the clock is modeled. The runtimes exchange their messages
-  over a free link; stage durations then come from the cost model (a
-  fixed cost per stage plus a per-ray draw cost), and message delivery
-  from the network model applied to the size of each message the
-  runtimes wrote, laid out analytically on a virtual timeline.
-  Runs are bit-reproducible and the event trace carries exact timestamps
-  for lockstep/overlap assertions.
+  over a free link, then their own event trace is replayed on a virtual
+  timeline: each stage takes its time from the cost model (a fixed cost
+  per stage plus a per-ray draw cost), and each message the network
+  model's delivery of the size the runtimes wrote. Runs are
+  bit-reproducible and the event trace carries exact timestamps for
+  lockstep/overlap assertions.
 * wall: the channel delays delivery per the network model; timings are
   honest wall-clock measurements.
 
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields, replace
 
 from . import codec as codec_mod
 from . import wire
@@ -39,10 +38,10 @@ from .client import (
     run_native,
 )
 from .metrics import improvement_pct, median, render_profile
-from .partition import PartitionSpec, reduced_dims, server_dims, server_rows
+from .partition import PartitionSpec, frame_rays, server_dims, server_rows
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
-from .trace import BEGIN, END, RECV, SEND, Trace, now_ms
+from .trace import BEGIN, END, RECV, SEND, Event, Trace, now_ms
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,21 @@ class SimResult:
     trace: Trace
 
 
+class _LaneTrace(Trace):
+    """A trace that also keeps the thread (lane) that added each event."""
+
+    def __init__(self):
+        super().__init__()
+        self.lanes: list[threading.Thread] = []
+
+    def add(self, t_ms: float, actor: str, kind: str, name: str, frame_id: int) -> None:
+        event = Event(t_ms, actor, kind, name, frame_id)
+        with self._lock:
+            self._events.append(event)
+            self._first.setdefault((actor, kind, name, frame_id), event)
+            self.lanes.append(threading.current_thread())
+
+
 def run_sim_virtual(
     spec: PartitionSpec,
     codec: codec_mod.CodecId,
@@ -138,89 +152,75 @@ def run_sim_virtual(
     """Runs the split session on a deterministic virtual timeline.
 
     The real runtimes run the session (render, encode, wire serialization,
-    decode, merge, display sink) over a free in-memory link; only the clock
-    is modeled, from `cost` and from `net` applied to the size of each
-    message they wrote. Timestamps in the records and trace are virtual
-    milliseconds from session start.
+    decode, merge, display sink) over a free in-memory link; their own trace
+    is then replayed on a clock modeled from `cost` and from `net` applied
+    to the size of each message they wrote. Timestamps in the records and
+    trace are virtual milliseconds from session start.
     """
-    _, served, up, down = _run_split(spec, codec, scene, rig, path, ZERO_NET, display, None)
+    recorder = _LaneTrace()
+    recorded, writes = _run_split(spec, codec, scene, rig, path, ZERO_NET, display, recorder)
+    server_rays = 2 * spec.fov_w * server_rows(spec)
+    stage_ms = {
+        ("server", "draw"): cost.server_draw_ms(server_rays),
+        ("server", "encode"): cost.encode,
+        ("server", "send"): 0.0,
+        ("client", "draw"): cost.client_draw_ms(frame_rays(spec) - server_rays),
+        ("client", "decode"): cost.decode,
+        ("client", "merge"): cost.merge,
+        ("client", "display"): 0.0,
+    }
+    events = recorder.events()
+    if Counter(e.actor for e in events if e.kind == SEND) != Counter(
+            {actor: len(w) for actor, w in writes.items()}):
+        raise RuntimeError("the traced sends and the messages written do not pair one to one")
+    links = {actor: _Link(net) for actor in writes}
+    sizes = {actor: iter(w) for actor, w in writes.items()}
+    # Each thread's events, in the order it added them, on its own clock. A
+    # SEND schedules its message on the sender's link and holds no thread;
+    # a RECV waits for its message's last byte; a merge waits for its
+    # frame's decode, on the other thread; an END comes its stage's cost
+    # after its BEGIN, and a stage that sent ends no earlier than its link
+    # has taken what it sent.
+    clock: dict[threading.Thread, float] = {}
+    sent_until: dict[threading.Thread, float] = {}
+    arrivals: dict[tuple[str, int], tuple[float, float]] = {}
+    decoded: dict[int, float] = {}
+    timed = []
+    for lane, e in zip(recorder.lanes, events):
+        t = clock.setdefault(lane, 0.0)
+        if e.kind == SEND:
+            arrivals[e.name, e.frame_id] = links[e.actor].schedule(t, next(sizes[e.actor]))
+            sent_until[lane] = links[e.actor].free_at_ms
+        elif e.kind == RECV:
+            t = max(t, arrivals[e.name, e.frame_id][1])
+        elif e.kind == BEGIN:
+            sent_until[lane] = 0.0
+            if e.name == "merge":
+                t = max(t, decoded[e.frame_id])
+        elif e.kind == END:
+            t = max(t + stage_ms[e.actor, e.name], sent_until[lane])
+            if e.name == "decode":
+                decoded[e.frame_id] = t
+        clock[lane] = t
+        timed.append((t, lane, e))
+    # By time; a tie goes to the thread that appeared first, so the trace
+    # does not depend on how the threads interleaved (sorted is stable).
+    rank = {lane: i for i, lane in enumerate(clock)}
     trace = Trace()
-    uplink = _Link(net)
-    downlink = _Link(net)
-    rw, rh = reduced_dims(spec)
-    k = server_rows(spec)
-    server_rays = 2 * spec.fov_w * k
-    client_rays = rw * rh + 2 * spec.fov_w * (spec.fov_h - k)
-    client_records: list[ClientFrameRecord] = []
-    server_records: list[ServerFrameTiming] = []
-
-    def span(actor: str, name: str, frame_id: int, begin: float, ms: float) -> float:
-        """Adds a stage's BEGIN and END, as `Stopwatch.stage` does; returns the END."""
-        end = begin + ms
-        trace.add(begin, actor, BEGIN, name, frame_id)
-        trace.add(end, actor, END, name, frame_id)
-        return end
-
-    def send(link: _Link, sender: str, receiver: str, name: str, frame_id: int,
-             t: float, nbytes: int) -> tuple[float, float]:
-        """Adds the SEND at t, schedules the message on `link` and adds the
-        RECV at its last byte; returns its (first, last) byte arrivals."""
-        trace.add(t, sender, SEND, name, frame_id)
-        first, last = link.schedule(t, nbytes)
-        trace.add(last, receiver, RECV, name, frame_id)
-        return first, last
-
-    # Frames start once the session is established.
-    _, t = send(uplink, "client", "server", "hello", 0, 0.0, up[0])
-    for frame_id in range(path.frame_count):
-        payload_bytes = served[frame_id].bytes_sent
-        _, pose_arrive = send(uplink, "client", "server", "pose", frame_id, t, up[1 + frame_id])
-
-        # Server pipeline: draw its rows of both foveae, encode, then send
-        # both subframes back to back; the send stage ends when the link is
-        # free again.
-        sdraw_end = span("server", "draw", frame_id, pose_arrive, cost.server_draw_ms(server_rays))
-        enc_end = span("server", "encode", frame_id, sdraw_end, cost.encode)
-        trace.add(enc_end, "server", BEGIN, "send", frame_id)
-        first0, _ = send(downlink, "server", "client", "subframe0", frame_id,
-                         enc_end, down[2 * frame_id])
-        _, last1 = send(downlink, "server", "client", "subframe1", frame_id,
-                        downlink.free_at_ms, down[2 * frame_id + 1])
-        send_end = downlink.free_at_ms
-        trace.add(send_end, "server", END, "send", frame_id)
-
-        # Client pipeline: the draw of the periphery and of the client's
-        # foveal rows overlaps receive+decode. Sending the pose and
-        # displaying the frame take no modeled time.
-        cdraw_end = span("client", "draw", frame_id, t, cost.client_draw_ms(client_rays))
-        decode_end = span("client", "decode", frame_id, last1, cost.decode)
-        merge_begin = max(cdraw_end, decode_end)
-        merge_end = span("client", "merge", frame_id, merge_begin, cost.merge)
-        span("client", "display", frame_id, merge_end, 0.0)
-
-        server_records.append(
-            ServerFrameTiming(
-                frame_id=frame_id,
-                draw_ms=sdraw_end - pose_arrive,
-                encode_ms=enc_end - sdraw_end,
-                send_ms=send_end - enc_end,
-                bytes_sent=payload_bytes,
-            )
-        )
-        client_records.append(
-            ClientFrameRecord(
-                frame_id=frame_id,
-                draw_ms=cdraw_end - t,
-                network_ms=last1 - first0,
-                decode_ms=decode_end - last1,
-                merge_ms=merge_end - merge_begin,
-                total_ms=merge_end - t,
-                bytes_received=payload_bytes,
-            )
-        )
-        t = merge_end
-
-    send(uplink, "client", "server", "end", path.frame_count - 1, t, up[-1])
+    for t, _, e in sorted(timed, key=lambda x: (x[0], rank[x[1]])):
+        trace.add(t, e.actor, e.kind, e.name, e.frame_id)
+    at = lambda actor, kind, name, n: trace.find(actor, kind, name, n).t_ms
+    spans = lambda actor, n, *names: {
+        f"{name}_ms": at(actor, END, name, n) - at(actor, BEGIN, name, n) for name in names
+    }
+    client_records = [
+        replace(r, **spans("client", n, "draw", "decode", "merge"),
+                network_ms=arrivals["subframe1", n][1] - arrivals["subframe0", n][0],
+                total_ms=at("client", END, "display", n) - at("client", SEND, "pose", n))
+        for r in recorded.client_records for n in [r.frame_id]
+    ]
+    server_records = [replace(s, **spans("server", s.frame_id, "draw", "encode", "send"))
+                      for s in recorded.server_records]
     return SimResult(client_records, server_records, trace)
 
 
@@ -232,8 +232,7 @@ def run_native_virtual(
     native frames share no state, so every frame has the same modeled cost.
     It draws no frame: the native frames are byte-identical to a lossless
     split session's, and nothing shows them."""
-    rw, rh = reduced_dims(spec)
-    draw = cost.client_draw_ms(2 * spec.fov_w * spec.fov_h + rw * rh)
+    draw = cost.client_draw_ms(frame_rays(spec))
     return [
         ClientFrameRecord(
             frame_id=frame_id,
@@ -315,13 +314,13 @@ def _run_split(
     path: CameraPath,
     net: NetModel,
     display: DisplaySink,
-    trace: Optional[Trace],
-) -> tuple[list[ClientFrameRecord], list[ServerFrameTiming], list[int], list[int]]:
+    trace: Trace,
+) -> tuple[SimResult, dict[str, list[int]]]:
     """Runs the real client and server runtimes concurrently in one process,
     connected by the modeled in-memory channel.
 
-    Returns both sides' records, then the size of each message the client
-    and the server wrote, in order. A server that fails closes the downlink,
+    Returns the session, traced into `trace`, and the size of each message
+    the client and the server wrote, in order. A server that fails closes the downlink,
     so the client ends instead of waiting, and its own error is raised.
     """
     c2s = SimplexPipe(net)
@@ -346,7 +345,7 @@ def _run_split(
             c2s.close()
             # Raises the server's error, if any, in place of the client's.
             server_records = server_future.result(timeout=60.0)
-    return client_records, server_records, c2s.sizes, s2c.sizes
+    return SimResult(client_records, server_records, trace), {"client": c2s.sizes, "server": s2c.sizes}
 
 
 def run_sim_wall(
@@ -360,11 +359,7 @@ def run_sim_wall(
 ) -> SimResult:
     """Runs the real client and server runtimes concurrently in one process,
     connected by the modeled in-memory channel; wall-clock timings."""
-    trace = Trace()
-    client_records, server_records, _, _ = _run_split(
-        spec, codec, scene, rig, path, net, display, trace
-    )
-    return SimResult(client_records, server_records, trace)
+    return _run_split(spec, codec, scene, rig, path, net, display, Trace())[0]
 
 
 @dataclass

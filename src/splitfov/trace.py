@@ -1,8 +1,9 @@
 """Totally ordered event trace for lockstep and overlap assertions.
 
-Both runtimes (and the simulator) append stage begin/end and message
-send/receive events; appends are serialized so concurrent client threads
-can share one trace. Both clocks emit the same events:
+Both runtimes append stage begin/end and message send/receive events;
+appends are serialized so concurrent client threads can share one trace.
+The virtual clock replays the runtimes' own events, so both clocks emit
+the same events:
 
 * once per session: client send hello (frame 0), server recv hello
   (frame 0), client send end and server recv end (last frame id);

@@ -78,7 +78,8 @@ class TestPpm:
     def test_header_shape(self, tmp_path):
         p = str(tmp_path / "x.ppm")
         write_ppm(p, np.zeros((2, 3, 3), dtype=np.uint8))
-        raw = open(p, "rb").read()
+        with open(p, "rb") as f:
+            raw = f.read()
         assert raw.startswith(b"P6")
         assert b"3 2" in raw[:16]
         assert raw.endswith(b"\x00" * 18)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from splitfov import partition
 from splitfov.image import GeometryError, Rect
 from splitfov.partition import (
     DEFAULT_SPEC,
@@ -197,6 +198,7 @@ class TestServerRows:
     def test_fewest_rows_holding_half_the_rays(self, spec):
         k = server_rows(spec)
         total = frame_rays(spec)
+        assert partition.frame_rays(spec) == total
         assert 1 <= k <= spec.fov_h
         # One row fewer would leave the server less than half of the rays.
         assert 2 * (2 * spec.fov_w * (k - 1)) < total

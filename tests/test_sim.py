@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import threading
 import time
 
@@ -8,12 +10,12 @@ import pytest
 from splitfov import client, codec, server, sim, wire
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientFrameRecord, CollectSink, ffr_frame, run_native
-from splitfov.codec import CodecId
+from splitfov.codec import CodecError, CodecId
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession
-from splitfov.trace import RECV, SEND, now_ms
-from splitfov.wire import ProtocolError
+from splitfov.trace import RECV, SEND, Trace, now_ms
+from splitfov.wire import ConnectionClosedError, ProtocolError
 from splitfov.sim import (
     CostModel,
     NetModel,
@@ -123,6 +125,19 @@ class TestVirtualTimeline:
             assert s.encode_ms == pytest.approx(3.0)
             assert s.bytes_sent == 2 * tiny_spec.fov_w * tiny_spec.fov_h * 3
 
+    def test_only_a_stage_that_sent_waits_for_its_link(self, tiny_spec, scene, rig):
+        # At 10 Mbps the pose takes 0.033 ms to transmit, and the two RAW
+        # subframes (payload plus two 14-byte headers) 3.7 ms. The client's
+        # free draw does not wait for its pose; the server's send stage
+        # lasts until the link has taken both subframes.
+        net = NetModel(latency_ms=5.0, bandwidth_mbps=10.0)
+        free = CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0, merge=0.0)
+        res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
+                              net=net, cost=free)
+        assert [c.draw_ms for c in res.client_records] == [0.0, 0.0]
+        send_ms = net.tx_ms(2 * 32 * 24 * 3 + 28)
+        assert [s.send_ms for s in res.server_records] == [pytest.approx(send_ms)] * 2
+
     def test_network_window_scales_with_payload(self, scene, rig):
         # first-to-last-byte window = transmitted bytes / link rate, so
         # growing the RAW payload grows the window by exactly the extra
@@ -176,6 +191,28 @@ class TestVirtualTimeline:
         for k, frame in enumerate(sink.frames):
             ref = ffr_frame(scene, rig, pose_at(path, k), tiny_spec)
             assert frame.tobytes() == ref.tobytes()
+
+
+class TestVirtualClockIgnoresHostTiming:
+    def test_jittered_stages_replay_identically(self, split_spec, scene, rig, monkeypatch):
+        """The virtual clock reads only the runtimes' events and message
+        sizes, so stages that take random host time change nothing."""
+        run = lambda: run_sim_virtual(split_spec, CodecId.PRED_DEFLATE, scene, rig,
+                                      CameraPath(frame_count=4), net=NetModel(1.5, 300.0),
+                                      cost=FIG_COST)
+        steady = run()
+        rng = random.Random(21)
+        for module, name in [(codec, "encode"), (codec, "decode"), (client, "render_scaled")]:
+            def jittered(*args, _inner=getattr(module, name), **kwargs):
+                time.sleep(rng.uniform(0.0, 0.004))
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, jittered)
+        for _ in range(3):
+            res = run()
+            assert res.client_records == steady.client_records
+            assert res.server_records == steady.server_records
+            assert res.trace.events() == steady.trace.events()
 
 
 class TestRowSplit:
@@ -332,6 +369,47 @@ class TestWallClock:
             assert t("server", RECV, "pose", n) - t("client", SEND, "pose", n) >= 25.0
             assert t("client", RECV, "subframe1", n) - t("server", SEND, "subframe1", n) >= 25.0
         assert min(r.total_ms for r in res.client_records) >= 50.0
+
+
+class _CutStream:
+    """Delivers the first `left` bytes of a stream, then reads as EOF."""
+
+    def __init__(self, inner, left: int):
+        self.inner = inner
+        self.left = left
+
+    def read(self, n: int) -> bytes:
+        data = self.inner.read(min(n, self.left)) if self.left > 0 else b""
+        self.left -= len(data)
+        return data
+
+
+class TestTruncatedDownlink:
+    def test_a_cut_at_any_byte_ends_typed(self, scene, rig, monkeypatch):
+        """A server->client stream cut after its first N bytes either
+        completes (N covers every byte) or ends in a typed error, and the
+        frames on display are exactly the native frames wholly delivered."""
+        spec = PartitionSpec(200, 100, 80, 80, 0.5)
+        path = CameraPath(frame_count=3)
+        native = [ffr_frame(scene, rig, pose_at(path, n), spec).tobytes() for n in range(3)]
+        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path, ZERO_NET,
+                                   client.null_sink, Trace())
+        ends = list(itertools.accumulate(writes["server"]))
+        frame_ends, total = ends[1::2], ends[-1]
+        cuts = sorted({*range(24), *range(0, total + 60, 97),
+                       *(end + d for end in ends for d in (-1, 0, 1))})
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 2.0)
+        for cut in cuts:
+            monkeypatch.setattr(sim, "ClientSession", lambda reader, _cut=cut, **kwargs:
+                                client.ClientSession(reader=_CutStream(reader, _cut), **kwargs))
+            sink = CollectSink()
+            try:
+                run_sim_wall(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+                assert cut >= total, f"a cut at byte {cut} of {total} completed"
+            except (ConnectionClosedError, ProtocolError, CodecError):
+                assert cut < total, f"a cut at byte {cut} of {total} raised"
+            shown = [frame.tobytes() for frame in sink.frames]
+            assert shown == native[: sum(end <= cut for end in frame_ends)], f"cut at byte {cut}"
 
 
 class TestRigMismatch:
