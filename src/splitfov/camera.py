@@ -29,8 +29,10 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float32).reshape(3))
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=np.float32).reshape(4))
+        if not np.isfinite(self.position).all():
+            raise ValueError(f"position must be finite, got {self.position}")
         n = float(np.linalg.norm(self.orientation.astype(np.float64)))
-        if abs(n - 1.0) > QUAT_NORM_TOL:
+        if not (math.isfinite(n) and abs(n - 1.0) <= QUAT_NORM_TOL):
             raise ValueError(f"quaternion norm {n!r} deviates from 1 by more than {QUAT_NORM_TOL}")
 
     def __eq__(self, other) -> bool:
@@ -141,12 +143,12 @@ class CameraRig:
     near: float = 0.1
 
     def __post_init__(self):
-        if self.ipd < 0:
-            raise ValueError(f"ipd must be non-negative, got {self.ipd}")
+        if not (math.isfinite(self.ipd) and self.ipd >= 0):
+            raise ValueError(f"ipd must be non-negative and finite, got {self.ipd}")
         if not 0 < self.horizontal_fov < 180:
             raise ValueError(f"horizontal_fov must be in (0, 180), got {self.horizontal_fov}")
-        if self.near <= 0:
-            raise ValueError(f"near must be positive, got {self.near}")
+        if not (math.isfinite(self.near) and self.near > 0):
+            raise ValueError(f"near must be positive and finite, got {self.near}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,10 @@ class CameraPath:
     def __post_init__(self):
         if self.frame_count < 1:
             raise ValueError(f"frame_count must be at least 1, got {self.frame_count}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not math.isfinite(self.height):
+            raise ValueError(f"height must be finite, got {self.height}")
 
 
 def pose_at(path: CameraPath, frame_id: int) -> Pose:

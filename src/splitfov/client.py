@@ -7,7 +7,8 @@ nearest-upsampled to the full frame) and the bottom rows
 [server_rows, fov_h) of each foveal rect; the server draws the top rows.
 Once both finish, the server's rows are pasted into the frame, the frame
 goes to the display sink, and per-stage timings are recorded. Exactly
-one frame is in flight (lockstep).
+one frame is in flight (lockstep). Native mode is the same draw with every
+foveal row the client's (k = 0) and nothing served or merged.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class ClientFrameRecord:
 
     network_ms spans first byte received to last byte received across both
     subframes; draw_ms includes the peripheral upsample and the client's
-    own foveal rows, and merge_ms is the paste of the server's rows alone;
-    total_ms runs from just before the pose send to just after display.
-    Stages overlap, so total_ms is not the sum of the parts.
+    own foveal rows, and merge_ms is the paste of the server's rows alone
+    (0 in native mode, which is served none); total_ms runs from just
+    before the pose send to just after display. Stages overlap, so total_ms is not the sum of the parts.
     """
 
     frame_id: int
@@ -164,20 +165,14 @@ def _paste(frame: np.ndarray, foveal: dict[Eye, np.ndarray], spec: PartitionSpec
         frame[r.y : r.y + r.h, r.x : r.x + r.w] = img
 
 
-def draw_periphery(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
-    """The periphery rendered at the reduced rate and nearest-upsampled to
-    a fresh full frame, which `merge` then pastes the foveae into."""
-    full = (spec.full_w, spec.full_h)
-    reduced = render_scaled(scene, rig, pose, full, spec.periph_scale)
-    return upsample_nearest(reduced, full)
-
-
 def draw_client_part(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec,
                      k: int) -> np.ndarray:
-    """The client's part of a split frame: the upsampled periphery with
-    rows [k, fov_h) of each eye's fovea drawn and pasted in. The server's
-    rows [0, k) are left for `merge`."""
-    frame = draw_periphery(scene, rig, pose, spec)
+    """The client's part of a frame: the periphery rendered at the reduced
+    rate and nearest-upsampled to a fresh full frame, with rows [k, fov_h)
+    of each eye's fovea drawn and pasted in. The server's rows [0, k) are
+    left for `merge`; at k = 0 none are, and this is the native frame."""
+    full = (spec.full_w, spec.full_h)
+    frame = upsample_nearest(render_scaled(scene, rig, pose, full, spec.periph_scale), full)
     if k < spec.fov_h:
         own = (k, spec.fov_h)
         _paste(frame, draw_foveae(scene, rig, pose, spec, own), spec, own)
@@ -185,19 +180,11 @@ def draw_client_part(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: Parti
 
 
 def ffr_frame(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec) -> np.ndarray:
-    """One fixed-foveation frame composed locally: full-rate foveae over
+    """One fixed-foveation frame drawn on one device: the client's part
+    with every foveal row its own (k = 0), so full-rate foveae over the
     nearest-upsampled reduced periphery. This is what both native mode and
     a lossless split session display; each call returns a fresh array."""
-    return merge(*_draw_local(scene, rig, pose, spec), spec)
-
-
-def _draw_local(
-    scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec
-) -> tuple[np.ndarray, dict[Eye, np.ndarray]]:
-    """Everything one device draws for a frame: the upsampled periphery and
-    both full-rate foveae."""
-    foveae = draw_foveae(scene, rig, pose, spec)
-    return draw_periphery(scene, rig, pose, spec), foveae
+    return draw_client_part(scene, rig, pose, spec, 0)
 
 
 def _decode_subframes(
@@ -380,19 +367,18 @@ def run_native(
 ) -> list[ClientFrameRecord]:
     """Baseline mode: the client renders everything itself.
 
-    Uses the same fixed-foveation sampling as split mode (foveae at full
-    rate, periphery reduced), so its displayed frames are byte-identical
-    to a lossless split session's. network/decode stay zero and
-    bytes_received is 0.
+    Each frame is one `draw` stage, `ffr_frame`: the split client's draw
+    with every foveal row its own. So its displayed frames are
+    byte-identical to a lossless split session's. No rows are served, so
+    network, decode and merge stay zero and bytes_received is 0.
     """
     sw = Stopwatch("client")
     records = []
     for frame_id in range(path.frame_count):
         t0 = now_ms()
         pose = pose_at(path, frame_id)
-        (periphery, foveae), draw_ms = sw.stage("draw", frame_id, _draw_local, scene, rig, pose, spec)
-        merged, merge_ms = sw.stage("merge", frame_id, merge, periphery, foveae, spec)
-        display(frame_id, merged)
+        frame, draw_ms = sw.stage("draw", frame_id, ffr_frame, scene, rig, pose, spec)
+        display(frame_id, frame)
         total_ms = now_ms() - t0
         records.append(
             ClientFrameRecord(
@@ -400,7 +386,7 @@ def run_native(
                 draw_ms=draw_ms,
                 network_ms=0.0,
                 decode_ms=0.0,
-                merge_ms=merge_ms,
+                merge_ms=0.0,
                 total_ms=total_ms,
                 bytes_received=0,
             )

@@ -95,7 +95,8 @@ class CostModel:
     foveal rows. Sending a pose and displaying a frame take no modeled
     time. On the wall clock the client's draw stage includes the
     peripheral upsample and the paste of its own rows, and its merge stage
-    is the paste of the server's rows alone."""
+    is the paste of the server's rows alone: `merge` is charged to the
+    split client only, since native serves no rows and merges nothing."""
 
     server_draw: float = 5.0
     encode: float = 3.0
@@ -227,11 +228,13 @@ def run_sim_virtual(
 def run_native_virtual(
     spec: PartitionSpec, path: CameraPath, cost: CostModel = CostModel()
 ) -> list[ClientFrameRecord]:
-    """Native baseline on the virtual clock: one device draws the foveae at
-    full rate plus the reduced periphery, then merges and displays. Lockstep
-    native frames share no state, so every frame has the same modeled cost.
-    It draws no frame: the native frames are byte-identical to a lossless
-    split session's, and nothing shows them."""
+    """Native baseline on the virtual clock: one device draws the reduced
+    periphery and every foveal row at full rate, the split client's draw
+    with no rows served, then displays. So each frame is one draw stage,
+    with no network, decode or merge. Lockstep native frames share no
+    state, so every frame has the same modeled cost. It draws no frame:
+    the native frames are byte-identical to a lossless split session's,
+    and nothing shows them."""
     draw = cost.client_draw_ms(frame_rays(spec))
     return [
         ClientFrameRecord(
@@ -239,8 +242,8 @@ def run_native_virtual(
             draw_ms=draw,
             network_ms=0.0,
             decode_ms=0.0,
-            merge_ms=cost.merge,
-            total_ms=draw + cost.merge,
+            merge_ms=0.0,
+            total_ms=draw,
             bytes_received=0,
         )
         for frame_id in range(path.frame_count)

@@ -30,6 +30,18 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(position=(0, 0, 0), orientation=(0, 0, 0, 1.01))
 
+    @pytest.mark.parametrize("position, orientation", [
+        ((0, 0, 0), (math.nan, 0, 0, 1)),
+        ((0, 0, 0), (0, 0, 0, math.nan)),
+        ((0, 0, 0), (math.inf, 0, 0, 1)),
+        ((math.nan, 0, 0), IDENTITY_Q),
+        ((0, math.inf, 0), IDENTITY_Q),
+        ((0, 0, -math.inf), IDENTITY_Q),
+    ], ids=["nan-x", "nan-w", "inf-x", "nan-position", "inf-position", "neg-inf-position"])
+    def test_rejects_non_finite(self, position, orientation):
+        with pytest.raises(ValueError):
+            Pose(position=position, orientation=orientation)
+
     def test_equality_is_bitwise(self):
         a = Pose(position=(1, 2, 3), orientation=IDENTITY_Q)
         b = Pose(position=(1, 2, 3), orientation=IDENTITY_Q)
@@ -136,6 +148,14 @@ class TestPath:
         with pytest.raises(ValueError):
             pose_at(path, -1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("radius", math.nan), ("radius", math.inf),
+        ("height", math.nan), ("height", math.inf), ("height", -math.inf),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CameraPath(**{field: value})
+
     def test_frame_count_validated(self):
         with pytest.raises(ValueError):
             CameraPath(frame_count=0)
@@ -162,3 +182,12 @@ class TestEyeOrigin:
             CameraRig(horizontal_fov=180.0)
         with pytest.raises(ValueError):
             CameraRig(near=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("ipd", math.nan), ("ipd", math.inf),
+        ("horizontal_fov", math.nan), ("horizontal_fov", math.inf),
+        ("near", math.nan), ("near", math.inf),
+    ])
+    def test_rig_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CameraRig(**{field: value})

@@ -14,8 +14,15 @@ from splitfov.client import (
 )
 from splitfov.codec import CodecId
 from splitfov.image import GeometryError, crop, read_ppm
-from splitfov.partition import Eye, foveal_rect_stereo, foveal_rows, reduced_dims, server_rows
-from splitfov.render import render_scaled, render_stereo
+from splitfov.partition import (
+    Eye,
+    foveal_rect,
+    foveal_rect_stereo,
+    foveal_rows,
+    reduced_dims,
+    server_rows,
+)
+from splitfov.render import render_region, render_scaled, render_stereo
 from splitfov.server import draw_foveae
 from splitfov.sim import run_sim_wall
 
@@ -211,6 +218,23 @@ class TestRowSplit:
         served = draw_foveae(scene, rig, POSE, split_spec, (0, k))
         merged = merge(frame, served, split_spec, (0, k))
         assert merged.tobytes() == ffr_frame(scene, rig, POSE, split_spec).tobytes()
+
+    def test_every_split_line_gives_the_native_frame(self, split_spec, scene, rig):
+        """For every k in [1, fov_h] the client's part plus the server's
+        rows, and at k = 0 `ffr_frame`, equal a frame built here: the
+        upsampled periphery with each eye's whole region render sliced in."""
+        spec = split_spec
+        full = (spec.full_w, spec.full_h)
+        want = upsample_nearest(render_scaled(scene, rig, POSE, full, spec.periph_scale), full)
+        for eye in (Eye.LEFT, Eye.RIGHT):
+            r = foveal_rect_stereo(spec, eye)
+            want[r.y : r.y + r.h, r.x : r.x + r.w] = render_region(
+                scene, rig, POSE, int(eye), (spec.eye_w, spec.eye_h), foveal_rect(spec, eye))
+        assert ffr_frame(scene, rig, POSE, spec).tobytes() == want.tobytes()
+        for k in range(1, spec.fov_h + 1):
+            frame = draw_client_part(scene, rig, POSE, spec, k)
+            merged = merge(frame, draw_foveae(scene, rig, POSE, spec, (0, k)), spec, (0, k))
+            assert merged.tobytes() == want.tobytes(), f"split line k = {k}"
 
 
 class TestComposedFrame:

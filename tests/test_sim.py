@@ -257,7 +257,7 @@ class TestNativeVirtual:
         cost = CostModel(client_draw=9.0, merge=1.5)
         records = run_native_virtual(tiny_spec, CameraPath(frame_count=3), cost=cost)
         for r in records:
-            assert r.total_ms == pytest.approx(9.0 + 1.5)
+            assert r.total_ms == pytest.approx(9.0)
             assert r.network_ms == 0.0 and r.bytes_received == 0
 
     def test_per_ray_cost_counts_reduced_and_foveal_rays(self):
@@ -281,7 +281,7 @@ class TestNativeVirtual:
         records = run_native_virtual(PartitionSpec(64, 32, 16, 8, 0.5),
                                      CameraPath(frame_count=9), cost=cost)
         d = cost.client_draw_ms(2 * 16 * 8 + 32 * 16)
-        assert records == [ClientFrameRecord(n, d, 0.0, 0.0, 0.3, d + 0.3, 0) for n in range(9)]
+        assert records == [ClientFrameRecord(n, d, 0.0, 0.0, 0.0, d, 0) for n in range(9)]
 
 
 class TestSimplexPipe:
@@ -410,6 +410,51 @@ class TestTruncatedDownlink:
                 assert cut < total, f"a cut at byte {cut} of {total} raised"
             shown = [frame.tobytes() for frame in sink.frames]
             assert shown == native[: sum(end <= cut for end in frame_ends)], f"cut at byte {cut}"
+
+
+class _StalledWriter:
+    """Forwards the first `left` bytes written, then drops every later
+    write without closing: a peer that stalls mid-stream."""
+
+    def __init__(self, inner, left: int):
+        self.inner = inner
+        self.left = left
+
+    def __call__(self, data: bytes) -> None:
+        self.inner(data[: max(self.left, 0)])
+        self.left -= len(data)
+
+
+class TestStalledDownlink:
+    def test_a_stall_ends_in_a_timeout(self, scene, rig, monkeypatch):
+        """A server->client stream that stops after its first N bytes, and
+        stays open, ends in TimeoutError within the patched read deadline,
+        and the frames on display are exactly the native frames wholly
+        delivered."""
+        spec = PartitionSpec(200, 100, 80, 80, 0.5)
+        path = CameraPath(frame_count=3)
+        native = [ffr_frame(scene, rig, pose_at(path, n), spec).tobytes() for n in range(3)]
+        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path, ZERO_NET,
+                                   client.null_sink, Trace())
+        ends = list(itertools.accumulate(writes["server"]))
+        assert ends[2] + 100 < ends[3]
+        # Into frame 1's first subframe header, 100 bytes into its second
+        # subframe, and exactly at its end, with the frames wholly delivered.
+        cuts = [(ends[1] + 2, 1), (ends[2] + 100, 1), (ends[3], 2)]
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
+        for cut, delivered in cuts:
+            monkeypatch.setattr(
+                sim, "ServerSession",
+                lambda reader, writer, rig, trace=None, _cut=cut:
+                    ServerSession(reader, _StalledWriter(writer, _cut), rig, trace),
+            )
+            sink = CollectSink()
+            t0 = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                run_sim_wall(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+            assert time.perf_counter() - t0 < 5.0, f"cut at byte {cut}"
+            shown = [frame.tobytes() for frame in sink.frames]
+            assert shown == native[:delivered], f"cut at byte {cut}"
 
 
 class TestRigMismatch:
