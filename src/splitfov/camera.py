@@ -17,6 +17,15 @@ import numpy as np
 # float32 stays well inside this, so re-normalization is never triggered
 # for well-formed poses and their bits are preserved.
 QUAT_NORM_TOL = 1e-6
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _float32s(values, n: int, name: str) -> np.ndarray:
+    """`values` as n float32s; a NaN, or a value float32 cannot hold, raises ValueError."""
+    v = np.asarray(values, dtype=np.float64).reshape(n)
+    if not (np.abs(v) <= _F32_MAX).all():
+        raise ValueError(f"{name} must be finite in float32, got {v}")
+    return v.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -27,10 +36,8 @@ class Pose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=np.float32).reshape(3))
-        object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=np.float32).reshape(4))
-        if not np.isfinite(self.position).all():
-            raise ValueError(f"position must be finite, got {self.position}")
+        object.__setattr__(self, "position", _float32s(self.position, 3, "position"))
+        object.__setattr__(self, "orientation", _float32s(self.orientation, 4, "orientation"))
         n = float(np.linalg.norm(self.orientation.astype(np.float64)))
         if not (math.isfinite(n) and abs(n - 1.0) <= QUAT_NORM_TOL):
             raise ValueError(f"quaternion norm {n!r} deviates from 1 by more than {QUAT_NORM_TOL}")
@@ -53,10 +60,10 @@ def normalize_quat(q) -> np.ndarray:
     Leaves already-unit float32 quaternions bit-identical: within
     QUAT_NORM_TOL the input is returned unchanged.
     """
-    q32 = np.asarray(q, dtype=np.float32).reshape(4)
+    q32 = _float32s(q, 4, "quaternion")
     n = float(np.linalg.norm(q32.astype(np.float64)))
-    if n == 0.0 or not math.isfinite(n):
-        raise ValueError("cannot normalize zero or non-finite quaternion")
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero quaternion")
     if abs(n - 1.0) <= QUAT_NORM_TOL:
         return q32
     return (q32.astype(np.float64) / n).astype(np.float32)
@@ -162,10 +169,10 @@ class CameraPath:
     def __post_init__(self):
         if self.frame_count < 1:
             raise ValueError(f"frame_count must be at least 1, got {self.frame_count}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if not math.isfinite(self.height):
-            raise ValueError(f"height must be finite, got {self.height}")
+        if not 0 < self.radius <= _F32_MAX:
+            raise ValueError(f"radius must be positive and finite in float32, got {self.radius}")
+        if not abs(self.height) <= _F32_MAX:
+            raise ValueError(f"height must be finite in float32, got {self.height}")
 
 
 def pose_at(path: CameraPath, frame_id: int) -> Pose:
@@ -183,7 +190,7 @@ def pose_at(path: CameraPath, frame_id: int) -> Pose:
         dtype=np.float64,
     )
     orientation = look_at_quat(position, np.zeros(3))
-    return Pose(position.astype(np.float32), orientation)
+    return Pose(position, orientation)
 
 
 def eye_origin(pose: Pose, rig: CameraRig, eye: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import codec as codec_mod
+from . import wire
 from .camera import CameraPath, CameraRig, Pose, pose_at
 from .image import GeometryError, validate_image, write_ppm
 from .partition import Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, server_rows
@@ -30,7 +31,6 @@ from .render import SceneConfig, render_scaled
 from .server import draw_foveae
 from .trace import RECV, SEND, Stopwatch, Trace, now_ms
 from .wire import (
-    IO_TIMEOUT_S,
     ByteStream,
     ConnectionClosedError,
     EndMsg,
@@ -341,8 +341,8 @@ def run_client(
     trace: Optional[Trace] = None,
 ) -> list[ClientFrameRecord]:
     """Connects to a server and runs a full split-rendering session; a
-    server silent for IO_TIMEOUT_S raises TimeoutError."""
-    with socket.create_connection((host, port), timeout=IO_TIMEOUT_S) as sock:
+    server silent for wire.IO_TIMEOUT_S raises TimeoutError."""
+    with socket.create_connection((host, port), timeout=wire.IO_TIMEOUT_S) as sock:
         # Pose messages are on the frame critical path; never coalesce them.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         logger.info("connected to server at %s:%d", host, port)

@@ -19,12 +19,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import codec as codec_mod
+from . import wire
 from .camera import CameraRig, Pose, normalize_quat
 from .partition import Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows
 from .render import SceneConfig, SceneId, render_region
 from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
-    IO_TIMEOUT_S,
     ByteStream,
     ConnectionClosedError,
     EndMsg,
@@ -188,7 +188,7 @@ def run_server(
     `ready` is called with the bound port once listening (useful with
     port 0), and `on_hello` with the session's partition once the client's
     hello is accepted. A client disconnect mid-session is reported and the
-    partial records are returned; a client silent for IO_TIMEOUT_S raises
+    partial records are returned; a client silent for wire.IO_TIMEOUT_S raises
     TimeoutError.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
@@ -200,7 +200,7 @@ def run_server(
         conn, peer = listener.accept()
         logger.info("client connected from %s:%d", *peer[:2])
         with conn:
-            conn.settimeout(IO_TIMEOUT_S)
+            conn.settimeout(wire.IO_TIMEOUT_S)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = conn.makefile("rb")
             session = ServerSession(reader, conn.sendall, rig, trace=trace)

@@ -1,8 +1,8 @@
 """Single-process simulation of a full split-rendering session.
 
 Both clock modes run the real client and server runtimes concurrently over
-an in-memory duplex channel, so the pixels, the wire messages and the
-display sink are exactly those of a networked session:
+a kernel socket pair per direction, so the pixels, the wire messages and
+the display sink are exactly those of a networked session:
 
 * virtual: only the clock is modeled. The runtimes exchange their messages
   over a free link, then their own event trace is replayed on a virtual
@@ -11,8 +11,8 @@ display sink are exactly those of a networked session:
   model's delivery of the size the runtimes wrote. Runs are
   bit-reproducible and the event trace carries exact timestamps for
   lockstep/overlap assertions.
-* wall: the channel delays delivery per the network model; timings are
-  honest wall-clock measurements.
+* wall: the link hands each message to its socket when the network model
+  delivers it; timings are honest wall-clock measurements.
 
 The network model charges each message latency plus transmission time at
 the link rate; a direction's link is FIFO, so back-to-back messages
@@ -21,9 +21,12 @@ queue behind each other.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
+import socket
 import threading
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -73,7 +76,7 @@ ZERO_NET = NetModel(latency_ms=0.0, bandwidth_mbps=math.inf)
 
 class _Link:
     """FIFO transmission state for one direction of a modeled link, in ms;
-    the virtual timeline and the wall-clock pipes both schedule with it."""
+    the virtual timeline and the wall-clock `_Wire` both schedule with it."""
 
     def __init__(self, net: NetModel):
         self.net = net
@@ -153,7 +156,7 @@ def run_sim_virtual(
     """Runs the split session on a deterministic virtual timeline.
 
     The real runtimes run the session (render, encode, wire serialization,
-    decode, merge, display sink) over a free in-memory link; their own trace
+    decode, merge, display sink) over a free link; their own trace
     is then replayed on a clock modeled from `cost` and from `net` applied
     to the size of each message they wrote. Timestamps in the records and
     trace are virtual milliseconds from session start.
@@ -250,63 +253,51 @@ def run_native_virtual(
     ]
 
 
-class SimplexPipe:
-    """One direction of the in-memory channel for wall-clock simulation.
-
-    write() schedules the data per the network model (latency plus FIFO
-    transmission time); read() blocks until delivery, mimicking a socket
-    with the modeled link in between. The first byte of each write is
-    delivered at its own arrival time so receive-side first-byte
-    timestamps are meaningful. Delivery times are `now_ms` readings. Like
-    a socket, a read that sees nothing in flight for `wire.IO_TIMEOUT_S`
-    raises TimeoutError.
-    """
+class _Wire(contextlib.AbstractContextManager):
+    """One direction of the wall-clock link: a kernel socket pair. The
+    runtime reads `reader`, under the socket deadline `wire.IO_TIMEOUT_S`,
+    and its writes never block: each is queued, and a delivery thread
+    hands it to the socket on the link's schedule. The first 4 bytes (a
+    message's length prefix) go at the first-byte arrival and the rest at
+    the last-byte arrival, so a reader's first-byte timestamps are
+    meaningful. Leaving the `with` block closes the reading end, which
+    ends any delivery still waiting on it."""
 
     def __init__(self, net: NetModel):
-        self._cv = threading.Condition()
-        self._pending: deque[tuple[float, bytes]] = deque()
-        self._buf = bytearray()
-        self._closed = False
         self._link = _Link(net)
         self.sizes: list[int] = []  # length of each write, in order
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._reader_closed = threading.Event()
+        self._tx, rx = socket.socketpair()
+        rx.settimeout(wire.IO_TIMEOUT_S)
+        self.reader = rx.makefile("rb")
+        rx.close()  # the reader now owns the socket
+        self._thread = threading.Thread(target=self._deliver, daemon=True)
+        self._thread.start()
 
     def write(self, data: bytes) -> None:
-        if not data:
-            return
-        self.sizes.append(len(data))
-        first_ms, last_ms = self._link.schedule(now_ms(), len(data))
-        with self._cv:
-            if self._closed:
-                raise BrokenPipeError("pipe closed")
-            self._pending.append((first_ms, data[:1]))
-            if len(data) > 1:
-                self._pending.append((last_ms, data[1:]))
-            self._cv.notify_all()
+        if data:
+            self.sizes.append(len(data))
+            first_ms, last_ms = self._link.schedule(now_ms(), len(data))
+            self._queue.put((first_ms, data[:4]))
+            self._queue.put((last_ms, data[4:]))
 
     def close(self) -> None:
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
+        """Ends the stream: the reader sees EOF once it has drained it."""
+        self._queue.put(None)
 
-    def read(self, n: int) -> bytes:
-        if n <= 0:
-            return b""
-        with self._cv:
-            while True:
-                now = now_ms()
-                while self._pending and self._pending[0][0] <= now:
-                    self._buf.extend(self._pending.popleft()[1])
-                if self._buf:
-                    out = bytes(self._buf[:n])
-                    del self._buf[:n]
-                    return out
-                if self._pending:
-                    self._cv.wait(timeout=(self._pending[0][0] - now) / 1000.0)
-                    continue
-                if self._closed:
-                    return b""
-                if not self._cv.wait(timeout=wire.IO_TIMEOUT_S):
-                    raise TimeoutError("timed out")
+    def _deliver(self) -> None:
+        with self._tx, contextlib.suppress(ConnectionError):  # the reader closed mid-send
+            for due_ms, piece in iter(self._queue.get, None):
+                if self._reader_closed.wait(max(due_ms - now_ms(), 0.0) / 1000.0):
+                    return
+                self._tx.sendall(piece)
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+        self.reader.close()
+        self._reader_closed.set()
+        self._thread.join()
 
 
 def _run_split(
@@ -320,34 +311,33 @@ def _run_split(
     trace: Trace,
 ) -> tuple[SimResult, dict[str, list[int]]]:
     """Runs the real client and server runtimes concurrently in one process,
-    connected by the modeled in-memory channel.
+    each reading a kernel socket that the modeled link feeds.
 
     Returns the session, traced into `trace`, and the size of each message
     the client and the server wrote, in order. A server that fails closes the downlink,
     so the client ends instead of waiting, and its own error is raised.
     """
-    c2s = SimplexPipe(net)
-    s2c = SimplexPipe(net)
-    server_session = ServerSession(c2s, s2c.write, rig, trace=trace)
-    client_session = ClientSession(
-        reader=s2c, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
-        path=path, display=display, trace=trace,
-    )
+    with _Wire(net) as c2s, _Wire(net) as s2c:
+        server_session = ServerSession(c2s.reader, s2c.write, rig, trace=trace)
+        client_session = ClientSession(
+            reader=s2c.reader, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
+            path=path, display=display, trace=trace,
+        )
 
-    def serve() -> list[ServerFrameTiming]:
-        try:
-            return server_session.run()
-        finally:
-            s2c.close()
+        def serve() -> list[ServerFrameTiming]:
+            try:
+                return server_session.run()
+            finally:
+                s2c.close()
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        server_future = pool.submit(serve)
-        try:
-            client_records = client_session.run()
-        finally:
-            c2s.close()
-            # Raises the server's error, if any, in place of the client's.
-            server_records = server_future.result(timeout=60.0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            server_future = pool.submit(serve)
+            try:
+                client_records = client_session.run()
+            finally:
+                c2s.close()
+                # Raises the server's error, if any, in place of the client's.
+                server_records = server_future.result()
     return SimResult(client_records, server_records, trace), {"client": c2s.sizes, "server": s2c.sizes}
 
 
@@ -361,7 +351,8 @@ def run_sim_wall(
     display: DisplaySink = null_sink,
 ) -> SimResult:
     """Runs the real client and server runtimes concurrently in one process,
-    connected by the modeled in-memory channel; wall-clock timings."""
+    each reading a kernel socket that the modeled link feeds; wall-clock
+    timings."""
     return _run_split(spec, codec, scene, rig, path, net, display, Trace())[0]
 
 

@@ -37,7 +37,10 @@ class TestPose:
         ((math.nan, 0, 0), IDENTITY_Q),
         ((0, math.inf, 0), IDENTITY_Q),
         ((0, 0, -math.inf), IDENTITY_Q),
-    ], ids=["nan-x", "nan-w", "inf-x", "nan-position", "inf-position", "neg-inf-position"])
+        ((1e39, 0, 0), IDENTITY_Q),
+        ((0, 0, 0), (1e39, 0, 0, 1)),
+    ], ids=["nan-x", "nan-w", "inf-x", "nan-position", "inf-position", "neg-inf-position",
+            "position-beyond-f32", "orientation-beyond-f32"])
     def test_rejects_non_finite(self, position, orientation):
         with pytest.raises(ValueError):
             Pose(position=position, orientation=orientation)
@@ -65,6 +68,10 @@ class TestNormalizeQuat:
             normalize_quat(np.zeros(4, dtype=np.float32))
         with pytest.raises(ValueError):
             normalize_quat(np.array([np.nan, 0, 0, 1], dtype=np.float32))
+
+    def test_rejects_beyond_float32(self):
+        with pytest.raises(ValueError, match="quaternion must be finite in float32"):
+            normalize_quat((1e39, 0, 0, 1))
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4, max_size=4)
            .filter(lambda q: math.sqrt(sum(v * v for v in q)) > 1e-3))
@@ -151,6 +158,7 @@ class TestPath:
     @pytest.mark.parametrize("field, value", [
         ("radius", math.nan), ("radius", math.inf),
         ("height", math.nan), ("height", math.inf), ("height", -math.inf),
+        ("radius", 1e39), ("height", 1e39), ("height", -1e39),
     ])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):

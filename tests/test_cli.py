@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from splitfov import cli, client, metrics
+from splitfov import cli, client, metrics, wire
 from splitfov.camera import CameraPath, CameraRig
 from splitfov.cli import build_parser, main, parse_cli
 from splitfov.codec import CodecId
@@ -504,7 +504,7 @@ class TestTypedErrors:
         assert capsys.readouterr().err == error
 
     def test_silent_server_times_out(self, monkeypatch, capsys):
-        monkeypatch.setattr(client, "IO_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
         with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
             t0 = time.monotonic()
             code = main(["client", "--port", str(listener.getsockname()[1]), *TINY,

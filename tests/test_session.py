@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from splitfov import client, server
+from splitfov import client, server, wire
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
 from splitfov.codec import CodecError, CodecId, encode
@@ -144,7 +144,7 @@ class TestIoDeadline:
     time on either side."""
 
     def test_client_against_a_silent_listener(self, tiny_spec, scene, rig, monkeypatch):
-        monkeypatch.setattr(client, "IO_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
         with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
             t0 = time.monotonic()
             with pytest.raises(TimeoutError):
@@ -153,7 +153,7 @@ class TestIoDeadline:
         assert time.monotonic() - t0 < 5.0
 
     def test_server_whose_client_stalls_after_the_hello(self, tiny_spec, rig, monkeypatch):
-        monkeypatch.setattr(server, "IO_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
         future, port = start_server(rig=rig)
         with socket.create_connection(("127.0.0.1", port)) as sock:
             sock.sendall(write_msg(hello_for(tiny_spec)))

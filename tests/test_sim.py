@@ -19,7 +19,6 @@ from splitfov.wire import ConnectionClosedError, ProtocolError
 from splitfov.sim import (
     CostModel,
     NetModel,
-    SimplexPipe,
     ZERO_NET,
     _Link,
     check_lockstep,
@@ -27,6 +26,20 @@ from splitfov.sim import (
     run_sim_virtual,
     run_sim_wall,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Every thread a test starts (the runtimes', the link's delivery
+    threads) has ended within 1 s of the test returning."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    for thread in set(threading.enumerate()) - before:
+        thread.join(max(deadline - time.monotonic(), 0.0))
+    left = sorted(t.name for t in set(threading.enumerate()) - before)
+    assert left == [], f"threads outlived the test: {left}"
+
 
 FIG_COST = CostModel(server_draw=5.0, encode=3.0, client_draw=6.0, decode=4.0, merge=1.0)
 LAT2 = NetModel(latency_ms=2.0, bandwidth_mbps=math.inf)
@@ -284,47 +297,46 @@ class TestNativeVirtual:
         assert records == [ClientFrameRecord(n, d, 0.0, 0.0, 0.0, d, 0) for n in range(9)]
 
 
-class TestSimplexPipe:
-    def test_immediate_delivery_with_zero_net(self):
-        pipe = SimplexPipe(ZERO_NET)
-        pipe.write(b"hello")
-        assert pipe.read(5) == b"hello"
+class TestWire:
+    """One direction of the wall-clock link: a kernel socket pair that a
+    delivery thread feeds on the link's schedule."""
 
     def test_latency_delays_delivery(self):
-        pipe = SimplexPipe(NetModel(latency_ms=60.0, bandwidth_mbps=math.inf))
-        t0 = time.perf_counter()
-        pipe.write(b"x")
-        out = pipe.read(1)
-        elapsed = time.perf_counter() - t0
-        assert out == b"x"
-        assert elapsed >= 0.055
+        with sim._Wire(NetModel(latency_ms=60.0, bandwidth_mbps=math.inf)) as link:
+            t0 = time.perf_counter()
+            link.write(b"x")
+            assert link.reader.read(1) == b"x"
+            assert time.perf_counter() - t0 >= 0.055
 
-    def test_first_byte_lands_before_the_rest(self):
-        # 8000 bytes at 1 Mbps = 64 ms of transmission after the first byte
-        pipe = SimplexPipe(NetModel(latency_ms=0.0, bandwidth_mbps=1.0))
-        t0 = time.perf_counter()
-        pipe.write(b"a" * 8000)
-        pipe.read(1)
-        first = time.perf_counter() - t0
-        rest = pipe.read(7999)
-        while len(rest) < 7999:
-            rest += pipe.read(7999 - len(rest))
-        last = time.perf_counter() - t0
+    def test_length_prefix_lands_before_the_rest(self):
+        # 8000 bytes at 1 Mbps = 64 ms of transmission after the first byte;
+        # the 4-byte length prefix is handed over at the first byte's arrival.
+        data = bytes(range(250)) * 32
+        with sim._Wire(NetModel(latency_ms=0.0, bandwidth_mbps=1.0)) as link:
+            t0 = time.perf_counter()
+            link.write(data)
+            prefix = link.reader.read(4)
+            first = time.perf_counter() - t0
+            rest = link.reader.read(7996)
+            last = time.perf_counter() - t0
+        assert prefix + rest == data
         assert first < 0.04
         assert last >= 0.055
 
-    def test_close_reads_as_eof_after_drain(self):
-        pipe = SimplexPipe(ZERO_NET)
-        pipe.write(b"ab")
-        pipe.close()
-        assert pipe.read(10) == b"ab"
-        assert pipe.read(1) == b""
+    def test_closed_writer_reads_as_eof_after_drain(self):
+        with sim._Wire(ZERO_NET) as link:
+            link.write(b"ab")
+            link.close()
+            assert link.reader.read(10) == b"ab"
+            assert link.reader.read(1) == b""
 
-    def test_write_after_close_raises(self):
-        pipe = SimplexPipe(ZERO_NET)
-        pipe.close()
-        with pytest.raises(BrokenPipeError):
-            pipe.write(b"x")
+    def test_nothing_in_flight_times_out(self, monkeypatch):
+        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.2)
+        with sim._Wire(ZERO_NET) as link:
+            t0 = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                link.reader.read(1)
+        assert 0.15 <= time.perf_counter() - t0 < 2.0
 
 
 class TestWallClock:
@@ -410,6 +422,32 @@ class TestTruncatedDownlink:
                 assert cut < total, f"a cut at byte {cut} of {total} raised"
             shown = [frame.tobytes() for frame in sink.frames]
             assert shown == native[: sum(end <= cut for end in frame_ends)], f"cut at byte {cut}"
+
+
+class TestStoppedReader:
+    def test_a_reader_that_stops_cannot_hang_the_session(self, scene, rig, monkeypatch):
+        """The client stops reading 5,000 bytes into a 660,490-byte RAW
+        subframe, far more than a socket buffer holds. Writes never block
+        a runtime, so the session ends in ConnectionClosedError at once and
+        displays nothing."""
+        spec = PartitionSpec(1400, 700, 640, 640, 0.25)
+        monkeypatch.setattr(sim, "ClientSession", lambda reader, **kwargs:
+                            client.ClientSession(reader=_CutStream(reader, 5000), **kwargs))
+        shown, outcome = [], {}
+
+        def session():
+            try:
+                run_sim_wall(spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
+                             display=lambda frame_id, frame: shown.append(frame_id))
+            except Exception as e:
+                outcome["error"] = e
+
+        worker = threading.Thread(target=session, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "the session hung on a reader that stopped"
+        assert isinstance(outcome.get("error"), ConnectionClosedError)
+        assert shown == []
 
 
 class _StalledWriter:
@@ -501,7 +539,9 @@ class TestServerFailure:
 class TestSilentServer:
     @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
     def test_missing_subframes_time_out(self, run, tiny_spec, scene, rig, monkeypatch):
-        # Like a socket session, the in-process link ends a wait on a peer
+        # The simulator's runtimes read kernel sockets under the same
+        # deadline as a TCP session, so a wait on a peer that sends nothing
+        # ends in a TimeoutError.
         # that sends nothing in a TimeoutError.
         send_subframes = ServerSession._send_subframes
 
