@@ -150,12 +150,13 @@ class CameraRig:
     near: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.ipd) and self.ipd >= 0):
-            raise ValueError(f"ipd must be non-negative and finite, got {self.ipd}")
+        # `eye_origin` and the renderer cast ipd and near to float32.
+        if not 0 <= self.ipd <= _F32_MAX:
+            raise ValueError(f"ipd must be non-negative and finite in float32, got {self.ipd}")
         if not 0 < self.horizontal_fov < 180:
             raise ValueError(f"horizontal_fov must be in (0, 180), got {self.horizontal_fov}")
-        if not (math.isfinite(self.near) and self.near > 0):
-            raise ValueError(f"near must be positive and finite, got {self.near}")
+        if not 0 < self.near <= _F32_MAX:
+            raise ValueError(f"near must be positive and finite in float32, got {self.near}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ part gets its own Huffman codes:
 
 Most rendered pixels equal their left neighbor, so DEFLATE never sees their
 zero residuals, and most of the rest differ from it by a shade or two.
+`encode` takes RGB8 (h, w, 3) or RGBX8 (h, w, 4) images, the latter being
+the server's layout; the fourth byte is ignored, so both give the same
+body, and `decode` returns RGB8.
 Payloads are self-describing given (codec, width, height); both codecs
 round-trip every image exactly, and each image has exactly one
 PRED_DEFLATE body: the decoder refuses a corrupt, truncated, oversized or
@@ -69,6 +72,10 @@ def _symbol_tables() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
 
 _SYMBOL_SHARES, _SYMBOL_TRIPLE, _SYMBOL_VALID = _symbol_tables()
 
+# An RGBX pixel's r, g and b bits as one uint32, built from bytes so that it
+# holds in either byte order.
+_RGB_BITS = np.frombuffer(b"\xff\xff\xff\x00", dtype=np.uint32)[0]
+
 
 class CodecId(IntEnum):
     """Wire-stable codec identifiers."""
@@ -82,9 +89,14 @@ class CodecError(RuntimeError):
 
 
 def _predict_residuals(img: np.ndarray) -> np.ndarray:
-    res = img.copy()
-    res[:, 1:, :] = img[:, 1:, :] - img[:, :-1, :]  # uint8 wraps mod 256
-    res[1:, 0, :] = img[1:, 0, :] - img[:-1, 0, :]
+    """Each byte minus its left neighbour's (the first column's minus the
+    row above's, the top-left pixel's minus 0), mod 256, in a fresh
+    C-contiguous array of `img`'s shape; subtracted in place, with no
+    temporary."""
+    res = np.empty_like(img, order="C")
+    np.subtract(img[:, 1:], img[:, :-1], out=res[:, 1:])  # uint8 wraps mod 256
+    np.subtract(img[1:, 0], img[:-1, 0], out=res[1:, 0])
+    res[0, 0] = img[0, 0]
     return res
 
 
@@ -104,22 +116,38 @@ def _symbols(triples: np.ndarray) -> np.ndarray:
 
 
 def encode(codec: CodecId, img: np.ndarray) -> bytes:
-    """Encodes an RGB8 image; deterministic for equal inputs."""
-    validate_image(img)
+    """Encodes an RGB8 (h, w, 3) or RGBX8 (h, w, 4) image; deterministic
+    for equal inputs. An RGBX image's fourth byte is ignored: its body is
+    byte-identical to that of its RGB image `img[..., :3]`."""
+    rgbx = isinstance(img, np.ndarray) and img.ndim == 3 and img.shape[2] == 4
+    validate_image(img[..., :3] if rgbx else img)
     try:
         codec = CodecId(codec)
     except ValueError:
         raise CodecError(f"unknown codec id {codec!r}") from None
     if codec == CodecId.RAW:
-        return img.tobytes()
-    res = _predict_residuals(img).reshape(-1, 3)
-    mask = (res[:, 0] | res[:, 1] | res[:, 2]) != 0
-    triples = np.take(res, np.flatnonzero(mask), axis=0)
+        return (img[..., :3] if rgbx else img).tobytes()
+    if rgbx:
+        # One uint32 per residual: one compare makes the mask and one take
+        # gathers the missed pixels, once the fourth byte is cleared.
+        res = _predict_residuals(img).view(np.uint32).reshape(-1)
+        res &= _RGB_BITS
+        mask = res != 0
+        items = np.take(res, np.flatnonzero(mask))
+        triples = items.view(np.uint8).reshape(-1, 4)
+    else:
+        res = _predict_residuals(img).reshape(-1, 3)
+        mask = (res[:, 0] | res[:, 1] | res[:, 2]) != 0
+        items = triples = np.take(res, np.flatnonzero(mask), axis=0)
     symbols = _symbols(triples)
+    # The escapes are selected as whole items; only those few are cut to 3 bytes.
+    escapes = np.compress(symbols == _ESCAPE, items, axis=0)
+    if rgbx:
+        escapes = escapes.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     compressor = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
     body = compressor.compress(np.packbits(mask)) + compressor.flush(zlib.Z_BLOCK)
     body += compressor.compress(symbols) + compressor.flush(zlib.Z_BLOCK)
-    body += compressor.compress(np.compress(symbols == _ESCAPE, triples, axis=0))
+    body += compressor.compress(escapes)
     return body + compressor.flush()
 
 

@@ -95,6 +95,31 @@ _BACKGROUND_PIXEL = np.array(BACKGROUND, dtype=np.uint8)
 # pixel picks background, light or dark checker from this palette.
 _FLOOR_PALETTE = np.vstack([_BACKGROUND_PIXEL,
                             quantize(np.stack([_CHECKER_LIGHT, _CHECKER_DARK]) * _lambert(_LIGHT_DIR[1]))])
+# The same palette as 4-byte RGBX pixels (fourth byte 0), one uint32 item
+# each: numpy gathers and fills 4-byte items whole, but copies 3-byte ones
+# one at a time. Built from bytes, so it holds in either byte order.
+_FLOOR_PALETTE_X = np.zeros((3, 4), dtype=np.uint8)
+_FLOOR_PALETTE_X[:, :3] = _FLOOR_PALETTE
+_FLOOR_PALETTE_X = _FLOOR_PALETTE_X.view(np.uint32).reshape(3)
+
+
+class DirectionCache:
+    """The world-space ray directions of one grid, kept between the
+    `_shade_grid` calls of one draw.
+
+    Both eyes' foveal rects have the same eye-local pixel centres and the
+    eyes share one orientation, so their directions are bitwise equal: the
+    first eye computes the rows it shades and the second slices them when
+    they cover its own. The cache holds the grid's key (rotation and ray
+    coordinates) and computes afresh on any other grid, so a stale grid can
+    never shade. It should live no longer than one draw: its three float32
+    grids are the size of the rows they cover.
+    """
+
+    def __init__(self):
+        self.key: bytes | None = None
+        self.rows = slice(0, 0)
+        self.grids: tuple[np.ndarray, ...] = ()
 
 
 def _lit_normal_term(t, d, o, c, inv_r, light):
@@ -116,18 +141,22 @@ def _shade_grid(
     eye_dims: tuple[float, float],
     fx: np.ndarray,
     fy: np.ndarray,
+    rgbx: bool = False,
+    directions: DirectionCache | None = None,
 ) -> np.ndarray:
     """Shades the grid of rays through continuous eye-local coordinates.
 
     `fx` (len w) and `fy` (len h) hold pixel-center coordinates in the
     eye's full-resolution framebuffer; the result is an (h, w, 3) uint8
-    image. This single code path serves full-rate region rendering and
-    reduced-rate peripheral rendering, which is what makes the two
-    bit-compatible.
+    RGB image, or with `rgbx` an (h, w, 4) one whose fourth byte is 0 and
+    whose first three equal the RGB image. This single code path serves
+    full-rate region rendering and reduced-rate peripheral rendering, which
+    is what makes the two bit-compatible. With `directions`, the ray
+    directions are taken from, and kept in, that cache.
     """
     h, w = len(fy), len(fx)
     if scene.scene_id == SceneId.EMPTY:
-        frame = np.empty((h, w, 3), dtype=np.uint8)
+        frame = np.empty((h, w, 4 if rgbx else 3), dtype=np.uint8)
         _fill_background(frame)
         return frame
 
@@ -152,18 +181,12 @@ def _shade_grid(
     rows = _hull([_floor_rows(rot, _PLANE_Y - o[1], near, dir_x_row, dir_y_col)]
                  + [b[0] for b in bounds if b is not None])
 
-    # World-space direction d = R @ (dx, dy, -1); broadcast rows x cols.
-    dx = dir_x_row[None, :]
-    dy = dir_y_col[rows, None]
-    d0 = rot[0, 0] * dx + rot[0, 1] * dy
-    d0 -= rot[0, 2]
-    d1 = rot[1, 0] * dx + rot[1, 1] * dy
-    d1 -= rot[1, 2]
-    d2 = rot[2, 0] * dx + rot[2, 1] * dy
-    d2 -= rot[2, 2]
+    d0, d1, d2 = _directions(rot, dir_x_row, dir_y_col, rows, directions)
 
     # Ground plane y = _PLANE_Y. kind: 0 miss, 1 plane, 2+i sphere i.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A d1 of 0, or one so small that the quotient overflows, gives an
+    # infinite t, which misses.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_best = (_PLANE_Y - o[1]) / d1
         hit = t_best >= near
         hit &= t_best <= _FAR  # false on inf and NaN
@@ -230,12 +253,16 @@ def _shade_grid(
     idx = (kind == 1).view(np.uint8)
     dark &= idx
     idx += dark
-    frame = np.empty((h, w, 3), dtype=np.uint8)
+    frame = np.empty((h, w, 4 if rgbx else 3), dtype=np.uint8)
     _fill_background(frame[: rows.start])
     _fill_background(frame[rows.stop :])
     # Gathered straight into the hull's rows; every index is in range, so
     # "clip" changes none, and unlike "raise" it writes `out` unbuffered.
-    content = np.take(_FLOOR_PALETTE, idx, axis=0, out=frame[rows], mode="clip")
+    content = frame[rows]
+    if rgbx:
+        np.take(_FLOOR_PALETTE_X, idx, out=content.view(np.uint32)[..., 0], mode="clip")
+    else:
+        np.take(_FLOOR_PALETTE, idx, axis=0, out=content, mode="clip")
 
     # Each sphere shades its whole box, then pastes by mask: the box's plane
     # and missed rays are shaded too and dropped, which costs less than
@@ -262,10 +289,46 @@ def _shade_grid(
 
 
 def _fill_background(rows: np.ndarray) -> None:
-    """Fills the (n, w, 3) `rows` with the background colour. Assigning one
-    tiled row copies whole rows; assigning the (3,) colour would loop per
-    pixel, about 30 times slower."""
-    rows[:] = np.tile(_BACKGROUND_PIXEL, (rows.shape[1], 1))
+    """Fills the contiguous (n, w, 3) or (n, w, 4) `rows` with the
+    background colour (fourth byte 0). An RGBX pixel is filled as one
+    uint32; for RGB, assigning one tiled row copies whole rows, where
+    assigning the (3,) colour would loop per pixel, about 30 times slower."""
+    if rows.shape[2] == 4:
+        rows.view(np.uint32).fill(_FLOOR_PALETTE_X[0])
+    else:
+        rows[:] = np.tile(_BACKGROUND_PIXEL, (rows.shape[1], 1))
+
+
+def _directions(
+    rot: np.ndarray,
+    dir_x_row: np.ndarray,
+    dir_y_col: np.ndarray,
+    rows: slice,
+    cache: DirectionCache | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The world-space direction d = R @ (dx, dy, -1) of each ray of the
+    grid's rows `rows`, broadcast rows x cols: three float32 grids. Each
+    element depends on its own dx and dy alone, so a slice of a grid of
+    more rows is bitwise equal to a grid of fewer; with `cache`, rows it
+    covers are sliced from it, and rows it does not are computed and
+    replace it."""
+    if cache is not None:
+        key = rot.tobytes() + dir_x_row.tobytes() + dir_y_col.tobytes()
+        if cache.key == key and cache.rows.start <= rows.start and rows.stop <= cache.rows.stop:
+            local = slice(rows.start - cache.rows.start, rows.stop - cache.rows.start)
+            return tuple(d[local] for d in cache.grids)
+        cache.key, cache.grids = None, ()  # free the old grids before the new
+    dx = dir_x_row[None, :]
+    dy = dir_y_col[rows, None]
+    d0 = rot[0, 0] * dx + rot[0, 1] * dy
+    d0 -= rot[0, 2]
+    d1 = rot[1, 0] * dx + rot[1, 1] * dy
+    d1 -= rot[1, 2]
+    d2 = rot[2, 0] * dx + rot[2, 1] * dy
+    d2 -= rot[2, 2]
+    if cache is not None:
+        cache.key, cache.rows, cache.grids = key, rows, (d0, d1, d2)
+    return d0, d1, d2
 
 
 def _hull(spans: list[slice | None]) -> slice:
@@ -434,12 +497,18 @@ def render_region(
     eye: int,
     full_eye_dims: tuple[int, int],
     region: Rect,
+    rgbx: bool = False,
+    directions: DirectionCache | None = None,
 ) -> np.ndarray:
     """Renders a sub-rectangle of one eye's full-resolution frame.
 
     Output pixel (i, j) is the shading of full-frame pixel
     (region.x + i, region.y + j), so rendering a sub-rectangle equals
-    cropping a full-frame render byte-for-byte.
+    cropping a full-frame render byte-for-byte. The result is RGB8 by
+    default, and RGBX8 (fourth byte 0) with `rgbx`, the layout `encode`
+    takes with no repacking. `directions` shares the ray directions
+    between calls that shade the same rect at the same pose (both eyes'
+    foveae, see `DirectionCache`); the pixels are the same without it.
     """
     w, h = full_eye_dims
     if w < 1 or h < 1:
@@ -450,7 +519,7 @@ def render_region(
         raise GeometryError(f"region {region} out of bounds for eye dims {full_eye_dims}")
     fx = np.arange(region.x, region.x + region.w, dtype=np.float32) + np.float32(0.5)
     fy = np.arange(region.y, region.y + region.h, dtype=np.float32) + np.float32(0.5)
-    return _shade_grid(scene, rig, pose, eye, (w, h), fx, fy)
+    return _shade_grid(scene, rig, pose, eye, (w, h), fx, fy, rgbx, directions)
 
 
 def render_scaled(

@@ -3,8 +3,9 @@
 The server is pose-driven and strictly lockstep: it idles until the
 client's PoseUpdateMsg for frame n arrives, renders the top
 `partition.server_rows` rows of both eyes' foveal rectangles at full
-sampling rate, encodes each eye independently, and sends one SubframeMsg
-per eye. It never renders ahead.
+sampling rate as RGBX pixels, encodes each eye independently from those
+pixels as drawn, and sends one SubframeMsg per eye. It never renders
+ahead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import codec as codec_mod
 from . import wire
 from .camera import CameraRig, Pose, normalize_quat
 from .partition import Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows
-from .render import SceneConfig, SceneId, render_region
+from .render import DirectionCache, SceneConfig, SceneId, render_region
 from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
     ByteStream,
@@ -66,14 +67,18 @@ def pose_from_wire(msg: PoseUpdateMsg) -> Pose:
 
 def draw_foveae(
     scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec,
-    rows: Optional[tuple[int, int]] = None,
+    rows: Optional[tuple[int, int]] = None, rgbx: bool = False,
 ) -> dict[Eye, np.ndarray]:
     """Rows [lo, hi) of both eyes' foveal rectangles (all rows by default)
-    rendered at full sampling rate."""
+    rendered at full sampling rate, as RGB8 images, or RGBX8 (fourth byte
+    0) with `rgbx`. The two rects have the same eye-local pixels, so the
+    eyes share one set of ray directions, computed once per call and
+    dropped when it returns."""
     rows = (0, spec.fov_h) if rows is None else rows
+    directions = DirectionCache()
     return {
         eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h),
-                           foveal_rows(foveal_rect(spec, eye), rows))
+                           foveal_rows(foveal_rect(spec, eye), rows), rgbx, directions)
         for eye in (Eye.LEFT, Eye.RIGHT)
     }
 
@@ -138,8 +143,9 @@ class ServerSession:
         assert self.k is not None
         spec, codec, scene = self.spec, self.codec, self.scene
         sw = self.stopwatch
+        # RGBX rows go to the encoder as drawn, with no repacking.
         images, draw_ms = sw.stage("draw", frame_id, draw_foveae, scene, self.rig, pose, spec,
-                                   (0, self.k))
+                                   (0, self.k), True)
         payloads, encode_ms = sw.stage("encode", frame_id, _encode_subframes, codec, images)
         _, send_ms = sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
         bytes_sent = sum(len(p) for p in payloads.values())

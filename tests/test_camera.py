@@ -195,6 +195,7 @@ class TestEyeOrigin:
         ("ipd", math.nan), ("ipd", math.inf),
         ("horizontal_fov", math.nan), ("horizontal_fov", math.inf),
         ("near", math.nan), ("near", math.inf),
+        ("ipd", 1e39), ("near", 1e39),
     ])
     def test_rig_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):

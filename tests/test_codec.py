@@ -13,7 +13,7 @@ from splitfov.codec import (
     decode,
     encode,
 )
-from splitfov.image import Rect
+from splitfov.image import GeometryError, Rect
 from splitfov.render import render_region
 
 POSE = pose_at(CameraPath(frame_count=9), 2)
@@ -135,6 +135,72 @@ class TestPayloads:
             encode(7, img)  # type: ignore[arg-type]
         with pytest.raises(CodecError):
             decode(7, b"\x00" * 12, 2, 2)  # type: ignore[arg-type]
+
+
+def with_fourth_byte(rgb: np.ndarray, fourth: np.ndarray | int = 0) -> np.ndarray:
+    """`rgb` as an (h, w, 4) RGBX image with the given fourth byte."""
+    rgbx = np.empty(rgb.shape[:2] + (4,), dtype=np.uint8)
+    rgbx[..., :3] = rgb
+    rgbx[..., 3] = fourth
+    return rgbx
+
+
+@st.composite
+def rgb_images(draw):
+    """Images of 1x1, 1xN, Nx1 or random size, of noise, of few colours in
+    runs (mostly zero residuals), or of shades at the alphabet's edge."""
+    shape = draw(st.sampled_from(["1x1", "1xN", "Nx1", "random"]))
+    w = {"1x1": 1, "Nx1": 1}.get(shape) or draw(st.integers(1, 90))
+    h = {"1x1": 1, "1xN": 1}.get(shape) or draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "runs", "edge"]))
+    if kind == "noise":
+        return random_image(rng, w, h)
+    if kind == "runs":
+        palette = rng.integers(0, 256, size=(3, 3), dtype=np.uint8)
+        return palette[np.repeat(rng.integers(0, 3, size=w * h // 4 + 1), 4)[: w * h]].reshape(h, w, 3)
+    steps = rng.integers(-3, 4, size=(h, w, 3)).astype(np.uint8)
+    return np.add.accumulate(steps, axis=1, dtype=np.uint8)
+
+
+class TestRgbxInput:
+    """`encode` takes the server's RGBX rows as drawn: an RGBX image's body
+    is byte-identical to its RGB image's, for both codecs. Its fourth byte
+    is ignored, whatever it holds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(img=rgb_images(), codec=st.sampled_from(CodecId), seed=st.integers(0, 2**32 - 1),
+           fourth=st.sampled_from(["zero", "constant", "noise"]))
+    def test_body_equals_the_rgb_body(self, img, codec, seed, fourth):
+        rng = np.random.default_rng(seed)
+        x = {"zero": 0, "constant": 0xFF,
+             "noise": rng.integers(0, 256, size=img.shape[:2], dtype=np.uint8)}[fourth]
+        assert encode(codec, with_fourth_byte(img, x)) == encode(codec, img)
+
+    @pytest.mark.parametrize("codec", [CodecId.RAW, CodecId.PRED_DEFLATE])
+    def test_rendered_rows(self, scene, rig, codec):
+        rect = Rect(10, 5, 48, 40)
+        rgb = render_region(scene, rig, POSE, 0, (80, 60), rect)
+        rgbx = render_region(scene, rig, POSE, 0, (80, 60), rect, rgbx=True)
+        body = encode(codec, rgbx)
+        assert body == encode(codec, rgb)
+        assert decode(codec, body, rect.w, rect.h).tobytes() == rgb.tobytes()
+
+    def test_a_strided_view_encodes_as_its_copy(self):
+        rgbx = with_fourth_byte(random_image(np.random.default_rng(3), 40, 30), 7)
+        view = rgbx[::2, 1::3]
+        for codec in CodecId:
+            assert encode(codec, view) == encode(codec, np.ascontiguousarray(view[..., :3]))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (4, 4, 5), (4, 4), (0, 4, 4), (4, 0, 4)])
+    def test_other_shapes_are_refused(self, shape):
+        for codec in CodecId:
+            with pytest.raises(GeometryError):
+                encode(codec, np.zeros(shape, dtype=np.uint8))
+
+    def test_an_rgbx_image_of_another_dtype_is_refused(self):
+        with pytest.raises(GeometryError):
+            encode(CodecId.PRED_DEFLATE, np.zeros((2, 2, 4), dtype=np.uint16))
 
 
 class TestLayout:

@@ -15,25 +15,31 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Run in a fresh interpreter, so the allocator's history is this loop's
 # alone. It prints the minor faults per timed frame of the server's part
-# (its rows of both foveae, then a PRED_DEFLATE encode of each eye) and
-# of a native frame, at the fovea_tcp geometry. The timed frames replay
-# the warm-up poses: a frame whose buffers the heap has held before must
-# not fault, while a new pose may still raise the heap's high-water mark
-# once.
+# and of a native frame, at the fovea_tcp geometry. The server's part is
+# `ServerSession.serve_frame` itself, after a PRED_DEFLATE hello, writing
+# to nowhere: its RGBX rows of both foveae, the encode of each eye and the
+# framing of each subframe. The timed frames replay the warm-up poses: a
+# frame whose buffers the heap has held before must not fault, while a new
+# pose may still raise the heap's high-water mark once.
 CHILD = """
+import io
 import resource
 from splitfov import CameraPath, CameraRig, CodecId, PartitionSpec, SceneConfig
-from splitfov import encode, ffr_frame, pose_at, server_rows
-from splitfov.server import draw_foveae
+from splitfov import ffr_frame, pose_at
+from splitfov.server import ServerSession
+from splitfov.wire import PROTOCOL_VERSION, HelloMsg, write_msg
 
 POSES = range(4)
 spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
 scene, rig, path = SceneConfig(), CameraRig(), CameraPath()
-rows = (0, server_rows(spec))
+hello = HelloMsg(PROTOCOL_VERSION, spec.full_w, spec.full_h, spec.fov_w, spec.fov_h,
+                 spec.periph_scale, int(CodecId.PRED_DEFLATE), int(scene.scene_id),
+                 rig.ipd, rig.horizontal_fov, rig.near)
+session = ServerSession(io.BytesIO(write_msg(hello)), lambda data: None, rig)
+session.handshake()
 
 def server_part(n):
-    for img in draw_foveae(scene, rig, pose_at(path, n), spec, rows).values():
-        encode(CodecId.PRED_DEFLATE, img)
+    session.serve_frame(pose_at(path, n), n)
 
 def native(n):
     ffr_frame(scene, rig, pose_at(path, n), spec)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitfov import render
-from splitfov.camera import CameraPath, CameraRig, Pose, normalize_quat, pose_at, quat_to_matrix
+from splitfov.camera import CameraPath, CameraRig, Pose, look_at_quat, normalize_quat, pose_at, quat_to_matrix
 from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
-from splitfov.partition import Eye, PartitionSpec, foveal_rect, reduced_dims
+from splitfov.partition import Eye, PartitionSpec, foveal_rect, foveal_rows, reduced_dims
 from splitfov.render import (
     _FAR,
     _PLANE_Y,
@@ -438,3 +438,113 @@ class TestFloorBound:
         img = render_stereo(SceneConfig(), CameraRig(), up, (40, 30))
         assert [(rows.start, rows.stop) for rows in hulls] == [(0, 0), (0, 0)]
         assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
+
+
+positions = st.tuples(*[st.floats(-4.0, 4.0)] * 3)
+poses = st.builds(lambda p, q: Pose(p, q), positions, quaternions)
+scenes = st.sampled_from([SceneConfig(SceneId.SPHERES), SceneConfig(SceneId.EMPTY)])
+rigs = st.builds(CameraRig, ipd=st.sampled_from([0.0, 0.064, 0.5]),
+                 horizontal_fov=st.floats(20.0, 150.0))
+
+
+@st.composite
+def regions(draw, max_w=48, max_h=40):
+    """Eye dims and a rect inside them."""
+    w, h = draw(st.integers(1, max_w)), draw(st.integers(1, max_h))
+    rw, rh = draw(st.integers(1, w)), draw(st.integers(1, h))
+    return (w, h), Rect(draw(st.integers(0, w - rw)), draw(st.integers(0, h - rh)), rw, rh)
+
+
+class TestLayouts:
+    """The server's rows are RGBX (fourth byte 0), everything else RGB; the
+    two layouts carry the same pixels."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(scene=scenes, rig=rigs, pose=poses, eye=st.sampled_from(Eye), region=regions())
+    def test_rgbx_is_rgb_with_a_zero_fourth_byte(self, scene, rig, pose, eye, region):
+        dims, rect = region
+        rgb = render_region(scene, rig, pose, eye, dims, rect)
+        rgbx = render_region(scene, rig, pose, eye, dims, rect, rgbx=True)
+        assert rgb.shape == (rect.h, rect.w, 3) and rgbx.shape == (rect.h, rect.w, 4)
+        assert rgbx.dtype == np.uint8 and rgbx.flags.c_contiguous
+        assert rgbx[..., :3].tobytes() == rgb.tobytes()
+        assert not rgbx[..., 3].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rig=rigs, pose=poses, eye=st.sampled_from(Eye), region=regions(), rgbx=st.booleans())
+    def test_region_equals_crop_in_both_layouts(self, rig, pose, eye, region, rgbx):
+        dims, rect = region
+        full = render_region(SceneConfig(), rig, pose, eye, dims, Rect(0, 0, *dims), rgbx=rgbx)
+        part = render_region(SceneConfig(), rig, pose, eye, dims, rect, rgbx=rgbx)
+        assert part.tobytes() == full[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].tobytes()
+
+
+@st.composite
+def fovea_specs(draw):
+    """A small split geometry and a split line k in [1, fov_h)."""
+    eye_w, full_h = draw(st.integers(1, 40)), draw(st.integers(2, 32))
+    fov_w, fov_h = draw(st.integers(1, eye_w)), draw(st.integers(2, full_h))
+    spec = PartitionSpec(2 * eye_w, full_h, fov_w, fov_h, 0.5)
+    return spec, draw(st.integers(1, fov_h - 1))
+
+
+class TestSharedDirections:
+    """`draw_foveae` computes the ray directions once for both eyes; each
+    eye's rows still equal its own `render_region` of the rect."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scene=scenes, rig=rigs, pose=poses, geometry=fovea_specs(), rgbx=st.booleans())
+    def test_both_eyes_equal_their_own_render(self, scene, rig, pose, geometry, rgbx):
+        spec, k = geometry
+        for rows in ((0, k), (k, spec.fov_h), (0, spec.fov_h)):
+            drawn = draw_foveae(scene, rig, pose, spec, rows, rgbx)
+            for eye in Eye:
+                rect = foveal_rows(foveal_rect(spec, eye), rows)
+                own = render_region(scene, rig, pose, eye, (spec.eye_w, spec.eye_h), rect, rgbx=rgbx)
+                assert drawn[eye].tobytes() == own.tobytes()
+
+    def test_the_second_eye_reuses_the_first_eyes_directions(self, scene, rig, monkeypatch):
+        spec = PartitionSpec(200, 100, 64, 48, 0.5)
+        grids = []
+        inner = render._directions
+
+        def recorded(*args):
+            grids.append(inner(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(render, "_directions", recorded)
+        draw_foveae(scene, rig, POSE, spec)
+        (left, right) = grids
+        assert all(np.shares_memory(l, r) for l, r in zip(left, right))
+
+    def test_covered_rows_are_sliced_from_the_cache(self):
+        """Rows inside the cached ones are that slice of the cached grids,
+        bitwise equal to computing them alone."""
+        rot = quat_to_matrix(POSE.orientation)
+        dir_x_row, dir_y_col = _plane_coords((64, 48), *_full_grid(64, 48))
+        cache = render.DirectionCache()
+        cached = render._directions(rot, dir_x_row, dir_y_col, slice(4, 44), cache)
+        for rows in (slice(4, 44), slice(10, 30), slice(43, 44)):
+            sliced = render._directions(rot, dir_x_row, dir_y_col, rows, cache)
+            alone = render._directions(rot, dir_x_row, dir_y_col, rows, None)
+            for s, a, c in zip(sliced, alone, cached):
+                assert np.shares_memory(s, c)
+                assert s.tobytes() == a.tobytes()
+
+    # Looking down at the floor, every row is in the hull, so a cache of the
+    # full rect covers any other rect's hull rows.
+    DOWN = Pose((0.0, 2.5, 1.5), look_at_quat((0.0, 2.5, 1.5), (0.0, -1.0, 0.0)))
+
+    @pytest.mark.parametrize("pose, rect", [
+        (POSE, Rect(0, 0, 64, 48)),
+        (DOWN, Rect(8, 0, 40, 48)),
+        (DOWN, Rect(0, 6, 64, 30)),
+    ], ids=["other-pose", "other-columns", "other-rows"])
+    def test_a_cache_from_another_grid_is_not_used(self, scene, rig, pose, rect):
+        """A cache filled at one pose and rect gives another the pixels it
+        would shade without the cache."""
+        dims, cache = (64, 48), render.DirectionCache()
+        render_region(scene, rig, self.DOWN, Eye.LEFT, dims, Rect(0, 0, 64, 48), directions=cache)
+        assert cache.rows == slice(0, 48)
+        shared = render_region(scene, rig, pose, Eye.RIGHT, dims, rect, directions=cache)
+        assert shared.tobytes() == render_region(scene, rig, pose, Eye.RIGHT, dims, rect).tobytes()
