@@ -61,7 +61,7 @@ def _add_geometry(p: argparse.ArgumentParser, codec: bool = True) -> None:
     p.add_argument("--fovea", type=_dims, default=(DEFAULT_SPEC.fov_w, DEFAULT_SPEC.fov_h),
                    metavar="WxH", help="per-eye foveal region size (default %(default)s)")
     p.add_argument("--scale", type=float, default=DEFAULT_SPEC.periph_scale,
-                   help="peripheral resolution scale in [1/65535, 1] (default %(default)s)")
+                   help="peripheral resolution scale in [1/65535, 1] (default %(default).7g)")
     p.add_argument("--frames", type=int, default=CameraPath().frame_count,
                    help="frames to run (default %(default)s)")
     p.add_argument("--scene", choices=sorted(_SCENES), default="spheres")

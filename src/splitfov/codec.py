@@ -19,8 +19,8 @@ part gets its own Huffman codes:
 Most rendered pixels equal their left neighbor, so DEFLATE never sees their
 zero residuals, and most of the rest differ from it by a shade or two.
 `encode` takes RGB8 (h, w, 3) or RGBX8 (h, w, 4) images, the latter being
-the server's layout; the fourth byte is ignored, so both give the same
-body, and `decode` returns RGB8.
+the server's layout, down one code path; the fourth byte is ignored, so
+both give the same body, and `decode` returns RGB8.
 Payloads are self-describing given (codec, width, height); both codecs
 round-trip every image exactly, and each image has exactly one
 PRED_DEFLATE body: the decoder refuses a corrupt, truncated, oversized or
@@ -106,12 +106,13 @@ def _unpredict_residuals(res: np.ndarray) -> np.ndarray:
     return np.add.accumulate(res, axis=1, dtype=np.uint8, out=res)
 
 
-def _symbols(triples: np.ndarray) -> np.ndarray:
-    """Each row's symbol byte for the (m, 3) uint8 residual `triples`:
-    three table lookups and two adds, _ESCAPE where a channel does not fit."""
-    symbols = np.take(_SYMBOL_SHARES[0], triples[:, 0])
-    symbols += np.take(_SYMBOL_SHARES[1], triples[:, 1])
-    symbols += np.take(_SYMBOL_SHARES[2], triples[:, 2])
+def _symbols(residuals: np.ndarray) -> np.ndarray:
+    """Each row's symbol byte for the (m, 3) or (m, 4) uint8 `residuals`,
+    from the first three bytes of each row: three table lookups and two
+    adds, _ESCAPE where a channel does not fit."""
+    symbols = np.take(_SYMBOL_SHARES[0], residuals[:, 0])
+    symbols += np.take(_SYMBOL_SHARES[1], residuals[:, 1])
+    symbols += np.take(_SYMBOL_SHARES[2], residuals[:, 2])
     return np.minimum(symbols, _ESCAPE, out=symbols).astype(np.uint8)
 
 
@@ -126,28 +127,24 @@ def encode(codec: CodecId, img: np.ndarray) -> bytes:
     except ValueError:
         raise CodecError(f"unknown codec id {codec!r}") from None
     if codec == CodecId.RAW:
-        return (img[..., :3] if rgbx else img).tobytes()
+        return img[..., :3].tobytes()
+    res = _predict_residuals(img).reshape(-1, img.shape[2])
     if rgbx:
-        # One uint32 per residual: one compare makes the mask and one take
-        # gathers the missed pixels, once the fourth byte is cleared.
-        res = _predict_residuals(img).view(np.uint32).reshape(-1)
-        res &= _RGB_BITS
-        mask = res != 0
-        items = np.take(res, np.flatnonzero(mask))
-        triples = items.view(np.uint8).reshape(-1, 4)
+        # One uint32 compare per pixel, once the fourth byte is cleared.
+        items = res.view(np.uint32).reshape(-1)
+        items &= _RGB_BITS
+        mask = items != 0
     else:
-        res = _predict_residuals(img).reshape(-1, 3)
         mask = (res[:, 0] | res[:, 1] | res[:, 2]) != 0
-        items = triples = np.take(res, np.flatnonzero(mask), axis=0)
-    symbols = _symbols(triples)
-    # The escapes are selected as whole items; only those few are cut to 3 bytes.
-    escapes = np.compress(symbols == _ESCAPE, items, axis=0)
-    if rgbx:
-        escapes = escapes.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    # The missed pixels' residuals, gathered as whole rows; only the few
+    # escapes among them are cut to 3 bytes.
+    missed = np.take(res, np.flatnonzero(mask), axis=0)
+    symbols = _symbols(missed)
+    escapes = np.compress(symbols == _ESCAPE, missed, axis=0)[:, :3]
     compressor = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
     body = compressor.compress(np.packbits(mask)) + compressor.flush(zlib.Z_BLOCK)
     body += compressor.compress(symbols) + compressor.flush(zlib.Z_BLOCK)
-    body += compressor.compress(escapes)
+    body += compressor.compress(escapes.tobytes())
     return body + compressor.flush()
 
 

@@ -70,7 +70,7 @@ _PPM_HEADER = re.compile(rb"^P6\s+(\d+)\s+(\d+)\s+255\s")
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Reads a binary PPM written by `write_ppm` (plain P6, no comments)."""
+    """Reads a binary PPM written by `write_ppm` (plain P6, no comments, at least 1x1)."""
     with open(path, "rb") as f:
         data = f.read()
     m = _PPM_HEADER.match(data)
@@ -80,4 +80,4 @@ def read_ppm(path: str) -> np.ndarray:
     body = data[m.end() : m.end() + w * h * 3]
     if len(body) != w * h * 3:
         raise GeometryError(f"PPM body truncated: expected {w * h * 3} bytes, got {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).copy()
+    return validate_image(np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).copy())

@@ -18,11 +18,17 @@ from enum import IntEnum
 from .image import GeometryError, Rect
 from .wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
 
+
+def _float32(x: float) -> float:
+    """`x` rounded to the nearest float32, as the hello's f32 carries it."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
+
+
 # The least peripheral scale: 1/MAX_DIM as the hello's f32 carries it, so a
 # scale the client accepts stays accepted on the server. Below 1/MAX_DIM
 # every frame the wire can carry has a one-pixel periphery, and far below
 # it the renderer's float32 shading overflows.
-MIN_SCALE = struct.unpack("<f", struct.pack("<f", 1 / MAX_DIM))[0]
+MIN_SCALE = _float32(1 / MAX_DIM)
 
 
 class Eye(IntEnum):
@@ -44,7 +50,8 @@ class PartitionSpec:
     per eye; periph_scale: sampling-rate fraction for the peripheral
     buffer. One eye's viewport is the left or right half of the frame, and
     one eye's RAW subframe must fit the wire's frame cap. Construction
-    raises PartitionError listing every violated invariant.
+    raises PartitionError listing every violated invariant. A valid spec
+    holds its scale as the f32 the hello carries, so both sides split alike.
     """
 
     full_w: int
@@ -76,6 +83,7 @@ class PartitionSpec:
                               f" wire's frame cap of {DEFAULT_MAX_FRAME} bytes")
         if violations:
             raise PartitionError("; ".join(violations))
+        object.__setattr__(self, "periph_scale", _float32(self.periph_scale))
 
     @property
     def eye_w(self) -> int:

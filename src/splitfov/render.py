@@ -90,17 +90,13 @@ def _lambert(lam):
     return _AMBIENT + (np.float32(1.0) - _AMBIENT) * lam
 
 
-_BACKGROUND_PIXEL = np.array(BACKGROUND, dtype=np.uint8)
 # The floor has one normal (+y), so it shades to exactly two colours; each
-# pixel picks background, light or dark checker from this palette.
-_FLOOR_PALETTE = np.vstack([_BACKGROUND_PIXEL,
-                            quantize(np.stack([_CHECKER_LIGHT, _CHECKER_DARK]) * _lambert(_LIGHT_DIR[1]))])
-# The same palette as 4-byte RGBX pixels (fourth byte 0), one uint32 item
-# each: numpy gathers and fills 4-byte items whole, but copies 3-byte ones
-# one at a time. Built from bytes, so it holds in either byte order.
-_FLOOR_PALETTE_X = np.zeros((3, 4), dtype=np.uint8)
-_FLOOR_PALETTE_X[:, :3] = _FLOOR_PALETTE
-_FLOOR_PALETTE_X = _FLOOR_PALETTE_X.view(np.uint32).reshape(3)
+# pixel picks background, light or dark checker from this palette. Its rows
+# are 4-byte RGBX pixels (fourth byte 0): an RGB frame takes their first
+# three bytes, and numpy gathers 4-byte rows whole.
+_FLOOR_PALETTE = np.zeros((3, 4), dtype=np.uint8)
+_FLOOR_PALETTE[:, :3] = np.vstack([BACKGROUND,
+                                   quantize(np.stack([_CHECKER_LIGHT, _CHECKER_DARK]) * _lambert(_LIGHT_DIR[1]))])
 
 
 class DirectionCache:
@@ -150,9 +146,9 @@ def _shade_grid(
     eye's full-resolution framebuffer; the result is an (h, w, 3) uint8
     RGB image, or with `rgbx` an (h, w, 4) one whose fourth byte is 0 and
     whose first three equal the RGB image. This single code path serves
-    full-rate region rendering and reduced-rate peripheral rendering, which
-    is what makes the two bit-compatible. With `directions`, the ray
-    directions are taken from, and kept in, that cache.
+    both layouts, full-rate region rendering and reduced-rate peripheral
+    rendering, which is what makes them bit-compatible. With `directions`,
+    the ray directions are taken from, and kept in, that cache.
     """
     h, w = len(fy), len(fx)
     if scene.scene_id == SceneId.EMPTY:
@@ -259,10 +255,7 @@ def _shade_grid(
     # Gathered straight into the hull's rows; every index is in range, so
     # "clip" changes none, and unlike "raise" it writes `out` unbuffered.
     content = frame[rows]
-    if rgbx:
-        np.take(_FLOOR_PALETTE_X, idx, out=content.view(np.uint32)[..., 0], mode="clip")
-    else:
-        np.take(_FLOOR_PALETTE, idx, axis=0, out=content, mode="clip")
+    np.take(_FLOOR_PALETTE[:, : frame.shape[2]], idx, axis=0, out=content, mode="clip")
 
     # Each sphere shades its whole box, then pastes by mask: the box's plane
     # and missed rays are shaded too and dropped, which costs less than
@@ -290,13 +283,10 @@ def _shade_grid(
 
 def _fill_background(rows: np.ndarray) -> None:
     """Fills the contiguous (n, w, 3) or (n, w, 4) `rows` with the
-    background colour (fourth byte 0). An RGBX pixel is filled as one
-    uint32; for RGB, assigning one tiled row copies whole rows, where
-    assigning the (3,) colour would loop per pixel, about 30 times slower."""
-    if rows.shape[2] == 4:
-        rows.view(np.uint32).fill(_FLOOR_PALETTE_X[0])
-    else:
-        rows[:] = np.tile(_BACKGROUND_PIXEL, (rows.shape[1], 1))
+    background colour (fourth byte 0). Assigning one tiled row copies whole
+    rows, where assigning the one pixel would loop per pixel, about 30
+    times slower."""
+    rows[:] = np.tile(_FLOOR_PALETTE[0, : rows.shape[2]], (rows.shape[1], 1))
 
 
 def _directions(

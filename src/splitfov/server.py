@@ -144,8 +144,8 @@ class ServerSession:
         spec, codec, scene = self.spec, self.codec, self.scene
         sw = self.stopwatch
         # RGBX rows go to the encoder as drawn, with no repacking.
-        images, draw_ms = sw.stage("draw", frame_id, draw_foveae, scene, self.rig, pose, spec,
-                                   (0, self.k), True)
+        images, draw_ms = sw.stage(
+            "draw", frame_id, lambda: draw_foveae(scene, self.rig, pose, spec, (0, self.k), rgbx=True))
         payloads, encode_ms = sw.stage("encode", frame_id, _encode_subframes, codec, images)
         _, send_ms = sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
         bytes_sent = sum(len(p) for p in payloads.values())

@@ -17,10 +17,12 @@ client's End. A subframe carries rows [0, k) of the eye's foveal rect,
 fov_w x k pixels in the hello's codec, where k = partition.server_rows of
 the hello's geometry: the fewest top rows holding at least half of the
 frame's rays. The client draws rows [k, fov_h) itself. Both sides derive
-k, so no message carries it. Protocol 6 is the first to split the fovea
-by rows; a protocol 5 subframe carried all fov_h rows. Protocol 7 is the
-first whose PRED_DEFLATE payload codes most missed pixels in one symbol
-byte (see `codec`); a protocol 6 payload carried 3 residual bytes for each.
+k, so no message carries it; each derives it from the f32 scale the hello
+carries, which a `PartitionSpec` holds. Protocol 6 is the first to split
+the fovea by rows; a protocol 5 subframe carried all fov_h rows. Protocol
+7 is the first whose PRED_DEFLATE payload codes most missed pixels in one
+symbol byte (see `codec`); a protocol 6 payload carried 3 residual bytes
+for each.
 
 Serialization is deterministic and the reader tolerates arbitrary TCP
 segmentation; a clean EOF on a frame boundary reads as end-of-session.

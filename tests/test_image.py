@@ -97,3 +97,10 @@ class TestPpm:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ValueError):
             read_ppm(str(p))
+
+    @pytest.mark.parametrize("dims", [b"0 5", b"5 0", b"0 0"])
+    def test_rejects_an_empty_image(self, tmp_path, dims):
+        p = tmp_path / "empty.ppm"
+        p.write_bytes(b"P6\n" + dims + b"\n255\n")
+        with pytest.raises(GeometryError, match="at least 1x1"):
+            read_ppm(str(p))

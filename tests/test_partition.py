@@ -44,7 +44,7 @@ class TestDefaults:
         assert (s.full_w, s.full_h) == (2400, 1080)
         assert (s.eye_w, s.eye_h) == (1200, 1080)
         assert (s.fov_w, s.fov_h) == (512, 360)
-        assert s.periph_scale == 0.6
+        assert s.periph_scale == float(np.float32(0.6))  # the f32 the hello carries
 
     def test_default_reduced_buffer(self):
         assert reduced_dims(DEFAULT_SPEC) == (1440, 648)

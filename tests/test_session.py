@@ -13,12 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from splitfov import client, server, wire
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
 from splitfov.codec import CodecError, CodecId, encode
-from splitfov.partition import Eye, server_rows
+from splitfov.partition import MIN_SCALE, Eye, PartitionSpec, server_rows
+from splitfov.render import SceneConfig
 from splitfov.server import ServerSession, pose_from_wire, run_server
 from splitfov.wire import (
     EndMsg,
@@ -105,6 +107,21 @@ class TestLoopbackSession:
         assert [c.bytes_received for c in client_records] == [s.bytes_sent for s in server_records]
         if codec_id == CodecId.RAW:
             assert [s.bytes_sent for s in server_records] == [2 * 3 * 80 * 43] * 3
+
+    def test_a_scale_the_hello_rounds_across_a_half_splits_both_sides_alike(self, scene, rig):
+        """270 * 0.45 is 121.5, which rounds to 122 rows of periphery, but
+        270 times the hello's f32 of 0.45 is just under it and rounds to
+        121. The two sides must split the fovea from the same value, or the
+        client decodes the server's rows at the wrong height."""
+        spec = PartitionSpec(600, 270, 128, 144, 0.45)
+        future, port = start_server(rig=rig)
+        sink = CollectSink()
+        path = CameraPath(frame_count=2)
+        run_client("127.0.0.1", port, spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+        future.result(timeout=30.0)
+        assert len(sink.frames) == 2
+        for k, frame in enumerate(sink.frames):
+            assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), spec).tobytes()
 
     def test_client_logs_the_connect_and_the_end(self, tiny_spec, scene, rig, caplog):
         caplog.set_level(logging.INFO, logger="splitfov.client")
@@ -233,6 +250,23 @@ class TestServerSessionUnit:
                           tuple(float(v) for v in pose.orientation)),
         ])
         assert len(records) == 1
+
+
+    @given(full_w=st.integers(1, 1000).map(lambda w: 2 * w), full_h=st.integers(1, 2000),
+           fov=st.tuples(st.floats(0, 1), st.floats(0, 1)), scale=st.floats(MIN_SCALE, 1.0))
+    def test_the_server_splits_the_fovea_where_the_client_does(self, full_w, full_h, fov, scale):
+        # The hello carries the scale as an f32; the server's spec, built
+        # from the hello as read, equals the client's, and so does k.
+        fov_w, fov_h = max(1, int(fov[0] * full_w // 2)), max(1, int(fov[1] * full_h))
+        spec = PartitionSpec(full_w, full_h, fov_w, fov_h, scale)
+        sent = Collected()
+        client_side = ClientSession(io.BytesIO(), sent, spec, CodecId.PRED_DEFLATE, SceneConfig(),
+                                    CameraRig(), CameraPath(frame_count=1))
+        client_side.hello()
+        server_side = ServerSession(io.BytesIO(b"".join(sent.chunks)), Collected(), CameraRig())
+        server_side.handshake()
+        assert server_side.spec == spec
+        assert server_side.k == client_side.k == server_rows(spec)
 
 
 class TestClientSessionUnit:
