@@ -5,10 +5,11 @@ while a second thread receives and decodes the two encoded foveal
 subframes. Its part is the periphery (rendered at the reduced rate and
 nearest-upsampled to the full frame) and the bottom rows
 [server_rows, fov_h) of each foveal rect; the server draws the top rows.
-Once both finish, the server's rows are pasted into the frame, the frame
-goes to the display sink, and per-stage timings are recorded. Exactly
-one frame is in flight (lockstep). Native mode is the same draw with every
-foveal row the client's (k = 0) and nothing served or merged.
+Once both finish, the server's rows are pasted into the frame and the
+frame goes to the display sink. The records are read off the session's
+trace (`trace.read_record`). Exactly one frame is in flight (lockstep).
+Native mode is the same draw with every foveal row the client's (k = 0)
+and nothing served or merged.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .image import GeometryError, validate_image, write_ppm
 from .partition import Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, server_rows
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
-from .trace import RECV, SEND, Stopwatch, Trace, now_ms
+from .trace import BEGIN, END, RECV, SEND, Stopwatch, Trace, read_record
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -50,13 +51,15 @@ DisplaySink = Callable[[int, np.ndarray], None]
 
 @dataclass(frozen=True)
 class ClientFrameRecord:
-    """Per-frame client timings in milliseconds plus received payload bytes.
+    """Per-frame client timings in milliseconds plus received payload bytes;
+    each `<stage>_ms` is the client's traced span of that name.
 
-    network_ms spans first byte received to last byte received across both
-    subframes; draw_ms includes the peripheral upsample and the client's
-    own foveal rows, and merge_ms is the paste of the server's rows alone
-    (0 in native mode, which is served none); total_ms runs from just
-    before the pose send to just after display. Stages overlap, so total_ms is not the sum of the parts.
+    network_ms spans the frame's first byte received to the receipt of its
+    second subframe; draw_ms includes the peripheral upsample and the
+    client's own foveal rows, and merge_ms is the paste of the server's rows
+    alone (0 in native mode, which is served none); total_ms runs from just
+    before the frame's pose is looked up to just after display. Stages
+    overlap, so total_ms is not the sum of the parts.
     """
 
     frame_id: int
@@ -195,26 +198,18 @@ def _decode_subframes(
     return {Eye(m.eye): codec_mod.decode(codec, m.payload, w, h) for m in msgs}
 
 
-class _TimingReader:
-    """ByteStream wrapper that stamps, on `now_ms`, the first and last byte
-    seen since the last reset (the per-frame network window)."""
+class _MarkFirstByte:
+    """ByteStream wrapper that calls `mark` once, when the first byte arrives."""
 
-    def __init__(self, inner: ByteStream):
+    def __init__(self, inner: ByteStream, mark: Callable[[], object]):
         self.inner = inner
-        self.first_byte_t: Optional[float] = None
-        self.last_byte_t: Optional[float] = None
-
-    def reset(self) -> None:
-        self.first_byte_t = None
-        self.last_byte_t = None
+        self.mark: Optional[Callable[[], object]] = mark
 
     def read(self, n: int) -> bytes:
         data = self.inner.read(n)
-        if data:
-            now = now_ms()
-            if self.first_byte_t is None:
-                self.first_byte_t = now
-            self.last_byte_t = now
+        if data and self.mark is not None:
+            self.mark()
+            self.mark = None
         return data
 
 
@@ -233,7 +228,7 @@ class ClientSession:
         display: DisplaySink = null_sink,
         trace: Optional[Trace] = None,
     ):
-        self.reader = _TimingReader(reader)
+        self.reader = reader
         self.writer = writer
         self.spec = spec
         self.k = server_rows(spec)  # the server's foveal rows; the client draws the rest
@@ -262,11 +257,13 @@ class ClientSession:
         self.writer(write_msg(msg))
         return msg
 
-    def _receive_and_decode(self, frame_id: int) -> tuple[dict[Eye, np.ndarray], float, float, int]:
-        self.reader.reset()
+    def _receive_and_decode(self, frame_id: int) -> tuple[dict[Eye, np.ndarray], int]:
+        """Each eye's served rows, decoded, and the payload bytes they came in."""
+        sw = self.stopwatch
+        reader = _MarkFirstByte(self.reader, lambda: sw.mark(BEGIN, "network", frame_id))
         msgs: list[SubframeMsg] = []
         for _ in range(2):
-            msg = read_msg(self.reader)
+            msg = read_msg(reader)
             if msg is None:
                 raise ConnectionClosedError("server closed the session mid-frame")
             if not isinstance(msg, SubframeMsg):
@@ -275,21 +272,19 @@ class ClientSession:
                 raise ProtocolError(
                     f"lockstep violated: subframe for frame {msg.frame_id}, expected {frame_id}"
                 )
-            self.stopwatch.mark(RECV, f"subframe{msg.eye}", frame_id)
+            sw.mark(RECV, f"subframe{msg.eye}", frame_id)
             msgs.append(msg)
+        sw.mark(END, "network", frame_id)
         if {m.eye for m in msgs} != {int(Eye.LEFT), int(Eye.RIGHT)}:
             raise ProtocolError(f"expected one subframe per eye, got eyes {[m.eye for m in msgs]}")
-        assert self.reader.first_byte_t is not None and self.reader.last_byte_t is not None
-        network_ms = self.reader.last_byte_t - self.reader.first_byte_t
-        foveal, decode_ms = self.stopwatch.stage(
-            "decode", frame_id, _decode_subframes, self.codec, msgs, self.spec.fov_w, self.k
-        )
-        bytes_received = sum(len(m.payload) for m in msgs)
-        return foveal, network_ms, decode_ms, bytes_received
+        foveal = sw.stage("decode", frame_id, _decode_subframes, self.codec, msgs, self.spec.fov_w, self.k)
+        return foveal, sum(len(m.payload) for m in msgs)
 
-    def run_frame(self, frame_id: int, pool: ThreadPoolExecutor) -> ClientFrameRecord:
+    def run_frame(self, frame_id: int, pool: ThreadPoolExecutor) -> int:
+        """Draws, receives, merges and displays one frame; returns the
+        payload bytes received for it."""
         sw = self.stopwatch
-        t0 = now_ms()
+        sw.mark(BEGIN, "total", frame_id)
         pose = pose_at(self.path, frame_id)
         msg = PoseUpdateMsg(
             frame_id,
@@ -300,33 +295,22 @@ class ClientSession:
         self.writer(write_msg(msg))
 
         future = pool.submit(self._receive_and_decode, frame_id)
-        frame, draw_ms = sw.stage(
-            "draw", frame_id, draw_client_part, self.scene, self.rig, pose, self.spec, self.k
-        )
-        served, network_ms, decode_ms, bytes_received = future.result()
-        merged, merge_ms = sw.stage("merge", frame_id, merge, frame, served, self.spec, (0, self.k))
+        frame = sw.stage("draw", frame_id, draw_client_part, self.scene, self.rig, pose, self.spec, self.k)
+        served, bytes_received = future.result()
+        merged = sw.stage("merge", frame_id, merge, frame, served, self.spec, (0, self.k))
         sw.stage("display", frame_id, self.display, frame_id, merged)
-        total_ms = now_ms() - t0
-        return ClientFrameRecord(
-            frame_id=frame_id,
-            draw_ms=draw_ms,
-            network_ms=network_ms,
-            decode_ms=decode_ms,
-            merge_ms=merge_ms,
-            total_ms=total_ms,
-            bytes_received=bytes_received,
-        )
+        sw.mark(END, "total", frame_id)
+        return bytes_received
 
     def run(self) -> list[ClientFrameRecord]:
         self.hello()
-        records: list[ClientFrameRecord] = []
         with ThreadPoolExecutor(max_workers=1) as pool:
-            for frame_id in range(self.path.frame_count):
-                records.append(self.run_frame(frame_id, pool))
-        last = records[-1].frame_id if records else 0
+            received = [self.run_frame(frame_id, pool) for frame_id in range(self.path.frame_count)]
+        last = max(len(received) - 1, 0)
         self.stopwatch.mark(SEND, "end", last)
         self.writer(write_msg(EndMsg(last)))
-        return records
+        return [read_record(ClientFrameRecord, self.stopwatch.trace, "client", frame_id, bytes_received=n)
+                for frame_id, n in enumerate(received)]
 
 
 def run_client(
@@ -373,22 +357,10 @@ def run_native(
     network, decode and merge stay zero and bytes_received is 0.
     """
     sw = Stopwatch("client")
-    records = []
     for frame_id in range(path.frame_count):
-        t0 = now_ms()
+        sw.mark(BEGIN, "total", frame_id)
         pose = pose_at(path, frame_id)
-        frame, draw_ms = sw.stage("draw", frame_id, ffr_frame, scene, rig, pose, spec)
-        display(frame_id, frame)
-        total_ms = now_ms() - t0
-        records.append(
-            ClientFrameRecord(
-                frame_id=frame_id,
-                draw_ms=draw_ms,
-                network_ms=0.0,
-                decode_ms=0.0,
-                merge_ms=0.0,
-                total_ms=total_ms,
-                bytes_received=0,
-            )
-        )
-    return records
+        display(frame_id, sw.stage("draw", frame_id, ffr_frame, scene, rig, pose, spec))
+        sw.mark(END, "total", frame_id)
+    return [read_record(ClientFrameRecord, sw.trace, "client", frame_id, bytes_received=0)
+            for frame_id in range(path.frame_count)]

@@ -24,7 +24,7 @@ from . import wire
 from .camera import CameraRig, Pose, normalize_quat
 from .partition import Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows
 from .render import DirectionCache, SceneConfig, SceneId, render_region
-from .trace import RECV, SEND, Stopwatch, Trace
+from .trace import RECV, SEND, Stopwatch, Trace, read_record
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -43,7 +43,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ServerFrameTiming:
-    """Per-frame server timings in milliseconds plus sent payload bytes."""
+    """Per-frame server timings in milliseconds plus sent payload bytes;
+    each `<stage>_ms` is the server's traced span of that name."""
 
     frame_id: int
     draw_ms: float
@@ -105,7 +106,7 @@ class ServerSession:
         self.k: Optional[int] = None  # foveal rows drawn here, from the hello
         self.codec: Optional[codec_mod.CodecId] = None
         self.scene: Optional[SceneConfig] = None
-        self.records: list[ServerFrameTiming] = []
+        self.bytes_sent: list[int] = []  # payload bytes of each frame served
 
     def handshake(self) -> HelloMsg:
         msg = read_msg(self.reader)
@@ -136,20 +137,25 @@ class ServerSession:
             )
         return msg
 
-    def serve_frame(self, pose: Pose, frame_id: int) -> ServerFrameTiming:
+    @property
+    def records(self) -> list[ServerFrameTiming]:
+        """The record of each frame served so far, read off the trace."""
+        return [read_record(ServerFrameTiming, self.stopwatch.trace, "server", frame_id, bytes_sent=n)
+                for frame_id, n in enumerate(self.bytes_sent)]
+
+    def serve_frame(self, pose: Pose, frame_id: int) -> int:
         """Renders, encodes, and sends the server's rows of both eyes'
-        foveae."""
+        foveae; returns the payload bytes sent."""
         assert self.spec is not None and self.codec is not None and self.scene is not None
         assert self.k is not None
         spec, codec, scene = self.spec, self.codec, self.scene
         sw = self.stopwatch
         # RGBX rows go to the encoder as drawn, with no repacking.
-        images, draw_ms = sw.stage(
+        images = sw.stage(
             "draw", frame_id, lambda: draw_foveae(scene, self.rig, pose, spec, (0, self.k), rgbx=True))
-        payloads, encode_ms = sw.stage("encode", frame_id, _encode_subframes, codec, images)
-        _, send_ms = sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
-        bytes_sent = sum(len(p) for p in payloads.values())
-        return ServerFrameTiming(frame_id, draw_ms, encode_ms, send_ms, bytes_sent)
+        payloads = sw.stage("encode", frame_id, _encode_subframes, codec, images)
+        sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
+        return sum(len(p) for p in payloads.values())
 
     def _send_subframes(self, frame_id: int, payloads: dict[Eye, bytes]) -> None:
         for eye, payload in payloads.items():
@@ -178,7 +184,7 @@ class ServerSession:
                     f"lockstep violated: pose for frame {msg.frame_id}, expected {frame_id}"
                 )
             self.stopwatch.mark(RECV, "pose", frame_id)
-            self.records.append(self.serve_frame(pose_from_wire(msg), frame_id))
+            self.bytes_sent.append(self.serve_frame(pose_from_wire(msg), frame_id))
 
 
 def run_server(

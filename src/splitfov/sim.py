@@ -28,7 +28,7 @@ import socket
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from . import codec as codec_mod
 from . import wire
@@ -44,7 +44,7 @@ from .metrics import improvement_pct, median, render_profile
 from .partition import PartitionSpec, frame_rays, server_dims, server_rows
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
-from .trace import BEGIN, END, RECV, SEND, Event, Trace, now_ms
+from .trace import BEGIN, END, RECV, SEND, Trace, now_ms, read_record
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,8 @@ class _LaneTrace(Trace):
         self.lanes: list[threading.Thread] = []
 
     def add(self, t_ms: float, actor: str, kind: str, name: str, frame_id: int) -> None:
-        event = Event(t_ms, actor, kind, name, frame_id)
         with self._lock:
-            self._events.append(event)
-            self._first.setdefault((actor, kind, name, frame_id), event)
+            super().add(t_ms, actor, kind, name, frame_id)
             self.lanes.append(threading.current_thread())
 
 
@@ -172,6 +170,8 @@ def run_sim_virtual(
         ("client", "decode"): cost.decode,
         ("client", "merge"): cost.merge,
         ("client", "display"): 0.0,
+        ("client", "network"): 0.0,
+        ("client", "total"): 0.0,
     }
     events = recorder.events()
     if Counter(e.actor for e in events if e.kind == SEND) != Counter(
@@ -181,25 +181,30 @@ def run_sim_virtual(
     sizes = {actor: iter(w) for actor, w in writes.items()}
     # Each thread's events, in the order it added them, on its own clock. A
     # SEND schedules its message on the sender's link and holds no thread;
-    # a RECV waits for its message's last byte; a merge waits for its
-    # frame's decode, on the other thread; an END comes its stage's cost
-    # after its BEGIN, and a stage that sent ends no earlier than its link
-    # has taken what it sent.
+    # a RECV waits for its message's last byte, and the client's network
+    # span begins at the first byte the server sent for its frame; a merge
+    # waits for its frame's decode, on the other thread; an END comes its
+    # stage's cost after its BEGIN, and a stage that sent ends no earlier
+    # than its link has taken what it sent.
     clock: dict[threading.Thread, float] = {}
     sent_until: dict[threading.Thread, float] = {}
-    arrivals: dict[tuple[str, int], tuple[float, float]] = {}
+    last_byte: dict[tuple[str, int], float] = {}
+    first_byte: dict[tuple[str, int], float] = {}
     decoded: dict[int, float] = {}
     timed = []
     for lane, e in zip(recorder.lanes, events):
         t = clock.setdefault(lane, 0.0)
         if e.kind == SEND:
-            arrivals[e.name, e.frame_id] = links[e.actor].schedule(t, next(sizes[e.actor]))
+            first, last_byte[e.name, e.frame_id] = links[e.actor].schedule(t, next(sizes[e.actor]))
+            first_byte.setdefault((e.actor, e.frame_id), first)
             sent_until[lane] = links[e.actor].free_at_ms
         elif e.kind == RECV:
-            t = max(t, arrivals[e.name, e.frame_id][1])
+            t = max(t, last_byte[e.name, e.frame_id])
         elif e.kind == BEGIN:
             sent_until[lane] = 0.0
-            if e.name == "merge":
+            if e.name == "network":
+                t = max(t, first_byte["server", e.frame_id])
+            elif e.name == "merge":
                 t = max(t, decoded[e.frame_id])
         elif e.kind == END:
             t = max(t + stage_ms[e.actor, e.name], sent_until[lane])
@@ -213,17 +218,9 @@ def run_sim_virtual(
     trace = Trace()
     for t, _, e in sorted(timed, key=lambda x: (x[0], rank[x[1]])):
         trace.add(t, e.actor, e.kind, e.name, e.frame_id)
-    at = lambda actor, kind, name, n: trace.find(actor, kind, name, n).t_ms
-    spans = lambda actor, n, *names: {
-        f"{name}_ms": at(actor, END, name, n) - at(actor, BEGIN, name, n) for name in names
-    }
-    client_records = [
-        replace(r, **spans("client", n, "draw", "decode", "merge"),
-                network_ms=arrivals["subframe1", n][1] - arrivals["subframe0", n][0],
-                total_ms=at("client", END, "display", n) - at("client", SEND, "pose", n))
-        for r in recorded.client_records for n in [r.frame_id]
-    ]
-    server_records = [replace(s, **spans("server", s.frame_id, "draw", "encode", "send"))
+    client_records = [read_record(ClientFrameRecord, trace, "client", r.frame_id,
+                                  bytes_received=r.bytes_received) for r in recorded.client_records]
+    server_records = [read_record(ServerFrameTiming, trace, "server", s.frame_id, bytes_sent=s.bytes_sent)
                       for s in recorded.server_records]
     return SimResult(client_records, server_records, trace)
 

@@ -7,18 +7,23 @@ the same events:
 
 * once per session: client send hello (frame 0), server recv hello
   (frame 0), client send end and server recv end (last frame id);
-* per frame n, client: send pose, begin/end draw, recv subframe0 and
-  subframe1, begin/end decode, begin/end merge, begin/end display;
+* per frame n, client: begin total, send pose, begin/end draw, begin
+  network at the frame's first byte, recv subframe0 and subframe1, end
+  network, begin/end decode, begin/end merge, begin/end display, end
+  total. The total span begins before the frame's pose is looked up and
+  ends after display;
 * per frame n, server: recv pose, begin/end draw, begin/end encode,
   begin/end send, with send subframe0 and send subframe1 between them.
 
-The runtimes time every measured stage with a `Stopwatch`, so a record's
-stage duration is exactly the END minus BEGIN of its traced span. Every
-wall-clock timestamp is a reading of `now_ms`, the one clock of the machine.
+A runtime's records are a view of its trace: `read_record` sets each
+`<stage>_ms` field to the END minus BEGIN of the span of that name, on
+either clock. Every wall-clock timestamp is a reading of `now_ms`, the one
+clock of the machine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ SEND = "send"
 RECV = "recv"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     t_ms: float
     actor: str  # "client" | "server"
@@ -45,7 +50,7 @@ class Trace:
     def __init__(self):
         self._events: list[Event] = []
         self._first: dict[tuple[str, str, str, int], Event] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # reentrant, so a subclass's add can extend this one's
 
     def add(self, t_ms: float, actor: str, kind: str, name: str, frame_id: int) -> None:
         event = Event(t_ms, actor, kind, name, frame_id)
@@ -80,23 +85,40 @@ def now_ms() -> float:
 
 
 class Stopwatch:
-    """One actor's stage clock on `now_ms`, each traced reading added to
-    `trace` when there is one."""
+    """One actor's stage clock on `now_ms`, each reading added to `trace`
+    (a fresh one when none is given)."""
 
     def __init__(self, actor: str, trace: Optional[Trace] = None):
         self.actor = actor
-        self.trace = trace
+        self.trace = Trace() if trace is None else trace
 
     def mark(self, kind: str, name: str, frame_id: int) -> float:
         """Reads the clock once and traces that reading; returns it."""
         t_ms = now_ms()
-        if self.trace is not None:
-            self.trace.add(t_ms, self.actor, kind, name, frame_id)
+        self.trace.add(t_ms, self.actor, kind, name, frame_id)
         return t_ms
 
     def stage(self, name: str, frame_id: int, fn: Callable, *args):
-        """Runs fn(*args) between a BEGIN and an END mark; returns its
-        result and END minus BEGIN in ms."""
-        begin = self.mark(BEGIN, name, frame_id)
+        """Runs fn(*args) between a BEGIN and an END mark; returns its result."""
+        self.mark(BEGIN, name, frame_id)
         result = fn(*args)
-        return result, self.mark(END, name, frame_id) - begin
+        self.mark(END, name, frame_id)
+        return result
+
+
+def read_record(cls, trace: Trace, actor: str, frame_id: int, **fields):
+    """One frame's `cls` record read off `trace`: each `<stage>_ms` field is
+    the END minus BEGIN of `actor`'s span `<stage>` in that frame, or 0.0
+    where the frame has no such span; `fields` gives the others. The trace
+    holds one session of `actor`: `find` reads the first event of a key."""
+
+    def span_ms(stage: str) -> float:
+        try:
+            begin = trace.find(actor, BEGIN, stage, frame_id)
+        except KeyError:
+            return 0.0
+        return trace.find(actor, END, stage, frame_id).t_ms - begin.t_ms
+
+    spans = {f.name: span_ms(f.name[: -len("_ms")])
+             for f in dataclasses.fields(cls) if f.name.endswith("_ms")}
+    return cls(frame_id=frame_id, **spans, **fields)

@@ -1,20 +1,23 @@
+import dataclasses
 import itertools
 import math
 import random
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from splitfov import client, codec, server, sim, wire
-from splitfov.camera import CameraPath, CameraRig, pose_at
+from splitfov.camera import CameraPath, CameraRig, Pose, pose_at
 from splitfov.client import ClientFrameRecord, CollectSink, ffr_frame, run_native
 from splitfov.codec import CodecError, CodecId
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession
-from splitfov.trace import RECV, SEND, Trace, now_ms
+from splitfov.trace import BEGIN, END, RECV, SEND, Stopwatch, Trace, now_ms
 from splitfov.wire import ConnectionClosedError, ProtocolError
 from splitfov.sim import (
     CostModel,
@@ -568,6 +571,52 @@ class TestSilentServer:
         assert shown == [0]
 
 
+class TestLaneTrace:
+    def test_each_event_keeps_the_thread_that_added_it(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a lane appended apart from its event would misalign.
+        trace = sim._LaneTrace()
+
+        def add_many(n):
+            for i in range(200):
+                trace.add(float(i), "client", SEND, f"m{i}", n)
+
+        threads = [threading.Thread(target=add_many, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(trace.lanes) == len(trace) == 8 * 200
+        assert all(lane is threads[e.frame_id] for e, lane in zip(trace.events(), trace.lanes))
+        assert trace.find("client", SEND, "m199", 7).t_ms == 199.0
+
+
+    def test_no_add_comes_between_an_event_and_its_lane(self, monkeypatch):
+        # Another thread adds while this one is inside the base add; it must
+        # wait until this event's lane is appended too.
+        trace = sim._LaneTrace()
+        other = threading.Thread(target=trace.add, args=(2.0, "server", RECV, "pose", 0))
+
+        def let_the_other_in(self, *args, _inner=Trace.add):
+            _inner(self, *args)
+            if threading.current_thread() is not other:
+                other.start()
+                other.join(timeout=0.2)
+
+        monkeypatch.setattr(Trace, "add", let_the_other_in)
+        trace.add(1.0, "client", SEND, "pose", 0)
+        other.join(timeout=5.0)
+        assert not other.is_alive()
+        assert [(e.actor, lane) for e, lane in zip(trace.events(), trace.lanes)] == [
+            ("client", threading.current_thread()), ("server", other)]
+
+
 class TestBenchmarkSeams:
     """The traced benchmark times each layer by replacing the module
     attribute a runtime looks up at call time; every one must be called."""
@@ -591,6 +640,50 @@ class TestBenchmarkSeams:
             monkeypatch.setattr(module, name, counted)
         run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=2))
         assert [key for key, n in calls.items() if n == 0] == []
+
+    def test_frames_are_run_with_positional_arguments(self, tiny_spec, scene, rig, monkeypatch):
+        # The benchmark reads the frame id of each call by position.
+        calls = []
+
+        def positional(method):
+            def wrapped(*args, **kwargs):
+                assert kwargs == {}
+                calls.append((method.__name__, *map(type, args[1:])))
+                return method(*args)
+            return wrapped
+
+        monkeypatch.setattr(client.ClientSession, "run_frame", positional(client.ClientSession.run_frame))
+        monkeypatch.setattr(ServerSession, "serve_frame", positional(ServerSession.serve_frame))
+        run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
+        assert sorted(calls) == 2 * [("run_frame", int, ThreadPoolExecutor)] + 2 * [
+            ("serve_frame", Pose, int)]
+
+    def test_a_restamping_trace_with_a_five_argument_add_is_read(self, tiny_spec, scene, rig,
+                                                                  monkeypatch):
+        # As the benchmark's shared-epoch trace does: each event is stamped
+        # again on the way in, and the records are read off those stamps.
+        class Restamped(Trace):
+            def __init__(self):
+                super().__init__()
+                self.epoch, self.added = now_ms(), 0
+
+            def add(self, t_ms, actor, kind, name, frame_id):
+                self.added += 1
+                super().add(now_ms() - self.epoch, actor, kind, name, frame_id)
+
+        monkeypatch.setattr(sim, "Trace", Restamped)
+        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        monkeypatch.undo()
+        plain = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        assert isinstance(res.trace, Restamped)
+        assert res.trace.added == len(res.trace) == len(plain.trace)
+        keys = lambda trace: sorted((e.actor, e.kind, e.name, e.frame_id) for e in trace)
+        assert keys(res.trace) == keys(plain.trace)
+        assert check_lockstep(res.trace, 3) == []
+        assert len(res.client_records) == len(res.server_records) == 3
+        for records, actor in ((res.client_records, "client"), (res.server_records, "server")):
+            for r in records:
+                assert traced_ms(r) == spans_ms(res.trace, actor, r)
 
 
 class TestClientDrawStage:
@@ -655,3 +748,182 @@ class TestOneStageClock:
             n = s.frame_id
             assert (s.draw_ms, s.encode_ms, s.send_ms) == (
                 span("server", "draw", n), span("server", "encode", n), span("server", "send", n))
+
+    @pytest.mark.parametrize("mode", ["wall", "virtual", "native"])
+    def test_every_record_field_is_its_trace_span(self, tiny_spec, scene, rig, mode, monkeypatch):
+        # Every `*_ms` field, on both clocks and native, and both byte
+        # fields, which count the payloads the server encoded.
+        payloads = []
+
+        def counted(*args, _inner=codec.encode):
+            payloads.append(len(out := _inner(*args)))
+            return out
+
+        monkeypatch.setattr(codec, "encode", counted)
+        path = CameraPath(frame_count=3)
+        if mode == "native":
+            stopwatches = []
+
+            def kept(actor):
+                stopwatches.append(Stopwatch(actor))
+                return stopwatches[-1]
+
+            monkeypatch.setattr(client, "Stopwatch", kept)
+            client_records, server_records = run_native(tiny_spec, scene, rig, path), []
+            (trace,) = [sw.trace for sw in stopwatches]
+        else:
+            res = (run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path) if mode == "wall"
+                   else run_sim_virtual(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path,
+                                        net=NetModel(1.5, 300.0), cost=FIG_COST))
+            client_records, server_records, trace = res.client_records, res.server_records, res.trace
+            assert [s.frame_id for s in server_records] == [0, 1, 2]
+        assert [r.frame_id for r in client_records] == [0, 1, 2]
+        # Native draws every row itself: it has no network, decode or merge span.
+        zero = {"network_ms", "decode_ms", "merge_ms"} if mode == "native" else set()
+        frame_bytes = [0] * 3 if mode == "native" else [
+            payloads[2 * n] + payloads[2 * n + 1] for n in range(3)]
+        for r in client_records:
+            assert traced_ms(r) == spans_ms(trace, "client", r, zero)
+            assert set(traced_ms(r)) == {"draw_ms", "network_ms", "decode_ms", "merge_ms", "total_ms"}
+            assert r.bytes_received == frame_bytes[r.frame_id]
+        for s in server_records:
+            assert traced_ms(s) == spans_ms(trace, "server", s)
+            assert set(traced_ms(s)) == {"draw_ms", "encode_ms", "send_ms"}
+            assert s.bytes_sent == frame_bytes[s.frame_id]
+
+    def test_wall_total_and_network_keep_their_definitions(self, tiny_spec, scene, rig,
+                                                          monkeypatch):
+        # total begins before the frame's pose is looked up and ends after
+        # display; network runs from the frame's first byte to the receipt
+        # of its last subframe.
+        looked_up = []
+
+        def stamped(*args, _inner=client.pose_at):
+            looked_up.append(now_ms())
+            return _inner(*args)
+
+        monkeypatch.setattr(client, "pose_at", stamped)
+        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3),
+                           net=NetModel(1.0, 50.0))
+        at = lambda kind, name, n: res.trace.find("client", kind, name, n).t_ms
+        assert len(looked_up) == 3
+        for n, pose_t in enumerate(looked_up):
+            assert at(BEGIN, "total", n) <= pose_t <= at(SEND, "pose", n)
+            assert at(END, "display", n) <= at(END, "total", n)
+            assert at(BEGIN, "network", n) <= at(RECV, "subframe0", n)
+            assert at(RECV, "subframe1", n) <= at(END, "network", n) <= at(BEGIN, "decode", n)
+            # The first byte reaches the client one latency after it is sent.
+            sent = res.trace.find("server", SEND, "subframe0", n).t_ms
+            assert at(BEGIN, "network", n) - sent >= 1.0
+
+
+def traced_ms(record) -> dict[str, float]:
+    """A record's `*_ms` fields by name."""
+    return {k: v for k, v in dataclasses.asdict(record).items() if k.endswith("_ms")}
+
+
+def spans_ms(trace, actor, record, zero=frozenset()) -> dict[str, float]:
+    """END minus BEGIN of the actor's span named by each of the record's
+    `*_ms` fields, in the record's frame; the fields in `zero` must have no
+    span, and read 0.0."""
+    out = {}
+    for name in traced_ms(record):
+        stage = name[: -len("_ms")]
+        if name in zero:
+            with pytest.raises(KeyError):
+                trace.find(actor, BEGIN, stage, record.frame_id)
+            out[name] = 0.0
+        else:
+            out[name] = (trace.find(actor, END, stage, record.frame_id).t_ms
+                         - trace.find(actor, BEGIN, stage, record.frame_id).t_ms)
+    return out
+
+
+PINNED_CLIENT_RECORDS = [
+    (0, 6.0, 0.12362666666666655, 4.0, 1.0, 16.12592, 4608),
+    (1, 6.0, 0.12362666666666655, 4.0, 1.0000000000000036, 16.124720000000003, 4608),
+    (2, 6.0, 0.12362666666666655, 4.0, 1.0, 16.124719999999996, 4608),
+    (3, 6.0, 0.12362666666666655, 4.0, 1.0, 16.124719999999996, 4608),
+]
+PINNED_SERVER_RECORDS = [
+    (0, 5.0, 3.000000000000001, 0.12362666666666655, 4608),
+    (1, 5.0, 3.0, 0.12362666666666655, 4608),
+    (2, 5.0, 3.0, 0.12362666666666655, 4608),
+    (3, 5.0, 3.0, 0.12362666666666655, 4608),
+]
+PINNED_EVENTS = [
+    (0.0, 'client', 'send', 'hello', 0), (0.0, 'client', 'send', 'pose', 0),
+    (0.0, 'client', 'begin', 'draw', 0), (1.5012, 'server', 'recv', 'hello', 0),
+    (1.5022933333333333, 'server', 'recv', 'pose', 0),
+    (1.5022933333333333, 'server', 'begin', 'draw', 0), (6.0, 'client', 'end', 'draw', 0),
+    (6.502293333333333, 'server', 'end', 'draw', 0),
+    (6.502293333333333, 'server', 'begin', 'encode', 0),
+    (9.502293333333334, 'server', 'end', 'encode', 0),
+    (9.502293333333334, 'server', 'begin', 'send', 0),
+    (9.502293333333334, 'server', 'send', 'subframe0', 0),
+    (9.502293333333334, 'server', 'send', 'subframe1', 0), (9.62592, 'server', 'end', 'send', 0),
+    (11.064106666666667, 'client', 'recv', 'subframe0', 0),
+    (11.12592, 'client', 'recv', 'subframe1', 0), (11.12592, 'client', 'begin', 'decode', 0),
+    (15.12592, 'client', 'begin', 'merge', 0), (15.12592, 'client', 'end', 'decode', 0),
+    (16.12592, 'client', 'end', 'merge', 0), (16.12592, 'client', 'begin', 'display', 0),
+    (16.12592, 'client', 'end', 'display', 0), (16.12592, 'client', 'send', 'pose', 1),
+    (16.12592, 'client', 'begin', 'draw', 1), (17.627013333333334, 'server', 'recv', 'pose', 1),
+    (17.627013333333334, 'server', 'begin', 'draw', 1), (22.12592, 'client', 'end', 'draw', 1),
+    (22.627013333333334, 'server', 'end', 'draw', 1),
+    (22.627013333333334, 'server', 'begin', 'encode', 1),
+    (25.627013333333334, 'server', 'end', 'encode', 1),
+    (25.627013333333334, 'server', 'begin', 'send', 1),
+    (25.627013333333334, 'server', 'send', 'subframe0', 1),
+    (25.627013333333334, 'server', 'send', 'subframe1', 1), (25.75064, 'server', 'end', 'send', 1),
+    (27.188826666666667, 'client', 'recv', 'subframe0', 1),
+    (27.25064, 'client', 'recv', 'subframe1', 1), (27.25064, 'client', 'begin', 'decode', 1),
+    (31.25064, 'client', 'begin', 'merge', 1), (31.25064, 'client', 'end', 'decode', 1),
+    (32.250640000000004, 'client', 'end', 'merge', 1),
+    (32.250640000000004, 'client', 'begin', 'display', 1),
+    (32.250640000000004, 'client', 'end', 'display', 1),
+    (32.250640000000004, 'client', 'send', 'pose', 2),
+    (32.250640000000004, 'client', 'begin', 'draw', 2),
+    (33.751733333333334, 'server', 'recv', 'pose', 2),
+    (33.751733333333334, 'server', 'begin', 'draw', 2),
+    (38.250640000000004, 'client', 'end', 'draw', 2),
+    (38.751733333333334, 'server', 'end', 'draw', 2),
+    (38.751733333333334, 'server', 'begin', 'encode', 2),
+    (41.751733333333334, 'server', 'end', 'encode', 2),
+    (41.751733333333334, 'server', 'begin', 'send', 2),
+    (41.751733333333334, 'server', 'send', 'subframe0', 2),
+    (41.751733333333334, 'server', 'send', 'subframe1', 2), (41.87536, 'server', 'end', 'send', 2),
+    (43.31354666666667, 'client', 'recv', 'subframe0', 2),
+    (43.37536, 'client', 'recv', 'subframe1', 2), (43.37536, 'client', 'begin', 'decode', 2),
+    (47.37536, 'client', 'begin', 'merge', 2), (47.37536, 'client', 'end', 'decode', 2),
+    (48.37536, 'client', 'end', 'merge', 2), (48.37536, 'client', 'begin', 'display', 2),
+    (48.37536, 'client', 'end', 'display', 2), (48.37536, 'client', 'send', 'pose', 3),
+    (48.37536, 'client', 'begin', 'draw', 3), (49.87645333333333, 'server', 'recv', 'pose', 3),
+    (49.87645333333333, 'server', 'begin', 'draw', 3), (54.37536, 'client', 'end', 'draw', 3),
+    (54.87645333333333, 'server', 'end', 'draw', 3),
+    (54.87645333333333, 'server', 'begin', 'encode', 3),
+    (57.87645333333333, 'server', 'end', 'encode', 3),
+    (57.87645333333333, 'server', 'begin', 'send', 3),
+    (57.87645333333333, 'server', 'send', 'subframe0', 3),
+    (57.87645333333333, 'server', 'send', 'subframe1', 3), (58.00008, 'server', 'end', 'send', 3),
+    (59.438266666666664, 'client', 'recv', 'subframe0', 3),
+    (59.50008, 'client', 'recv', 'subframe1', 3), (59.50008, 'client', 'begin', 'decode', 3),
+    (63.50008, 'client', 'begin', 'merge', 3), (63.50008, 'client', 'end', 'decode', 3),
+    (64.50008, 'client', 'end', 'merge', 3), (64.50008, 'client', 'begin', 'display', 3),
+    (64.50008, 'client', 'end', 'display', 3), (64.50008, 'client', 'send', 'end', 3),
+    (66.00042666666667, 'server', 'recv', 'end', 3),
+]
+
+
+class TestVirtualClockPinned:
+    """The virtual clock's records and events for one configuration, as
+    first taken. RAW payload sizes, and so link times, do not depend on the
+    zlib build. Only the events named here are compared, so a later span
+    adds events without moving these."""
+
+    def test_records_and_events_are_pinned(self, tiny_spec, scene, rig):
+        res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=4),
+                              net=NetModel(1.5, 300.0), cost=FIG_COST)
+        names = {e[3] for e in PINNED_EVENTS}
+        assert [dataclasses.astuple(r) for r in res.client_records] == PINNED_CLIENT_RECORDS
+        assert [dataclasses.astuple(s) for s in res.server_records] == PINNED_SERVER_RECORDS
+        assert [dataclasses.astuple(e) for e in res.trace if e.name in names] == PINNED_EVENTS

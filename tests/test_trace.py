@@ -2,12 +2,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from splitfov import trace as trace_mod
-from splitfov.trace import BEGIN, END, SEND, Stopwatch, Trace, now_ms
+from splitfov.trace import BEGIN, END, SEND, Stopwatch, Trace, now_ms, read_record
 
 
 def fake_clock(monkeypatch, *readings):
@@ -50,12 +51,10 @@ class TestStopwatch:
         fake_clock(monkeypatch, 250.0, 500.0)
         trace = Trace()
         sw = Stopwatch("server", trace)
-        result, ms = sw.stage("encode", 3, lambda a, b: a + b, 2, 5)
-        assert result == 7
+        assert sw.stage("encode", 3, lambda a, b: a + b, 2, 5) == 7
         begin = trace.find("server", BEGIN, "encode", 3).t_ms
         end = trace.find("server", END, "encode", 3).t_ms
         assert (begin, end) == (250.0, 500.0)
-        assert ms == end - begin
 
     def test_mark_without_trace_still_reads_the_clock(self, monkeypatch):
         fake_clock(monkeypatch, 1000.0, 1500.0)
@@ -83,3 +82,28 @@ class TestMachineClock:
         )
         after = now_ms()
         assert before <= float(child.stdout) <= after
+
+
+@dataclass(frozen=True)
+class _Record:
+    frame_id: int
+    draw_ms: float
+    network_ms: float
+    bytes_received: int
+
+
+class TestReadRecord:
+    def test_each_ms_field_is_its_span_or_zero(self):
+        trace = Trace()
+        trace.add(1.0, "client", BEGIN, "draw", 2)
+        trace.add(1.0, "server", BEGIN, "draw", 2)  # another actor's span
+        trace.add(4.5, "client", END, "draw", 2)
+        trace.add(9.0, "server", END, "draw", 2)
+        record = read_record(_Record, trace, "client", 2, bytes_received=7)
+        assert record == _Record(frame_id=2, draw_ms=3.5, network_ms=0.0, bytes_received=7)
+
+    def test_a_span_without_its_end_raises(self):
+        trace = Trace()
+        trace.add(1.0, "client", BEGIN, "network", 0)
+        with pytest.raises(KeyError, match="end, network, frame 0"):
+            read_record(_Record, trace, "client", 0, bytes_received=0)
