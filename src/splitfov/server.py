@@ -84,10 +84,6 @@ def draw_foveae(
     }
 
 
-def _encode_subframes(codec: codec_mod.CodecId, images: dict[Eye, np.ndarray]) -> dict[Eye, bytes]:
-    return {eye: codec_mod.encode(codec, img) for eye, img in images.items()}
-
-
 class ServerSession:
     """Serves one client over an established byte stream."""
 
@@ -106,7 +102,7 @@ class ServerSession:
         self.k: Optional[int] = None  # foveal rows drawn here, from the hello
         self.codec: Optional[codec_mod.CodecId] = None
         self.scene: Optional[SceneConfig] = None
-        self.bytes_sent: list[int] = []  # payload bytes of each frame served
+        self.records: list[ServerFrameTiming] = []  # one per frame served
 
     def handshake(self) -> HelloMsg:
         msg = read_msg(self.reader)
@@ -137,30 +133,23 @@ class ServerSession:
             )
         return msg
 
-    @property
-    def records(self) -> list[ServerFrameTiming]:
-        """The record of each frame served so far, read off the trace."""
-        return [read_record(ServerFrameTiming, self.stopwatch.trace, "server", frame_id, bytes_sent=n)
-                for frame_id, n in enumerate(self.bytes_sent)]
-
-    def serve_frame(self, pose: Pose, frame_id: int) -> int:
+    def serve_frame(self, pose: Pose, frame_id: int) -> ServerFrameTiming:
         """Renders, encodes, and sends the server's rows of both eyes'
-        foveae; returns the payload bytes sent."""
+        foveae; returns the frame's record."""
         assert self.spec is not None and self.codec is not None and self.scene is not None
         assert self.k is not None
-        spec, codec, scene = self.spec, self.codec, self.scene
         sw = self.stopwatch
-        # RGBX rows go to the encoder as drawn, with no repacking.
-        images = sw.stage(
-            "draw", frame_id, lambda: draw_foveae(scene, self.rig, pose, spec, (0, self.k), rgbx=True))
-        payloads = sw.stage("encode", frame_id, _encode_subframes, codec, images)
-        sw.stage("send", frame_id, self._send_subframes, frame_id, payloads)
-        return sum(len(p) for p in payloads.values())
-
-    def _send_subframes(self, frame_id: int, payloads: dict[Eye, bytes]) -> None:
-        for eye, payload in payloads.items():
-            self.stopwatch.mark(SEND, f"subframe{int(eye)}", frame_id)
-            self.writer(write_msg(SubframeMsg(frame_id, int(eye), payload)))
+        with sw.stage("draw", frame_id):
+            # RGBX rows go to the encoder as drawn, with no repacking.
+            images = draw_foveae(self.scene, self.rig, pose, self.spec, (0, self.k), rgbx=True)
+        with sw.stage("encode", frame_id):
+            payloads = {eye: codec_mod.encode(self.codec, img) for eye, img in images.items()}
+        with sw.stage("send", frame_id):
+            for eye, payload in payloads.items():
+                sw.mark(SEND, f"subframe{int(eye)}", frame_id)
+                self.writer(write_msg(SubframeMsg(frame_id, int(eye), payload)))
+        return read_record(ServerFrameTiming, sw.trace, "server", frame_id,
+                           bytes_sent=sum(len(p) for p in payloads.values()))
 
     def run(self, on_hello: Optional[Callable[[PartitionSpec], None]] = None) -> list[ServerFrameTiming]:
         """Handshake, then lockstep frame loop until the client's EndMsg or
@@ -184,7 +173,7 @@ class ServerSession:
                     f"lockstep violated: pose for frame {msg.frame_id}, expected {frame_id}"
                 )
             self.stopwatch.mark(RECV, "pose", frame_id)
-            self.bytes_sent.append(self.serve_frame(pose_from_wire(msg), frame_id))
+            self.records.append(self.serve_frame(pose_from_wire(msg), frame_id))
 
 
 def run_server(

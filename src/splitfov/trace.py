@@ -15,19 +15,21 @@ the same events:
 * per frame n, server: recv pose, begin/end draw, begin/end encode,
   begin/end send, with send subframe0 and send subframe1 between them.
 
-A runtime's records are a view of its trace: `read_record` sets each
-`<stage>_ms` field to the END minus BEGIN of the span of that name, on
-either clock. Every wall-clock timestamp is a reading of `now_ms`, the one
-clock of the machine.
+A stage is a `with stopwatch.stage(name, frame_id):` block. A runtime's
+records are a view of its trace: once a frame's last mark is made,
+`read_record` sets each `<stage>_ms` field to the END minus BEGIN of the
+span of that name, on either clock. Every wall-clock timestamp is a
+reading of `now_ms`, the one clock of the machine.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 BEGIN = "begin"
 END = "end"
@@ -98,12 +100,13 @@ class Stopwatch:
         self.trace.add(t_ms, self.actor, kind, name, frame_id)
         return t_ms
 
-    def stage(self, name: str, frame_id: int, fn: Callable, *args):
-        """Runs fn(*args) between a BEGIN and an END mark; returns its result."""
+    @contextlib.contextmanager
+    def stage(self, name: str, frame_id: int) -> Iterator[None]:
+        """Runs the `with` body between a BEGIN and an END mark; a body
+        that raises gets no END."""
         self.mark(BEGIN, name, frame_id)
-        result = fn(*args)
+        yield
         self.mark(END, name, frame_id)
-        return result
 
 
 def read_record(cls, trace: Trace, actor: str, frame_id: int, **fields):

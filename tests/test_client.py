@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from splitfov import client
 from splitfov.camera import CameraPath, Pose, normalize_quat, pose_at
 from splitfov.client import (
     CollectSink,
@@ -322,6 +325,22 @@ class TestNative:
             assert r.draw_ms > 0.0
         for k, frame in enumerate(sink.frames):
             assert np.array_equal(frame, ffr_frame(scene, rig, pose_at(path, k), desk_spec))
+
+    def test_no_frame_is_held_while_the_next_is_drawn(self, desk_spec, scene, rig, monkeypatch):
+        # A displayed frame still alive at the next draw adds a whole frame
+        # to the peak memory.
+        displayed = []
+        draw = client.ffr_frame
+
+        def checked_draw(*args):
+            assert [ref() is None for ref in displayed] == [True] * len(displayed)
+            frame = draw(*args)
+            displayed.append(weakref.ref(frame))
+            return frame
+
+        monkeypatch.setattr(client, "ffr_frame", checked_draw)
+        run_native(desk_spec, scene, rig, CameraPath(frame_count=3))
+        assert len(displayed) == 3
 
 
 class TestSinks:

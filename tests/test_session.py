@@ -22,6 +22,7 @@ from splitfov.codec import CodecError, CodecId, encode
 from splitfov.partition import MIN_SCALE, Eye, PartitionSpec, server_rows
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession, pose_from_wire, run_server
+from splitfov.trace import BEGIN, END
 from splitfov.wire import (
     EndMsg,
     HelloMsg,
@@ -250,6 +251,36 @@ class TestServerSessionUnit:
                           tuple(float(v) for v in pose.orientation)),
         ])
         assert len(records) == 1
+
+    def test_a_send_that_fails_mid_frame_keeps_only_whole_frames(self, tiny_spec):
+        # The client goes away as frame 1's second subframe is written: the
+        # error ends the session, and only frame 0 has a record.
+        path = CameraPath(frame_count=2)
+        stream = io.BytesIO(b"".join(write_msg(m) for m in [hello_for(tiny_spec)] + [
+            PoseUpdateMsg(n, tuple(float(v) for v in pose_at(path, n).position),
+                          tuple(float(v) for v in pose_at(path, n).orientation))
+            for n in range(2)]))
+        sent = []
+
+        def writer(data):
+            msg = read_msg(io.BytesIO(data))
+            if (msg.frame_id, msg.eye) == (1, int(Eye.RIGHT)):
+                raise BrokenPipeError("client went away")
+            sent.append(msg)
+
+        session = ServerSession(stream, writer, rig=CameraRig())
+        with pytest.raises(BrokenPipeError):
+            session.run()
+        trace = session.stopwatch.trace
+        assert [r.frame_id for r in session.records] == [0]
+        record = session.records[0]
+        for stage in ("draw", "encode", "send"):
+            span = trace.find("server", END, stage, 0).t_ms - trace.find("server", BEGIN, stage, 0).t_ms
+            assert getattr(record, f"{stage}_ms") == span
+        assert record.bytes_sent == sum(len(m.payload) for m in sent if m.frame_id == 0)
+        assert trace.find("server", BEGIN, "send", 1).kind == BEGIN
+        with pytest.raises(KeyError):
+            trace.find("server", END, "send", 1)
 
 
     @given(full_w=st.integers(1, 1000).map(lambda w: 2 * w), full_h=st.integers(1, 2000),

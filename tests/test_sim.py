@@ -18,7 +18,7 @@ from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession
 from splitfov.trace import BEGIN, END, RECV, SEND, Stopwatch, Trace, now_ms
-from splitfov.wire import ConnectionClosedError, ProtocolError
+from splitfov.wire import ConnectionClosedError, ProtocolError, SubframeMsg
 from splitfov.sim import (
     CostModel,
     NetModel,
@@ -544,15 +544,14 @@ class TestSilentServer:
     def test_missing_subframes_time_out(self, run, tiny_spec, scene, rig, monkeypatch):
         # The simulator's runtimes read kernel sockets under the same
         # deadline as a TCP session, so a wait on a peer that sends nothing
-        # ends in a TimeoutError.
-        # that sends nothing in a TimeoutError.
-        send_subframes = ServerSession._send_subframes
+        # ends in a TimeoutError. Frame 1's subframes are written as empty
+        # writes, which the link drops.
+        write_msg = server.write_msg
 
-        def skip_frame_1(self, frame_id, payloads):
-            if frame_id != 1:
-                send_subframes(self, frame_id, payloads)
+        def skip_frame_1(msg):
+            return b"" if isinstance(msg, SubframeMsg) and msg.frame_id == 1 else write_msg(msg)
 
-        monkeypatch.setattr(ServerSession, "_send_subframes", skip_frame_1)
+        monkeypatch.setattr(server, "write_msg", skip_frame_1)
         monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
         shown, outcome = [], {}
 

@@ -51,10 +51,24 @@ class TestStopwatch:
         fake_clock(monkeypatch, 250.0, 500.0)
         trace = Trace()
         sw = Stopwatch("server", trace)
-        assert sw.stage("encode", 3, lambda a, b: a + b, 2, 5) == 7
+        ran = []
+        with sw.stage("encode", 3):
+            ran.append(len(trace))
+        assert ran == [1]  # the body runs after the BEGIN and before the END
         begin = trace.find("server", BEGIN, "encode", 3).t_ms
         end = trace.find("server", END, "encode", 3).t_ms
         assert (begin, end) == (250.0, 500.0)
+
+    def test_a_stage_whose_body_raises_has_no_end(self, monkeypatch):
+        fake_clock(monkeypatch, 250.0)
+        trace = Trace()
+        sw = Stopwatch("client", trace)
+        with pytest.raises(ValueError, match="bad rows"):
+            with sw.stage("draw", 3):
+                raise ValueError("bad rows")
+        assert [(e.t_ms, e.kind, e.name, e.frame_id) for e in trace] == [(250.0, BEGIN, "draw", 3)]
+        with pytest.raises(KeyError, match="end, draw, frame 3"):
+            read_record(_Record, trace, "client", 3, bytes_received=0)
 
     def test_mark_without_trace_still_reads_the_clock(self, monkeypatch):
         fake_clock(monkeypatch, 1000.0, 1500.0)
