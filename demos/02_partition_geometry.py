@@ -7,7 +7,7 @@ and why drawing the periphery at scale 0.6 shades exactly 36% of the rays.
 """
 
 from splitfov import (
-    Eye, PartitionError, PartitionSpec, foveal_rect_stereo, reduced_dims, server_rows,
+    Eye, PartitionError, PartitionSpec, foveal_rect_stereo, periphery_holes, reduced_dims, server_rows,
 )
 
 # The headset-scale default: 2400x1080 across both eyes, a 512x360 foveal
@@ -35,20 +35,25 @@ print(f"pixel budget: {rw * rh} / {full_px} = {rw * rh / full_px:.2f}")
 
 # The client draws the reduced frame, the server draws the two foveae:
 # here the periphery alone holds more than half of the rays, so the
-# server draws every foveal row.
+# server draws every foveal row. The client skips the periphery's holes,
+# the reduced pixels a fovea covers once upsampled.
 foveal_px = 2 * spec.fov_w * spec.fov_h
 assert server_rows(spec) == spec.fov_h
-print(f"client rays/frame: {rw * rh}   server rays/frame: {foveal_px}")
+print(f"client rays/frame: {rw * rh - periphery_holes(spec).rays}   server rays/frame: {foveal_px}")
 print(f"client draw is {100 * (1 - rw * rh / full_px):.0f}% cheaper than full rate")
 
 # With larger foveae and a sparser periphery the foveae hold most of the
-# rays. The server then draws only the top k rows of each fovea, the
-# fewest holding half of the frame's rays, and the client the rest.
+# rays. A reduced pixel whose every upsampled pixel lies in a fovea is a
+# hole: a fovea covers it, so it is never shaded. The server draws only
+# the top k rows of each fovea, the fewest holding half of the rays the
+# frame shades, and the client the rest.
 big = PartitionSpec(2400, 1080, 768, 540, 0.3)
 bw, bh = reduced_dims(big)
+holes = periphery_holes(big).rays
 k = server_rows(big)
-print(f"768x540 foveae at scale 0.3: server draws rows [0, {k}) of {big.fov_h},"
-      f" {2 * big.fov_w * k} rays; client {bw * bh + 2 * big.fov_w * (big.fov_h - k)} rays")
+print(f"768x540 foveae at scale 0.3: {holes} of {bw * bh} periphery rays are holes;"
+      f" server draws rows [0, {k}) of {big.fov_h}, {2 * big.fov_w * k} rays;"
+      f" client {bw * bh - holes + 2 * big.fov_w * (big.fov_h - k)} rays")
 
 # Bad geometry is rejected with every reason rather than clipped silently:
 # a spec that exists is valid.

@@ -52,10 +52,12 @@ from .metrics import (
 from .partition import (
     DEFAULT_SPEC,
     Eye,
+    Holes,
     PartitionError,
     PartitionSpec,
     foveal_rect,
     foveal_rect_stereo,
+    periphery_holes,
     reduced_dims,
     server_dims,
     server_rows,
@@ -103,8 +105,8 @@ __all__ = [
     "GeometryError", "Rect", "crop", "images_equal", "read_ppm", "write_ppm",
     "fps_display", "improvement_pct", "iqr", "mbps", "median",
     "read_csv", "render_profile", "run_report", "write_csv",
-    "DEFAULT_SPEC", "Eye", "PartitionError", "PartitionSpec", "foveal_rect",
-    "foveal_rect_stereo", "reduced_dims", "server_dims", "server_rows",
+    "DEFAULT_SPEC", "Eye", "Holes", "PartitionError", "PartitionSpec", "foveal_rect",
+    "foveal_rect_stereo", "periphery_holes", "reduced_dims", "server_dims", "server_rows",
     "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",
     "ServerFrameTiming", "ServerSession", "run_server",
     "CompareReport", "CostModel", "NetModel", "SimResult", "ZERO_NET",

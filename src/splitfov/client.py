@@ -2,9 +2,10 @@
 
 Each frame the client sends the pose, then draws its part of the frame
 while a second thread receives and decodes the two encoded foveal
-subframes. Its part is the periphery (rendered at the reduced rate and
-nearest-upsampled to the full frame) and the bottom rows
-[server_rows, fov_h) of each foveal rect; the server draws the top rows.
+subframes. Its part is the periphery (rendered at the reduced rate, but
+for the holes a fovea hides, and nearest-upsampled to the full frame) and
+the bottom rows [server_rows, fov_h) of each foveal rect; the server
+draws the top rows.
 Once both finish, the server's rows are pasted into the frame and the
 frame goes to the display sink. Each stage is a `with` block, and each
 frame's record is read off the session's trace (`trace.read_record`)
@@ -28,7 +29,8 @@ from . import codec as codec_mod
 from . import wire
 from .camera import CameraPath, CameraRig, Pose, pose_at
 from .image import GeometryError, validate_image, write_ppm
-from .partition import Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, server_rows
+from .partition import (Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, nearest_map,
+                        periphery_holes, server_rows)
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
 from .trace import BEGIN, END, RECV, SEND, Stopwatch, Trace, read_record
@@ -109,8 +111,8 @@ def upsample_nearest(reduced: np.ndarray, full_dims: tuple[int, int]) -> np.ndar
     rh, rw = reduced.shape[:2]
     if rw > W or rh > H:
         raise GeometryError(f"reduced {rw}x{rh} larger than target {W}x{H}")
-    xs = (np.arange(W) * rw) // W
-    ys = (np.arange(H) * rh) // H
+    xs = nearest_map(W, rw)
+    ys = nearest_map(H, rh)
     # Columns then rows: two 1-D gathers are far cheaper than one 2-D
     # gather. The column gather runs once per run of equal reduced rows
     # (the sky is whole rows of one colour), on bytes: byte c of full
@@ -173,10 +175,13 @@ def draw_client_part(scene: SceneConfig, rig: CameraRig, pose: Pose, spec: Parti
                      k: int) -> np.ndarray:
     """The client's part of a frame: the periphery rendered at the reduced
     rate and nearest-upsampled to a fresh full frame, with rows [k, fov_h)
-    of each eye's fovea drawn and pasted in. The server's rows [0, k) are
-    left for `merge`; at k = 0 none are, and this is the native frame."""
+    of each eye's fovea drawn and pasted in. The periphery's holes are not
+    shaded: every pixel they fill lies in a fovea, and so is drawn over
+    here or by `merge`. The server's rows [0, k) are left for `merge`; at
+    k = 0 none are, and this is the native frame."""
     full = (spec.full_w, spec.full_h)
-    frame = upsample_nearest(render_scaled(scene, rig, pose, full, spec.periph_scale), full)
+    holes = periphery_holes(spec)
+    frame = upsample_nearest(render_scaled(scene, rig, pose, full, spec.periph_scale, holes=holes), full)
     if k < spec.fov_h:
         own = (k, spec.fov_h)
         _paste(frame, draw_foveae(scene, rig, pose, spec, own), spec, own)

@@ -3,9 +3,11 @@
 The stereo frame is two side-by-side eye viewports. Each eye gets a
 centered foveal rectangle rendered at full sampling rate; everything else
 is peripheral and rendered into a buffer scaled down by `periph_scale`.
-Odd centering remainders floor toward the top-left. The server draws the
-top `server_rows` rows of each foveal rect and the client draws the rest,
-which splits the frame's rays about evenly wherever the foveae hold more
+Odd centering remainders floor toward the top-left. A reduced pixel whose
+every upsampled pixel lies inside a foveal rect is a hole (`periphery_holes`):
+no displayed pixel shows it, so it is not shaded. The server draws the top
+`server_rows` rows of each foveal rect and the client draws the rest, which
+splits the rays a frame shades about evenly wherever the foveae hold more
 than half of them.
 """
 
@@ -14,6 +16,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 from .image import GeometryError, Rect
 from .wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
@@ -134,10 +138,75 @@ def reduced_dims(spec: PartitionSpec) -> tuple[int, int]:
     return scaled_dims(spec.full_w, spec.full_h, spec.periph_scale)
 
 
-def frame_rays(spec: PartitionSpec) -> int:
-    """The rays a frame shades: both full-rate foveae and the reduced periphery."""
+def nearest_map(full: int, reduced: int) -> np.ndarray:
+    """Along one axis of `full` pixels, the reduced pixel each copies in a
+    nearest upsample from `reduced` pixels: pixel i copies (i * reduced) //
+    full. For reduced <= full every reduced pixel is copied, in order."""
+    return (np.arange(full) * reduced) // full
+
+
+def reduced_rays(full_w: int, full_h: int, scale: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rays of the reduced frame of a `full_w` x `full_h` stereo frame
+    sampled at `scale`: the float32 full-frame coordinates of each reduced
+    column's and row's pixel centre, (i + 0.5) / scale, and the first column
+    whose ray lies right of the stereo midline, which the right eye shades."""
+    rw, rh = scaled_dims(full_w, full_h, scale)
+    s = np.float32(scale)
+    fx = (np.arange(rw, dtype=np.float32) + np.float32(0.5)) / s
+    fy = (np.arange(rh, dtype=np.float32) + np.float32(0.5)) / s
+    split = int(np.searchsorted(fx, np.float32(full_w) / np.float32(2.0), side="left"))
+    return fx, fy, split
+
+
+@dataclass(frozen=True)
+class Holes:
+    """The reduced pixels that no displayed pixel shows: rows [lo, hi) of
+    the reduced frame (`rows`) by, for each eye, reduced stereo columns
+    [lo, hi) (`cols[eye]`) that the eye shades. Every full pixel that the
+    nearest upsample copies from one of them lies inside that eye's foveal
+    rect, so the fovea overwrites it. A range with lo == hi is empty."""
+
+    rows: tuple[int, int]
+    cols: tuple[tuple[int, int], tuple[int, int]]
+
+    @property
+    def rays(self) -> int:
+        return (self.rows[1] - self.rows[0]) * sum(hi - lo for lo, hi in self.cols)
+
+
+def _covered(mapping: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The reduced pixels [a, b) whose every full pixel under the nearest
+    `mapping` lies in [lo, hi); (0, 0) if there is none. The mapping
+    ascends, so they are one range: a reduced pixel is out when a full
+    pixel outside [lo, hi) copies it."""
+    a = int(mapping[lo]) + int(lo > 0 and mapping[lo - 1] == mapping[lo])
+    b = int(mapping[hi - 1]) + 1 - int(hi < len(mapping) and mapping[hi] == mapping[hi - 1])
+    return (a, b) if a < b else (0, 0)
+
+
+def periphery_holes(spec: PartitionSpec) -> Holes:
+    """The spec's reduced periphery pixels that a fovea hides (`Holes`).
+    Both foveae span the same rows, so their holes share rows; each eye's
+    columns are clipped to the columns that eye shades."""
     rw, rh = reduced_dims(spec)
-    return 2 * spec.fov_w * spec.fov_h + rw * rh
+    _, _, split = reduced_rays(spec.full_w, spec.full_h, spec.periph_scale)
+    left = foveal_rect_stereo(spec, Eye.LEFT)
+    rows = _covered(nearest_map(spec.full_h, rh), left.y, left.y + spec.fov_h)
+    xs = nearest_map(spec.full_w, rw)
+    cols = []
+    for eye, (first, last) in ((Eye.LEFT, (0, split)), (Eye.RIGHT, (split, rw))):
+        r = foveal_rect_stereo(spec, eye)
+        lo, hi = _covered(xs, r.x, r.x + r.w)
+        lo, hi = max(lo, first), min(hi, last)
+        cols.append((lo, hi) if lo < hi and rows[0] < rows[1] else (0, 0))
+    return Holes(rows, tuple(cols))
+
+
+def frame_rays(spec: PartitionSpec) -> int:
+    """The rays a frame shades: both full-rate foveae and the reduced
+    periphery but for its holes."""
+    rw, rh = reduced_dims(spec)
+    return 2 * spec.fov_w * spec.fov_h + rw * rh - periphery_holes(spec).rays
 
 
 def server_rows(spec: PartitionSpec) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .camera import CameraRig, Pose, eye_origin, quat_to_matrix
 from .image import GeometryError, Rect
-from .partition import Eye, scaled_dims
+from .partition import Eye, Holes, reduced_rays
 
 
 class SceneId(IntEnum):
@@ -282,10 +282,9 @@ def _shade_grid(
 
 
 def _fill_background(rows: np.ndarray) -> None:
-    """Fills the contiguous (n, w, 3) or (n, w, 4) `rows` with the
-    background colour (fourth byte 0). Assigning one tiled row copies whole
-    rows, where assigning the one pixel would loop per pixel, about 30
-    times slower."""
+    """Fills the (n, w, 3) or (n, w, 4) `rows` with the background colour
+    (fourth byte 0). Assigning one tiled row copies whole rows, where
+    assigning the one pixel would loop per pixel, about 30 times slower."""
     rows[:] = np.tile(_FLOOR_PALETTE[0, : rows.shape[2]], (rows.shape[1], 1))
 
 
@@ -518,6 +517,7 @@ def render_scaled(
     pose: Pose,
     eye_pair_dims: tuple[int, int],
     scale: float,
+    holes: Holes | None = None,
 ) -> np.ndarray:
     """Renders the side-by-side stereo frame at a reduced sampling rate.
 
@@ -525,26 +525,41 @@ def render_scaled(
     ((i + 0.5) / scale, (j + 0.5) / scale); columns mapping left of the
     stereo midline belong to the left eye. Output dimensions are
     `scaled_dims` (round(w * scale) x round(h * scale), at least 1x1), so
-    scale = 1.0 reproduces the full-rate stereo render exactly.
+    scale = 1.0 reproduces the full-rate stereo render exactly. With
+    `holes` (`partition.periphery_holes`), the holes' pixels are the
+    background and cast no ray; every other pixel is the same. Each eye is
+    then at most two grids: the rows outside the holes across all of its
+    columns, and the holes' rows across its other columns.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
     full_w, full_h = eye_pair_dims
     if full_w < 1 or full_h < 1:
         raise GeometryError(f"frame dims must be at least 1x1, got {eye_pair_dims}")
-    rw, rh = scaled_dims(full_w, full_h, scale)
-    s = np.float32(scale)
-    fx = (np.arange(rw, dtype=np.float32) + np.float32(0.5)) / s
-    fy = (np.arange(rh, dtype=np.float32) + np.float32(0.5)) / s
+    fx, fy, split = reduced_rays(full_w, full_h, scale)
     eye_w = np.float32(full_w) / np.float32(2.0)
-    split = int(np.searchsorted(fx, eye_w, side="left"))
     eye_dims = (full_w / 2.0, float(full_h))
-    parts = []
-    if split > 0:
-        parts.append(_shade_grid(scene, rig, pose, Eye.LEFT, eye_dims, fx[:split], fy))
-    if split < rw:
-        parts.append(_shade_grid(scene, rig, pose, Eye.RIGHT, eye_dims, fx[split:] - eye_w, fy))
-    return parts[0] if len(parts) == 1 else np.hstack(parts)
+    frame = np.empty((len(fy), len(fx), 3), dtype=np.uint8)
+    r0, r1 = (0, 0) if holes is None else holes.rows
+    for eye, (c0, c1) in ((Eye.LEFT, (0, split)), (Eye.RIGHT, (split, len(fx)))):
+        if c0 == c1:
+            continue
+        ex = fx[c0:c1] - eye_w if eye == Eye.RIGHT else fx[c0:c1]
+        h0, h1 = (0, 0) if holes is None else holes.cols[eye]
+        if r0 == r1 or h0 == h1:
+            frame[:, c0:c1] = _shade_grid(scene, rig, pose, eye, eye_dims, ex, fy)
+            continue
+        if r1 - r0 < len(fy):
+            outside = _shade_grid(scene, rig, pose, eye, eye_dims, ex, np.concatenate([fy[:r0], fy[r1:]]))
+            frame[:r0, c0:c1] = outside[:r0]
+            frame[r1:, c0:c1] = outside[r0:]
+        if h1 - h0 < c1 - c0:
+            band = _shade_grid(scene, rig, pose, eye, eye_dims,
+                               np.concatenate([ex[: h0 - c0], ex[h1 - c0 :]]), fy[r0:r1])
+            frame[r0:r1, c0:h0] = band[:, : h0 - c0]
+            frame[r0:r1, h1:c1] = band[:, h0 - c0 :]
+        _fill_background(frame[r0:r1, h0:h1])
+    return frame
 
 
 def render_stereo(

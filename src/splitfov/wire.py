@@ -9,20 +9,24 @@ floats are IEEE-754 little-endian, single precision (f32) unless marked f64:
                   u8 scene_id |
                   f64 ipd | f64 horizontal_fov | f64 near (the camera rig)
     Pose     (2): u64 frame_id | 3x f32 position | 4x f32 orientation (x,y,z,w)
-    Subframe (3): u64 frame_id | u8 eye | payload (the rest of the frame)
+    Subframe (3): u64 frame_id | u8 eye | u32 crc32 of the payload |
+                  payload (the rest of the frame)
     End      (4): u64 frame_id (last completed)
 
 The hello states the session once, and the session runs until the
 client's End. A subframe carries rows [0, k) of the eye's foveal rect,
 fov_w x k pixels in the hello's codec, where k = partition.server_rows of
 the hello's geometry: the fewest top rows holding at least half of the
-frame's rays. The client draws rows [k, fov_h) itself. Both sides derive
-k, so no message carries it; each derives it from the f32 scale the hello
-carries, which a `PartitionSpec` holds. Protocol 6 is the first to split
-the fovea by rows; a protocol 5 subframe carried all fov_h rows. Protocol
-7 is the first whose PRED_DEFLATE payload codes most missed pixels in one
-symbol byte (see `codec`); a protocol 6 payload carried 3 residual bytes
-for each.
+rays the frame shades. The client draws rows [k, fov_h) itself. Both sides
+derive k, so no message carries it; each derives it from the f32 scale the
+hello carries, which a `PartitionSpec` holds. Protocol 6 is the first to
+split the fovea by rows; a protocol 5 subframe carried all fov_h rows.
+Protocol 7 is the first whose PRED_DEFLATE payload codes most missed
+pixels in one symbol byte (see `codec`); a protocol 6 payload carried 3
+residual bytes for each. Protocol 8 is the first whose subframes carry a
+CRC-32 (`zlib.crc32`) of their payload, which the reader checks before the
+payload is decoded, and whose k counts only the rays the frame shades
+(a protocol 7 peer also counted the periphery's holes).
 
 Serialization is deterministic and the reader tolerates arbitrary TCP
 segmentation; a clean EOF on a frame boundary reads as end-of-session.
@@ -31,10 +35,11 @@ segmentation; a clean EOF on a frame boundary reads as end-of-session.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 MSG_HELLO = 1
 MSG_POSE = 2
@@ -51,10 +56,10 @@ IO_TIMEOUT_S = 20.0
 
 _HELLO_FMT = struct.Struct("<HHHHHfBBddd")
 _POSE_FMT = struct.Struct("<Qfffffff")
-_SUBFRAME_FMT = struct.Struct("<QB")
+_SUBFRAME_FMT = struct.Struct("<QBI")
 _END_FMT = struct.Struct("<Q")
 _LEN_FMT = struct.Struct("<I")
-# Bytes of a subframe's frame before its payload: type, frame id and eye.
+# Bytes of a subframe's frame before its payload: type, frame id, eye and CRC.
 SUBFRAME_HEADER = 1 + _SUBFRAME_FMT.size
 
 
@@ -130,7 +135,7 @@ def write_msg(msg: Message) -> bytes:
         body = _POSE_FMT.pack(msg.frame_id, *msg.position, *msg.orientation)
         msg_type = MSG_POSE
     elif isinstance(msg, SubframeMsg):
-        body = _SUBFRAME_FMT.pack(msg.frame_id, msg.eye) + msg.payload
+        body = _SUBFRAME_FMT.pack(msg.frame_id, msg.eye, zlib.crc32(msg.payload)) + msg.payload
         msg_type = MSG_SUBFRAME
     elif isinstance(msg, EndMsg):
         body = _END_FMT.pack(msg.frame_id)
@@ -166,7 +171,11 @@ def _unpack_body(msg_type: int, body: bytes) -> Message:
             fields = _POSE_FMT.unpack(body)
             return PoseUpdateMsg(fields[0], fields[1:4], fields[4:8])
         if msg_type == MSG_SUBFRAME:
-            return SubframeMsg(*_SUBFRAME_FMT.unpack_from(body), body[_SUBFRAME_FMT.size :])
+            frame_id, eye, crc = _SUBFRAME_FMT.unpack_from(body)
+            payload = body[_SUBFRAME_FMT.size :]
+            if zlib.crc32(payload) != crc:
+                raise ProtocolError(f"subframe {frame_id} eye {eye}: payload fails its CRC-32")
+            return SubframeMsg(frame_id, eye, payload)
         if msg_type == MSG_END:
             return EndMsg(*_END_FMT.unpack(body))
     except struct.error as e:
@@ -178,7 +187,9 @@ def read_msg(stream: ByteStream) -> Optional[Message]:
     """Reads one message, blocking until a full frame is available.
 
     Returns None on a clean EOF at a frame boundary (end of session).
-    Handles arbitrary segmentation of the underlying byte stream.
+    Handles arbitrary segmentation of the underlying byte stream. A
+    subframe whose payload fails its CRC-32 raises ProtocolError, so no
+    corrupt payload reaches a decoder.
     """
     prefix = _read_exact(stream, _LEN_FMT.size, at_boundary=True)
     if prefix is None:

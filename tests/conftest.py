@@ -20,9 +20,10 @@ def tiny_spec() -> PartitionSpec:
 
 @pytest.fixture(scope="session")
 def split_spec() -> PartitionSpec:
-    """The server draws 43 of the 80 foveal rows (`server_rows`), so the
-    client draws the other 37 itself; every other fixture gives the server
-    all rows."""
+    """Each fovea is as wide and tall as its eye, so it hides the whole
+    periphery, which is then not shaded. The server draws 40 of the 80
+    foveal rows (`server_rows`), so the client draws the other 40 itself;
+    every other fixture gives the server all rows."""
     return PartitionSpec(160, 80, 80, 80, 0.25)
 
 

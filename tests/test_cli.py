@@ -23,7 +23,7 @@ from splitfov.sim import CostModel, NetModel
 from splitfov.wire import SubframeMsg, read_msg, write_msg
 
 TINY = ["--size", "160x80", "--fovea", "32x24", "--scale", "0.5"]
-# The server draws 43 of each fovea's 80 rows at this geometry.
+# The server draws 40 of each fovea's 80 rows at this geometry.
 SPLIT = ["--size", "160x80", "--fovea", "80x80", "--scale", "0.25"]
 ROOT = Path(__file__).resolve().parent.parent
 COST_FLAGS = {
@@ -301,7 +301,7 @@ class TestServerDims:
         assert main([mode, *SPLIT, "--frames", "2"]) == 0
         cells = server_dims_cells(capsys.readouterr().out)
         # compare's native table has no server: its cell stays "-"
-        assert cells == {"sim": ["80x43"] * 2, "compare": ["-", "80x43", "80x43"]}[mode]
+        assert cells == {"sim": ["80x40"] * 2, "compare": ["-", "80x40", "80x40"]}[mode]
 
     def test_client(self, capsys):
         ready = threading.Event()
@@ -317,7 +317,7 @@ class TestServerDims:
         assert main(["client", "--port", str(bound["port"]), *SPLIT, "--frames", "2"]) == 0
         worker.join(timeout=30.0)
         assert not worker.is_alive()
-        assert server_dims_cells(capsys.readouterr().out) == ["80x43"]
+        assert server_dims_cells(capsys.readouterr().out) == ["80x40"]
 
     def test_server(self, capsys, monkeypatch):
         # The server learns the geometry from the hello alone.
@@ -341,7 +341,7 @@ class TestServerDims:
                            CodecId.PRED_DEFLATE, SceneConfig(), CameraRig(), CameraPath(frame_count=2))
         worker.join(timeout=30.0)
         assert codes == [0]
-        assert server_dims_cells(capsys.readouterr().out) == ["80x43"]
+        assert server_dims_cells(capsys.readouterr().out) == ["80x40"]
 
 
 class TestModuleEntryPoint:
@@ -403,15 +403,15 @@ DESK_RAW = ["--size", "600x270", "--fovea", "128x90", "--frames", "6", "--codec"
 # byte count, and so the Network and Mbps cells, independent of zlib.
 CLIENT_STAGES = "  Server Dims  Network  Decode  Merge  Mbps  "
 NATIVE_TABLE = [
-    "  end-to-end: 81.36 ms/frame (12 fps, IQR = 0.000)",
+    "  end-to-end: 73.15 ms/frame (14 fps, IQR = 0.000)",
     "  Server Dims  Network  Decode  Merge  Mbps",
     "  -            0.00     0.00    0.00   -   ",
-    "  (draw 81.36 ms)",
+    "  (draw 73.15 ms)",
 ]
 SIM_TABLE = [
     "  end-to-end: 18.11 ms/frame (55 fps, IQR = 0.000)",
     CLIENT_STAGES,
-    "  {dims}       1.11     4.00    1.00   499.80",
+    "  {dims}       1.11     4.00    1.00   499.74",
     "  (draw 6.00 ms)",
     "Server profile (6 frames, all times median ms)",
     "  Server Dims  Draw Time  Encode Time",
@@ -419,10 +419,10 @@ SIM_TABLE = [
     "  (send 1.11 ms)",
 ]
 SPLIT_TABLE = [
-    "  end-to-end: 58.32 ms/frame (17 fps, IQR = 0.000)",
+    "  end-to-end: 50.11 ms/frame (20 fps, IQR = 0.000)",
     CLIENT_STAGES,
-    "  {dims}       1.11     0.00    0.00   499.80",
-    "  (draw 58.32 ms)",
+    "  {dims}       1.11     0.00    0.00   499.74",
+    "  (draw 50.11 ms)",
     "Server profile (6 frames, all times median ms)",
     "  Server Dims  Draw Time  Encode Time",
     "  {dims}       23.04      0.00       ",
@@ -459,7 +459,7 @@ class TestPinnedText:
         assert out == "\n".join([
             *text("Native baseline", NATIVE_TABLE), "",
             *text("Split client", SPLIT_TABLE), "",
-            "median end-to-end: native 81.36 ms vs split 58.32 ms -> improvement 39.51%",
+            "median end-to-end: native 73.15 ms vs split 50.11 ms -> improvement 45.98%",
         ]) + "\n"
         assert self.run(["report", n], capsys) == (
             "\n".join(text("Client profile", NATIVE_TABLE)) + "\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splitfov import client
+from splitfov import client, render
 from splitfov.camera import CameraPath, Pose, normalize_quat, pose_at
 from splitfov.client import (
     CollectSink,
@@ -18,10 +18,13 @@ from splitfov.client import (
 from splitfov.codec import CodecId
 from splitfov.image import GeometryError, crop, read_ppm
 from splitfov.partition import (
+    DEFAULT_SPEC,
     Eye,
+    PartitionSpec,
     foveal_rect,
     foveal_rect_stereo,
     foveal_rows,
+    frame_rays,
     reduced_dims,
     server_rows,
 )
@@ -238,6 +241,77 @@ class TestRowSplit:
             frame = draw_client_part(scene, rig, POSE, spec, k)
             merged = merge(frame, draw_foveae(scene, rig, POSE, spec, (0, k)), spec, (0, k))
             assert merged.tobytes() == want.tobytes(), f"split line k = {k}"
+
+
+def composed(scene, rig, pose, spec, k):
+    """The split frame at split line k, composed here from parts that skip
+    no ray: the whole reduced periphery upsampled, then both whole foveae
+    pasted over it, the client's rows [k, fov_h) and the server's [0, k)."""
+    full = (spec.full_w, spec.full_h)
+    frame = upsample_nearest(render_scaled(scene, rig, pose, full, spec.periph_scale), full)
+    for rows in ((k, spec.fov_h), (0, k)):
+        if rows[0] < rows[1]:
+            merge(frame, draw_foveae(scene, rig, pose, spec, rows), spec, rows)
+    return frame
+
+
+def split_frame(scene, rig, pose, spec, k):
+    """The client's part at split line k with the server's rows merged in."""
+    frame = draw_client_part(scene, rig, pose, spec, k)
+    return merge(frame, draw_foveae(scene, rig, pose, spec, (0, k)), spec, (0, k)) if k else frame
+
+
+@st.composite
+def small_specs(draw):
+    eye_w, full_h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return PartitionSpec(2 * eye_w, full_h, draw(st.integers(1, eye_w)), draw(st.integers(1, full_h)),
+                         draw(st.floats(0.05, 1.0)))
+
+
+class TestHoles:
+    """The client shades no periphery ray whose pixels a fovea covers
+    (`partition.periphery_holes`), and the frame on display does not move."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.floats(0, 1), frame_id=st.integers(0, 11))
+    @pytest.mark.parametrize("spec", [
+        PartitionSpec(160, 80, 80, 80, 0.25),  # each fovea as wide and tall as its eye: no periphery ray
+        PartitionSpec(12, 10, 6, 6, 0.6),  # a right-eye hole column whose ray falls left of the midline
+        PartitionSpec(64, 32, 20, 1, 0.5),  # a fovea covering no whole reduced row: no hole
+        PartitionSpec(96, 48, 30, 20, 1.0),  # scale 1.0
+        PartitionSpec(600, 270, 128, 90, 0.6),  # desk
+    ], ids=["fovea-as-wide-as-its-eye", "midline-column", "no-whole-row", "scale-1", "desk"])
+    def test_every_split_line_gives_the_frame_composed_without_holes(self, spec, scene, rig, k, frame_id):
+        k = round(k * spec.fov_h)
+        pose = pose_at(CameraPath(frame_count=12), frame_id)
+        assert split_frame(scene, rig, pose, spec, k).tobytes() == composed(scene, rig, pose, spec, k).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_specs(), k=st.floats(0, 1), frame_id=st.integers(0, 11))
+    def test_any_small_geometry(self, scene, rig, spec, k, frame_id):
+        k = round(k * spec.fov_h)
+        pose = pose_at(CameraPath(frame_count=12), frame_id)
+        assert split_frame(scene, rig, pose, spec, k).tobytes() == composed(scene, rig, pose, spec, k).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        DEFAULT_SPEC, PartitionSpec(2400, 1080, 768, 540, 0.3), PartitionSpec(600, 270, 128, 90, 0.6),
+        PartitionSpec(160, 80, 80, 80, 0.25), PartitionSpec(160, 80, 32, 24, 0.5),
+        PartitionSpec(12, 10, 6, 6, 0.6),
+    ], ids=["default", "fovea", "desk", "split", "tiny", "midline-column"])
+    def test_a_native_frame_shades_frame_rays(self, spec, scene, rig, monkeypatch):
+        grids = []
+
+        def counted(scene, rig, pose, eye, eye_dims, fx, fy, *args, _inner=render._shade_grid):
+            assert len(fx) > 0 and len(fy) > 0
+            assert np.all(np.diff(fx) > 0) and np.all(np.diff(fy) > 0)
+            grids.append(len(fx) * len(fy))
+            return _inner(scene, rig, pose, eye, eye_dims, fx, fy, *args)
+
+        monkeypatch.setattr(render, "_shade_grid", counted)
+        ffr_frame(scene, rig, POSE, spec)
+        assert sum(grids) == frame_rays(spec)
+        # At most two periphery grids per eye, and one per fovea.
+        assert len(grids) <= 6
 
 
 class TestComposedFrame:

@@ -65,10 +65,10 @@ class TestCompare:
                          cost=CostModel(server_draw=0, encode=0, client_draw=0, decode=0,
                                         merge=0, us_per_ray=1.0))
         fovea_rays = 2 * desk_spec.fov_w * desk_spec.fov_h   # 23040
-        periph_rays = 360 * 162                              # reduced buffer
+        periph_rays = 360 * 162 - 54 * 2 * 76                # reduced buffer less its holes
         want = 100.0 * fovea_rays / periph_rays
         assert report.improvement_pct == pytest.approx(want, abs=1e-6)
-        assert report.improvement_pct == pytest.approx(39.506, abs=1e-3)
+        assert report.improvement_pct == pytest.approx(45.977, abs=1e-3)
 
     def test_report_shape(self, tiny_spec):
         report = compare(tiny_spec, 3)

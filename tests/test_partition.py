@@ -15,6 +15,8 @@ from splitfov.partition import (
     foveal_rect,
     foveal_rect_stereo,
     foveal_rows,
+    nearest_map,
+    periphery_holes,
     reduced_dims,
     server_dims,
     server_rows,
@@ -110,18 +112,18 @@ class TestValidate:
         PartitionSpec(100, 100, 10, 10, hello_scale)
 
     def test_raw_subframe_beyond_the_frame_cap(self):
-        # 3 * 6000 * 4000 payload bytes + 10 header bytes
+        # 3 * 6000 * 4000 payload bytes + 14 header bytes
         assert self.violations(12000, 4000, 6000, 4000, 0.5) == [
-            "one eye's RAW subframe is a 72000010-byte frame, above the wire's"
+            "one eye's RAW subframe is a 72000014-byte frame, above the wire's"
             " frame cap of 67108864 bytes"
         ]
 
     def test_largest_fovea_within_the_frame_cap(self):
-        # 3 * 17449 * 1282 + 10 is exactly 64 MiB
-        assert 3 * 17449 * 1282 + SUBFRAME_HEADER == DEFAULT_MAX_FRAME
-        PartitionSpec(2 * 17449, 1283, 17449, 1282, 0.5)
-        assert self.violations(2 * 17449, 1283, 17449, 1283, 0.5) == [
-            "one eye's RAW subframe is a 67161211-byte frame, above the wire's"
+        # 3 * 17449 * 1282 + 14 is 64 MiB and 4 bytes, so 1281 rows fit
+        assert 3 * 17449 * 1282 + SUBFRAME_HEADER == DEFAULT_MAX_FRAME + 4
+        PartitionSpec(2 * 17449, 1283, 17449, 1281, 0.5)
+        assert self.violations(2 * 17449, 1283, 17449, 1282, 0.5) == [
+            "one eye's RAW subframe is a 67108868-byte frame, above the wire's"
             " frame cap of 67108864 bytes"
         ]
 
@@ -178,17 +180,39 @@ class TestReducedDims:
         assert reduced_dims(desk_spec) == (360, 162)
 
 
+def brute_holes(spec: PartitionSpec) -> dict[Eye, tuple[list[int], list[int]]]:
+    """Each eye's hole rows and columns, one reduced index at a time: an
+    index is a hole when no full pixel outside the eye's foveal rect copies
+    it, (i * reduced) // full, and a column only of the eye whose ray it
+    casts (left of the midline is the left eye's)."""
+    rw, rh = reduced_dims(spec)
+    xs = [i * rw // spec.full_w for i in range(spec.full_w)]
+    ys = [i * rh // spec.full_h for i in range(spec.full_h)]
+    centre = [float(np.float32(np.float32(c) + np.float32(0.5)) / np.float32(spec.periph_scale))
+              for c in range(rw)]
+    holes = {}
+    for eye in (Eye.LEFT, Eye.RIGHT):
+        r = foveal_rect_stereo(spec, eye)
+        out_cols = {xs[i] for i in range(spec.full_w) if not r.x <= i < r.x + r.w}
+        out_rows = {ys[i] for i in range(spec.full_h) if not r.y <= i < r.y + r.h}
+        cols = [c for c in range(rw) if c not in out_cols
+                and (centre[c] >= spec.full_w / 2) == (eye == Eye.RIGHT)]
+        holes[eye] = ([j for j in range(rh) if j not in out_rows], cols)
+    return holes
+
+
 def frame_rays(spec: PartitionSpec) -> int:
     rw, rh = reduced_dims(spec)
-    return 2 * spec.fov_w * spec.fov_h + rw * rh
+    hidden = sum(len(rows) * len(cols) for rows, cols in brute_holes(spec).values())
+    return 2 * spec.fov_w * spec.fov_h + rw * rh - hidden
 
 
 class TestServerRows:
     @pytest.mark.parametrize("spec, k", [
         (DEFAULT_SPEC, 360),
         (PartitionSpec(600, 270, 128, 90, 0.6), 90),
-        (PartitionSpec(2400, 1080, 768, 540, 0.3), 346),
-        (PartitionSpec(160, 80, 80, 80, 0.25), 43),
+        (PartitionSpec(2400, 1080, 768, 540, 0.3), 322),
+        (PartitionSpec(160, 80, 80, 80, 0.25), 40),
     ], ids=["default", "desk", "fovea", "split"])
     def test_gated_and_fixture_geometries(self, spec, k):
         assert server_rows(spec) == k
@@ -204,6 +228,36 @@ class TestServerRows:
         assert 2 * (2 * spec.fov_w * (k - 1)) < total
         if k < spec.fov_h:
             assert 2 * (2 * spec.fov_w * k) >= total
+
+
+class TestHoles:
+    @given(spec_strategy())
+    def test_holes_are_the_pixels_no_displayed_pixel_copies(self, spec):
+        holes = periphery_holes(spec)
+        for eye, (rows, cols) in brute_holes(spec).items():
+            if rows and cols:
+                assert holes.rows == (rows[0], rows[-1] + 1)
+                assert holes.cols[eye] == (cols[0], cols[-1] + 1)
+            else:
+                assert holes.cols[eye][0] == holes.cols[eye][1]
+        assert partition.frame_rays(spec) == frame_rays(spec)
+
+    def test_gated_and_fixture_geometries(self):
+        # 14.2% of the periphery at the default geometry and 31.9% at the
+        # fovea one; a fovea as wide and tall as its eye hides all of it.
+        assert periphery_holes(DEFAULT_SPEC).rays == 216 * 2 * 307
+        assert periphery_holes(PartitionSpec(2400, 1080, 768, 540, 0.3)).rays == 162 * 2 * 230
+        assert periphery_holes(PartitionSpec(160, 80, 80, 80, 0.25)).rays == 40 * 20
+
+    def test_a_fovea_covering_no_whole_reduced_row_has_none(self):
+        # one full row at scale 0.5 is half of a reduced row
+        spec = PartitionSpec(64, 32, 20, 1, 0.5)
+        assert periphery_holes(spec).rays == 0
+        assert partition.frame_rays(spec) == 2 * 20 + 32 * 16
+
+    def test_nearest_map(self):
+        assert nearest_map(5, 2).tolist() == [0, 0, 0, 1, 1]
+        assert nearest_map(4, 4).tolist() == [0, 1, 2, 3]
 
 
 class TestFovealRows:

@@ -9,7 +9,8 @@ from splitfov import render
 from splitfov.camera import CameraPath, CameraRig, Pose, look_at_quat, normalize_quat, pose_at, quat_to_matrix
 from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
-from splitfov.partition import Eye, PartitionSpec, foveal_rect, foveal_rows, reduced_dims
+from splitfov.partition import (Eye, Holes, PartitionSpec, foveal_rect, foveal_rows, periphery_holes,
+                                reduced_dims)
 from splitfov.render import (
     _FAR,
     _PLANE_Y,
@@ -148,6 +149,41 @@ class TestScaled:
     def test_tiny_output_clamped(self, scene, rig):
         out = render_scaled(scene, rig, POSE, (8, 8), 0.05)
         assert out.shape == (1, 1, 3)
+
+
+class TestScaledHoles:
+    """With holes, `render_scaled` leaves them the background and every
+    other pixel as it is without them."""
+
+    @pytest.mark.parametrize("scene_id", [SceneId.SPHERES, SceneId.EMPTY], ids=["spheres", "empty"])
+    @pytest.mark.parametrize("spec", [
+        PartitionSpec(600, 270, 128, 90, 0.6), PartitionSpec(240, 108, 77, 54, 0.3),
+        PartitionSpec(160, 80, 80, 80, 0.25), PartitionSpec(96, 48, 30, 20, 1.0),
+    ], ids=["desk", "fovea-tenth", "no-periphery", "scale-1"])
+    def test_holes_are_background(self, rig, spec, scene_id):
+        holes = periphery_holes(spec)
+        assert holes.rays > 0
+        self.assert_background(SceneConfig(scene_id), rig, (spec.full_w, spec.full_h), spec.periph_scale, holes)
+
+    @pytest.mark.parametrize("holes", [
+        Holes((0, 0), ((0, 0), (0, 0))),  # none
+        Holes((3, 9), ((0, 0), (0, 0))),  # rows without columns
+        Holes((0, 18), ((0, 30), (30, 60))),  # the whole frame
+        Holes((0, 5), ((2, 30), (30, 41))),  # the top rows, one eye's columns out to its edge
+        Holes((12, 18), ((0, 4), (55, 60))),  # the bottom rows, the frame's outer columns
+    ], ids=["none", "no-columns", "all", "top", "bottom"])
+    def test_any_band_of_rows_and_columns(self, scene, rig, holes):
+        self.assert_background(scene, rig, (120, 36), 0.5, holes)
+
+    @staticmethod
+    def assert_background(scene, rig, full, scale, holes):
+        plain = render_scaled(scene, rig, POSE, full, scale)
+        skipped = render_scaled(scene, rig, POSE, full, scale, holes=holes)
+        hidden = np.zeros(plain.shape[:2], dtype=bool)
+        for lo, hi in holes.cols:
+            hidden[slice(*holes.rows), lo:hi] = True
+        assert np.all(skipped[hidden] == BACKGROUND)
+        assert skipped[~hidden].tobytes() == plain[~hidden].tobytes()
 
 
 class TestAllocation:

@@ -167,6 +167,7 @@ def ref_scaled(scene, rig, pose, eye_pair_dims, scale):
 
 from splitfov import render  # noqa: E402
 from splitfov.camera import normalize_quat  # noqa: E402
+from splitfov.client import ffr_frame  # noqa: E402
 from splitfov.partition import Eye, PartitionSpec, foveal_rect  # noqa: E402
 
 RIG = CameraRig()
@@ -281,6 +282,24 @@ def _assert_spec_matches(spec, pose):
 def test_gated_geometry_orbit(spec):
     for pose in POSES:
         _assert_spec_matches(spec, pose)
+
+
+@pytest.mark.parametrize("spec", GATED, ids=GATED_IDS)
+def test_gated_geometry_native_frame(spec):
+    """`ffr_frame`, which shades none of the periphery's holes, is the
+    reference's reduced frame, nearest-upsampled, with the reference's
+    foveae over it."""
+    w, h = spec.full_w, spec.full_h
+    eye_dims = (spec.eye_w, spec.eye_h)
+    for pose in POSES:
+        reduced = ref_scaled(SPHERES, RIG, pose, (w, h), spec.periph_scale)
+        rh, rw = reduced.shape[:2]
+        want = reduced[(np.arange(h) * rh // h)[:, None], (np.arange(w) * rw // w)[None, :]]
+        for eye in (Eye.LEFT, Eye.RIGHT):
+            r = foveal_rect(spec, eye)
+            x = r.x + (spec.eye_w if eye == Eye.RIGHT else 0)
+            want[r.y : r.y + r.h, x : x + r.w] = ref_region(SPHERES, RIG, pose, eye, eye_dims, r)
+        assert same_bytes(ffr_frame(SPHERES, RIG, pose, spec), want)
 
 
 def _look_at_pose(pos, target):

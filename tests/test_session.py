@@ -93,7 +93,7 @@ class TestLoopbackSession:
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
     def test_split_rows_session_lossless(self, split_spec, scene, rig, codec_id, decoded_dims):
-        """The server ships 43 of the 80 foveal rows and the client draws
+        """The server ships 40 of the 80 foveal rows and the client draws
         the rest; the displayed frames are the native composition."""
         future, port = start_server(rig=rig)
         sink = CollectSink()
@@ -101,13 +101,13 @@ class TestLoopbackSession:
         client_records = run_client("127.0.0.1", port, split_spec, codec_id, scene,
                                     rig, path, display=sink)
         server_records = future.result(timeout=30.0)
-        assert decoded_dims == [(80, 43)] * 6
+        assert decoded_dims == [(80, 40)] * 6
         assert len(sink.frames) == 3
         for k, frame in enumerate(sink.frames):
             assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
         assert [c.bytes_received for c in client_records] == [s.bytes_sent for s in server_records]
         if codec_id == CodecId.RAW:
-            assert [s.bytes_sent for s in server_records] == [2 * 3 * 80 * 43] * 3
+            assert [s.bytes_sent for s in server_records] == [2 * 3 * 80 * 40] * 3
 
     def test_a_scale_the_hello_rounds_across_a_half_splits_both_sides_alike(self, scene, rig):
         """270 * 0.45 is 121.5, which rounds to 122 rows of periphery, but
@@ -134,6 +134,20 @@ class TestLoopbackSession:
             (logging.INFO, f"connected to server at 127.0.0.1:{port}"),
             (logging.INFO, "session ended after 2 frames"),
         ]
+
+    def test_fovea_geometry_session_is_native(self, scene, rig, decoded_dims):
+        """At the fovea_tcp geometry both sides derive k = 322 rows, the
+        server draws them, and the frames on display are the native frames."""
+        spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
+        future, port = start_server(rig=rig)
+        sink = CollectSink()
+        path = CameraPath(frame_count=2)
+        run_client("127.0.0.1", port, spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+        future.result(timeout=60.0)
+        assert decoded_dims == [(768, 322)] * 4
+        assert len(sink.frames) == 2
+        for n, frame in enumerate(sink.frames):
+            assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, n), spec).tobytes()
 
     def test_client_disconnect_preserves_partial_records(self, desk_spec, rig):
         future, port = start_server(rig=rig)
@@ -202,6 +216,12 @@ class TestServerSessionUnit:
         # sends the one-byte symbols, which a protocol 6 client cannot read.
         with pytest.raises(ProtocolError, match="peer speaks protocol version 6"):
             self.run_session([hello_for(tiny_spec, version=6)])
+
+    def test_rejects_a_protocol_7_hello(self, tiny_spec):
+        # A protocol 7 peer sends subframes without a CRC and counts the
+        # periphery's holes in k, so it would split the fovea elsewhere.
+        with pytest.raises(ProtocolError, match="peer speaks protocol version 7"):
+            self.run_session([hello_for(tiny_spec, version=7)])
 
     def test_rejects_invalid_geometry(self, tiny_spec):
         # a fovea wider than the eye and an odd frame width, both listed
@@ -301,6 +321,41 @@ class TestServerSessionUnit:
 
 
 class TestClientSessionUnit:
+    @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
+                             ids=["raw", "pred-deflate"])
+    def test_a_flipped_bit_shows_no_frame(self, split_spec, scene, rig, codec_id):
+        """One bit flipped in a frame's two subframes, in every bit of their
+        length prefixes and headers and in a sample of their payloads' bits,
+        ends the frame in a ProtocolError, and no frame is displayed."""
+        pose = pose_at(CameraPath(frame_count=1), 0)
+        images = server.draw_foveae(scene, rig, pose, split_spec, (0, server_rows(split_spec)), rgbx=True)
+        frames = [write_msg(SubframeMsg(0, int(eye), encode(codec_id, img))) for eye, img in images.items()]
+        sent = b"".join(frames)
+
+        def run(data, sink):
+            session = ClientSession(io.BytesIO(data), Collected(), split_spec, codec_id, scene, rig,
+                                    CameraPath(frame_count=1), display=sink)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                session.run_frame(0, pool)
+
+        sink = CollectSink()
+        run(sent, sink)
+        assert [f.tobytes() for f in sink.frames] == [ffr_frame(scene, rig, pose, split_spec).tobytes()]
+        header_bits = 8 * (wire.SUBFRAME_HEADER + 4)
+        second = 8 * len(frames[0])
+        payload_bits = [b for b in range(8 * len(sent))
+                        if not (b < header_bits or second <= b < second + header_bits)]
+        rng = np.random.default_rng(29)
+        bits = [*range(header_bits), *range(second, second + header_bits),
+                *rng.choice(payload_bits, size=48, replace=False).tolist()]
+        for bit in bits:
+            flipped = bytearray(sent)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            sink = CollectSink()
+            with pytest.raises(ProtocolError):
+                run(bytes(flipped), sink)
+            assert sink.frames == [], bit
+
     def test_rejects_subframe_eight_columns_short(self, tiny_spec, scene, rig):
         # The subframe carries no size: it is decoded at the session's
         # foveal size, so a payload 8 columns short cannot be displayed.
@@ -321,7 +376,7 @@ class TestClientSessionUnit:
 
 
     def test_body_truncated_at_a_part_boundary_shows_nothing(self, split_spec, scene, rig):
-        # The server's 80x43 rows of a rendered frame: a bitmap, symbols and
+        # The server's 80x40 rows of a rendered frame: a bitmap, symbols and
         # escapes. Cut the left eye's body at the end of each of its first
         # two parts, and one byte short of its end.
         img = server.draw_foveae(scene, rig, pose_at(CameraPath(frame_count=4), 1), split_spec,
@@ -354,9 +409,9 @@ class TestClientSessionUnit:
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
     def test_rejects_subframes_of_any_other_row_count(self, split_spec, scene, rig, codec_id):
-        # The session's subframes carry k = 43 rows; a protocol 5 server
+        # The session's subframes carry k = 40 rows; a protocol 5 server
         # would send all 80. No frame is shown.
-        for rows in (80, 42, 44):
+        for rows in (80, 39, 41):
             img = np.zeros((rows, split_spec.fov_w, 3), dtype=np.uint8)
             img[::3, ::5] = (200, 30, 90)
             stream = io.BytesIO(b"".join(

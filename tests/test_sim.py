@@ -143,7 +143,7 @@ class TestVirtualTimeline:
 
     def test_only_a_stage_that_sent_waits_for_its_link(self, tiny_spec, scene, rig):
         # At 10 Mbps the pose takes 0.033 ms to transmit, and the two RAW
-        # subframes (payload plus two 14-byte headers) 3.7 ms. The client's
+        # subframes (payload plus two 18-byte headers) 3.7 ms. The client's
         # free draw does not wait for its pose; the server's send stage
         # lasts until the link has taken both subframes.
         net = NetModel(latency_ms=5.0, bandwidth_mbps=10.0)
@@ -151,13 +151,13 @@ class TestVirtualTimeline:
         res = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
                               net=net, cost=free)
         assert [c.draw_ms for c in res.client_records] == [0.0, 0.0]
-        send_ms = net.tx_ms(2 * 32 * 24 * 3 + 28)
+        send_ms = net.tx_ms(2 * 32 * 24 * 3 + 36)
         assert [s.send_ms for s in res.server_records] == [pytest.approx(send_ms)] * 2
 
     def test_network_window_scales_with_payload(self, scene, rig):
         # first-to-last-byte window = transmitted bytes / link rate, so
         # growing the RAW payload grows the window by exactly the extra
-        # payload bits over the rate (the fixed 14-byte headers cancel)
+        # payload bits over the rate (the fixed 18-byte headers cancel)
         net = NetModel(latency_ms=5.0, bandwidth_mbps=100.0)
         windows = {}
         for fov_w in (32, 64):
@@ -166,7 +166,7 @@ class TestVirtualTimeline:
                                   CameraPath(frame_count=1), net=net, cost=FIG_COST)
             windows[fov_w] = res.client_records[0].network_ms
         per_ms = lambda nbytes: nbytes * 8.0 / (100.0 * 1e6) * 1000.0
-        assert windows[32] == pytest.approx(per_ms(2 * 32 * 24 * 3 + 28), rel=1e-9)
+        assert windows[32] == pytest.approx(per_ms(2 * 32 * 24 * 3 + 36), rel=1e-9)
         assert windows[64] - windows[32] == pytest.approx(per_ms(2 * 32 * 24 * 3), rel=1e-9)
         assert windows[64] == pytest.approx(2 * windows[32], rel=0.01)
 
@@ -232,8 +232,8 @@ class TestVirtualClockIgnoresHostTiming:
 
 
 class TestRowSplit:
-    """At `split_spec` the server draws and ships the top 43 of the 80
-    foveal rows and the client draws the other 37; the frames on display
+    """At `split_spec` the server draws and ships the top 40 of the 80
+    foveal rows and the client draws the other 40; the frames on display
     are still the native composition."""
 
     @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
@@ -243,7 +243,7 @@ class TestRowSplit:
         sink = CollectSink()
         path = CameraPath(frame_count=3)
         res = run(split_spec, codec_id, scene, rig, path, display=sink)
-        assert decoded_dims == [(80, 43)] * 6
+        assert decoded_dims == [(80, 40)] * 6
         assert len(sink.frames) == 3
         for k, frame in enumerate(sink.frames):
             assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
@@ -252,20 +252,21 @@ class TestRowSplit:
     @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
     def test_raw_payload_is_the_served_rows(self, run, split_spec, scene, rig):
         res = run(split_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
-        assert [s.bytes_sent for s in res.server_records] == [2 * 3 * 80 * 43] * 2
-        assert [c.bytes_received for c in res.client_records] == [2 * 3 * 80 * 43] * 2
+        assert [s.bytes_sent for s in res.server_records] == [2 * 3 * 80 * 40] * 2
+        assert [c.bytes_received for c in res.client_records] == [2 * 3 * 80 * 40] * 2
 
     def test_virtual_draws_charge_each_side_its_rays(self, split_spec, scene, rig):
         cost = CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0,
                          merge=0.0, us_per_ray=1.0)
         res = run_sim_virtual(split_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
                               cost=cost)
-        # Server: 2 eyes x 80 x 43 rows. Client: the 40x20 reduced periphery
-        # and 2 eyes x 80 x the other 37 rows.
-        assert [s.draw_ms for s in res.server_records] == [pytest.approx(6.88)] * 2
-        assert [c.draw_ms for c in res.client_records] == [pytest.approx(0.8 + 5.92)] * 2
+        # Server: 2 eyes x 80 x 40 rows. Client: none of the 40x20 reduced
+        # periphery, which the foveae hide, and 2 eyes x 80 x the other 40
+        # rows.
+        assert [s.draw_ms for s in res.server_records] == [pytest.approx(6.4)] * 2
+        assert [c.draw_ms for c in res.client_records] == [pytest.approx(6.4)] * 2
         native = run_native_virtual(split_spec, CameraPath(frame_count=1), cost=cost)
-        assert native[0].draw_ms == pytest.approx(6.88 + 0.8 + 5.92)
+        assert native[0].draw_ms == pytest.approx(6.4 + 6.4)
 
 
 class TestNativeVirtual:
@@ -280,7 +281,7 @@ class TestNativeVirtual:
         spec = PartitionSpec.from_full(100, 50, 20, 10, 0.5)
         cost = CostModel(client_draw=0.0, us_per_ray=1.0)
         records = run_native_virtual(spec, CameraPath(frame_count=1), cost=cost)
-        rays = 2 * 20 * 10 + 50 * 25
+        rays = 2 * 20 * 10 + 50 * 25 - 5 * 2 * 9  # less the holes: 5 rows by 9 columns per eye
         assert records[0].draw_ms == pytest.approx(rays / 1000.0)
 
     def test_draws_no_frame(self, tiny_spec, monkeypatch):
@@ -296,7 +297,7 @@ class TestNativeVirtual:
         cost = CostModel(1.5, 2.25, 3.1, 0.7, 0.3, 0.01)
         records = run_native_virtual(PartitionSpec(64, 32, 16, 8, 0.5),
                                      CameraPath(frame_count=9), cost=cost)
-        d = cost.client_draw_ms(2 * 16 * 8 + 32 * 16)
+        d = cost.client_draw_ms(2 * 16 * 8 + 32 * 16 - 4 * 2 * 8)  # less 4 x 8 holes per eye
         assert records == [ClientFrameRecord(n, d, 0.0, 0.0, 0.0, d, 0) for n in range(9)]
 
 
@@ -839,16 +840,16 @@ def spans_ms(trace, actor, record, zero=frozenset()) -> dict[str, float]:
 
 
 PINNED_CLIENT_RECORDS = [
-    (0, 6.0, 0.12362666666666655, 4.0, 1.0, 16.12592, 4608),
-    (1, 6.0, 0.12362666666666655, 4.0, 1.0000000000000036, 16.124720000000003, 4608),
-    (2, 6.0, 0.12362666666666655, 4.0, 1.0, 16.124719999999996, 4608),
-    (3, 6.0, 0.12362666666666655, 4.0, 1.0, 16.124719999999996, 4608),
+    (0, 6.0, 0.12384000000000128, 4.0, 1.0, 16.126133333333335, 4608),
+    (1, 6.0, 0.12384000000000128, 4.0, 1.0000000000000036, 16.12493333333334, 4608),
+    (2, 6.0, 0.12384000000000128, 4.0, 1.0, 16.12493333333333, 4608),
+    (3, 6.0, 0.12384000000000128, 4.0, 1.0, 16.12493333333333, 4608),
 ]
 PINNED_SERVER_RECORDS = [
-    (0, 5.0, 3.000000000000001, 0.12362666666666655, 4608),
-    (1, 5.0, 3.0, 0.12362666666666655, 4608),
-    (2, 5.0, 3.0, 0.12362666666666655, 4608),
-    (3, 5.0, 3.0, 0.12362666666666655, 4608),
+    (0, 5.0, 3.000000000000001, 0.12384000000000128, 4608),
+    (1, 5.0, 3.0, 0.12384000000000128, 4608),
+    (2, 5.0, 3.0, 0.12384000000000128, 4608),
+    (3, 5.0, 3.0, 0.12384000000000128, 4608),
 ]
 PINNED_EVENTS = [
     (0.0, 'client', 'send', 'hello', 0), (0.0, 'client', 'send', 'pose', 0),
@@ -860,56 +861,56 @@ PINNED_EVENTS = [
     (9.502293333333334, 'server', 'end', 'encode', 0),
     (9.502293333333334, 'server', 'begin', 'send', 0),
     (9.502293333333334, 'server', 'send', 'subframe0', 0),
-    (9.502293333333334, 'server', 'send', 'subframe1', 0), (9.62592, 'server', 'end', 'send', 0),
-    (11.064106666666667, 'client', 'recv', 'subframe0', 0),
-    (11.12592, 'client', 'recv', 'subframe1', 0), (11.12592, 'client', 'begin', 'decode', 0),
-    (15.12592, 'client', 'begin', 'merge', 0), (15.12592, 'client', 'end', 'decode', 0),
-    (16.12592, 'client', 'end', 'merge', 0), (16.12592, 'client', 'begin', 'display', 0),
-    (16.12592, 'client', 'end', 'display', 0), (16.12592, 'client', 'send', 'pose', 1),
-    (16.12592, 'client', 'begin', 'draw', 1), (17.627013333333334, 'server', 'recv', 'pose', 1),
-    (17.627013333333334, 'server', 'begin', 'draw', 1), (22.12592, 'client', 'end', 'draw', 1),
-    (22.627013333333334, 'server', 'end', 'draw', 1),
-    (22.627013333333334, 'server', 'begin', 'encode', 1),
-    (25.627013333333334, 'server', 'end', 'encode', 1),
-    (25.627013333333334, 'server', 'begin', 'send', 1),
-    (25.627013333333334, 'server', 'send', 'subframe0', 1),
-    (25.627013333333334, 'server', 'send', 'subframe1', 1), (25.75064, 'server', 'end', 'send', 1),
-    (27.188826666666667, 'client', 'recv', 'subframe0', 1),
-    (27.25064, 'client', 'recv', 'subframe1', 1), (27.25064, 'client', 'begin', 'decode', 1),
-    (31.25064, 'client', 'begin', 'merge', 1), (31.25064, 'client', 'end', 'decode', 1),
-    (32.250640000000004, 'client', 'end', 'merge', 1),
-    (32.250640000000004, 'client', 'begin', 'display', 1),
-    (32.250640000000004, 'client', 'end', 'display', 1),
-    (32.250640000000004, 'client', 'send', 'pose', 2),
-    (32.250640000000004, 'client', 'begin', 'draw', 2),
-    (33.751733333333334, 'server', 'recv', 'pose', 2),
-    (33.751733333333334, 'server', 'begin', 'draw', 2),
-    (38.250640000000004, 'client', 'end', 'draw', 2),
-    (38.751733333333334, 'server', 'end', 'draw', 2),
-    (38.751733333333334, 'server', 'begin', 'encode', 2),
-    (41.751733333333334, 'server', 'end', 'encode', 2),
-    (41.751733333333334, 'server', 'begin', 'send', 2),
-    (41.751733333333334, 'server', 'send', 'subframe0', 2),
-    (41.751733333333334, 'server', 'send', 'subframe1', 2), (41.87536, 'server', 'end', 'send', 2),
-    (43.31354666666667, 'client', 'recv', 'subframe0', 2),
-    (43.37536, 'client', 'recv', 'subframe1', 2), (43.37536, 'client', 'begin', 'decode', 2),
-    (47.37536, 'client', 'begin', 'merge', 2), (47.37536, 'client', 'end', 'decode', 2),
-    (48.37536, 'client', 'end', 'merge', 2), (48.37536, 'client', 'begin', 'display', 2),
-    (48.37536, 'client', 'end', 'display', 2), (48.37536, 'client', 'send', 'pose', 3),
-    (48.37536, 'client', 'begin', 'draw', 3), (49.87645333333333, 'server', 'recv', 'pose', 3),
-    (49.87645333333333, 'server', 'begin', 'draw', 3), (54.37536, 'client', 'end', 'draw', 3),
-    (54.87645333333333, 'server', 'end', 'draw', 3),
-    (54.87645333333333, 'server', 'begin', 'encode', 3),
-    (57.87645333333333, 'server', 'end', 'encode', 3),
-    (57.87645333333333, 'server', 'begin', 'send', 3),
-    (57.87645333333333, 'server', 'send', 'subframe0', 3),
-    (57.87645333333333, 'server', 'send', 'subframe1', 3), (58.00008, 'server', 'end', 'send', 3),
-    (59.438266666666664, 'client', 'recv', 'subframe0', 3),
-    (59.50008, 'client', 'recv', 'subframe1', 3), (59.50008, 'client', 'begin', 'decode', 3),
-    (63.50008, 'client', 'begin', 'merge', 3), (63.50008, 'client', 'end', 'decode', 3),
-    (64.50008, 'client', 'end', 'merge', 3), (64.50008, 'client', 'begin', 'display', 3),
-    (64.50008, 'client', 'end', 'display', 3), (64.50008, 'client', 'send', 'end', 3),
-    (66.00042666666667, 'server', 'recv', 'end', 3),
+    (9.502293333333334, 'server', 'send', 'subframe1', 0), (9.626133333333335, 'server', 'end', 'send', 0),
+    (11.064213333333335, 'client', 'recv', 'subframe0', 0),
+    (11.126133333333335, 'client', 'recv', 'subframe1', 0), (11.126133333333335, 'client', 'begin', 'decode', 0),
+    (15.126133333333335, 'client', 'begin', 'merge', 0), (15.126133333333335, 'client', 'end', 'decode', 0),
+    (16.126133333333335, 'client', 'end', 'merge', 0), (16.126133333333335, 'client', 'begin', 'display', 0),
+    (16.126133333333335, 'client', 'end', 'display', 0), (16.126133333333335, 'client', 'send', 'pose', 1),
+    (16.126133333333335, 'client', 'begin', 'draw', 1), (17.62722666666667, 'server', 'recv', 'pose', 1),
+    (17.62722666666667, 'server', 'begin', 'draw', 1), (22.126133333333335, 'client', 'end', 'draw', 1),
+    (22.62722666666667, 'server', 'end', 'draw', 1),
+    (22.62722666666667, 'server', 'begin', 'encode', 1),
+    (25.62722666666667, 'server', 'end', 'encode', 1),
+    (25.62722666666667, 'server', 'begin', 'send', 1),
+    (25.62722666666667, 'server', 'send', 'subframe0', 1),
+    (25.62722666666667, 'server', 'send', 'subframe1', 1), (25.75106666666667, 'server', 'end', 'send', 1),
+    (27.18914666666667, 'client', 'recv', 'subframe0', 1),
+    (27.25106666666667, 'client', 'recv', 'subframe1', 1), (27.25106666666667, 'client', 'begin', 'decode', 1),
+    (31.25106666666667, 'client', 'begin', 'merge', 1), (31.25106666666667, 'client', 'end', 'decode', 1),
+    (32.251066666666674, 'client', 'end', 'merge', 1),
+    (32.251066666666674, 'client', 'begin', 'display', 1),
+    (32.251066666666674, 'client', 'end', 'display', 1),
+    (32.251066666666674, 'client', 'send', 'pose', 2),
+    (32.251066666666674, 'client', 'begin', 'draw', 2),
+    (33.75216, 'server', 'recv', 'pose', 2),
+    (33.75216, 'server', 'begin', 'draw', 2),
+    (38.251066666666674, 'client', 'end', 'draw', 2),
+    (38.75216, 'server', 'end', 'draw', 2),
+    (38.75216, 'server', 'begin', 'encode', 2),
+    (41.75216, 'server', 'end', 'encode', 2),
+    (41.75216, 'server', 'begin', 'send', 2),
+    (41.75216, 'server', 'send', 'subframe0', 2),
+    (41.75216, 'server', 'send', 'subframe1', 2), (41.876000000000005, 'server', 'end', 'send', 2),
+    (43.314080000000004, 'client', 'recv', 'subframe0', 2),
+    (43.376000000000005, 'client', 'recv', 'subframe1', 2), (43.376000000000005, 'client', 'begin', 'decode', 2),
+    (47.376000000000005, 'client', 'begin', 'merge', 2), (47.376000000000005, 'client', 'end', 'decode', 2),
+    (48.376000000000005, 'client', 'end', 'merge', 2), (48.376000000000005, 'client', 'begin', 'display', 2),
+    (48.376000000000005, 'client', 'end', 'display', 2), (48.376000000000005, 'client', 'send', 'pose', 3),
+    (48.376000000000005, 'client', 'begin', 'draw', 3), (49.877093333333335, 'server', 'recv', 'pose', 3),
+    (49.877093333333335, 'server', 'begin', 'draw', 3), (54.376000000000005, 'client', 'end', 'draw', 3),
+    (54.877093333333335, 'server', 'end', 'draw', 3),
+    (54.877093333333335, 'server', 'begin', 'encode', 3),
+    (57.877093333333335, 'server', 'end', 'encode', 3),
+    (57.877093333333335, 'server', 'begin', 'send', 3),
+    (57.877093333333335, 'server', 'send', 'subframe0', 3),
+    (57.877093333333335, 'server', 'send', 'subframe1', 3), (58.000933333333336, 'server', 'end', 'send', 3),
+    (59.439013333333335, 'client', 'recv', 'subframe0', 3),
+    (59.500933333333336, 'client', 'recv', 'subframe1', 3), (59.500933333333336, 'client', 'begin', 'decode', 3),
+    (63.500933333333336, 'client', 'begin', 'merge', 3), (63.500933333333336, 'client', 'end', 'decode', 3),
+    (64.50093333333334, 'client', 'end', 'merge', 3), (64.50093333333334, 'client', 'begin', 'display', 3),
+    (64.50093333333334, 'client', 'end', 'display', 3), (64.50093333333334, 'client', 'send', 'end', 3),
+    (66.00128000000001, 'server', 'recv', 'end', 3),
 ]
 
 

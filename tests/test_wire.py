@@ -77,9 +77,10 @@ class TestPinnedLayout:
         assert len(frame) == 41
 
     def test_subframe_frame_bytes(self):
+        # 0xa3830348 is the CRC-32 of b"ABC"
         frame = write_msg(SubframeMsg(7, 1, b"ABC"))
-        assert frame.hex() == "0d00000003070000000000000001414243"
-        assert len(frame) == 14 + 3
+        assert frame.hex() == "1100000003070000000000000001480383a3414243"
+        assert len(frame) == 18 + 3
 
     def test_end_frame_bytes(self):
         frame = write_msg(EndMsg(41))
@@ -89,7 +90,7 @@ class TestPinnedLayout:
     def test_fixed_sizes(self):
         hello = HelloMsg(PROTOCOL_VERSION, 2400, 1080, 512, 360, 0.6, 1, 1, 0.064, 90.0, 0.1)
         assert len(write_msg(hello)) == 45
-        assert len(write_msg(SubframeMsg(0, 0, b""))) == 14
+        assert len(write_msg(SubframeMsg(0, 0, b""))) == 18
 
     def test_little_endian_length_prefix(self):
         frame = write_msg(EndMsg(0))
@@ -159,7 +160,7 @@ class TestRejection:
             read_msg(io.BytesIO(frame))
         small_cap = write_msg(SubframeMsg(0, 0, b"x" * 100))
         monkeypatch.setattr(wire, "DEFAULT_MAX_FRAME", 50)
-        with pytest.raises(ProtocolError, match="frame of 110 bytes exceeds limit 50"):
+        with pytest.raises(ProtocolError, match="frame of 114 bytes exceeds limit 50"):
             read_msg(io.BytesIO(small_cap))
 
     def test_writer_refuses_what_the_reader_would(self, monkeypatch):
