@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands are the run modes: server, client, native, sim, compare,
+Subcommands are the run modes: server, client, native, compare and
 report. Each runs straight from its parsed flags. Geometry flags default
 to the stereo 2400x1080 frame with a 512x360 per-eye fovea at peripheral
 scale 0.6 over 1000 frames. SPLITFOV_HOST / SPLITFOV_PORT override the
@@ -23,7 +23,7 @@ from .metrics import process_usage, render_profile, run_report, usage_line, writ
 from .partition import DEFAULT_SPEC, PartitionError, PartitionSpec, server_dims
 from .render import SceneConfig, SceneId
 from .server import run_server
-from .sim import CostModel, NetModel, run_compare, run_sim_virtual, run_sim_wall
+from .sim import CostModel, NetModel, run_compare
 from .wire import ProtocolError
 
 DEFAULT_HOST = "127.0.0.1"
@@ -32,6 +32,10 @@ DEFAULT_PORT = 4460
 _CODECS = {"raw": codec_mod.CodecId.RAW, "pred-deflate": codec_mod.CodecId.PRED_DEFLATE}
 _SCENES = {"empty": SceneId.EMPTY, "spheres": SceneId.SPHERES}
 _RIG = CameraRig()
+# compare's virtual clock: draw time proportional to rays shaded and nothing
+# else, so the native and split arms differ by their ray counts alone.
+RAY_COST = CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0, merge=0.0,
+                     us_per_ray=1.0)
 
 
 def _dims(text: str) -> tuple[int, int]:
@@ -88,11 +92,10 @@ def _add_endpoint(p: argparse.ArgumentParser) -> None:
                    default=os.environ.get("SPLITFOV_PORT", str(DEFAULT_PORT)))
 
 
-def _add_net(p: argparse.ArgumentParser, cost: CostModel) -> None:
+def _add_net(p: argparse.ArgumentParser) -> None:
     """Link and clock flags, one cost flag per CostModel field. The cost
-    flags default to None so parse_cli can tell them apart from `cost`, the
-    subcommand's own model."""
-    p.set_defaults(cost=cost)
+    flags default to None, so parse_cli applies only the flags given to
+    RAY_COST and can refuse them on the wall clock."""
     net = NetModel()
     p.add_argument("--clock", choices=("virtual", "wall"), default="virtual",
                    help="virtual: modeled stage costs, bit-reproducible; "
@@ -103,12 +106,12 @@ def _add_net(p: argparse.ArgumentParser, cost: CostModel) -> None:
                    help="link rate, or 'inf' (default %(default)s)")
     p.add_argument("--us-per-ray", dest="cost_us_per_ray", type=float, metavar="US",
                    help="virtual clock: draw cost per ray shaded, added to each"
-                        f" draw's fixed cost (default {cost.us_per_ray})")
+                        f" draw's fixed cost (default {RAY_COST.us_per_ray})")
     for f in dataclasses.fields(CostModel):
         if f.name != "us_per_ray":
             p.add_argument(f"--cost-{f.name.replace('_', '-')}", type=float, metavar="MS",
                            help=f"virtual clock: fixed {f.name.replace('_', ' ')} cost"
-                                f" (default {getattr(cost, f.name)})")
+                                f" (default {getattr(RAY_COST, f.name)})")
 
 
 def _display(args: argparse.Namespace) -> DisplaySink:
@@ -157,20 +160,6 @@ def _run_native_mode(args: argparse.Namespace) -> str:
     return f"{render_profile(records, title='Native baseline')}\n{usage}"
 
 
-def _run_sim_mode(args: argparse.Namespace) -> str:
-    display = _display(args)
-    if args.clock == "virtual":
-        result = run_sim_virtual(args.spec, args.codec, args.scene, _RIG, args.path,
-                                 net=args.net, cost=args.cost, display=display)
-    else:
-        result = run_sim_wall(args.spec, args.codec, args.scene, _RIG, args.path,
-                              net=args.net, display=display)
-    _write_csv(args.client_csv, result.client_records)
-    _write_csv(args.server_csv, result.server_records)
-    return render_profile(result.client_records, result.server_records,
-                          server_dims(args.spec), "Split client (sim)")
-
-
 def _run_compare_mode(args: argparse.Namespace) -> str:
     report = run_compare(args.spec, args.codec, args.scene, args.path, args.net, args.cost,
                          args.clock, _display(args))
@@ -204,21 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_outputs(p)
     p.set_defaults(run=_run_native_mode)
 
-    p = sub.add_parser("sim", help="both ends in one process over a modeled link")
-    _add_geometry(p)
-    _add_outputs(p)
-    _add_server_csv(p)
-    _add_net(p, CostModel())
-    p.set_defaults(run=_run_sim_mode)
-
     p = sub.add_parser("compare", help="native vs split over identical frames")
     _add_geometry(p)
     _add_outputs(p)
     _add_server_csv(p)
-    # Draw time proportional to rays shaded and nothing else: the native
-    # and split arms then differ by their ray counts alone.
-    _add_net(p, CostModel(server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0,
-                          merge=0.0, us_per_ray=1.0))
+    _add_net(p)
     p.add_argument("--native-csv", metavar="PATH", help="write native-arm timings")
     p.set_defaults(run=_run_compare_mode)
 
@@ -234,8 +213,8 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     violation) on bad input.
 
     Subcommands that render get typed `spec`, `scene` and `path` attributes,
-    and `codec` unless they are `native`; `sim` and `compare` also get `net`
-    and `cost`.
+    and `codec` unless they are `native`; `compare` also gets `net` and
+    `cost`, RAY_COST with the cost flags given applied.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -262,14 +241,14 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     args.scene = SceneConfig(_SCENES[args.scene])
     args.path = CameraPath(frame_count=args.frames)
 
-    if args.mode in ("sim", "compare"):
+    if args.mode == "compare":
         costs = {f.name: v for f in dataclasses.fields(CostModel)
                  if (v := getattr(args, f"cost_{f.name}")) is not None}
         if costs and args.clock == "wall":
             parser.error("cost flags apply to --clock virtual only")
         try:
             args.net = NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth)
-            args.cost = dataclasses.replace(args.cost, **costs)
+            args.cost = dataclasses.replace(RAY_COST, **costs)
         except ValueError as e:
             parser.error(str(e))
     return args

@@ -8,7 +8,7 @@ the bottom rows [server_rows, fov_h) of each foveal rect; the server
 draws the top rows.
 Once both finish, the server's rows are pasted into the frame and the
 frame goes to the display sink. Each stage is a `with` block, and each
-frame's record is read off the session's trace (`trace.read_record`)
+frame's record is read off the session's trace (`Stopwatch.record`)
 once the frame ends. Exactly one frame is in flight (lockstep).
 Native mode is the same draw with every foveal row the client's (k = 0)
 and nothing served or merged.
@@ -33,7 +33,7 @@ from .partition import (Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, nea
                         periphery_holes, server_rows)
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
-from .trace import BEGIN, END, RECV, SEND, Stopwatch, Trace, read_record
+from .trace import BEGIN, END, RECV, SEND, Stopwatch, Trace
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -303,7 +303,9 @@ class ClientSession:
         with sw.stage("display", frame_id):
             self.display(frame_id, frame)
         sw.mark(END, "total", frame_id)
-        return read_record(ClientFrameRecord, sw.trace, "client", frame_id, bytes_received=bytes_received)
+        # No mark is made concurrently here: the receive has resolved, and
+        # the next frame has not begun.
+        return sw.record(ClientFrameRecord, frame_id, bytes_received=bytes_received)
 
     def run(self) -> list[ClientFrameRecord]:
         self.hello()
@@ -368,5 +370,5 @@ def run_native(
         display(frame_id, frame)
         del frame  # held through the next draw, it raised peak RSS by 15 MB at 2400x1080
         sw.mark(END, "total", frame_id)
-        records.append(read_record(ClientFrameRecord, sw.trace, "client", frame_id, bytes_received=0))
+        records.append(sw.record(ClientFrameRecord, frame_id, bytes_received=0))
     return records

@@ -190,40 +190,34 @@ def _shade_grid(
     kind = hit.view(np.uint8)
 
     # Spheres, in fixed order (ties broken by order for determinism). Only
-    # rays with disc >= 0 can hit. The disc runs inside the sphere's bound,
-    # and the root, the divides and the update run on the bounding box of its
-    # disc >= 0 rays; `boxes[i]` keeps that box, in the hull's rows, for
-    # shading.
-    boxes = []
-    for i, box in enumerate(bounds):
-        r = _SPHERE_RADII[i]
-        ocx, ocy, ocz = ocs[i]
-        if box is not None:
-            local = _rows_from(box, rows.start)
-            e0, e1, e2 = d0[local], d1[local], d2[local]
-            a = e0 * e0
-            a += e1 * e1
-            a += e2 * e2
-            half_b = ocx * e0
-            half_b += ocy * e1
-            half_b += ocz * e2
-            cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
-            disc = half_b * half_b
-            disc -= a * cc
-            inner = _nonneg_box(disc)
-            box = None if inner is None else _rows_from(_offset(box, inner), rows.start)
-        boxes.append(box)
+    # rays with disc >= 0 can hit, and every such ray lies inside the
+    # sphere's bound, so the disc, the root and the update run on that box
+    # alone, and so does the shading below; `boxes[i]` keeps the box in the
+    # hull's rows.
+    boxes = [None if b is None else _rows_from(b, rows.start) for b in bounds]
+    for i, box in enumerate(boxes):
         if box is None:
             continue
-        hb, db, ab, tb = half_b[inner], disc[inner], a[inner], t_best[box]
-        hit = db >= 0
-        sq = np.maximum(db, np.float32(0.0))
-        np.sqrt(sq, out=sq)
-        t1 = -hb
+        r = _SPHERE_RADII[i]
+        ocx, ocy, ocz = ocs[i]
+        e0, e1, e2, tb = d0[box], d1[box], d2[box], t_best[box]
+        a = e0 * e0
+        a += e1 * e1
+        a += e2 * e2
+        half_b = ocx * e0
+        half_b += ocy * e1
+        half_b += ocz * e2
+        cc = np.float32(ocx * ocx + ocy * ocy + ocz * ocz) - r * r
+        disc = half_b * half_b
+        disc -= a * cc
+        hit = disc >= 0
+        np.maximum(disc, np.float32(0.0), out=disc)
+        sq = np.sqrt(disc, out=disc)
+        t1 = -half_b
         t2 = t1 + sq
         t1 -= sq
-        t1 /= ab
-        t2 /= ab
+        t1 /= a
+        t2 /= a
         np.copyto(t2, t1, where=t1 >= near)  # t: the near root if ahead, else the far
         hit &= t2 >= near
         hit &= t2 <= _FAR
@@ -332,22 +326,6 @@ def _rows_from(box: tuple[slice, slice], r0: int) -> tuple[slice, slice]:
     """`box` with its rows counted from row `r0`."""
     rows, cols = box
     return slice(rows.start - r0, rows.stop - r0), cols
-
-
-def _nonneg_box(disc: np.ndarray) -> tuple[slice, slice] | None:
-    """Bounding box of `disc >= 0` as (rows, cols) slices, None if empty."""
-    nonneg = disc >= 0
-    rows = np.flatnonzero(nonneg.any(axis=1))
-    if len(rows) == 0:
-        return None
-    r0, r1 = rows[0], rows[-1] + 1
-    cols = np.flatnonzero(nonneg[r0:r1].any(axis=0))
-    return slice(r0, r1), slice(cols[0], cols[-1] + 1)
-
-
-def _offset(outer: tuple[slice, slice], inner: tuple[slice, slice]) -> tuple[slice, slice]:
-    """`inner`, a box within the array `outer` cuts out, in `outer`'s frame."""
-    return tuple(slice(o.start + i.start, o.start + i.stop) for o, i in zip(outer, inner))
 
 
 # The screen-space sphere bound tests the sphere grown to r * 1.01 + 1e-4.

@@ -24,7 +24,7 @@ from . import wire
 from .camera import CameraRig, Pose, normalize_quat
 from .partition import Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows
 from .render import DirectionCache, SceneConfig, SceneId, render_region
-from .trace import RECV, SEND, Stopwatch, Trace, read_record
+from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -148,8 +148,8 @@ class ServerSession:
             for eye, payload in payloads.items():
                 sw.mark(SEND, f"subframe{int(eye)}", frame_id)
                 self.writer(write_msg(SubframeMsg(frame_id, int(eye), payload)))
-        return read_record(ServerFrameTiming, sw.trace, "server", frame_id,
-                           bytes_sent=sum(len(p) for p in payloads.values()))
+        # The server marks from this thread alone.
+        return sw.record(ServerFrameTiming, frame_id, bytes_sent=sum(len(p) for p in payloads.values()))
 
     def run(self, on_hello: Optional[Callable[[PartitionSpec], None]] = None) -> list[ServerFrameTiming]:
         """Handshake, then lockstep frame loop until the client's EndMsg or

@@ -18,7 +18,8 @@ the same events:
 A stage is a `with stopwatch.stage(name, frame_id):` block. A runtime's
 records are a view of its trace: once a frame's last mark is made,
 `read_record` sets each `<stage>_ms` field to the END minus BEGIN of the
-span of that name, on either clock. Every wall-clock timestamp is a
+span of that name, on either clock. A runtime given no trace keeps only
+the frame in progress (`Stopwatch.record`). Every wall-clock timestamp is a
 reading of `now_ms`, the one clock of the machine.
 """
 
@@ -88,10 +89,11 @@ def now_ms() -> float:
 
 class Stopwatch:
     """One actor's stage clock on `now_ms`, each reading added to `trace`
-    (a fresh one when none is given)."""
+    (a private one when none is given)."""
 
     def __init__(self, actor: str, trace: Optional[Trace] = None):
         self.actor = actor
+        self._private = trace is None
         self.trace = Trace() if trace is None else trace
 
     def mark(self, kind: str, name: str, frame_id: int) -> float:
@@ -107,6 +109,16 @@ class Stopwatch:
         self.mark(BEGIN, name, frame_id)
         yield
         self.mark(END, name, frame_id)
+
+    def record(self, cls, frame_id: int, **fields):
+        """The frame's `cls` record, read off the trace (`read_record`). A
+        private trace then starts afresh, so it holds one frame's events at
+        a time; a trace the caller gave keeps the whole session. Call it
+        only while no other thread marks."""
+        record = read_record(cls, self.trace, self.actor, frame_id, **fields)
+        if self._private:
+            self.trace = Trace()
+        return record
 
 
 def read_record(cls, trace: Trace, actor: str, frame_id: int, **fields):

@@ -35,7 +35,7 @@ COST_FLAGS = {
 
 class TestDefaults:
     def test_sim_defaults_to_full_size_geometry(self):
-        config = parse_cli(["sim"])
+        config = parse_cli(["compare"])
         s = config.spec
         assert (s.full_w, s.full_h) == (2400, 1080)
         assert (s.fov_w, s.fov_h) == (512, 360)
@@ -45,7 +45,7 @@ class TestDefaults:
         assert config.clock == "virtual"
 
     def test_geometry_flags(self):
-        config = parse_cli(["sim", "--size", "600x270", "--fovea", "128x90",
+        config = parse_cli(["compare", "--size", "600x270", "--fovea", "128x90",
                             "--scale", "0.5", "--frames", "12"])
         s = config.spec
         assert (s.full_w, s.full_h, s.fov_w, s.fov_h) == (600, 270, 128, 90)
@@ -53,17 +53,17 @@ class TestDefaults:
         assert config.path.frame_count == 12
 
     def test_codec_and_scene_choices(self):
-        config = parse_cli(["sim", "--codec", "raw", "--scene", "empty"])
+        config = parse_cli(["compare", "--codec", "raw", "--scene", "empty"])
         assert config.codec == CodecId.RAW
         assert config.scene.scene_id == SceneId.EMPTY
 
     def test_net_flags(self):
-        config = parse_cli(["sim", "--latency", "7.5", "--bandwidth", "inf"])
+        config = parse_cli(["compare", "--latency", "7.5", "--bandwidth", "inf"])
         assert config.net.latency_ms == 7.5
         assert math.isinf(config.net.bandwidth_mbps)
 
     def test_cost_models(self):
-        fixed = parse_cli(["sim", "--cost-server-draw", "9"])
+        fixed = parse_cli(["compare", "--cost-server-draw", "9"])
         assert isinstance(fixed.cost, CostModel)
         assert fixed.cost.server_draw == 9.0
         ray = parse_cli(["compare", "--us-per-ray", "2.5"])
@@ -71,8 +71,8 @@ class TestDefaults:
         assert ray.cost.us_per_ray == 2.5
 
     def test_cost_defaults_per_subcommand(self):
-        assert parse_cli(["sim"]).cost == CostModel()
-        assert parse_cli(["compare"]).cost == CostModel(
+        # compare is the one subcommand with a cost model
+        assert parse_cli(["compare"]).cost == cli.RAY_COST == CostModel(
             server_draw=0.0, encode=0.0, client_draw=0.0, decode=0.0, merge=0.0, us_per_ray=1.0
         )
 
@@ -80,13 +80,12 @@ class TestDefaults:
         assert sorted(COST_FLAGS.values()) == sorted(f.name for f in dataclasses.fields(CostModel))
 
     def test_every_cost_flag_reaches_the_model(self):
-        # each flag is honoured on both subcommands, none silently ignored
-        for mode in ("sim", "compare"):
-            for flag, field in COST_FLAGS.items():
-                assert getattr(parse_cli([mode, flag, "7.5"]).cost, field) == 7.5, (mode, flag)
+        # each flag is honoured, none silently ignored
+        for flag, field in COST_FLAGS.items():
+            assert getattr(parse_cli(["compare", flag, "7.5"]).cost, field) == 7.5, flag
 
     def test_defaults_come_from_the_models(self):
-        config = parse_cli(["sim"])
+        config = parse_cli(["compare"])
         assert config.path == CameraPath()
         assert config.net == NetModel()
 
@@ -100,24 +99,24 @@ class TestDefaults:
 class TestUsageErrors:
     def test_oversized_fovea_lists_violation(self, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--fovea", "1300x360"])
+            parse_cli(["compare", "--fovea", "1300x360"])
         assert e.value.code == 2
         assert "foveal width exceeds eye width" in capsys.readouterr().err
 
     def test_zero_frames(self):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--frames", "0"])
+            parse_cli(["compare", "--frames", "0"])
         assert e.value.code == 2
 
     def test_geometry_beyond_the_wire(self, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--size", "140000x32", "--fovea", "16x16"])
+            parse_cli(["compare", "--size", "140000x32", "--fovea", "16x16"])
         assert e.value.code == 2
         assert "u16 limit" in capsys.readouterr().err
 
     def test_bad_dims_format(self):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--size", "600by270"])
+            parse_cli(["compare", "--size", "600by270"])
         assert e.value.code == 2
 
     def test_net_flags_rejected_outside_sim(self):
@@ -135,16 +134,16 @@ class TestUsageErrors:
 
     def test_unknown_clock(self):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--clock", "sundial"])
+            parse_cli(["compare", "--clock", "sundial"])
         assert e.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["native", "--server-csv", "x.csv"],
         ["client", "--server-csv", "x.csv"],
         ["native", "--clock", "virtual"],
-        ["sim", "--path", "orbit"],
+        ["compare", "--path", "orbit"],
         ["native", "--codec", "raw"],
-        ["sim", "--ppm-every", "2"],
+        ["compare", "--ppm-every", "2"],
     ])
     def test_flags_that_would_do_nothing_are_refused(self, argv):
         with pytest.raises(SystemExit) as e:
@@ -152,8 +151,8 @@ class TestUsageErrors:
         assert e.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        *([mode, "--summary", "x.txt"] for mode in ("client", "native", "sim", "compare")),
-        *([mode, flag, "1"] for mode in ("sim", "compare")
+        *([mode, "--summary", "x.txt"] for mode in ("client", "native", "server", "compare")),
+        *([mode, flag, "1"] for mode in ("native", "compare")
           for flag in ("--cost-pose", "--cost-display")),
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
@@ -162,29 +161,36 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    def test_the_removed_sim_mode_is_a_usage_error(self, capsys):
+        # `compare` runs the modeled session and prints its split tables
+        with pytest.raises(SystemExit) as e:
+            parse_cli(["sim", *TINY])
+        assert e.value.code == 2
+        assert "invalid choice: 'sim'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("every", ["0", "-3"])
     def test_ppm_every_below_one(self, every, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--ppm-dir", "frames", "--ppm-every", every])
+            parse_cli(["compare", "--ppm-dir", "frames", "--ppm-every", every])
         assert e.value.code == 2
         assert f"--ppm-every must be at least 1, got {every}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["1e-20", "1e-46"])
     def test_scale_below_the_least_periphery(self, scale, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--size", "64x32", "--fovea", "8x8", "--frames", "1",
+            parse_cli(["compare", "--size", "64x32", "--fovea", "8x8", "--frames", "1",
                        "--scale", scale])
         assert e.value.code == 2
         assert "peripheral scale must be at least 1/65535" in capsys.readouterr().err
 
     def test_fovea_beyond_the_frame_cap(self, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--size", "12000x4000", "--fovea", "6000x4000", "--scale", "0.5"])
+            parse_cli(["compare", "--size", "12000x4000", "--fovea", "6000x4000", "--scale", "0.5"])
         assert e.value.code == 2
         assert "above the wire's frame cap of 67108864 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["sim", "--clock", "wall", "--us-per-ray", "3"],
+        ["compare", "--clock", "wall", "--us-per-ray", "3"],
         ["compare", "--clock", "wall", "--cost-merge", "1"],
     ])
     def test_cost_flags_refused_on_the_wall_clock(self, argv, capsys):
@@ -202,14 +208,14 @@ class TestUsageErrors:
 
     def test_negative_latency(self, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["sim", "--latency", "-1"])
+            parse_cli(["compare", "--latency", "-1"])
         assert e.value.code == 2
         assert "latency_ms must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, error", [
-        (["sim", "--latency", "nan"], "latency_ms must be non-negative and finite, got nan"),
+        (["compare", "--latency", "nan"], "latency_ms must be non-negative and finite, got nan"),
         (["compare", "--latency", "inf"], "latency_ms must be non-negative and finite, got inf"),
-        (["sim", "--cost-decode", "-20"], "cost decode must be non-negative and finite, got -20.0"),
+        (["compare", "--cost-decode", "-20"], "cost decode must be non-negative and finite, got -20.0"),
         (["compare", "--us-per-ray", "nan"], "cost us_per_ray must be non-negative and finite"),
     ])
     def test_models_that_cannot_be_scheduled(self, argv, error, capsys):
@@ -245,7 +251,7 @@ class TestEnvOverrides:
 
 class TestMain:
     def test_sim_runs_clean(self, capsys, tmp_path):
-        code = main(["sim", "--size", "160x80", "--fovea", "32x24",
+        code = main(["compare", "--size", "160x80", "--fovea", "32x24",
                      "--scale", "0.5", "--frames", "3",
                      "--client-csv", str(tmp_path / "c.csv")])
         out = capsys.readouterr().out
@@ -270,7 +276,7 @@ class TestMain:
     def test_report_round_trip(self, capsys, tmp_path):
         c = str(tmp_path / "c.csv")
         s = str(tmp_path / "s.csv")
-        assert main(["sim", "--size", "160x80", "--fovea", "32x24",
+        assert main(["compare", "--size", "160x80", "--fovea", "32x24",
                      "--scale", "0.5", "--frames", "3",
                      "--client-csv", c, "--server-csv", s]) == 0
         capsys.readouterr()
@@ -296,12 +302,10 @@ class TestServerDims:
     """Every profile that has a Server Dims cell shows the rect the server
     draws per eye: the fovea's width by the server's rows."""
 
-    @pytest.mark.parametrize("mode", ["sim", "compare"])
-    def test_sim_and_compare(self, mode, capsys):
-        assert main([mode, *SPLIT, "--frames", "2"]) == 0
-        cells = server_dims_cells(capsys.readouterr().out)
+    def test_compare(self, capsys):
+        assert main(["compare", *SPLIT, "--frames", "2"]) == 0
         # compare's native table has no server: its cell stays "-"
-        assert cells == {"sim": ["80x40"] * 2, "compare": ["-", "80x40", "80x40"]}[mode]
+        assert server_dims_cells(capsys.readouterr().out) == ["-", "80x40", "80x40"]
 
     def test_client(self, capsys):
         ready = threading.Event()
@@ -348,11 +352,11 @@ class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "splitfov", "sim", *TINY, "--frames", "2"],
+            [sys.executable, "-m", "splitfov", "compare", *TINY, "--frames", "2"],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("Split client (sim) (2 frames, all times median ms)\n")
+        assert proc.stdout.startswith("Native baseline (2 frames, all times median ms)\n")
 
 
 USAGE_LINE = re.compile(r"  process: \d+ minor faults/frame, \d+\.\d\d ms kernel CPU/frame")
@@ -408,6 +412,8 @@ NATIVE_TABLE = [
     "  -            0.00     0.00    0.00   -   ",
     "  (draw 73.15 ms)",
 ]
+SIM_COSTS = ["--cost-server-draw", "5", "--cost-encode", "3", "--cost-client-draw", "6",
+             "--cost-decode", "4", "--cost-merge", "1", "--us-per-ray", "0"]
 SIM_TABLE = [
     "  end-to-end: 18.11 ms/frame (55 fps, IQR = 0.000)",
     CLIENT_STAGES,
@@ -437,8 +443,8 @@ def text(title, table, dims="128x90"):
 
 
 class TestPinnedText:
-    """The printed text of `sim`, `compare` and `report` on the virtual clock,
-    byte for byte."""
+    """The printed text of `compare` and `report` on the virtual clock, byte
+    for byte."""
 
     @staticmethod
     def run(argv, capsys):
@@ -446,9 +452,12 @@ class TestPinnedText:
         return capsys.readouterr().out
 
     def test_sim_and_its_report(self, tmp_path, capsys):
+        # compare at CostModel()'s fixed costs and no per-ray cost; its split
+        # block sits between the native block and the improvement line
         c, s = str(tmp_path / "c.csv"), str(tmp_path / "s.csv")
-        out = self.run(["sim", *DESK_RAW, "--client-csv", c, "--server-csv", s], capsys)
-        assert out == "\n".join(text("Split client (sim)", SIM_TABLE)) + "\n"
+        out = self.run(["compare", *DESK_RAW, *SIM_COSTS, "--client-csv", c, "--server-csv", s],
+                       capsys)
+        assert out.split("\n\n")[1] == "\n".join(text("Split client", SIM_TABLE))
         assert self.run(["report", c, s], capsys) == (
             "\n".join(text("Client profile", SIM_TABLE, dims="-")) + "\n")
 
@@ -514,11 +523,11 @@ class TestTypedErrors:
         assert time.monotonic() - t0 < 5.0
 
     @pytest.mark.parametrize("argv", [
-        ["sim", "--latency", "0", "--bandwidth", "inf", "--cost-server-draw", "0",
+        ["compare", "--latency", "0", "--bandwidth", "inf", "--cost-server-draw", "0",
          "--cost-encode", "0", "--cost-client-draw", "0", "--cost-decode", "0",
-         "--cost-merge", "0"],
+         "--cost-merge", "0", "--us-per-ray", "0"],
         ["compare", "--us-per-ray", "0"],
-    ], ids=["sim", "compare"])
+    ], ids=["every-cost-flag", "compare"])
     def test_zero_frame_time(self, argv, capsys):
         assert main([*argv, *TINY, "--frames", "2"]) == 1
         assert capsys.readouterr().err == "error: median_total_ms must be positive, got 0.0\n"

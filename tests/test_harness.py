@@ -46,12 +46,12 @@ class TestValidate:
 class TestRunSim:
     def test_virtual_dispatch(self, tmp_path):
         c = str(tmp_path / "c.csv")
-        assert main(["sim", *TINY, "--frames", "3", "--clock", "virtual", "--client-csv", c]) == 0
+        assert main(["compare", *TINY, "--frames", "3", "--clock", "virtual", "--client-csv", c]) == 0
         assert len(read_csv(c, ClientFrameRecord)) == 3
 
     def test_wall_dispatch(self, tmp_path):
         c = str(tmp_path / "c.csv")
-        assert main(["sim", *TINY, "--frames", "2", "--clock", "wall", "--client-csv", c]) == 0
+        assert main(["compare", *TINY, "--frames", "2", "--clock", "wall", "--client-csv", c]) == 0
         records = read_csv(c, ClientFrameRecord)
         assert len(records) == 2
         assert records[0].total_ms > 0
@@ -98,7 +98,7 @@ class TestCompare:
 class TestRunAndOutputs:
     def test_sim_writes_csvs(self, tmp_path, capsys):
         c, s = str(tmp_path / "c.csv"), str(tmp_path / "s.csv")
-        assert main(["sim", *TINY, "--frames", "3", *FREE_LINK, "--client-csv", c,
+        assert main(["compare", *TINY, "--frames", "3", *FREE_LINK, "--client-csv", c,
                      "--server-csv", s]) == 0
         assert "end-to-end" in capsys.readouterr().out
         assert len(read_csv(c, ClientFrameRecord)) == 3
@@ -119,7 +119,7 @@ class TestRunAndOutputs:
             assert (tmp_path / name).exists()
 
     def test_ppm_frames_written(self, tmp_path):
-        assert main(["sim", *TINY, "--frames", "2", "--ppm-dir", str(tmp_path / "f")]) == 0
+        assert main(["compare", *TINY, "--frames", "2", "--ppm-dir", str(tmp_path / "f")]) == 0
         assert sorted(p.name for p in (tmp_path / "f").iterdir()) == [
             "frame_000000.ppm", "frame_000001.ppm",
         ]
@@ -135,7 +135,7 @@ class TestRunAndOutputs:
 class TestReport:
     def write_run(self, tmp_path):
         c, s = str(tmp_path / "c.csv"), str(tmp_path / "s.csv")
-        assert main(["sim", *TINY, "--frames", "4", *FREE_LINK,
+        assert main(["compare", *TINY, "--frames", "4", *FREE_LINK,
                      "--client-csv", c, "--server-csv", s]) == 0
         return c, s
 

@@ -369,13 +369,13 @@ def test_sphere_boxes_hold_missed_and_floor_rays(monkeypatch):
     the colours give each pixel's kind. pytest turns a leaked
     RuntimeWarning into an error."""
     boxes = []
-    offset = render._offset
+    bound = render._sphere_bound
 
-    def recorded(outer, inner):
-        boxes.append(offset(outer, inner))
+    def recorded(*args):
+        boxes.append(bound(*args))
         return boxes[-1]
 
-    monkeypatch.setattr(render, "_offset", recorded)
+    monkeypatch.setattr(render, "_sphere_bound", recorded)
     pose = _look_at_pose((2.0, -0.8, 1.0), (0.0, -0.8, 0.0))
     floor_shade = _AMBIENT + (np.float32(1.0) - _AMBIENT) * _LIGHT_DIR[1]
     checker = np.stack([ref_quantize(_CHECKER_LIGHT * floor_shade), ref_quantize(_CHECKER_DARK * floor_shade)])
@@ -385,7 +385,7 @@ def test_sphere_boxes_hold_missed_and_floor_rays(monkeypatch):
         boxes.clear()
         live = render_region(SPHERES, RIG, pose, eye, eye_dims, full)
         assert same_bytes(live, ref_region(SPHERES, RIG, pose, eye, eye_dims, full))
-        assert len(boxes) == len(_SPHERE_RADII)
+        assert len(boxes) == len(_SPHERE_RADII) and None not in boxes
         for box in boxes:
             pixels = live[box].reshape(-1, 1, 3)
             assert (pixels == _BACKGROUND).all(axis=-1).any(), box

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from splitfov import client, server, wire
+from splitfov import trace as trace_mod
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
 from splitfov.codec import CodecError, CodecId, encode
 from splitfov.partition import MIN_SCALE, Eye, PartitionSpec, server_rows
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession, pose_from_wire, run_server
-from splitfov.trace import BEGIN, END
+from splitfov.trace import BEGIN, END, Trace
 from splitfov.wire import (
     EndMsg,
     HelloMsg,
@@ -288,7 +289,7 @@ class TestServerSessionUnit:
                 raise BrokenPipeError("client went away")
             sent.append(msg)
 
-        session = ServerSession(stream, writer, rig=CameraRig())
+        session = ServerSession(stream, writer, rig=CameraRig(), trace=Trace())
         with pytest.raises(BrokenPipeError):
             session.run()
         trace = session.stopwatch.trace
@@ -425,6 +426,56 @@ class TestClientSessionUnit:
                 with pytest.raises(CodecError):
                     session.run_frame(0, pool)
             assert sink.frames == [], rows
+
+
+class TestPrivateTrace:
+    """A runtime given no trace keeps only the frame in progress: each
+    frame's record is read off a trace that holds that frame's events
+    alone, and the next frame starts a fresh one."""
+
+    FRAMES = 50
+
+    @staticmethod
+    def made_traces(monkeypatch) -> list:
+        made = []
+
+        class Kept(trace_mod.Trace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(trace_mod, "Trace", Kept)
+        return made
+
+    def check(self, made, actor, records):
+        assert [r.frame_id for r in records] == list(range(self.FRAMES))
+        assert len(made) == self.FRAMES + 1  # the first, and one after each record
+        for trace in made:
+            assert len({e.frame_id for e in trace}) <= 1
+        for r in records:
+            (trace,) = [t for t in made if any(e.kind == BEGIN and e.frame_id == r.frame_id for e in t)]
+            begin = {e.name: e.t_ms for e in trace if (e.actor, e.kind) == (actor, BEGIN)}
+            end = {e.name: e.t_ms for e in trace if (e.actor, e.kind) == (actor, END)}
+            for name, value in dataclasses.asdict(r).items():
+                if name.endswith("_ms"):
+                    stage = name[: -len("_ms")]
+                    assert value == (end[stage] - begin[stage] if stage in begin else 0.0), name
+
+    def test_native(self, tiny_spec, scene, rig, monkeypatch):
+        made = self.made_traces(monkeypatch)
+        records = client.run_native(tiny_spec, scene, rig, CameraPath(frame_count=self.FRAMES))
+        self.check(made, "client", records)
+
+    def test_server_session(self, tiny_spec, rig, monkeypatch):
+        path = CameraPath(frame_count=self.FRAMES)
+        poses = [PoseUpdateMsg(n, tuple(float(v) for v in pose_at(path, n).position),
+                               tuple(float(v) for v in pose_at(path, n).orientation))
+                 for n in range(self.FRAMES)]
+        stream = io.BytesIO(b"".join(write_msg(m) for m in
+                                     [hello_for(tiny_spec), *poses, EndMsg(self.FRAMES - 1)]))
+        made = self.made_traces(monkeypatch)
+        records = ServerSession(stream, lambda data: None, rig).run()
+        self.check(made, "server", records)
 
 
 class TestPoseFromWire:

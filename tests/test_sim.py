@@ -765,7 +765,7 @@ class TestOneStageClock:
             stopwatches = []
 
             def kept(actor):
-                stopwatches.append(Stopwatch(actor))
+                stopwatches.append(Stopwatch(actor, Trace()))
                 return stopwatches[-1]
 
             monkeypatch.setattr(client, "Stopwatch", kept)

@@ -70,6 +70,18 @@ class TestStopwatch:
         with pytest.raises(KeyError, match="end, draw, frame 3"):
             read_record(_Record, trace, "client", 3, bytes_received=0)
 
+    @pytest.mark.parametrize("given", [False, True], ids=["private", "given"])
+    def test_record_drops_a_private_trace_and_keeps_a_given_one(self, given, monkeypatch):
+        fake_clock(monkeypatch, 1.0, 3.5)
+        sw = Stopwatch("client", Trace() if given else None)
+        first = sw.trace
+        with sw.stage("draw", 0):
+            pass
+        assert sw.record(_Record, 0, bytes_received=7) == _Record(0, 2.5, 0.0, 7)
+        assert len(first) == 2
+        assert (sw.trace is first) == given
+        assert len(sw.trace) == (2 if given else 0)
+
     def test_mark_without_trace_still_reads_the_clock(self, monkeypatch):
         fake_clock(monkeypatch, 1000.0, 1500.0)
         sw = Stopwatch("client")
