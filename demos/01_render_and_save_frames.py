@@ -14,7 +14,7 @@ import numpy as np
 
 from splitfov import (
     CameraPath, CameraRig, Eye, PartitionSpec, Rect, SceneConfig,
-    crop, foveal_rect, pose_at, render_region, render_stereo, write_ppm,
+    crop, foveal_rect, pose_at, render_region, write_ppm,
 )
 
 scene = SceneConfig()
@@ -24,10 +24,13 @@ pose = pose_at(path, 20)
 print("pose:", pose.position, pose.orientation)
 
 #%%
-# Full stereo frame at a desk-friendly size. Dimensions are per eye here;
-# the returned image is both eyes side by side.
+# Full stereo frame at a desk-friendly size: each eye rendered whole at the
+# full rate, then the two placed side by side.
 spec = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
-frame = render_stereo(scene, rig, pose, (spec.eye_w, spec.eye_h))
+eye_dims = (spec.eye_w, spec.eye_h)
+whole = Rect(0, 0, *eye_dims)
+frame = np.hstack([render_region(scene, rig, pose, int(eye), eye_dims, whole)
+                   for eye in (Eye.LEFT, Eye.RIGHT)])
 print("stereo frame:", frame.shape, frame.dtype)
 
 #%%
@@ -35,7 +38,7 @@ print("stereo frame:", frame.shape, frame.dtype)
 # region. This is what lets the server draw only the foveal rectangles
 # while the client checks nothing was lost.
 rect = foveal_rect(spec, Eye.LEFT)
-direct = render_region(scene, rig, pose, int(Eye.LEFT), (spec.eye_w, spec.eye_h), rect)
+direct = render_region(scene, rig, pose, int(Eye.LEFT), eye_dims, rect)
 cropped = crop(frame[:, : spec.eye_w], rect)
 assert direct.tobytes() == cropped.tobytes()
 print(f"foveal {rect.w}x{rect.h} region: direct render == crop, byte for byte")

@@ -67,7 +67,6 @@ from .render import (
     SceneId,
     render_region,
     render_scaled,
-    render_stereo,
 )
 from .server import ServerFrameTiming, ServerSession, run_server
 from .sim import (
@@ -107,7 +106,7 @@ __all__ = [
     "read_csv", "render_profile", "run_report", "write_csv",
     "DEFAULT_SPEC", "Eye", "Holes", "PartitionError", "PartitionSpec", "foveal_rect",
     "foveal_rect_stereo", "periphery_holes", "reduced_dims", "server_dims", "server_rows",
-    "SceneConfig", "SceneId", "render_region", "render_scaled", "render_stereo",
+    "SceneConfig", "SceneId", "render_region", "render_scaled",
     "ServerFrameTiming", "ServerSession", "run_server",
     "CompareReport", "CostModel", "NetModel", "SimResult", "ZERO_NET",
     "check_lockstep", "run_compare", "run_native_virtual", "run_sim_virtual", "run_sim_wall",

@@ -538,14 +538,3 @@ def render_scaled(
             frame[r0:r1, h1:c1] = band[:, h0 - c0 :]
         _fill_background(frame[r0:r1, h0:h1])
     return frame
-
-
-def render_stereo(
-    scene: SceneConfig, rig: CameraRig, pose: Pose, eye_dims: tuple[int, int]
-) -> np.ndarray:
-    """Full-rate side-by-side stereo render (both eyes, full sampling)."""
-    w, h = eye_dims
-    full = Rect(0, 0, w, h)
-    left = render_region(scene, rig, pose, Eye.LEFT, eye_dims, full)
-    right = render_region(scene, rig, pose, Eye.RIGHT, eye_dims, full)
-    return np.hstack([left, right])

@@ -14,7 +14,7 @@ from splitfov.codec import CodecError, CodecId, decode, encode
 from splitfov.image import Rect, crop
 from splitfov.metrics import fps_display, improvement_pct, mbps, median, render_profile
 from splitfov.partition import Eye, PartitionSpec, foveal_rect_stereo, reduced_dims
-from splitfov.render import SceneConfig, render_region, render_scaled, render_stereo
+from splitfov.render import SceneConfig, render_region, render_scaled
 from splitfov.sim import NetModel, ZERO_NET, check_lockstep, run_sim_virtual, run_sim_wall
 from splitfov.wire import EndMsg, HelloMsg, PoseUpdateMsg, SubframeMsg, read_msg, write_msg
 
@@ -36,6 +36,12 @@ def verdict(name):
 def random_pose(rng) -> Pose:
     q = normalize_quat(rng.normal(size=4).astype(np.float32))
     return Pose(position=rng.uniform(-3.0, 3.0, size=3), orientation=q)
+
+
+def render_full(scene, rig, pose, eye_dims):
+    """Both eyes rendered whole at the full rate, side by side."""
+    whole = Rect(0, 0, *eye_dims)
+    return np.hstack([render_region(scene, rig, pose, eye, eye_dims, whole) for eye in (Eye.LEFT, Eye.RIGHT)])
 
 
 class OneByteStream:
@@ -74,7 +80,7 @@ def test_merge_region_oracle():
         for _ in range(8):
             pose = random_pose(rng)
             merged = ffr_frame(SCENE, RIG, pose, SPEC)
-            full = render_stereo(SCENE, RIG, pose, (SPEC.eye_w, SPEC.eye_h))
+            full = render_full(SCENE, RIG, pose, (SPEC.eye_w, SPEC.eye_h))
             up = upsample_nearest(
                 render_scaled(SCENE, RIG, pose, (SPEC.full_w, SPEC.full_h),
                               SPEC.periph_scale),

@@ -16,7 +16,7 @@ from splitfov.client import (
     upsample_nearest,
 )
 from splitfov.codec import CodecId
-from splitfov.image import GeometryError, crop, read_ppm
+from splitfov.image import GeometryError, Rect, crop, read_ppm
 from splitfov.partition import (
     DEFAULT_SPEC,
     Eye,
@@ -28,7 +28,7 @@ from splitfov.partition import (
     reduced_dims,
     server_rows,
 )
-from splitfov.render import render_region, render_scaled, render_stereo
+from splitfov.render import render_region, render_scaled
 from splitfov.server import draw_foveae
 from splitfov.sim import run_sim_wall
 
@@ -42,6 +42,12 @@ def random_pose(rng) -> Pose:
 
 def rgb(r, g, b, w, h):
     return np.tile(np.array([r, g, b], dtype=np.uint8), (h, w, 1))
+
+
+def render_full(scene, rig, pose, eye_dims):
+    """Both eyes rendered whole at the full rate, side by side."""
+    whole = Rect(0, 0, *eye_dims)
+    return np.hstack([render_region(scene, rig, pose, eye, eye_dims, whole) for eye in (Eye.LEFT, Eye.RIGHT)])
 
 
 class TestUpsample:
@@ -130,6 +136,39 @@ class TestUpsample:
         out = upsample_nearest(reduced, (12, 20))
         assert gathered == [5]
         assert np.array_equal(out, reduced.repeat(2, axis=0).repeat(2, axis=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(band=st.sampled_from([1, 2, 3]), runs=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+           rw=st.integers(1, 9), grow=st.tuples(st.integers(0, 12), st.integers(0, 20)))
+    @example(band=2, runs=[5, 1, 2], rw=4, grow=(3, 7))  # a run longer than a band
+    @example(band=3, runs=[1, 1, 1, 1], rw=3, grow=(0, 5))  # a last partial band
+    @example(band=1, runs=[1], rw=6, grow=(2, 0))  # one row
+    @example(band=2, runs=[9], rw=5, grow=(4, 11))  # constant
+    def test_bands_equal_the_definitional_gather(self, band, runs, rw, grow):
+        """Runs of equal rows straddle bands of 1, 2 and 3 runs: the output
+        is still the gather, and each run's columns are gathered once."""
+        rng = np.random.default_rng(band * 97 + rw * 13 + len(runs))
+        rows = rng.integers(0, 256, size=(len(runs), rw, 3), dtype=np.uint8)
+        rows[:, -1, -1] = np.arange(len(runs)) % 2  # neighbouring runs differ
+        reduced = np.repeat(rows, runs, axis=0)
+        rh = len(reduced)
+        W, H = rw + grow[0], rh + grow[1]
+        gathered = []
+
+        def recorded(a, indices, axis=None, _inner=np.take, **kwargs):
+            if axis == 1:
+                gathered.append(a.shape[0])
+            return _inner(a, indices, axis=axis, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(client, "_BAND_ROWS", band)
+            mp.setattr(np, "take", recorded)
+            out = upsample_nearest(reduced, (W, H))
+        xs = (np.arange(W) * rw) // W
+        ys = (np.arange(H) * rh) // H
+        want = reduced[ys][:, xs]
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert sum(gathered) == len(runs) and max(gathered) <= band
 
     def test_rejects_upside_down_scaling(self):
         with pytest.raises(GeometryError):
@@ -325,7 +364,7 @@ class TestComposedFrame:
         for _ in range(3):
             pose = random_pose(rng)
             merged = ffr_frame(scene, rig, pose, spec)
-            full = render_stereo(scene, rig, pose, (spec.eye_w, spec.eye_h))
+            full = render_full(scene, rig, pose, (spec.eye_w, spec.eye_h))
             up = upsample_nearest(
                 render_scaled(scene, rig, pose, (spec.full_w, spec.full_h), spec.periph_scale),
                 (spec.full_w, spec.full_h),

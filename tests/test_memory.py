@@ -1,15 +1,23 @@
 """Freed frame buffers stay in the heap: a frame loop takes no page faults
-once warm, on the server's part of a frame and on a native frame."""
+once warm, on the server's part of a frame and on a native frame. The
+client's draw holds one full frame at a time: the upsample writes into its
+output through a small band buffer, and the client's foveal rows are drawn
+before the frame is allocated."""
 
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from splitfov import _alloc
+from splitfov import _alloc, client
+from splitfov.camera import CameraPath, CameraRig, pose_at
+from splitfov.partition import PartitionSpec, server_rows
+from splitfov.render import SceneConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,3 +103,41 @@ class TestPin:
     def test_a_libc_without_mallopt_is_left_alone(self):
         _alloc.pin(object())
         _alloc.pin(None)
+
+
+class TestClientWorkingSet:
+    def test_upsample_peaks_at_its_output_plus_one_mb(self):
+        """A periphery with no two equal rows, at the default geometry:
+        648 distinct rows, each gathered into a band before its output
+        rows, and no buffer of all of them."""
+        reduced = np.random.default_rng(31).integers(0, 256, size=(648, 1440, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            out = client.upsample_nearest(reduced, (2400, 1080))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 2400 * 1080 * 3
+        assert peak <= out.nbytes + (1 << 20)
+
+    def test_own_foveal_rows_are_drawn_before_the_upsample(self, monkeypatch):
+        """At k < fov_h the client's foveal rows are shaded, and their
+        grids freed, before the periphery is upsampled into the frame."""
+        spec = PartitionSpec(160, 80, 80, 80, 0.25)
+        k = server_rows(spec)
+        assert k < spec.fov_h
+        calls = []
+
+        def stand_in(name, inner):
+            def called(*args, **kwargs):
+                calls.append(f"{name} begins")
+                out = inner(*args, **kwargs)
+                calls.append(f"{name} returns")
+                return out
+            return called
+
+        monkeypatch.setattr(client, "draw_foveae", stand_in("draw_foveae", client.draw_foveae))
+        monkeypatch.setattr(client, "upsample_nearest", stand_in("upsample_nearest", client.upsample_nearest))
+        client.draw_client_part(SceneConfig(), CameraRig(), pose_at(CameraPath(), 2), spec, k)
+        assert calls == ["draw_foveae begins", "draw_foveae returns",
+                         "upsample_nearest begins", "upsample_nearest returns"]

@@ -22,12 +22,17 @@ from splitfov.render import (
     quantize,
     render_region,
     render_scaled,
-    render_stereo,
     _floor_rows,
     _sphere_bound,
 )
 
 POSE = pose_at(CameraPath(frame_count=16), 3)
+
+
+def render_full(scene, rig, pose, eye_dims):
+    """Both eyes rendered whole at the full rate, side by side."""
+    whole = Rect(0, 0, *eye_dims)
+    return np.hstack([render_region(scene, rig, pose, eye, eye_dims, whole) for eye in (Eye.LEFT, Eye.RIGHT)])
 
 
 class TestQuantize:
@@ -81,12 +86,12 @@ class TestRegionOracle:
 
 class TestDeterminism:
     def test_repeat_render_is_bit_identical(self, scene, rig):
-        a = render_stereo(scene, rig, POSE, (80, 60))
-        b = render_stereo(scene, rig, POSE, (80, 60))
+        a = render_full(scene, rig, POSE, (80, 60))
+        b = render_full(scene, rig, POSE, (80, 60))
         assert a.tobytes() == b.tobytes()
 
     def test_output_contract(self, scene, rig):
-        img = render_stereo(scene, rig, POSE, (40, 30))
+        img = render_full(scene, rig, POSE, (40, 30))
         assert img.shape == (30, 80, 3)
         assert img.dtype == np.uint8
 
@@ -99,31 +104,31 @@ class TestScenes:
         assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
 
     def test_sphere_scene_hits_something(self, scene, rig):
-        img = render_stereo(scene, rig, POSE, (64, 48))
+        img = render_full(scene, rig, POSE, (64, 48))
         assert len(np.unique(img.reshape(-1, 3), axis=0)) > 4
 
     def test_scenes_differ(self, rig):
-        a = render_stereo(SceneConfig(scene_id=SceneId.EMPTY), rig, POSE, (48, 32))
-        b = render_stereo(SceneConfig(scene_id=SceneId.SPHERES), rig, POSE, (48, 32))
+        a = render_full(SceneConfig(scene_id=SceneId.EMPTY), rig, POSE, (48, 32))
+        b = render_full(SceneConfig(scene_id=SceneId.SPHERES), rig, POSE, (48, 32))
         assert not np.array_equal(a, b)
 
 
 class TestStereo:
     def test_disparity_with_wide_ipd(self, scene):
         rig = CameraRig(ipd=0.5)
-        img = render_stereo(scene, rig, POSE, (96, 72))
+        img = render_full(scene, rig, POSE, (96, 72))
         left, right = img[:, :96], img[:, 96:]
         assert not np.array_equal(left, right)
 
     def test_zero_ipd_eyes_match(self, scene):
         rig = CameraRig(ipd=0.0)
-        img = render_stereo(scene, rig, POSE, (48, 36))
+        img = render_full(scene, rig, POSE, (48, 36))
         assert np.array_equal(img[:, :48], img[:, 48:])
 
 
 class TestScaled:
     def test_unit_scale_equals_full_render(self, scene, rig):
-        full = render_stereo(scene, rig, POSE, (48, 36))
+        full = render_full(scene, rig, POSE, (48, 36))
         scaled = render_scaled(scene, rig, POSE, (96, 36), 1.0)
         assert scaled.tobytes() == full.tobytes()
 
@@ -346,7 +351,7 @@ class TestSphereBound:
         monkeypatch.setattr(render, "_hull", hull)
         monkeypatch.setattr(render, "_sphere_bound", bound)
         up = Pose((3.0, 2.0, 3.0), (math.sin(math.pi / 4), 0.0, 0.0, math.cos(math.pi / 4)))
-        img = render_stereo(SceneConfig(), CameraRig(horizontal_fov=30.0), up, (40, 30))
+        img = render_full(SceneConfig(), CameraRig(horizontal_fov=30.0), up, (40, 30))
         assert boxes == [None] * 2 * len(_SPHERE_RADII)
         assert [(rows.start, rows.stop) for rows in hulls] == [(0, 0), (0, 0)]
         assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
@@ -471,7 +476,7 @@ class TestFloorBound:
         monkeypatch.setattr(render, "_hull", hull)
         monkeypatch.setattr(render, "_sphere_bound", lambda *args: None)
         up = Pose((3.0, 2.0, 3.0), (math.sin(math.pi / 4), 0.0, 0.0, math.cos(math.pi / 4)))
-        img = render_stereo(SceneConfig(), CameraRig(), up, (40, 30))
+        img = render_full(SceneConfig(), CameraRig(), up, (40, 30))
         assert [(rows.start, rows.stop) for rows in hulls] == [(0, 0), (0, 0)]
         assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
 
