@@ -92,11 +92,17 @@ def _lambert(lam):
 
 # The floor has one normal (+y), so it shades to exactly two colours; each
 # pixel picks background, light or dark checker from this palette. Its rows
-# are 4-byte RGBX pixels (fourth byte 0): an RGB frame takes their first
-# three bytes, and numpy gathers 4-byte rows whole.
+# are 4-byte RGBX pixels (fourth byte 0), and every grid gathers them whole:
+# a gather of 3-byte items costs about 2.5 times as much per pixel. An RGB
+# grid gathers into an RGBX band buffer and copies out its first three bytes.
 _FLOOR_PALETTE = np.zeros((3, 4), dtype=np.uint8)
 _FLOOR_PALETTE[:, :3] = np.vstack([BACKGROUND,
                                    quantize(np.stack([_CHECKER_LIGHT, _CHECKER_DARK]) * _lambert(_LIGHT_DIR[1]))])
+
+# Hull rows whose palette indices `_shade_grid` gathers at a time. A take
+# copies its uint8 indices to 8-byte intp first, so one band bounds that
+# copy: 0.2 MB at 768 columns, against 2.0 MB for a 768x322 hull at once.
+_PALETTE_BAND_ROWS = 32
 
 
 class DirectionCache:
@@ -246,10 +252,8 @@ def _shade_grid(
     frame = np.empty((h, w, 4 if rgbx else 3), dtype=np.uint8)
     _fill_background(frame[: rows.start])
     _fill_background(frame[rows.stop :])
-    # Gathered straight into the hull's rows; every index is in range, so
-    # "clip" changes none, and unlike "raise" it writes `out` unbuffered.
     content = frame[rows]
-    np.take(_FLOOR_PALETTE[:, : frame.shape[2]], idx, axis=0, out=content, mode="clip")
+    _gather_palette(idx, content)
 
     # Each sphere shades its whole box, then pastes by mask: the box's plane
     # and missed rays are shaded too and dropped, which costs less than
@@ -273,6 +277,24 @@ def _shade_grid(
             for ch, albedo in enumerate(_SPHERE_ALBEDOS[i]):
                 np.copyto(content[box][:, :, ch], quantize(albedo * shade), where=m)
     return frame
+
+
+def _gather_palette(idx: np.ndarray, content: np.ndarray) -> None:
+    """Writes `_FLOOR_PALETTE[idx]` into the (n, w, 4) or (n, w, 3)
+    `content`, `_PALETTE_BAND_ROWS` rows at a time. RGBX rows take each
+    band straight; RGB rows take it into one reused RGBX band buffer, then
+    copy it out one channel at a time, as a 4-to-3-byte slice copy runs
+    pixel by pixel, several times slower. Every index is in range, so
+    "clip" changes none, and unlike "raise" it writes `out` unbuffered."""
+    rgb = content.shape[2] == 3
+    band = np.empty((min(_PALETTE_BAND_ROWS, len(idx)), idx.shape[1], 4), dtype=np.uint8) if rgb else None
+    for b0 in range(0, len(idx), _PALETTE_BAND_ROWS):
+        rows = slice(b0, b0 + _PALETTE_BAND_ROWS)
+        out = band[: len(idx[rows])] if rgb else content[rows]
+        np.take(_FLOOR_PALETTE, idx[rows], axis=0, out=out, mode="clip")
+        if rgb:
+            for ch in range(3):
+                content[rows, :, ch] = out[:, :, ch]
 
 
 def _fill_background(rows: np.ndarray) -> None:
@@ -444,17 +466,18 @@ def _nonneg_interval(a: float, half_b: float, c: float) -> tuple[float, float] |
 
 
 def _padded_range(coords: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
-    """The index range of the ascending `coords` in [lo, hi], widened by
-    the pad and clipped to the array; empty when [lo, hi] lies more than
-    the pad beyond either end, where the pad is taken in coordinates, as
-    that many of the grid's mean spacings. The compares are in float64."""
+    """The index range of the ascending `coords` in [lo, hi] widened by the
+    pad on both sides, where the pad is taken in coordinates, as that many
+    of the grid's mean spacings; empty when no coordinate lies within it.
+    A grid concatenated from two runs of rays (a periphery eye's grids,
+    which skip the holes) thus gives an interval that falls in its gap no
+    index, where a pad in indices would give the rays at the seam. The
+    compares are in float64."""
     first, last = float(coords[0]), float(coords[-1])
     reach = _BOUND_PAD * (last - first) / (len(coords) - 1) if len(coords) > 1 else math.inf
-    if hi < first - reach or lo > last + reach:
-        return 0, 0
-    i0 = int(np.searchsorted(coords, np.float64(lo), side="left")) - _BOUND_PAD
-    i1 = int(np.searchsorted(coords, np.float64(hi), side="right")) + _BOUND_PAD
-    return max(i0, 0), min(i1, len(coords))
+    i0 = int(np.searchsorted(coords, np.float64(lo - reach), side="left"))
+    i1 = int(np.searchsorted(coords, np.float64(hi + reach), side="right"))
+    return i0, i1
 
 
 def render_region(

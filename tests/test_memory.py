@@ -2,7 +2,9 @@
 once warm, on the server's part of a frame and on a native frame. The
 client's draw holds one full frame at a time: the upsample writes into its
 output through a small band buffer, and the client's foveal rows are drawn
-before the frame is allocated."""
+before the frame is allocated. The server's draw gathers the floor palette
+a band of rows at a time, so no index copy the size of an eye's rows sets
+its peak."""
 
 import os
 import platform
@@ -18,6 +20,7 @@ from splitfov import _alloc, client
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.partition import PartitionSpec, server_rows
 from splitfov.render import SceneConfig
+from splitfov.server import draw_foveae
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,3 +144,24 @@ class TestClientWorkingSet:
         client.draw_client_part(SceneConfig(), CameraRig(), pose_at(CameraPath(), 2), spec, k)
         assert calls == ["draw_foveae begins", "draw_foveae returns",
                          "upsample_nearest begins", "upsample_nearest returns"]
+
+
+class TestServerWorkingSet:
+    def test_server_draw_peaks_under_seven_mb(self):
+        """The server's RGBX rows of both eyes at the fovea_tcp geometry
+        (k = 322 of 540 rows) over orbit poses. The peak holds the first
+        eye's rows (1.0 MB), the ray directions the eyes share (3.0 MB at
+        all 322 rows) and the second eye's shading grids. A palette gather
+        over all of an eye's rows at once copied its uint8 indices to
+        8-byte intp (2.0 MB), and peaked at 8.06 MB."""
+        spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
+        scene, rig, path = SceneConfig(), CameraRig(), CameraPath(frame_count=8)
+        peaks = []
+        for n in range(8):
+            tracemalloc.start()
+            try:
+                draw_foveae(scene, rig, pose_at(path, n), spec, (0, server_rows(spec)), rgbx=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 7.0e6

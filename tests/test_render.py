@@ -10,7 +10,7 @@ from splitfov.camera import CameraPath, CameraRig, Pose, look_at_quat, normalize
 from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
 from splitfov.partition import (Eye, Holes, PartitionSpec, foveal_rect, foveal_rows, periphery_holes,
-                                reduced_dims)
+                                reduced_dims, reduced_rays)
 from splitfov.render import (
     _FAR,
     _PLANE_Y,
@@ -23,6 +23,7 @@ from splitfov.render import (
     render_region,
     render_scaled,
     _floor_rows,
+    _padded_range,
     _sphere_bound,
 )
 
@@ -232,12 +233,32 @@ def _scaled_eye_grid(w, h, scale):
     return fx, fy
 
 
-# (eye dims, fx, fy): a desk eye at full rate, a wide eye at full rate, and
-# the left half of the fovea workload's 0.3 periphery.
+def _hole_grids(spec, eye=Eye.LEFT):
+    """One periphery eye's two grids of full-frame coordinates, as
+    `render_scaled` shades them with `periphery_holes(spec)`: the rows
+    outside the holes across all of the eye's columns (`outside`), and the
+    holes' rows across the eye's other columns (`band`). Each is an
+    ascending grid with a gap where the holes are: (fx, fy) pairs."""
+    fx, fy, split = reduced_rays(spec.full_w, spec.full_h, spec.periph_scale)
+    c0, c1 = (0, split) if eye == Eye.LEFT else (split, len(fx))
+    ex = fx[c0:c1] - np.float32(spec.eye_w) if eye == Eye.RIGHT else fx[c0:c1]
+    holes = periphery_holes(spec)
+    (r0, r1), (h0, h1) = holes.rows, holes.cols[eye]
+    outside = ex, np.concatenate([fy[:r0], fy[r1:]])
+    band = np.concatenate([ex[: h0 - c0], ex[h1 - c0 :]]), fy[r0:r1]
+    return outside, band
+
+
+FOVEA_SPEC = PartitionSpec(2400, 1080, 768, 540, 0.3)
+
+# (eye dims, fx, fy): a desk eye at full rate, a wide eye at full rate, the
+# left half of the fovea workload's 0.3 periphery, and that half's `band`
+# grid, whose columns skip the fovea's.
 BOUND_GRIDS = [
     ((64, 48), *_full_grid(64, 48)),
     ((160, 90), *_full_grid(160, 90)),
     ((1200, 1080), *_scaled_eye_grid(1200, 1080, 0.3)),
+    ((1200, 1080), *_hole_grids(FOVEA_SPEC)[1]),
 ]
 
 
@@ -481,6 +502,76 @@ class TestFloorBound:
         assert (img == np.array(BACKGROUND, dtype=np.uint8)).all()
 
 
+def _runtime_coords():
+    """The ascending coordinate arrays `_padded_range` is given on each
+    grid of the fovea workload's periphery halves, with holes: the columns
+    (`dir_x_row`) and the negated rows (`-dir_y_col`) of the `outside` and
+    `band` grids, whose rows or columns skip the holes, and of the whole
+    half."""
+    coords = []
+    for fx, fy in (*_hole_grids(FOVEA_SPEC, Eye.LEFT), *_hole_grids(FOVEA_SPEC, Eye.RIGHT),
+                   _scaled_eye_grid(1200, 1080, 0.3)):
+        dir_x_row, dir_y_col = _plane_coords((1200, 1080), fx, fy)
+        coords += [dir_x_row, -dir_y_col]
+    return coords
+
+
+RUNTIME_COORDS = _runtime_coords()
+
+
+@st.composite
+def padded_range_cases(draw):
+    """Ascending float32 coordinates, evenly spaced or a runtime grid's,
+    with or without a gap of skipped rays, and an interval [lo, hi] placed
+    anywhere from a few spacings before the first ray to a few after the
+    last: in the gap, across it, at either end or beyond."""
+    if draw(st.booleans()):
+        coords = draw(st.sampled_from(RUNTIME_COORDS))
+        n = len(coords)
+        x0, step = float(coords[0]), (float(coords[-1]) - float(coords[0])) / (n - 1)
+    else:
+        n = draw(st.integers(1, 300))
+        x0, step = draw(st.floats(-2.0, 2.0)), draw(st.floats(1e-4, 0.05))
+        coords = (x0 + step * np.arange(n)).astype(np.float32)
+        if n >= 3 and draw(st.booleans()):
+            g0 = draw(st.integers(1, n - 2))
+            g1 = draw(st.integers(g0 + 1, n - 1))
+            coords = np.concatenate([coords[:g0], coords[g1:]])
+    lo = x0 + step * draw(st.floats(-6.0, n + 6.0))
+    hi = lo + step * draw(st.one_of(st.floats(0.0, 4.0), st.floats(0.0, n + 12.0)))
+    return coords, lo, hi
+
+
+class TestPaddedRange:
+    """`_padded_range` returns every coordinate in [lo, hi] and no index
+    beyond the pad's reach of it, with or without a gap in the grid: the
+    indices of the coordinates within the reach, and only those."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=padded_range_cases())
+    def test_indices_lie_within_reach_and_cover_the_interval(self, case):
+        coords, lo, hi = case
+        i0, i1 = _padded_range(coords, lo, hi)
+        assert 0 <= i0 <= i1 <= len(coords)
+        c = coords.astype(np.float64)
+        inside = np.flatnonzero((c >= lo) & (c <= hi))
+        assert all(i0 <= i < i1 for i in inside)
+        if len(c) > 1:
+            reach = render._BOUND_PAD * (c[-1] - c[0]) / (len(c) - 1)
+            within = np.flatnonzero((c >= lo - reach) & (c <= hi + reach))
+            assert list(range(i0, i1)) == within.tolist()
+
+    def test_an_interval_in_the_gap_gets_no_index(self):
+        """A sphere whose interval lies mid-way across the fovea's columns
+        of a `band` grid gets no columns, not the rays at the seam."""
+        _, (fx, fy) = _hole_grids(FOVEA_SPEC)
+        dir_x_row, _ = _plane_coords((1200, 1080), fx, fy)
+        seam = int(np.flatnonzero(np.diff(fx) > 2 * (fx[1] - fx[0]))[0])
+        mid = (float(dir_x_row[seam]) + float(dir_x_row[seam + 1])) / 2.0
+        i0, i1 = _padded_range(dir_x_row, mid - 1e-3, mid + 1e-3)
+        assert i0 == i1
+
+
 positions = st.tuples(*[st.floats(-4.0, 4.0)] * 3)
 poses = st.builds(lambda p, q: Pose(p, q), positions, quaternions)
 scenes = st.sampled_from([SceneConfig(SceneId.SPHERES), SceneConfig(SceneId.EMPTY)])
@@ -518,6 +609,44 @@ class TestLayouts:
         full = render_region(SceneConfig(), rig, pose, eye, dims, Rect(0, 0, *dims), rgbx=rgbx)
         part = render_region(SceneConfig(), rig, pose, eye, dims, rect, rgbx=rgbx)
         assert part.tobytes() == full[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].tobytes()
+
+
+class TestPaletteBands:
+    """`_shade_grid` gathers the floor palette a band of hull rows at a
+    time; any band gives the pixels of one gather over the whole hull."""
+
+    @staticmethod
+    def renders(scene, rig):
+        """RGB and RGBX regions (a whole eye, a one-row hull, a 7-row one)
+        and a periphery with holes."""
+        spec = PartitionSpec(240, 108, 77, 54, 0.3)
+        dims = (64, 48)
+        images = []
+        for rgbx in (False, True):
+            for rect in (Rect(0, 0, *dims), Rect(3, 40, 50, 1), Rect(0, 33, 64, 7)):
+                images.append(render_region(scene, rig, POSE, Eye.LEFT, dims, rect, rgbx=rgbx))
+        images.append(render_scaled(scene, rig, POSE, (spec.full_w, spec.full_h), spec.periph_scale,
+                                    holes=periphery_holes(spec)))
+        return [img.tobytes() for img in images]
+
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    def test_any_band_equals_one_gather(self, scene, rig, band, monkeypatch):
+        hulls = []
+
+        def hull(spans, _inner=render._hull):
+            hulls.append(_inner(spans))
+            return hulls[-1]
+
+        monkeypatch.setattr(render, "_PALETTE_BAND_ROWS", 1 << 30)
+        whole = self.renders(scene, rig)
+        monkeypatch.setattr(render, "_hull", hull)
+        monkeypatch.setattr(render, "_PALETTE_BAND_ROWS", band)
+        assert self.renders(scene, rig) == whole
+        sizes = {rows.stop - rows.start for rows in hulls}
+        assert 1 in sizes
+        assert any(n > band for n in sizes)
+        if band > 1:
+            assert any(n % band for n in sizes if n > band)
 
 
 @st.composite
