@@ -25,9 +25,9 @@ print("  " + frame.hex())
 print("  length prefix:", int.from_bytes(frame[:4], "little"), "| type:", frame[4])
 
 #%%
-# A foveal subframe: frame id and eye, then the encoded payload. Its rect
+# A foveal subframe: frame id and band, then the encoded payload. Its rows
 # and codec are fixed by the hello, so the subframe does not repeat them.
-sub = SubframeMsg(2, eye=0, payload=b"ABC")
+sub = SubframeMsg(2, band=0, payload=b"ABC")
 frame = write_msg(sub)
 print(f"\nsubframe, {len(frame)} bytes ({len(frame) - len(sub.payload)} header + payload):")
 print("  " + frame.hex())

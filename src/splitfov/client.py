@@ -1,12 +1,13 @@
 """Client runtime: peripheral rendering, subframe receive/decode, merge.
 
 Each frame the client sends the pose, then draws its part of the frame
-while a second thread receives and decodes the two encoded foveal
-subframes. Its part is the periphery (rendered at the reduced rate, but
+while a second thread receives and decodes the encoded foveal subframes,
+one per row band of `partition.subframe_bands`, each band both eyes' rows
+side by side. Its part is the periphery (rendered at the reduced rate, but
 for the holes a fovea hides, and nearest-upsampled to the full frame) and
 the bottom rows [server_rows, fov_h) of each foveal rect; the server
 draws the top rows.
-Once both finish, the server's rows are pasted into the frame and the
+Once both finish, each band's rows are pasted into the frame and the
 frame goes to the display sink. Each stage is a `with` block, and each
 frame's record is read off the session's trace (`Stopwatch.record`)
 once the frame ends. Exactly one frame is in flight (lockstep).
@@ -30,7 +31,7 @@ from . import wire
 from .camera import CameraPath, CameraRig, Pose, pose_at
 from .image import GeometryError, validate_image, write_ppm
 from .partition import (Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, nearest_map,
-                        periphery_holes, server_rows)
+                        periphery_holes, server_rows, subframe_bands)
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
 from .trace import BEGIN, END, RECV, SEND, Stopwatch, Trace
@@ -58,7 +59,7 @@ class ClientFrameRecord:
     each `<stage>_ms` is the client's traced span of that name.
 
     network_ms spans the frame's first byte received to the receipt of its
-    second subframe; draw_ms includes the peripheral upsample and the
+    last subframe; draw_ms includes the peripheral upsample and the
     client's own foveal rows, and merge_ms is the paste of the server's rows
     alone (0 in native mode, which is served none); total_ms runs from just
     before the frame's pose is looked up to just after display. Stages
@@ -274,13 +275,15 @@ class ClientSession:
         self.writer(write_msg(msg))
         return msg
 
-    def _receive_and_decode(self, frame_id: int) -> tuple[dict[Eye, np.ndarray], int]:
-        """Each eye's served rows, decoded at the session's size (any other
-        raises CodecError), and the payload bytes they came in."""
+    def _receive_and_decode(self, frame_id: int) -> tuple[list[tuple[tuple[int, int], np.ndarray]], int]:
+        """Each band's rows [lo, hi) of both eyes side by side, decoded at
+        the band's size, 2 * fov_w x (hi - lo) (any other raises
+        CodecError), and the payload bytes they came in."""
         sw = self.stopwatch
         reader = _MarkFirstByte(self.reader, lambda: sw.mark(BEGIN, "network", frame_id))
+        bands = subframe_bands(self.k)
         msgs: list[SubframeMsg] = []
-        for _ in range(2):
+        for _ in bands:
             msg = read_msg(reader)
             if msg is None:
                 raise ConnectionClosedError("server closed the session mid-frame")
@@ -290,15 +293,18 @@ class ClientSession:
                 raise ProtocolError(
                     f"lockstep violated: subframe for frame {msg.frame_id}, expected {frame_id}"
                 )
-            sw.mark(RECV, f"subframe{msg.eye}", frame_id)
+            sw.mark(RECV, f"subframe{msg.band}", frame_id)
             msgs.append(msg)
         sw.mark(END, "network", frame_id)
-        if {m.eye for m in msgs} != {int(Eye.LEFT), int(Eye.RIGHT)}:
-            raise ProtocolError(f"expected one subframe per eye, got eyes {[m.eye for m in msgs]}")
+        if {m.band for m in msgs} != set(range(len(bands))):
+            raise ProtocolError(f"expected one subframe per band of {len(bands)}, "
+                                f"got bands {[m.band for m in msgs]}")
         with sw.stage("decode", frame_id):
-            foveal = {Eye(m.eye): codec_mod.decode(self.codec, m.payload, self.spec.fov_w, self.k)
-                      for m in msgs}
-        return foveal, sum(len(m.payload) for m in msgs)
+            served = []
+            for m in msgs:
+                lo, hi = bands[m.band]
+                served.append(((lo, hi), codec_mod.decode(self.codec, m.payload, 2 * self.spec.fov_w, hi - lo)))
+        return served, sum(len(m.payload) for m in msgs)
 
     def run_frame(self, frame_id: int, pool: ThreadPoolExecutor) -> ClientFrameRecord:
         """Draws, receives, merges and displays one frame; returns its record."""
@@ -317,8 +323,10 @@ class ClientSession:
         with sw.stage("draw", frame_id):
             frame = draw_client_part(self.scene, self.rig, pose, self.spec, self.k)
         served, bytes_received = future.result()
+        w = self.spec.fov_w
         with sw.stage("merge", frame_id):
-            frame = merge(frame, served, self.spec, (0, self.k))
+            for rows, img in served:
+                merge(frame, {Eye.LEFT: img[:, :w], Eye.RIGHT: img[:, w:]}, self.spec, rows)
         with sw.stage("display", frame_id):
             self.display(frame_id, frame)
         sw.mark(END, "total", frame_id)

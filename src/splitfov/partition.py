@@ -8,7 +8,8 @@ every upsampled pixel lies inside a foveal rect is a hole (`periphery_holes`):
 no displayed pixel shows it, so it is not shaded. The server draws the top
 `server_rows` rows of each foveal rect and the client draws the rest, which
 splits the rays a frame shades about evenly wherever the foveae hold more
-than half of them.
+than half of them. The server sends its rows in the row bands of
+`subframe_bands`, each band both eyes' rows side by side.
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ class PartitionSpec:
     full_w, full_h: the stereo frame; fov_w, fov_h: the foveal rectangle
     per eye; periph_scale: sampling-rate fraction for the peripheral
     buffer. One eye's viewport is the left or right half of the frame, and
-    one eye's RAW subframe must fit the wire's frame cap. Construction
-    raises PartitionError listing every violated invariant. A valid spec
-    holds its scale as the f32 the hello carries, so both sides split alike.
+    the RAW subframe of the largest of `subframe_bands(server_rows(spec))`,
+    both eyes' rows side by side, must fit the wire's frame cap.
+    Construction raises PartitionError listing every violated invariant;
+    the frame cap is checked once every other invariant holds, as the
+    bands follow from a valid geometry. A valid spec holds its scale as the
+    f32 the hello carries, so both sides split alike.
     """
 
     full_w: int
@@ -81,13 +85,14 @@ class PartitionSpec:
             violations.append("peripheral scale must be in (0, 1]")
         elif self.periph_scale < MIN_SCALE:
             violations.append(f"peripheral scale must be at least 1/{MAX_DIM}")
-        raw_frame = 3 * self.fov_w * self.fov_h + SUBFRAME_HEADER
-        if raw_frame > DEFAULT_MAX_FRAME:
-            violations.append(f"one eye's RAW subframe is a {raw_frame}-byte frame, above the"
-                              f" wire's frame cap of {DEFAULT_MAX_FRAME} bytes")
         if violations:
             raise PartitionError("; ".join(violations))
         object.__setattr__(self, "periph_scale", _float32(self.periph_scale))
+        rows = max(hi - lo for lo, hi in subframe_bands(server_rows(self)))
+        raw_frame = 3 * 2 * self.fov_w * rows + SUBFRAME_HEADER
+        if raw_frame > DEFAULT_MAX_FRAME:
+            raise PartitionError(f"the largest band's RAW subframe is a {raw_frame}-byte frame,"
+                                 f" above the wire's frame cap of {DEFAULT_MAX_FRAME} bytes")
 
     @property
     def eye_w(self) -> int:
@@ -100,11 +105,6 @@ class PartitionSpec:
     @classmethod
     def from_full(cls, full_w: int, full_h: int, fov_w: int, fov_h: int, periph_scale: float) -> "PartitionSpec":
         return cls(full_w, full_h, fov_w, fov_h, periph_scale)
-
-
-# The dimensions the system defaults to: 2400x1080 stereo (1200x1080 per
-# eye), 512x360 fovea per eye, periphery sampled at 0.6 into 1440x648.
-DEFAULT_SPEC = PartitionSpec(2400, 1080, 512, 360, 0.6)
 
 
 def foveal_rect(spec: PartitionSpec, eye: Eye) -> Rect:
@@ -217,6 +217,15 @@ def server_rows(spec: PartitionSpec) -> int:
     return min(spec.fov_h, -(-frame_rays(spec) // (4 * spec.fov_w)))
 
 
+def subframe_bands(k: int) -> list[tuple[int, int]]:
+    """The row bands [lo, hi) of the server's k foveal rows, one subframe
+    each, in order: the top ceil(k / 2) rows, then the rest, or the one
+    band [0, 1) when k = 1. A band's subframe carries rows [lo, hi) of both
+    eyes side by side, a 2 * fov_w x (hi - lo) image, left eye first."""
+    mid = -(-k // 2)
+    return [(0, mid), (mid, k)] if k > 1 else [(0, k)]
+
+
 def server_dims(spec: PartitionSpec) -> str:
     """The rect the server draws per eye, as WxH."""
     return f"{spec.fov_w}x{server_rows(spec)}"
@@ -228,3 +237,8 @@ def foveal_rows(rect: Rect, rows: tuple[int, int]) -> Rect:
     if not 0 <= lo < hi <= rect.h:
         raise GeometryError(f"rows [{lo}, {hi}) are not a band of a {rect.h}-row fovea")
     return Rect(rect.x, rect.y + lo, rect.w, hi - lo)
+
+
+# The dimensions the system defaults to: 2400x1080 stereo (1200x1080 per
+# eye), 512x360 fovea per eye, periphery sampled at 0.6 into 1440x648.
+DEFAULT_SPEC = PartitionSpec(2400, 1080, 512, 360, 0.6)

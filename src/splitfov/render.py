@@ -99,9 +99,10 @@ _FLOOR_PALETTE = np.zeros((3, 4), dtype=np.uint8)
 _FLOOR_PALETTE[:, :3] = np.vstack([BACKGROUND,
                                    quantize(np.stack([_CHECKER_LIGHT, _CHECKER_DARK]) * _lambert(_LIGHT_DIR[1]))])
 
-# Hull rows whose palette indices `_shade_grid` gathers at a time. A take
-# copies its uint8 indices to 8-byte intp first, so one band bounds that
-# copy: 0.2 MB at 768 columns, against 2.0 MB for a 768x322 hull at once.
+# Hull rows whose checker parity and palette indices `_gather_palette` takes
+# at a time. A take copies its uint8 indices to 8-byte intp first, so one
+# band bounds that copy: 0.2 MB at 768 columns, against 2.0 MB for a 768x322
+# hull at once; the parity's two float32 grids are 0.1 MB each per band.
 _PALETTE_BAND_ROWS = 32
 
 
@@ -145,6 +146,7 @@ def _shade_grid(
     fy: np.ndarray,
     rgbx: bool = False,
     directions: DirectionCache | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shades the grid of rays through continuous eye-local coordinates.
 
@@ -154,11 +156,13 @@ def _shade_grid(
     whose first three equal the RGB image. This single code path serves
     both layouts, full-rate region rendering and reduced-rate peripheral
     rendering, which is what makes them bit-compatible. With `directions`,
-    the ray directions are taken from, and kept in, that cache.
+    the ray directions are taken from, and kept in, that cache. With `out`,
+    an array of the result's shape, the pixels are written there and `out`
+    is returned.
     """
     h, w = len(fy), len(fx)
+    frame = np.empty((h, w, 4 if rgbx else 3), dtype=np.uint8) if out is None else out
     if scene.scene_id == SceneId.EMPTY:
-        frame = np.empty((h, w, 4 if rgbx else 3), dtype=np.uint8)
         _fill_background(frame)
         return frame
 
@@ -179,7 +183,8 @@ def _shade_grid(
     # hit anything, so the rows outside their hull are all background and
     # everything below runs on the hull's rows only, in its own row frame.
     ocs = [(o[0] - c[0], o[1] - c[1], o[2] - c[2]) for c in _SPHERE_CENTERS]
-    bounds = [_sphere_bound(rot, oc, r, dir_x_row, dir_y_col) for oc, r in zip(ocs, _SPHERE_RADII)]
+    reach = _grid_reach(dir_x_row, dir_y_col)
+    bounds = [_sphere_bound(rot, oc, r, dir_x_row, dir_y_col, reach) for oc, r in zip(ocs, _SPHERE_RADII)]
     rows = _hull([_floor_rows(rot, _PLANE_Y - o[1], near, dir_x_row, dir_y_col)]
                  + [b[0] for b in bounds if b is not None])
 
@@ -231,29 +236,10 @@ def _shade_grid(
         np.copyto(tb, t2, where=hit)
         np.copyto(kind[box], np.uint8(2 + i), where=hit)
 
-    # Each pixel's `_FLOOR_PALETTE` index: 0 miss, 1 light, 2 dark checker.
-    with np.errstate(invalid="ignore"):  # inf * 0 on missed rays
-        cell = t_best * d0
-        cell += o[0]
-        np.floor(cell, out=cell)
-        pz = t_best * d2
-        pz += o[2]
-        np.floor(pz, out=pz)
-        cell += pz
-        # An odd integer sum: exact, and much cheaper than `cell % 2 != 0`.
-        half = np.multiply(cell, np.float32(0.5), out=pz)
-        np.floor(half, out=half)
-        half *= np.float32(2.0)
-        dark = (half != cell).view(np.uint8)
-    del cell, pz, half  # two grids freed before the frame and the sphere shading
-    idx = (kind == 1).view(np.uint8)
-    dark &= idx
-    idx += dark
-    frame = np.empty((h, w, 4 if rgbx else 3), dtype=np.uint8)
     _fill_background(frame[: rows.start])
     _fill_background(frame[rows.stop :])
     content = frame[rows]
-    _gather_palette(idx, content)
+    _gather_palette(kind, t_best, d0, d2, o, content)
 
     # Each sphere shades its whole box, then pastes by mask: the box's plane
     # and missed rays are shaded too and dropped, which costs less than
@@ -279,22 +265,45 @@ def _shade_grid(
     return frame
 
 
-def _gather_palette(idx: np.ndarray, content: np.ndarray) -> None:
-    """Writes `_FLOOR_PALETTE[idx]` into the (n, w, 4) or (n, w, 3)
-    `content`, `_PALETTE_BAND_ROWS` rows at a time. RGBX rows take each
-    band straight; RGB rows take it into one reused RGBX band buffer, then
-    copy it out one channel at a time, as a 4-to-3-byte slice copy runs
-    pixel by pixel, several times slower. Every index is in range, so
-    "clip" changes none, and unlike "raise" it writes `out` unbuffered."""
+def _gather_palette(kind: np.ndarray, t_best: np.ndarray, d0: np.ndarray, d2: np.ndarray,
+                    o: np.ndarray, content: np.ndarray) -> None:
+    """Writes each hull pixel's `_FLOOR_PALETTE` colour into the (n, w, 4)
+    or (n, w, 3) `content`, `_PALETTE_BAND_ROWS` rows at a time: index 0
+    where `kind` is not the floor (1), else 1 (light) or 2 (dark) by the
+    checker parity of the hit point o + t_best * d. So the parity's grids
+    and the indices are one band's size. RGBX rows take each band straight;
+    RGB rows take it into one reused RGBX band buffer, then copy it out one
+    channel at a time, as a 4-to-3-byte slice copy runs pixel by pixel,
+    several times slower. Every index is in range, so "clip" changes none,
+    and unlike "raise" it writes a contiguous `out` unbuffered; strided
+    rows, such as one eye's columns of the server's side-by-side rows, go
+    through numpy's band-sized copy."""
     rgb = content.shape[2] == 3
-    band = np.empty((min(_PALETTE_BAND_ROWS, len(idx)), idx.shape[1], 4), dtype=np.uint8) if rgb else None
-    for b0 in range(0, len(idx), _PALETTE_BAND_ROWS):
-        rows = slice(b0, b0 + _PALETTE_BAND_ROWS)
-        out = band[: len(idx[rows])] if rgb else content[rows]
-        np.take(_FLOOR_PALETTE, idx[rows], axis=0, out=out, mode="clip")
-        if rgb:
-            for ch in range(3):
-                content[rows, :, ch] = out[:, :, ch]
+    band = np.empty((min(_PALETTE_BAND_ROWS, len(kind)), kind.shape[1], 4), dtype=np.uint8) if rgb else None
+    with np.errstate(invalid="ignore"):  # inf * 0 on missed rays
+        for b0 in range(0, len(kind), _PALETTE_BAND_ROWS):
+            rows = slice(b0, b0 + _PALETTE_BAND_ROWS)
+            t = t_best[rows]
+            cell = t * d0[rows]
+            cell += o[0]
+            np.floor(cell, out=cell)
+            pz = t * d2[rows]
+            pz += o[2]
+            np.floor(pz, out=pz)
+            cell += pz
+            # An odd integer sum: exact, and much cheaper than `cell % 2 != 0`.
+            half = np.multiply(cell, np.float32(0.5), out=pz)
+            np.floor(half, out=half)
+            half *= np.float32(2.0)
+            dark = (half != cell).view(np.uint8)
+            idx = (kind[rows] == 1).view(np.uint8)
+            dark &= idx
+            idx += dark
+            out = band[: len(idx)] if rgb else content[rows]
+            np.take(_FLOOR_PALETTE, idx, axis=0, out=out, mode="clip")
+            if rgb:
+                for ch in range(3):
+                    content[rows, :, ch] = out[:, :, ch]
 
 
 def _fill_background(rows: np.ndarray) -> None:
@@ -372,9 +381,11 @@ def _sphere_bound(
     r: np.float32,
     dir_x_row: np.ndarray,
     dir_y_col: np.ndarray,
+    reach: tuple[float, float],
 ) -> tuple[slice, slice] | None:
     """A conservative (rows, cols) box of the rays whose float32 disc
     against the sphere of radius `r` at `-oc` from the eye can be >= 0.
+    `reach` is the grid's `_grid_reach`, taken once for all the spheres.
 
     Camera-space ray (x, y, -1) with x = dir_x_row[col], y = dir_y_col[row]
     has world direction d = rot @ (x, y, -1), and its line passes within
@@ -405,8 +416,9 @@ def _sphere_bound(
     ys = _nonneg_interval(-det, m00 * m12 - m01 * m02, m02 * m02 - m00 * m22)
     if xs is None or ys is None:
         return None
-    c0, c1 = _padded_range(dir_x_row, *xs)
-    r0, r1 = _padded_range(-dir_y_col, -ys[1], -ys[0])  # dir_y_col descends
+    reach_x, reach_y = reach
+    c0, c1 = _padded_range(dir_x_row, *xs, reach_x)
+    r0, r1 = _padded_range(-dir_y_col, -ys[1], -ys[0], reach_y)  # dir_y_col descends
     if c0 >= c1 or r0 >= r1:
         return None
     return slice(r0, r1), slice(c0, c1)
@@ -465,16 +477,35 @@ def _nonneg_interval(a: float, half_b: float, c: float) -> tuple[float, float] |
     return (-half_b + sq) / a, (-half_b - sq) / a
 
 
-def _padded_range(coords: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
-    """The index range of the ascending `coords` in [lo, hi] widened by the
-    pad on both sides, where the pad is taken in coordinates, as that many
-    of the grid's mean spacings; empty when no coordinate lies within it.
-    A grid concatenated from two runs of rays (a periphery eye's grids,
-    which skip the holes) thus gives an interval that falls in its gap no
-    index, where a pad in indices would give the rays at the seam. The
-    compares are in float64."""
-    first, last = float(coords[0]), float(coords[-1])
-    reach = _BOUND_PAD * (last - first) / (len(coords) - 1) if len(coords) > 1 else math.inf
+def _pad_reach(coords: np.ndarray) -> float:
+    """The pad in coordinates on the ascending `coords`: _BOUND_PAD of the
+    grid's median steps (the upper median for an even count), or inf for a
+    single coordinate. A grid that skips the holes' rays has one gap, which
+    would widen a mean step but does not move the median. The steps are
+    sorted whole: a grid's steps take a few values, on which numpy's
+    partition ran several times slower than its sort."""
+    if len(coords) < 2:
+        return math.inf
+    steps = coords[1:] - coords[:-1]
+    steps.sort()
+    return _BOUND_PAD * float(steps[len(steps) // 2])
+
+
+def _grid_reach(dir_x_row: np.ndarray, dir_y_col: np.ndarray) -> tuple[float, float]:
+    """The pads on a grid's columns and on its (descending) rows, as
+    `_sphere_bound` takes them: `_pad_reach` of `dir_x_row` and of
+    `-dir_y_col`."""
+    return _pad_reach(dir_x_row), _pad_reach(-dir_y_col)
+
+
+def _padded_range(coords: np.ndarray, lo: float, hi: float, reach: float) -> tuple[int, int]:
+    """The index range of the ascending `coords` in [lo, hi] widened by
+    `reach` (the grid's `_pad_reach`) on both sides; empty when no
+    coordinate lies within it. As the pad is taken in coordinates, a grid
+    concatenated from two runs of rays (a periphery eye's grids, which skip
+    the holes) gives an interval that falls in its gap no index, where a
+    pad in indices would give the rays at the seam. The compares are in
+    float64."""
     i0 = int(np.searchsorted(coords, np.float64(lo - reach), side="left"))
     i1 = int(np.searchsorted(coords, np.float64(hi + reach), side="right"))
     return i0, i1
@@ -489,6 +520,7 @@ def render_region(
     region: Rect,
     rgbx: bool = False,
     directions: DirectionCache | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Renders a sub-rectangle of one eye's full-resolution frame.
 
@@ -499,6 +531,9 @@ def render_region(
     takes with no repacking. `directions` shares the ray directions
     between calls that shade the same rect at the same pose (both eyes'
     foveae, see `DirectionCache`); the pixels are the same without it.
+    With `out`, a uint8 array of the result's shape, which may be a view
+    such as some columns of a wider image, the pixels are written there
+    and `out` is returned.
     """
     w, h = full_eye_dims
     if w < 1 or h < 1:
@@ -507,9 +542,12 @@ def render_region(
         raise GeometryError(f"region size must be at least 1x1, got {region}")
     if region.x < 0 or region.y < 0 or region.x + region.w > w or region.y + region.h > h:
         raise GeometryError(f"region {region} out of bounds for eye dims {full_eye_dims}")
+    shape = (region.h, region.w, 4 if rgbx else 3)
+    if out is not None and (out.shape != shape or out.dtype != np.uint8):
+        raise GeometryError(f"out is a {out.dtype} array of shape {out.shape}, the region wants uint8 {shape}")
     fx = np.arange(region.x, region.x + region.w, dtype=np.float32) + np.float32(0.5)
     fy = np.arange(region.y, region.y + region.h, dtype=np.float32) + np.float32(0.5)
-    return _shade_grid(scene, rig, pose, eye, (w, h), fx, fy, rgbx, directions)
+    return _shade_grid(scene, rig, pose, eye, (w, h), fx, fy, rgbx, directions, out)
 
 
 def render_scaled(

@@ -1,11 +1,12 @@
 """Server runtime: render foveal rects on demand, encode, stream.
 
 The server is pose-driven and strictly lockstep: it idles until the
-client's PoseUpdateMsg for frame n arrives, renders the top
+client's PoseUpdateMsg for frame n arrives, renders the top k =
 `partition.server_rows` rows of both eyes' foveal rectangles at full
-sampling rate as RGBX pixels, encodes each eye independently from those
-pixels as drawn, and sends one SubframeMsg per eye. It never renders
-ahead.
+sampling rate as RGBX pixels, side by side in one image 2 * fov_w wide
+(left eye first), encodes each row band of `partition.subframe_bands(k)`
+of that image independently, as drawn, and sends one SubframeMsg per
+band. It never renders ahead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from . import codec as codec_mod
 from . import wire
 from .camera import CameraRig, Pose, normalize_quat
-from .partition import Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows
+from .partition import (Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows,
+                        subframe_bands)
 from .render import DirectionCache, SceneConfig, SceneId, render_region
 from .trace import RECV, SEND, Stopwatch, Trace
 from .wire import (
@@ -68,18 +70,23 @@ def pose_from_wire(msg: PoseUpdateMsg) -> Pose:
 
 def draw_foveae(
     scene: SceneConfig, rig: CameraRig, pose: Pose, spec: PartitionSpec,
-    rows: Optional[tuple[int, int]] = None, rgbx: bool = False,
+    rows: Optional[tuple[int, int]] = None, rgbx: bool = False, out: Optional[np.ndarray] = None,
 ) -> dict[Eye, np.ndarray]:
     """Rows [lo, hi) of both eyes' foveal rectangles (all rows by default)
     rendered at full sampling rate, as RGB8 images, or RGBX8 (fourth byte
     0) with `rgbx`. The two rects have the same eye-local pixels, so the
     eyes share one set of ray directions, computed once per call and
-    dropped when it returns."""
+    dropped when it returns. With `out`, a (hi - lo, 2 * fov_w, 3 or 4)
+    uint8 array, the eyes are drawn side by side into it, the left eye's
+    columns first, and the images returned are those two views of it;
+    without it, each eye gets a fresh array."""
     rows = (0, spec.fov_h) if rows is None else rows
     directions = DirectionCache()
+    w = spec.fov_w
     return {
         eye: render_region(scene, rig, pose, int(eye), (spec.eye_w, spec.eye_h),
-                           foveal_rows(foveal_rect(spec, eye), rows), rgbx, directions)
+                           foveal_rows(foveal_rect(spec, eye), rows), rgbx, directions,
+                           out=None if out is None else out[:, eye * w : (eye + 1) * w])
         for eye in (Eye.LEFT, Eye.RIGHT)
     }
 
@@ -135,21 +142,23 @@ class ServerSession:
 
     def serve_frame(self, pose: Pose, frame_id: int) -> ServerFrameTiming:
         """Renders, encodes, and sends the server's rows of both eyes'
-        foveae; returns the frame's record."""
+        foveae, one subframe per band; returns the frame's record."""
         assert self.spec is not None and self.codec is not None and self.scene is not None
         assert self.k is not None
         sw = self.stopwatch
         with sw.stage("draw", frame_id):
-            # RGBX rows go to the encoder as drawn, with no repacking.
-            images = draw_foveae(self.scene, self.rig, pose, self.spec, (0, self.k), rgbx=True)
+            # RGBX rows of both eyes side by side; each band's rows are
+            # contiguous and go to the encoder as drawn, with no repacking.
+            rows = np.empty((self.k, 2 * self.spec.fov_w, 4), dtype=np.uint8)
+            draw_foveae(self.scene, self.rig, pose, self.spec, (0, self.k), rgbx=True, out=rows)
         with sw.stage("encode", frame_id):
-            payloads = {eye: codec_mod.encode(self.codec, img) for eye, img in images.items()}
+            payloads = [codec_mod.encode(self.codec, rows[lo:hi]) for lo, hi in subframe_bands(self.k)]
         with sw.stage("send", frame_id):
-            for eye, payload in payloads.items():
-                sw.mark(SEND, f"subframe{int(eye)}", frame_id)
-                self.writer(write_msg(SubframeMsg(frame_id, int(eye), payload)))
+            for band, payload in enumerate(payloads):
+                sw.mark(SEND, f"subframe{band}", frame_id)
+                self.writer(write_msg(SubframeMsg(frame_id, band, payload)))
         # The server marks from this thread alone.
-        return sw.record(ServerFrameTiming, frame_id, bytes_sent=sum(len(p) for p in payloads.values()))
+        return sw.record(ServerFrameTiming, frame_id, bytes_sent=sum(len(p) for p in payloads))
 
     def run(self, on_hello: Optional[Callable[[PartitionSpec], None]] = None) -> list[ServerFrameTiming]:
         """Handshake, then lockstep frame loop until the client's EndMsg or

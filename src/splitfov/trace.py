@@ -8,12 +8,13 @@ the same events:
 * once per session: client send hello (frame 0), server recv hello
   (frame 0), client send end and server recv end (last frame id);
 * per frame n, client: begin total, send pose, begin/end draw, begin
-  network at the frame's first byte, recv subframe0 and subframe1, end
-  network, begin/end decode, begin/end merge, begin/end display, end
-  total. The total span begins before the frame's pose is looked up and
-  ends after display;
+  network at the frame's first byte, recv subframe<b> for each band b of
+  `partition.subframe_bands` (subframe0 and subframe1, or subframe0 alone
+  when the server draws one row), end network, begin/end decode, begin/end
+  merge, begin/end display, end total. The total span begins before the
+  frame's pose is looked up and ends after display;
 * per frame n, server: recv pose, begin/end draw, begin/end encode,
-  begin/end send, with send subframe0 and send subframe1 between them.
+  begin/end send, with send subframe<b> for each band between them.
 
 A stage is a `with stopwatch.stage(name, frame_id):` block. A runtime's
 records are a view of its trace: once a frame's last mark is made,

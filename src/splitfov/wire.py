@@ -9,24 +9,31 @@ floats are IEEE-754 little-endian, single precision (f32) unless marked f64:
                   u8 scene_id |
                   f64 ipd | f64 horizontal_fov | f64 near (the camera rig)
     Pose     (2): u64 frame_id | 3x f32 position | 4x f32 orientation (x,y,z,w)
-    Subframe (3): u64 frame_id | u8 eye | u32 crc32 of the payload |
+    Subframe (3): u64 frame_id | u8 band | u32 crc32 of the payload |
                   payload (the rest of the frame)
     End      (4): u64 frame_id (last completed)
 
 The hello states the session once, and the session runs until the
-client's End. A subframe carries rows [0, k) of the eye's foveal rect,
-fov_w x k pixels in the hello's codec, where k = partition.server_rows of
-the hello's geometry: the fewest top rows holding at least half of the
-rays the frame shades. The client draws rows [k, fov_h) itself. Both sides
-derive k, so no message carries it; each derives it from the f32 scale the
-hello carries, which a `PartitionSpec` holds. Protocol 6 is the first to
+client's End. The server draws rows [0, k) of both eyes' foveal rects,
+where k = partition.server_rows of the hello's geometry: the fewest top
+rows holding at least half of the rays the frame shades. The client draws
+rows [k, fov_h) itself. A frame's subframes are the bands [lo, hi) of
+partition.subframe_bands(k), in order: two, or one when k = 1. Band b's
+subframe carries rows [lo, hi) of both eyes side by side, one
+2 * fov_w x (hi - lo) image in the hello's codec with the left eye's
+columns first. Both sides derive k and the bands, so no message carries
+them; each derives them from the f32 scale the hello carries, which a
+`PartitionSpec` holds. Protocol 6 is the first to
 split the fovea by rows; a protocol 5 subframe carried all fov_h rows.
 Protocol 7 is the first whose PRED_DEFLATE payload codes most missed
 pixels in one symbol byte (see `codec`); a protocol 6 payload carried 3
 residual bytes for each. Protocol 8 is the first whose subframes carry a
 CRC-32 (`zlib.crc32`) of their payload, which the reader checks before the
 payload is decoded, and whose k counts only the rays the frame shades
-(a protocol 7 peer also counted the periphery's holes).
+(a protocol 7 peer also counted the periphery's holes). Protocol 9 is the
+first whose subframes are row bands of both eyes side by side, so that
+DEFLATE codes each row of one eye within reach of the other eye's, nearly
+equal, row; a protocol 8 subframe carried all k rows of one eye.
 
 Serialization is deterministic and the reader tolerates arbitrary TCP
 segmentation; a clean EOF on a frame boundary reads as end-of-session.
@@ -39,7 +46,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 
 MSG_HELLO = 1
 MSG_POSE = 2
@@ -59,7 +66,7 @@ _POSE_FMT = struct.Struct("<Qfffffff")
 _SUBFRAME_FMT = struct.Struct("<QBI")
 _END_FMT = struct.Struct("<Q")
 _LEN_FMT = struct.Struct("<I")
-# Bytes of a subframe's frame before its payload: type, frame id, eye and CRC.
+# Bytes of a subframe's frame before its payload: type, frame id, band and CRC.
 SUBFRAME_HEADER = 1 + _SUBFRAME_FMT.size
 
 
@@ -100,8 +107,12 @@ class PoseUpdateMsg:
 
 @dataclass(frozen=True)
 class SubframeMsg:
+    """One band of the server's rows of a frame: `band` indexes
+    `partition.subframe_bands(k)`, and `payload` is that band's rows of
+    both eyes side by side, left eye first, in the session's codec."""
+
     frame_id: int
-    eye: int
+    band: int
     payload: bytes
 
 
@@ -135,7 +146,7 @@ def write_msg(msg: Message) -> bytes:
         body = _POSE_FMT.pack(msg.frame_id, *msg.position, *msg.orientation)
         msg_type = MSG_POSE
     elif isinstance(msg, SubframeMsg):
-        body = _SUBFRAME_FMT.pack(msg.frame_id, msg.eye, zlib.crc32(msg.payload)) + msg.payload
+        body = _SUBFRAME_FMT.pack(msg.frame_id, msg.band, zlib.crc32(msg.payload)) + msg.payload
         msg_type = MSG_SUBFRAME
     elif isinstance(msg, EndMsg):
         body = _END_FMT.pack(msg.frame_id)
@@ -171,11 +182,11 @@ def _unpack_body(msg_type: int, body: bytes) -> Message:
             fields = _POSE_FMT.unpack(body)
             return PoseUpdateMsg(fields[0], fields[1:4], fields[4:8])
         if msg_type == MSG_SUBFRAME:
-            frame_id, eye, crc = _SUBFRAME_FMT.unpack_from(body)
+            frame_id, band, crc = _SUBFRAME_FMT.unpack_from(body)
             payload = body[_SUBFRAME_FMT.size :]
             if zlib.crc32(payload) != crc:
-                raise ProtocolError(f"subframe {frame_id} eye {eye}: payload fails its CRC-32")
-            return SubframeMsg(frame_id, eye, payload)
+                raise ProtocolError(f"subframe {frame_id} band {band}: payload fails its CRC-32")
+            return SubframeMsg(frame_id, band, payload)
         if msg_type == MSG_END:
             return EndMsg(*_END_FMT.unpack(body))
     except struct.error as e:

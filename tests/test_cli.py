@@ -185,7 +185,7 @@ class TestUsageErrors:
 
     def test_fovea_beyond_the_frame_cap(self, capsys):
         with pytest.raises(SystemExit) as e:
-            parse_cli(["compare", "--size", "12000x4000", "--fovea", "6000x4000", "--scale", "0.5"])
+            parse_cli(["compare", "--size", "24000x8000", "--fovea", "12000x8000", "--scale", "0.5"])
         assert e.value.code == 2
         assert "above the wire's frame cap of 67108864 bytes" in capsys.readouterr().err
 
@@ -503,7 +503,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("answer, error", [
         (struct.pack("<I", 2) + b"\x09\x00", "error: unknown message type 0x09\n"),
-        (b"".join(write_msg(SubframeMsg(0, eye, bytes(9))) for eye in (0, 1)),
+        (b"".join(write_msg(SubframeMsg(0, band, bytes(9))) for band in (0, 1)),
          "error: RAW payload is 9 bytes, expected 2304\n"),
     ], ids=["protocol", "codec"])
     def test_bad_peer(self, answer, error, capsys):

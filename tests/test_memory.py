@@ -2,9 +2,9 @@
 once warm, on the server's part of a frame and on a native frame. The
 client's draw holds one full frame at a time: the upsample writes into its
 output through a small band buffer, and the client's foveal rows are drawn
-before the frame is allocated. The server's draw gathers the floor palette
-a band of rows at a time, so no index copy the size of an eye's rows sets
-its peak."""
+before the frame is allocated. The server's draw takes the floor's checker
+parity and gathers its palette a band of rows at a time, so no grid or
+index copy the size of an eye's rows sets its peak."""
 
 import os
 import platform
@@ -28,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # alone. It prints the minor faults per timed frame of the server's part
 # and of a native frame, at the fovea_tcp geometry. The server's part is
 # `ServerSession.serve_frame` itself, after a PRED_DEFLATE hello, writing
-# to nowhere: its RGBX rows of both foveae, the encode of each eye and the
-# framing of each subframe. The timed frames replay the warm-up poses: a
+# to nowhere: its RGBX rows of both foveae side by side, the encode of each
+# band and the framing of each subframe. The timed frames replay the warm-up poses: a
 # frame whose buffers the heap has held before must not fault, while a new
 # pose may still raise the heap's high-water mark once.
 CHILD = """
@@ -149,18 +149,24 @@ class TestClientWorkingSet:
 class TestServerWorkingSet:
     def test_server_draw_peaks_under_seven_mb(self):
         """The server's RGBX rows of both eyes at the fovea_tcp geometry
-        (k = 322 of 540 rows) over orbit poses. The peak holds the first
-        eye's rows (1.0 MB), the ray directions the eyes share (3.0 MB at
-        all 322 rows) and the second eye's shading grids. A palette gather
-        over all of an eye's rows at once copied its uint8 indices to
-        8-byte intp (2.0 MB), and peaked at 8.06 MB."""
+        (k = 322 of 540 rows) over orbit poses, drawn as `serve_frame`
+        draws them: side by side into one (k, 2 * fov_w, 4) array (2.0 MB),
+        allocated before either eye is shaded. The peak holds that array,
+        the ray directions the eyes share (3.0 MB at all 322 rows) and the
+        second eye's shading grids. A palette gather over all of an eye's
+        rows at once copied its uint8 indices to 8-byte intp (2.0 MB), and
+        peaked at 8.06 MB with per-eye arrays; a checker parity over all of
+        them took two 1.0 MB float32 grids, and peaked at 7.84 MB with the
+        side-by-side array."""
         spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
         scene, rig, path = SceneConfig(), CameraRig(), CameraPath(frame_count=8)
+        k = server_rows(spec)
         peaks = []
         for n in range(8):
             tracemalloc.start()
             try:
-                draw_foveae(scene, rig, pose_at(path, n), spec, (0, server_rows(spec)), rgbx=True)
+                rows = np.empty((k, 2 * spec.fov_w, 4), dtype=np.uint8)
+                draw_foveae(scene, rig, pose_at(path, n), spec, (0, k), rgbx=True, out=rows)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

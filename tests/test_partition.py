@@ -20,6 +20,7 @@ from splitfov.partition import (
     reduced_dims,
     server_dims,
     server_rows,
+    subframe_bands,
 )
 from splitfov.wire import DEFAULT_MAX_FRAME, MAX_DIM, SUBFRAME_HEADER
 
@@ -112,18 +113,23 @@ class TestValidate:
         PartitionSpec(100, 100, 10, 10, hello_scale)
 
     def test_raw_subframe_beyond_the_frame_cap(self):
-        # 3 * 6000 * 4000 payload bytes + 14 header bytes
-        assert self.violations(12000, 4000, 6000, 4000, 0.5) == [
-            "one eye's RAW subframe is a 72000014-byte frame, above the wire's"
+        # k = 4000, so the first band is 2000 rows of both 12000-column eyes:
+        # 3 * 24000 * 2000 payload bytes + 14 header bytes
+        assert self.violations(24000, 8000, 12000, 8000, 0.5) == [
+            "the largest band's RAW subframe is a 144000014-byte frame, above the wire's"
             " frame cap of 67108864 bytes"
         ]
+        # half the size fits: k = 2000, so its bands of 1000 rows are 36 MB
+        assert server_rows(PartitionSpec(12000, 4000, 6000, 4000, 0.5)) == 2000
 
     def test_largest_fovea_within_the_frame_cap(self):
-        # 3 * 17449 * 1282 + 14 is 64 MiB and 4 bytes, so 1281 rows fit
-        assert 3 * 17449 * 1282 + SUBFRAME_HEADER == DEFAULT_MAX_FRAME + 4
-        PartitionSpec(2 * 17449, 1283, 17449, 1281, 0.5)
-        assert self.violations(2 * 17449, 1283, 17449, 1282, 0.5) == [
-            "one eye's RAW subframe is a 67108868-byte frame, above the wire's"
+        # Foveae as large as their eyes: at 2560 rows k = 1281, so the first
+        # band is 641 rows, and 3 * 2 * 17449 * 641 + 14 is 64 MiB and 4
+        # bytes; at 2559 rows k = 1280, and its bands of 640 rows fit
+        assert 3 * 2 * 17449 * 641 + SUBFRAME_HEADER == DEFAULT_MAX_FRAME + 4
+        assert server_rows(PartitionSpec(2 * 17449, 2559, 17449, 2559, 0.5)) == 1280
+        assert self.violations(2 * 17449, 2560, 17449, 2560, 0.5) == [
+            "the largest band's RAW subframe is a 67108868-byte frame, above the wire's"
             " frame cap of 67108864 bytes"
         ]
 
@@ -228,6 +234,24 @@ class TestServerRows:
         assert 2 * (2 * spec.fov_w * (k - 1)) < total
         if k < spec.fov_h:
             assert 2 * (2 * spec.fov_w * k) >= total
+
+
+class TestSubframeBands:
+    @given(st.integers(1, 2 * MAX_DIM))
+    def test_bands_cover_the_server_rows_in_order(self, k):
+        """Non-empty bands, in order, that tile [0, k): two exactly when
+        k >= 2, the first the larger by at most a row."""
+        bands = subframe_bands(k)
+        assert len(bands) == (2 if k >= 2 else 1)
+        assert [lo for lo, _ in bands] == [0] + [hi for _, hi in bands[:-1]]
+        assert bands[-1][1] == k
+        assert all(lo < hi for lo, hi in bands)
+        assert bands[0][1] - bands[0][0] == -(-k // 2)
+
+    def test_gated_geometries(self):
+        assert subframe_bands(server_rows(DEFAULT_SPEC)) == [(0, 180), (180, 360)]
+        assert subframe_bands(server_rows(PartitionSpec(2400, 1080, 768, 540, 0.3))) == [(0, 161), (161, 322)]
+        assert subframe_bands(1) == [(0, 1)]
 
 
 class TestHoles:

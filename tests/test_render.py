@@ -9,8 +9,8 @@ from splitfov import render
 from splitfov.camera import CameraPath, CameraRig, Pose, look_at_quat, normalize_quat, pose_at, quat_to_matrix
 from splitfov.client import draw_foveae
 from splitfov.image import GeometryError, Rect, crop
-from splitfov.partition import (Eye, Holes, PartitionSpec, foveal_rect, foveal_rows, periphery_holes,
-                                reduced_dims, reduced_rays)
+from splitfov.partition import (DEFAULT_SPEC, Eye, Holes, PartitionSpec, foveal_rect, foveal_rows,
+                                periphery_holes, reduced_dims, reduced_rays)
 from splitfov.render import (
     _FAR,
     _PLANE_Y,
@@ -23,6 +23,8 @@ from splitfov.render import (
     render_region,
     render_scaled,
     _floor_rows,
+    _grid_reach,
+    _pad_reach,
     _padded_range,
     _sphere_bound,
 )
@@ -338,7 +340,7 @@ class TestSphereBound:
     @given(case=bound_cases())
     def test_box_holds_every_nonnegative_disc(self, case):
         nonneg = _disc(*case) >= 0
-        box = _sphere_bound(*case)
+        box = _sphere_bound(*case, _grid_reach(*case[3:]))
         if box is not None:
             nonneg[box] = False
         assert not nonneg.any()
@@ -349,7 +351,7 @@ class TestSphereBound:
         # Spheres grazed through a pixel up to 3 pads off the grid's edges:
         # their ellipses lie on, just beyond and wholly beyond the grid.
         nonneg = _disc(*case) >= 0
-        box = _sphere_bound(*case)
+        box = _sphere_bound(*case, _grid_reach(*case[3:]))
         if box is not None:
             nonneg[box] = False
         assert not nonneg.any()
@@ -385,8 +387,8 @@ class TestSphereBound:
         coverage = []
         view_rays = [0]
 
-        def recorded(rot, oc, r, dir_x_row, dir_y_col):
-            box = _sphere_bound(rot, oc, r, dir_x_row, dir_y_col)
+        def recorded(rot, oc, r, dir_x_row, dir_y_col, reach):
+            box = _sphere_bound(rot, oc, r, dir_x_row, dir_y_col, reach)
             rays = 0 if box is None else (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
             coverage.append(rays / (view_rays[0] or len(dir_y_col) * len(dir_x_row)))
             return box
@@ -542,22 +544,30 @@ def padded_range_cases(draw):
     return coords, lo, hi
 
 
+def _median_reach(coords):
+    """The pad's reach on the ascending `coords`: _BOUND_PAD of its median
+    steps, the upper one for an even count, as float32 differences."""
+    steps = np.sort(np.diff(coords))
+    return render._BOUND_PAD * float(steps[len(steps) // 2])
+
+
 class TestPaddedRange:
     """`_padded_range` returns every coordinate in [lo, hi] and no index
-    beyond the pad's reach of it, with or without a gap in the grid: the
-    indices of the coordinates within the reach, and only those."""
+    beyond the pad's reach of it, two median steps of the grid, with or
+    without a gap in the grid: the indices of the coordinates within the
+    reach, and only those."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=padded_range_cases())
     def test_indices_lie_within_reach_and_cover_the_interval(self, case):
         coords, lo, hi = case
-        i0, i1 = _padded_range(coords, lo, hi)
+        i0, i1 = _padded_range(coords, lo, hi, _pad_reach(coords))
         assert 0 <= i0 <= i1 <= len(coords)
         c = coords.astype(np.float64)
         inside = np.flatnonzero((c >= lo) & (c <= hi))
         assert all(i0 <= i < i1 for i in inside)
         if len(c) > 1:
-            reach = render._BOUND_PAD * (c[-1] - c[0]) / (len(c) - 1)
+            reach = _median_reach(coords)
             within = np.flatnonzero((c >= lo - reach) & (c <= hi + reach))
             assert list(range(i0, i1)) == within.tolist()
 
@@ -568,8 +578,27 @@ class TestPaddedRange:
         dir_x_row, _ = _plane_coords((1200, 1080), fx, fy)
         seam = int(np.flatnonzero(np.diff(fx) > 2 * (fx[1] - fx[0]))[0])
         mid = (float(dir_x_row[seam]) + float(dir_x_row[seam + 1])) / 2.0
-        i0, i1 = _padded_range(dir_x_row, mid - 1e-3, mid + 1e-3)
+        i0, i1 = _padded_range(dir_x_row, mid - 1e-3, mid + 1e-3, _pad_reach(dir_x_row))
         assert i0 == i1
+
+    @pytest.mark.parametrize("spec", [FOVEA_SPEC, DEFAULT_SPEC], ids=["fovea", "default"])
+    def test_a_gap_does_not_widen_the_pad(self, spec):
+        """On each periphery grid that skips the holes, an interval at any
+        of its coordinates gets only coordinates within two median steps of
+        it. The gap widens the mean step, 2.78 times the median one on the
+        fovea geometry's left `band` columns, so a pad of two mean steps
+        reached farther. The steps of a float32 grid differ by a few ulps,
+        hence the tolerance of 0.1%, far below the mean step's excess
+        (1.5 times the median at least)."""
+        for eye in Eye:
+            for fx, fy in _hole_grids(spec, eye):
+                dir_x_row, dir_y_col = _plane_coords((spec.eye_w, spec.eye_h), fx, fy)
+                for coords in (dir_x_row, -dir_y_col):
+                    reach = 2 * float(np.median(np.diff(coords.astype(np.float64))))
+                    c = coords.astype(np.float64)
+                    for x in c:
+                        i0, i1 = _padded_range(coords, x, x, _pad_reach(coords))
+                        assert np.abs(c[i0:i1] - x).max() <= reach * 1.001
 
 
 positions = st.tuples(*[st.floats(-4.0, 4.0)] * 3)
@@ -672,6 +701,24 @@ class TestSharedDirections:
                 rect = foveal_rows(foveal_rect(spec, eye), rows)
                 own = render_region(scene, rig, pose, eye, (spec.eye_w, spec.eye_h), rect, rgbx=rgbx)
                 assert drawn[eye].tobytes() == own.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(scene=scenes, rig=rigs, pose=poses, geometry=fovea_specs(), rgbx=st.booleans())
+    def test_side_by_side_out_holds_both_eyes(self, scene, rig, pose, geometry, rgbx):
+        """With `out`, as the server draws, both eyes' rows land side by
+        side in it, left eye first, and the images returned are its views."""
+        spec, k = geometry
+        out = np.empty((k, 2 * spec.fov_w, 4 if rgbx else 3), dtype=np.uint8)
+        views = draw_foveae(scene, rig, pose, spec, (0, k), rgbx, out=out)
+        fresh = draw_foveae(scene, rig, pose, spec, (0, k), rgbx)
+        assert out.tobytes() == np.hstack([fresh[Eye.LEFT], fresh[Eye.RIGHT]]).tobytes()
+        assert all(np.shares_memory(views[eye], out) for eye in Eye)
+
+    def test_an_out_of_another_shape_is_refused(self, scene, rig):
+        rect = Rect(0, 0, 16, 8)
+        for out in (np.empty((8, 16, 3), dtype=np.uint8), np.empty((8, 16, 4), dtype=np.int16)):
+            with pytest.raises(GeometryError, match="out is a"):
+                render_region(scene, rig, POSE, Eye.LEFT, (32, 16), rect, rgbx=True, out=out)
 
     def test_the_second_eye_reuses_the_first_eyes_directions(self, scene, rig, monkeypatch):
         spec = PartitionSpec(200, 100, 64, 48, 0.5)

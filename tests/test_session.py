@@ -20,7 +20,7 @@ from splitfov import trace as trace_mod
 from splitfov.camera import CameraPath, CameraRig, pose_at
 from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
 from splitfov.codec import CodecError, CodecId, encode
-from splitfov.partition import MIN_SCALE, Eye, PartitionSpec, server_rows
+from splitfov.partition import MIN_SCALE, PartitionSpec, server_rows, subframe_bands
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession, pose_from_wire, run_server
 from splitfov.trace import BEGIN, END, Trace
@@ -94,15 +94,16 @@ class TestLoopbackSession:
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
     def test_split_rows_session_lossless(self, split_spec, scene, rig, codec_id, decoded_dims):
-        """The server ships 40 of the 80 foveal rows and the client draws
-        the rest; the displayed frames are the native composition."""
+        """The server ships 40 of the 80 foveal rows, as two bands of 20
+        rows of both eyes side by side, and the client draws the rest; the
+        displayed frames are the native composition."""
         future, port = start_server(rig=rig)
         sink = CollectSink()
         path = CameraPath(frame_count=3)
         client_records = run_client("127.0.0.1", port, split_spec, codec_id, scene,
                                     rig, path, display=sink)
         server_records = future.result(timeout=30.0)
-        assert decoded_dims == [(80, 40)] * 6
+        assert decoded_dims == [(160, 20)] * 6
         assert len(sink.frames) == 3
         for k, frame in enumerate(sink.frames):
             assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
@@ -138,14 +139,15 @@ class TestLoopbackSession:
 
     def test_fovea_geometry_session_is_native(self, scene, rig, decoded_dims):
         """At the fovea_tcp geometry both sides derive k = 322 rows, the
-        server draws them, and the frames on display are the native frames."""
+        server draws them and sends them as two bands of 161 rows of both
+        eyes, and the frames on display are the native frames."""
         spec = PartitionSpec(2400, 1080, 768, 540, 0.3)
         future, port = start_server(rig=rig)
         sink = CollectSink()
         path = CameraPath(frame_count=2)
         run_client("127.0.0.1", port, spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
         future.result(timeout=60.0)
-        assert decoded_dims == [(768, 322)] * 4
+        assert decoded_dims == [(1536, 161)] * 4
         assert len(sink.frames) == 2
         for n, frame in enumerate(sink.frames):
             assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, n), spec).tobytes()
@@ -224,6 +226,12 @@ class TestServerSessionUnit:
         with pytest.raises(ProtocolError, match="peer speaks protocol version 7"):
             self.run_session([hello_for(tiny_spec, version=7)])
 
+    def test_rejects_a_protocol_8_hello(self, tiny_spec):
+        # A protocol 8 peer sends one subframe per eye, which this client
+        # would decode as a band of both eyes.
+        with pytest.raises(ProtocolError, match="peer speaks protocol version 8"):
+            self.run_session([hello_for(tiny_spec, version=8)])
+
     def test_rejects_invalid_geometry(self, tiny_spec):
         # a fovea wider than the eye and an odd frame width, both listed
         bad = HelloMsg(**{**hello_for(tiny_spec).__dict__, "full_w": 161, "fov_w": 200})
@@ -233,7 +241,7 @@ class TestServerSessionUnit:
 
     def test_rejects_a_fovea_beyond_the_frame_cap(self, tiny_spec):
         # its RAW subframes could not cross the wire, so no frame is served
-        big = {"full_w": 12000, "full_h": 4000, "fov_w": 6000, "fov_h": 4000}
+        big = {"full_w": 24000, "full_h": 8000, "fov_w": 12000, "fov_h": 8000}
         bad = HelloMsg(**{**hello_for(tiny_spec).__dict__, **big})
         with pytest.raises(ProtocolError, match="invalid partition: .* frame cap of 67108864"):
             self.run_session([bad])
@@ -274,7 +282,7 @@ class TestServerSessionUnit:
         assert len(records) == 1
 
     def test_a_send_that_fails_mid_frame_keeps_only_whole_frames(self, tiny_spec):
-        # The client goes away as frame 1's second subframe is written: the
+        # The client goes away as frame 1's second band is written: the
         # error ends the session, and only frame 0 has a record.
         path = CameraPath(frame_count=2)
         stream = io.BytesIO(b"".join(write_msg(m) for m in [hello_for(tiny_spec)] + [
@@ -285,7 +293,7 @@ class TestServerSessionUnit:
 
         def writer(data):
             msg = read_msg(io.BytesIO(data))
-            if (msg.frame_id, msg.eye) == (1, int(Eye.RIGHT)):
+            if (msg.frame_id, msg.band) == (1, 1):
                 raise BrokenPipeError("client went away")
             sent.append(msg)
 
@@ -325,12 +333,17 @@ class TestClientSessionUnit:
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
     def test_a_flipped_bit_shows_no_frame(self, split_spec, scene, rig, codec_id):
-        """One bit flipped in a frame's two subframes, in every bit of their
-        length prefixes and headers and in a sample of their payloads' bits,
-        ends the frame in a ProtocolError, and no frame is displayed."""
+        """One bit flipped in a frame's two subframes, as the server's own
+        `serve_frame` writes them, in every bit of their length prefixes and
+        headers and in a sample of their payloads' bits, ends the frame in a
+        ProtocolError, and no frame is displayed."""
         pose = pose_at(CameraPath(frame_count=1), 0)
-        images = server.draw_foveae(scene, rig, pose, split_spec, (0, server_rows(split_spec)), rgbx=True)
-        frames = [write_msg(SubframeMsg(0, int(eye), encode(codec_id, img))) for eye, img in images.items()]
+        written = Collected()
+        server_side = ServerSession(io.BytesIO(write_msg(hello_for(split_spec, codec_id))), written, rig)
+        server_side.handshake()
+        server_side.serve_frame(pose, 0)
+        frames = written.chunks
+        assert len(frames) == 2
         sent = b"".join(frames)
 
         def run(data, sink):
@@ -358,14 +371,15 @@ class TestClientSessionUnit:
             assert sink.frames == [], bit
 
     def test_rejects_subframe_eight_columns_short(self, tiny_spec, scene, rig):
-        # The subframe carries no size: it is decoded at the session's
-        # foveal size, so a payload 8 columns short cannot be displayed.
-        short = np.zeros((tiny_spec.fov_h, tiny_spec.fov_w - 8, 3), dtype=np.uint8)
+        # The subframe carries no size: it is decoded at its band's size,
+        # 2 * fov_w x (hi - lo), so a payload 8 columns short cannot be
+        # displayed.
+        shorts = [np.zeros((hi - lo, 2 * tiny_spec.fov_w - 8, 3), dtype=np.uint8)
+                  for lo, hi in subframe_bands(server_rows(tiny_spec))]
         for codec, error in ((CodecId.RAW, "RAW payload is"),
                              (CodecId.PRED_DEFLATE, "decompressed to")):
             stream = io.BytesIO(b"".join(
-                write_msg(SubframeMsg(0, int(eye), encode(codec, short)))
-                for eye in (Eye.LEFT, Eye.RIGHT)
+                write_msg(SubframeMsg(0, band, encode(codec, short))) for band, short in enumerate(shorts)
             ))
             sink = CollectSink()
             session = ClientSession(stream, Collected(), tiny_spec, codec, scene, rig,
@@ -377,12 +391,16 @@ class TestClientSessionUnit:
 
 
     def test_body_truncated_at_a_part_boundary_shows_nothing(self, split_spec, scene, rig):
-        # The server's 80x40 rows of a rendered frame: a bitmap, symbols and
-        # escapes. Cut the left eye's body at the end of each of its first
-        # two parts, and one byte short of its end.
-        img = server.draw_foveae(scene, rig, pose_at(CameraPath(frame_count=4), 1), split_spec,
-                          (0, server_rows(split_spec)))[Eye.LEFT]
+        # The server's first band of a rendered frame, 20 rows of both 80
+        # column eyes: a bitmap, symbols and escapes. Cut its body at the end
+        # of each of its first two parts, and one byte short of its end.
+        k = server_rows(split_spec)
+        rows = np.empty((k, 2 * split_spec.fov_w, 3), dtype=np.uint8)
+        server.draw_foveae(scene, rig, pose_at(CameraPath(frame_count=4), 1), split_spec, (0, k), out=rows)
+        (lo, hi), (_, last) = subframe_bands(k)
+        img = rows[lo:hi]
         payload = encode(CodecId.PRED_DEFLATE, img)
+        second = encode(CodecId.PRED_DEFLATE, rows[hi:last])
         body = zlib.decompress(payload, -zlib.MAX_WBITS)
         n = img.shape[0] * img.shape[1]
         bitmap_len = -(-n // 8)
@@ -395,10 +413,7 @@ class TestClientSessionUnit:
             cuts.append(len(prefix))
         assert payload.startswith(prefix)
         for cut in cuts + [len(payload) - 1]:
-            stream = io.BytesIO(b"".join(
-                write_msg(SubframeMsg(0, int(eye), payload[:cut] if eye == Eye.LEFT else payload))
-                for eye in (Eye.LEFT, Eye.RIGHT)
-            ))
+            stream = io.BytesIO(write_msg(SubframeMsg(0, 0, payload[:cut])) + write_msg(SubframeMsg(0, 1, second)))
             sink = CollectSink()
             session = ClientSession(stream, Collected(), split_spec, CodecId.PRED_DEFLATE, scene, rig,
                                     CameraPath(frame_count=1), display=sink)
@@ -410,14 +425,13 @@ class TestClientSessionUnit:
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
     def test_rejects_subframes_of_any_other_row_count(self, split_spec, scene, rig, codec_id):
-        # The session's subframes carry k = 40 rows; a protocol 5 server
-        # would send all 80. No frame is shown.
-        for rows in (80, 39, 41):
-            img = np.zeros((rows, split_spec.fov_w, 3), dtype=np.uint8)
+        # The session's k = 40 rows come as two bands of 20 rows of both
+        # eyes; a band of 19 or 21 rows, or of all 40, shows no frame.
+        for rows in (40, 19, 21):
+            img = np.zeros((rows, 2 * split_spec.fov_w, 3), dtype=np.uint8)
             img[::3, ::5] = (200, 30, 90)
             stream = io.BytesIO(b"".join(
-                write_msg(SubframeMsg(0, int(eye), encode(codec_id, img)))
-                for eye in (Eye.LEFT, Eye.RIGHT)
+                write_msg(SubframeMsg(0, band, encode(codec_id, img))) for band in (0, 1)
             ))
             sink = CollectSink()
             session = ClientSession(stream, Collected(), split_spec, codec_id, scene, rig,

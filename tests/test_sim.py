@@ -233,8 +233,9 @@ class TestVirtualClockIgnoresHostTiming:
 
 class TestRowSplit:
     """At `split_spec` the server draws and ships the top 40 of the 80
-    foveal rows and the client draws the other 40; the frames on display
-    are still the native composition."""
+    foveal rows, in two bands of 20 rows of both eyes side by side, and the
+    client draws the other 40; the frames on display are still the native
+    composition."""
 
     @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
@@ -243,10 +244,26 @@ class TestRowSplit:
         sink = CollectSink()
         path = CameraPath(frame_count=3)
         res = run(split_spec, codec_id, scene, rig, path, display=sink)
-        assert decoded_dims == [(80, 40)] * 6
+        assert decoded_dims == [(160, 20)] * 6
         assert len(sink.frames) == 3
         for k, frame in enumerate(sink.frames):
             assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
+        assert check_lockstep(res.trace, 3) == []
+
+    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    def test_one_server_row_is_one_band(self, run, scene, rig, decoded_dims):
+        """At k = 1 each frame is one subframe, the server's one row of both
+        eyes, and the frames on display are still the native ones."""
+        spec = PartitionSpec(8, 4, 4, 1, 1.0)
+        sink = CollectSink()
+        path = CameraPath(frame_count=3)
+        res = run(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+        assert decoded_dims == [(8, 1)] * 3
+        assert len(sink.frames) == 3
+        for n, frame in enumerate(sink.frames):
+            assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, n), spec).tobytes()
+        receipts = [e.name for e in res.trace if (e.actor, e.kind) == ("client", RECV)]
+        assert receipts == ["subframe0"] * 3
         assert check_lockstep(res.trace, 3) == []
 
     @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])

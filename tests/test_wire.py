@@ -59,7 +59,7 @@ pose_msgs = st.builds(
     orientation=st.tuples(finite_f32, finite_f32, finite_f32, finite_f32),
 )
 subframe_msgs = st.builds(
-    SubframeMsg, frame_id=u64, eye=u8, payload=st.binary(max_size=300),
+    SubframeMsg, frame_id=u64, band=u8, payload=st.binary(max_size=300),
 )
 end_msgs = st.builds(EndMsg, frame_id=u64)
 any_msg = st.one_of(hello_msgs, pose_msgs, subframe_msgs, end_msgs)
