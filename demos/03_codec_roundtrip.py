@@ -3,12 +3,14 @@ Lossless subframe compression
 =============================
 
 The foveal subframes cross the link losslessly. The default codec runs a
-left-neighbor prediction filter per channel and deflates three parts: a
-bitmap of the pixels the prediction missed, one symbol byte per missed
-pixel, and the 3 residual bytes of each missed pixel whose symbol is the
-escape. Rendered content compresses well because most of its pixels equal
-their left neighbor, so DEFLATE never sees their zero residuals, and most
-of the rest differ from it by at most 2 per channel, which one symbol codes.
+left-neighbor prediction filter per channel and deflates four parts: an
+index of the nonzero bytes of a bitmap of the pixels the prediction
+missed, those bitmap bytes, one symbol byte per missed pixel, and the 3
+residual bytes of each missed pixel whose symbol is the escape. Rendered
+content compresses well because most of its pixels equal their left
+neighbor, so DEFLATE never sees their zero residuals nor most of the
+bitmap's zero bytes, and most of the rest differ from it by at most 2 per
+channel, which one symbol codes.
 """
 
 import zlib
@@ -45,17 +47,25 @@ for name, img in (("rendered fovea", fovea), ("uniform noise", noise)):
 
 #%%
 # Where the bytes go: inflate each payload and split its body into the
-# bitmap (one bit per pixel), the symbols (one byte per set bit; 126 is the
-# escape) and the escaped pixels' residual triples. The rendered fovea's
-# symbols are mostly one-byte codes; noise escapes nearly every pixel.
+# index (one bit per bitmap byte), the bitmap's nonzero bytes (one bit per
+# pixel), the symbols (one byte per set bitmap bit; 126 is the escape) and
+# the escaped pixels' residual triples. A quarter of this busy fovea's
+# bitmap bytes are zero and not stored, and its symbols are mostly one-byte
+# codes; noise stores every bitmap byte and escapes nearly every pixel.
+def bits(part: bytes) -> int:
+    return int(np.unpackbits(np.frombuffer(part, dtype=np.uint8)).sum())
+
+
 for name, img in (("rendered fovea", fovea), ("uniform noise", noise)):
     payload = encode(CodecId.PRED_DEFLATE, img)
     body = zlib.decompress(payload, -zlib.MAX_WBITS)
     bitmap_len = -(-img.shape[0] * img.shape[1] // 8)
-    n_symbols = int(np.unpackbits(np.frombuffer(body[:bitmap_len], dtype=np.uint8)).sum())
-    n_escapes = body[bitmap_len : bitmap_len + n_symbols].count(126)
-    print(f"{name}: bitmap {bitmap_len} bytes, {n_symbols} symbols, "
-          f"{n_escapes / max(n_symbols, 1):.1%} escaped, deflated to {len(payload)} bytes")
+    index_len = -(-bitmap_len // 8)
+    head = index_len + bits(body[:index_len])
+    n_symbols = bits(body[index_len:head])
+    n_escapes = body[head : head + n_symbols].count(126)
+    print(f"{name}: bitmap {bitmap_len} bytes, {head - index_len} stored after a {index_len}-byte index, "
+          f"{n_symbols} symbols, {n_escapes / max(n_symbols, 1):.1%} escaped, deflated to {len(payload)} bytes")
 
 #%%
 # Round trips are exact. Not close: exact.

@@ -4,30 +4,36 @@ Two codecs share a wire-stable id: RAW ships pixel bytes verbatim;
 PRED_DEFLATE subtracts a left-neighbor prediction per channel (first
 column predicted from the row above, the top-left pixel from zero) and
 sends only the pixels the prediction missed, most of them in one byte. Its
-payload is one raw DEFLATE stream (RFC 1951) of three parts, for an image
-of n pixels, each of the first two ended by a Z_BLOCK flush so that each
-part gets its own Huffman codes:
+payload is one raw DEFLATE stream (RFC 1951) of four parts, for an image
+of n pixels whose bitmap (np.packbits of "residual is nonzero" per pixel
+in row-major order, padding bits zero) is B = ceil(n/8) bytes, each of the
+first three ended by a Z_BLOCK flush so that each part gets its own
+Huffman codes:
 
-    bitmap      ceil(n/8) bytes, np.packbits of "residual is nonzero" per
-                pixel in row-major order; padding bits are zero
-    symbols     1 byte for each set bit, in pixel order: a residual whose
-                r, g and b all lie in [-2, 2] as int8 is coded as
+    index       ceil(B/8) bytes, np.packbits of "bitmap byte is nonzero";
+                padding bits are zero
+    bitmap      the bitmap's nonzero bytes, one for each set index bit, in
+                order
+    symbols     1 byte for each set bitmap bit, in pixel order: a residual
+                whose r, g and b all lie in [-2, 2] as int8 is coded as
                 1 + 25(r+2) + 5(g+2) + (b+2), any other as ESCAPE (126)
     escapes     3 bytes (mod-256 r, g, b) for each ESCAPE symbol, in pixel
                 order
 
 Most rendered pixels equal their left neighbor, so DEFLATE never sees their
-zero residuals, and most of the rest differ from it by a shade or two.
+zero residuals, nor most of the bitmap's zero bytes, and most of the rest
+differ from it by a shade or two.
 `encode` takes RGB8 (h, w, 3) or RGBX8 (h, w, 4) images, the latter being
 the server's layout, down one code path; the fourth byte is ignored, so
 both give the same body, and `decode` returns RGB8.
 Payloads are self-describing given (codec, width, height); both codecs
 round-trip every image exactly, and each image has exactly one
 PRED_DEFLATE body: the decoder refuses a corrupt, truncated, oversized or
-trailing-garbage stream, a stream shorter than its bitmap, a set padding
-bit, a symbol outside the alphabet (0, the zero residual 63, 127-255), an
-escaped residual the alphabet could code, and a body that is not the
-bitmap, one symbol per set bit and 3 bytes per escape.
+trailing-garbage stream, a stream shorter than its index, a set padding
+bit in the index or the bitmap, a zero bitmap byte, a symbol outside the
+alphabet (0, the zero residual 63, 127-255), an escaped residual the
+alphabet could code, and a body that is not the index, one bitmap byte
+per set index bit, one symbol per set bitmap bit and 3 bytes per escape.
 """
 
 from __future__ import annotations
@@ -141,8 +147,11 @@ def encode(codec: CodecId, img: np.ndarray) -> bytes:
     missed = np.take(res, np.flatnonzero(mask), axis=0)
     symbols = _symbols(missed)
     escapes = np.compress(symbols == _ESCAPE, missed, axis=0)[:, :3]
+    bitmap = np.packbits(mask)
+    nonzero = bitmap != 0
     compressor = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
-    body = compressor.compress(np.packbits(mask)) + compressor.flush(zlib.Z_BLOCK)
+    body = compressor.compress(np.packbits(nonzero)) + compressor.flush(zlib.Z_BLOCK)
+    body += compressor.compress(np.compress(nonzero, bitmap)) + compressor.flush(zlib.Z_BLOCK)
     body += compressor.compress(symbols) + compressor.flush(zlib.Z_BLOCK)
     body += compressor.compress(escapes.tobytes())
     return body + compressor.flush()
@@ -167,40 +176,59 @@ def decode(codec: CodecId, data: bytes, w: int, h: int) -> np.ndarray:
         return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()
 
     bitmap_len = -(-n // 8)
+    index_len = -(-bitmap_len // 8)
     decomp = zlib.decompressobj(-zlib.MAX_WBITS)
     try:
         # Cap output one byte past the largest body (every pixel escaped) so
         # corrupt streams cannot balloon.
-        raw = decomp.decompress(data, bitmap_len + 4 * n + 1)
+        raw = decomp.decompress(data, index_len + bitmap_len + 4 * n + 1)
     except zlib.error as e:
         raise CodecError(f"DEFLATE stream corrupt: {e}") from None
-    if len(raw) < bitmap_len:
-        raise CodecError(f"decompressed to {len(raw)} bytes, shorter than the {bitmap_len}-byte bitmap")
-    bits = np.frombuffer(raw, dtype=np.uint8, count=bitmap_len)
+    if len(raw) < index_len:
+        raise CodecError(f"decompressed to {len(raw)} bytes, shorter than the {index_len}-byte index")
+    index = np.frombuffer(raw, dtype=np.uint8, count=index_len)
+    if bitmap_len % 8 and index[-1] & (0xFF >> bitmap_len % 8):
+        raise CodecError("index sets a padding bit past the last bitmap byte")
+    nonzero = np.unpackbits(index, count=bitmap_len).view(np.bool_)
+    head = index_len + int(np.count_nonzero(nonzero))
+    if len(raw) < head:
+        raise CodecError(
+            f"decompressed to {len(raw)} bytes, shorter than the {index_len}-byte index "
+            f"and the {head - index_len} bitmap bytes it names"
+        )
+    stored = np.frombuffer(raw, dtype=np.uint8, count=head - index_len, offset=index_len)
+    if not stored.all():
+        raise CodecError("the bitmap stores a zero byte, which the index excludes")
+    bits = np.zeros(bitmap_len, dtype=np.uint8)
+    np.place(bits, nonzero, stored)
     if n % 8 and bits[-1] & (0xFF >> n % 8):
         raise CodecError("bitmap sets a padding bit past the last pixel")
     missed = np.unpackbits(bits, count=n).view(np.bool_)
     m = int(np.count_nonzero(missed))
-    symbols = np.frombuffer(raw, dtype=np.uint8, count=min(m, len(raw) - bitmap_len), offset=bitmap_len)
-    valid = np.take(_SYMBOL_VALID, symbols)
+    symbols = np.frombuffer(raw, dtype=np.uint8, count=min(m, len(raw) - head), offset=head)
+    # Both table lookups index by the symbols; numpy would widen uint8
+    # indices to intp on each take, so they are widened once.
+    codes = symbols.astype(np.intp)
+    valid = np.take(_SYMBOL_VALID, codes)
     if not valid.all():
         raise CodecError(f"symbol {symbols[np.argmin(valid)]} is outside the alphabet")
     escaped = symbols == _ESCAPE
     n_escaped = int(np.count_nonzero(escaped))
-    expected = bitmap_len + m + 3 * n_escaped
+    expected = head + m + 3 * n_escaped
     if len(raw) != expected:
         raise CodecError(
-            f"decompressed to {len(raw)} bytes, expected {expected} (a {bitmap_len}-byte bitmap, "
-            f"a symbol for each of its {m} set bits and 3 bytes for each of {n_escaped} escapes)"
+            f"decompressed to {len(raw)} bytes, expected {expected} (a {index_len}-byte index, "
+            f"{head - index_len} bitmap bytes, a symbol for each of their {m} set bits and 3 bytes "
+            f"for each of {n_escaped} escapes)"
         )
     if not decomp.eof:
         raise CodecError("DEFLATE stream truncated or oversized")
     if decomp.unused_data:
         raise CodecError(f"{len(decomp.unused_data)} trailing bytes after DEFLATE stream")
-    escapes = np.frombuffer(raw, dtype=np.uint8, offset=bitmap_len + m).reshape(-1, 3)
+    escapes = np.frombuffer(raw, dtype=np.uint8, offset=head + m).reshape(-1, 3)
     if (_symbols(escapes) != _ESCAPE).any():
         raise CodecError("an escaped residual fits the one-byte alphabet")
-    residuals = np.take(_SYMBOL_TRIPLE, symbols)
+    residuals = np.take(_SYMBOL_TRIPLE, codes)
     residuals[escaped] = escapes.reshape(-1).view("V3")
     img = np.zeros((h, w, 3), dtype=np.uint8)
     # One 3-byte item per pixel scatters each residual triple as one copy.

@@ -34,6 +34,9 @@ payload is decoded, and whose k counts only the rays the frame shades
 first whose subframes are row bands of both eyes side by side, so that
 DEFLATE codes each row of one eye within reach of the other eye's, nearly
 equal, row; a protocol 8 subframe carried all k rows of one eye.
+Protocol 10 is the first whose PRED_DEFLATE body stores only the nonzero
+bytes of its bitmap, after an index of which bytes those are; a protocol 9
+body carried the whole bitmap.
 
 Serialization is deterministic and the reader tolerates arbitrary TCP
 segmentation; a clean EOF on a frame boundary reads as end-of-session.
@@ -46,7 +49,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Protocol, Union
 
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
 MSG_HELLO = 1
 MSG_POSE = 2

@@ -14,7 +14,9 @@ from splitfov.codec import (
     encode,
 )
 from splitfov.image import GeometryError, Rect
+from splitfov.partition import PartitionSpec, server_rows, subframe_bands
 from splitfov.render import render_region
+from splitfov.server import draw_foveae
 
 POSE = pose_at(CameraPath(frame_count=9), 2)
 
@@ -40,17 +42,19 @@ def deflate_parts(parts: list[bytes]) -> list[bytes]:
     return prefixes
 
 
-def definitional_body(img: np.ndarray) -> tuple[bytes, bytes, bytes]:
-    """The three parts of `img`'s PRED_DEFLATE body, by the format's
-    definition: the bitmap, then per missed pixel 1 + 25(r+2) + 5(g+2) +
-    (b+2) for int8 residuals in [-2, 2] or 126, then the escapes' bytes."""
+def definitional_body(img: np.ndarray) -> tuple[bytes, bytes, bytes, bytes]:
+    """The four parts of `img`'s PRED_DEFLATE body, by the format's
+    definition: the index of the bitmap's nonzero bytes, those bytes, then
+    per missed pixel 1 + 25(r+2) + 5(g+2) + (b+2) for int8 residuals in
+    [-2, 2] or 126, then the escapes' bytes."""
     res = _predict_residuals(img).reshape(-1, 3)
     missed = res[res.any(axis=1)]
     signed = missed.view(np.int8).astype(np.int64)
     fits = (np.abs(signed) <= 2).all(axis=1)
     symbols = np.where(fits, 1 + (signed + 2) @ np.array([25, 5, 1]), 126)
-    return (np.packbits(res.any(axis=1)).tobytes(), symbols.astype(np.uint8).tobytes(),
-            missed[~fits].tobytes())
+    bitmap = np.packbits(res.any(axis=1))
+    return (np.packbits(bitmap != 0).tobytes(), bitmap[bitmap != 0].tobytes(),
+            symbols.astype(np.uint8).tobytes(), missed[~fits].tobytes())
 
 
 # A 3x2 image whose predictor misses only pixels 0 and 2 (row-major): the
@@ -59,10 +63,16 @@ def definitional_body(img: np.ndarray) -> tuple[bytes, bytes, bytes]:
 TINY = np.array([[[10, 20, 30], [10, 20, 30], [11, 20, 30]],
                  [[10, 20, 30], [10, 20, 30], [10, 20, 30]]], dtype=np.uint8)
 TINY_BITMAP = bytes([0b1010_0000])  # 6 pixel bits, then 2 padding bits
+TINY_INDEX = bytes([0b1000_0000])  # the one bitmap byte is nonzero; 7 padding bits
 # Pixel 0's (10, 20, 30) does not fit the alphabet and is escaped; pixel 2's
 # (1, 0, 0) is 1 + 25 * 3 + 5 * 2 + 2 = 88.
 TINY_SYMBOLS = bytes([126, 88])
 TINY_ESCAPES = bytes([10, 20, 30])
+# An 8x2 image of one colour misses only its top-left pixel, which is
+# escaped: a 2-byte bitmap whose second byte is zero, so its index is
+# 0b1000_0000 and the body stores the first bitmap byte alone.
+FLAT = np.full((2, 8, 3), (10, 20, 30), dtype=np.uint8)
+FLAT_PARTS = (bytes([0b1000_0000]), bytes([0b1000_0000]), bytes([126]), bytes([10, 20, 30]))
 
 
 class TestPredictor:
@@ -128,6 +138,18 @@ class TestPayloads:
     def test_deflate_compresses_rendered_content(self, scene, rig):
         img = render_region(scene, rig, POSE, 0, (128, 96), Rect(0, 0, 128, 96))
         assert len(encode(CodecId.PRED_DEFLATE, img)) < len(encode(CodecId.RAW, img))
+
+    def test_fovea_tcp_bands_keep_the_protocol_10_size(self, scene, rig):
+        # Both bands of the fovea_tcp workload's server rows (2400x1080 with
+        # 768x540 foveae at scale 0.3, k = 322) at one orbit pose: 14,641
+        # bytes with zlib 1.2.13, against 16,348 for protocol 9's body, which
+        # stored the whole bitmap. A body that gives those bytes back fails.
+        spec = PartitionSpec.from_full(2400, 1080, 768, 540, 0.3)
+        k = server_rows(spec)
+        rows = np.empty((k, 2 * spec.fov_w, 4), dtype=np.uint8)
+        draw_foveae(scene, rig, pose_at(CameraPath(frame_count=8), 4), spec, (0, k), rgbx=True, out=rows)
+        size = sum(len(encode(CodecId.PRED_DEFLATE, rows[lo:hi])) for lo, hi in subframe_bands(k))
+        assert size <= 14_641 * 1.01
 
     def test_unknown_codec_rejected(self):
         img = np.zeros((2, 2, 3), dtype=np.uint8)
@@ -204,11 +226,17 @@ class TestRgbxInput:
 
 
 class TestLayout:
+    def test_a_zero_bitmap_byte_is_not_stored(self):
+        payload = encode(CodecId.PRED_DEFLATE, FLAT)
+        assert payload == deflate_parts(list(FLAT_PARTS))[-1]
+        assert FLAT_PARTS == definitional_body(FLAT)
+        assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, 8, 2), FLAT)
+
     def test_hand_computed_body(self):
         payload = encode(CodecId.PRED_DEFLATE, TINY)
-        assert zlib.decompress(payload, -zlib.MAX_WBITS) == TINY_BITMAP + TINY_SYMBOLS + TINY_ESCAPES
-        # One stream, a Z_BLOCK flush after each of the first two parts.
-        assert payload == deflate_parts([TINY_BITMAP, TINY_SYMBOLS, TINY_ESCAPES])[-1]
+        assert zlib.decompress(payload, -zlib.MAX_WBITS) == TINY_INDEX + TINY_BITMAP + TINY_SYMBOLS + TINY_ESCAPES
+        # One stream, a Z_BLOCK flush after each of the first three parts.
+        assert payload == deflate_parts([TINY_INDEX, TINY_BITMAP, TINY_SYMBOLS, TINY_ESCAPES])[-1]
         assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, 3, 2), TINY)
 
     @settings(max_examples=150, deadline=None)
@@ -231,7 +259,9 @@ class TestLayout:
         missed = res[res.any(axis=1)].view(np.int8)
         n_escaped = int(np.count_nonzero((np.abs(missed.astype(np.int64)) > 2).any(axis=1)))
         body = zlib.decompress(payload, -zlib.MAX_WBITS)
-        assert len(body) == -(-w * h // 8) + len(missed) + 3 * n_escaped
+        bitmap = np.packbits(res.any(axis=1))
+        nonzero_bytes = int(np.count_nonzero(bitmap))
+        assert len(body) == -(-len(bitmap) // 8) + nonzero_bytes + len(missed) + 3 * n_escaped
         assert body == b"".join(definitional_body(img))
 
     @settings(max_examples=150, deadline=None)
@@ -254,8 +284,8 @@ class TestLayout:
             img[rng.random((h, w)) < 0.2] = rng.choice([0, 255], size=3)
         payload = encode(CodecId.PRED_DEFLATE, img)
         assert np.array_equal(decode(CodecId.PRED_DEFLATE, payload, w, h), img)
-        bitmap, symbols, escapes = definitional_body(img)
-        assert zlib.decompress(payload, -zlib.MAX_WBITS) == bitmap + symbols + escapes
+        index, bitmap, symbols, escapes = definitional_body(img)
+        assert zlib.decompress(payload, -zlib.MAX_WBITS) == index + bitmap + symbols + escapes
         if kind == "no-escape":
             assert escapes == b""
         if kind == "all-escape":
@@ -291,58 +321,81 @@ class TestStrictDecode:
             decode(CodecId.PRED_DEFLATE, payload + b"\x01", 4, 4)
 
     def test_dims_mismatch(self):
-        img = np.zeros((4, 4, 3), dtype=np.uint8)
-        payload = encode(CodecId.PRED_DEFLATE, img)  # a 2-byte bitmap, no residuals
-        with pytest.raises(CodecError, match="^decompressed to 2 bytes, shorter than the 3-byte bitmap"):
-            decode(CodecId.PRED_DEFLATE, payload, 4, 5)
+        img = np.zeros((8, 8, 3), dtype=np.uint8)
+        payload = encode(CodecId.PRED_DEFLATE, img)  # a 1-byte index of a zero bitmap, no residuals
+        with pytest.raises(CodecError, match="^decompressed to 1 bytes, shorter than the 2-byte index"):
+            decode(CodecId.PRED_DEFLATE, payload, 8, 9)
 
-    # After the bitmap, TINY's body is 2 symbols and 1 escaped triple. The
-    # cases: the triple alone (read as symbols 10 and 20, which escape
-    # nothing, and a stray byte), the body and a second triple, the body one
-    # byte short, and the symbols with no triple.
+    # After the index and the bitmap, TINY's body is 2 symbols and 1 escaped
+    # triple. The cases: the triple alone (read as symbols 10 and 20, which
+    # escape nothing, and a stray byte), the body and a second triple, the
+    # body one byte short, and the symbols with no triple.
     @pytest.mark.parametrize("residuals", [TINY_ESCAPES, TINY_SYMBOLS + TINY_ESCAPES + bytes(3),
                                            TINY_SYMBOLS + TINY_ESCAPES[:-1], TINY_SYMBOLS],
                              ids=["one-triple", "three-triples", "one-byte-short", "none"])
     def test_residuals_not_three_bytes_per_set_bit(self, residuals):
         with pytest.raises(CodecError, match="decompressed to .* set bits and 3 bytes for each of [01] escapes"):
-            decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + residuals), 3, 2)
+            decode(CodecId.PRED_DEFLATE, deflate(TINY_INDEX + TINY_BITMAP + residuals), 3, 2)
 
     @pytest.mark.parametrize("symbols", [TINY_SYMBOLS[:1], TINY_SYMBOLS + bytes([88])],
                              ids=["one-short", "one-extra"])
     def test_symbols_not_one_per_set_bit(self, symbols):
         with pytest.raises(CodecError, match="decompressed to .* set bits"):
-            decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + symbols + TINY_ESCAPES), 3, 2)
+            decode(CodecId.PRED_DEFLATE, deflate(TINY_INDEX + TINY_BITMAP + symbols + TINY_ESCAPES), 3, 2)
 
     @pytest.mark.parametrize("symbol", [0, 63, 127, 128, 200, 255])
     def test_symbol_outside_the_alphabet(self, symbol):
         # 63 is the zero triple, which the bitmap already excludes.
         with pytest.raises(CodecError, match=f"^symbol {symbol} is outside the alphabet"):
-            decode(CodecId.PRED_DEFLATE, deflate(TINY_BITMAP + bytes([126, symbol]) + TINY_ESCAPES), 3, 2)
+            decode(CodecId.PRED_DEFLATE, deflate(TINY_INDEX + TINY_BITMAP + bytes([126, symbol]) + TINY_ESCAPES), 3, 2)
 
     @pytest.mark.parametrize("triple", [(1, 0, 0), (254, 2, 0), (0, 0, 0), (2, 2, 2)])
     def test_escaped_triple_that_fits(self, triple):
         # Pixel 2 escaped, although its triple has a one-byte symbol.
-        body = TINY_BITMAP + bytes([126, 126]) + TINY_ESCAPES + bytes(triple)
+        body = TINY_INDEX + TINY_BITMAP + bytes([126, 126]) + TINY_ESCAPES + bytes(triple)
         with pytest.raises(CodecError, match="escaped residual fits"):
             decode(CodecId.PRED_DEFLATE, deflate(body), 3, 2)
+
+    @pytest.mark.parametrize("bit", [0b0100_0000, 0b0000_0001])
+    def test_set_index_padding_bit(self, bit):
+        # TINY's bitmap is one byte, so 7 of its index's 8 bits are padding;
+        # a set one would otherwise give TINY a second body.
+        body = bytes([TINY_INDEX[0] | bit]) + TINY_BITMAP + TINY_SYMBOLS + TINY_ESCAPES
+        with pytest.raises(CodecError, match="^index sets a padding bit"):
+            decode(CodecId.PRED_DEFLATE, deflate(body), 3, 2)
+
+    # FLAT's index naming both bitmap bytes, with its zero second byte
+    # stored (which would give FLAT a second body) or with the stored bytes
+    # swapped (a second body of the image that misses pixel 8 instead).
+    @pytest.mark.parametrize("bitmap", [bytes([0x80, 0]), bytes([0, 0x80])], ids=["zero-second", "zero-first"])
+    def test_stored_zero_bitmap_byte(self, bitmap):
+        body = bytes([0b1100_0000]) + bitmap + b"".join(FLAT_PARTS[2:])
+        with pytest.raises(CodecError, match="^the bitmap stores a zero byte"):
+            decode(CodecId.PRED_DEFLATE, deflate(body), 8, 2)
+
+    def test_index_names_more_bitmap_bytes_than_the_body_holds(self):
+        body = bytes([0b1100_0000, 0x80])
+        with pytest.raises(CodecError, match="^decompressed to 2 bytes, shorter than the 1-byte index "
+                                             "and the 2 bitmap bytes it names"):
+            decode(CodecId.PRED_DEFLATE, deflate(body), 8, 2)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_set_padding_bit(self, extra):
         # The padding bit would otherwise give TINY a second payload (extra=0)
         # or name a seventh pixel (extra=1).
         padded = bytes([TINY_BITMAP[0] | 0b01])
-        body = padded + TINY_SYMBOLS + bytes([88]) * extra + TINY_ESCAPES
+        body = TINY_INDEX + padded + TINY_SYMBOLS + bytes([88]) * extra + TINY_ESCAPES
         with pytest.raises(CodecError, match="padding bit"):
             decode(CodecId.PRED_DEFLATE, deflate(body), 3, 2)
 
     def test_truncated_at_each_part_boundary(self):
         img = np.array([[[10, 20, 30], [11, 20, 30], [40, 0, 0], [40, 0, 0]]], dtype=np.uint8)
         parts = definitional_body(img)
-        assert all(parts)  # a bitmap, symbols and escapes
+        assert all(parts)  # an index, bitmap bytes, symbols and escapes
         prefixes = deflate_parts(list(parts))
         payload = encode(CodecId.PRED_DEFLATE, img)
         assert payload == prefixes[-1]
-        ends = (len(prefixes[0]), len(prefixes[1]), len(payload) - 1)
+        ends = (len(prefixes[0]), len(prefixes[1]), len(prefixes[2]), len(payload) - 1)
         for cut in sorted({min(end + d, len(payload) - 1) for end in ends for d in (-1, 0, 1)}):
             with pytest.raises(CodecError):
                 decode(CodecId.PRED_DEFLATE, payload[:cut], 4, 1)
@@ -362,3 +415,35 @@ class TestStrictDecode:
                 assert out.shape == (3, 3, 3)
             except CodecError:
                 pass
+
+
+class TestOneBodyPerImage:
+    """A body one byte away from an encoding's, in any of its four parts,
+    and deflated again, decodes to nothing or to an image whose body is
+    exactly that one: the decoder accepts no second body of an image. The
+    payloads may still differ in where the Z_BLOCK flushes fall: an edit
+    that moves a byte across a part boundary can leave a valid body whose
+    parts end elsewhere (21 of 30,000 random edits did)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(img=rgb_images(), part=st.integers(0, 3), edit=st.sampled_from(["change", "drop", "insert"]),
+           data=st.data())
+    def test_one_byte_edit(self, img, part, edit, data):
+        parts = [bytearray(p) for p in definitional_body(img)]
+        target = parts[part]
+        if edit == "insert":
+            target.insert(data.draw(st.integers(0, len(target))), data.draw(st.integers(0, 255)))
+        elif target:
+            i = data.draw(st.integers(0, len(target) - 1))
+            if edit == "drop":
+                del target[i]
+            else:
+                target[i] ^= data.draw(st.integers(1, 255))
+        else:
+            return  # no byte to change or drop
+        h, w = img.shape[:2]
+        try:
+            out = decode(CodecId.PRED_DEFLATE, deflate_parts([bytes(p) for p in parts])[-1], w, h)
+        except CodecError:
+            return
+        assert zlib.decompress(encode(CodecId.PRED_DEFLATE, out), -zlib.MAX_WBITS) == b"".join(parts)

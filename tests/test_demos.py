@@ -28,16 +28,19 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_codec_demo_shows_where_the_bytes_go(tmp_path):
-    # A 128x90 fovea: a 1440-byte bitmap. Noise misses nearly every pixel
-    # and escapes nearly every symbol; the fovea escapes a minority.
+    # A 128x90 fovea: a 1440-byte bitmap under a 180-byte index. Noise
+    # stores every bitmap byte, misses nearly every pixel and escapes nearly
+    # every symbol; the fovea leaves some bitmap bytes out and escapes a
+    # minority.
     proc = run_demo(ROOT / "demos" / "03_codec_roundtrip.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     parts = dict(
-        (name, (int(symbols), float(escaped), int(total)))
-        for name, symbols, escaped, total in re.findall(
-            r"^(rendered fovea|uniform noise): bitmap 1440 bytes, (\d+) symbols, "
-            r"([\d.]+)% escaped, deflated to (\d+) bytes$", proc.stdout, re.M)
+        (name, (int(stored), int(symbols), float(escaped), int(total)))
+        for name, stored, symbols, escaped, total in re.findall(
+            r"^(rendered fovea|uniform noise): bitmap 1440 bytes, (\d+) stored after a 180-byte index, "
+            r"(\d+) symbols, ([\d.]+)% escaped, deflated to (\d+) bytes$", proc.stdout, re.M)
     )
     assert set(parts) == {"rendered fovea", "uniform noise"}
-    assert parts["uniform noise"][0] > 0.99 * 128 * 90 and parts["uniform noise"][1] > 99
-    assert parts["rendered fovea"][1] < 50
+    assert parts["uniform noise"][0] == 1440
+    assert parts["uniform noise"][1] > 0.99 * 128 * 90 and parts["uniform noise"][2] > 99
+    assert parts["rendered fovea"][0] < 1440 and parts["rendered fovea"][2] < 50

@@ -232,6 +232,12 @@ class TestServerSessionUnit:
         with pytest.raises(ProtocolError, match="peer speaks protocol version 8"):
             self.run_session([hello_for(tiny_spec, version=8)])
 
+    def test_rejects_a_protocol_9_hello(self, tiny_spec):
+        # A protocol 9 peer's PRED_DEFLATE body has no bitmap index, so this
+        # client would read its first bitmap bytes as the index.
+        with pytest.raises(ProtocolError, match="peer speaks protocol version 9"):
+            self.run_session([hello_for(tiny_spec, version=9)])
+
     def test_rejects_invalid_geometry(self, tiny_spec):
         # a fovea wider than the eye and an odd frame width, both listed
         bad = HelloMsg(**{**hello_for(tiny_spec).__dict__, "full_w": 161, "fov_w": 200})
@@ -392,8 +398,9 @@ class TestClientSessionUnit:
 
     def test_body_truncated_at_a_part_boundary_shows_nothing(self, split_spec, scene, rig):
         # The server's first band of a rendered frame, 20 rows of both 80
-        # column eyes: a bitmap, symbols and escapes. Cut its body at the end
-        # of each of its first two parts, and one byte short of its end.
+        # column eyes: an index, bitmap bytes, symbols and escapes. Cut its
+        # body at the end of each of its first three parts, and one byte
+        # short of its end.
         k = server_rows(split_spec)
         rows = np.empty((k, 2 * split_spec.fov_w, 3), dtype=np.uint8)
         server.draw_foveae(scene, rig, pose_at(CameraPath(frame_count=4), 1), split_spec, (0, k), out=rows)
@@ -403,12 +410,13 @@ class TestClientSessionUnit:
         second = encode(CodecId.PRED_DEFLATE, rows[hi:last])
         body = zlib.decompress(payload, -zlib.MAX_WBITS)
         n = img.shape[0] * img.shape[1]
-        bitmap_len = -(-n // 8)
-        n_missed = int(np.unpackbits(np.frombuffer(body[:bitmap_len], dtype=np.uint8)).sum())
-        assert len(body) > bitmap_len + n_missed  # some pixels are escaped
+        index_len = -(-n // 64)
+        head = index_len + int(np.unpackbits(np.frombuffer(body[:index_len], dtype=np.uint8)).sum())
+        n_missed = int(np.unpackbits(np.frombuffer(body[index_len:head], dtype=np.uint8)).sum())
+        assert len(body) > head + n_missed  # some pixels are escaped
         compressor = zlib.compressobj(5, zlib.DEFLATED, -zlib.MAX_WBITS)
         prefix, cuts = b"", []
-        for part in (body[:bitmap_len], body[bitmap_len : bitmap_len + n_missed]):
+        for part in (body[:index_len], body[index_len:head], body[head : head + n_missed]):
             prefix += compressor.compress(part) + compressor.flush(zlib.Z_BLOCK)
             cuts.append(len(prefix))
         assert payload.startswith(prefix)

@@ -1,5 +1,7 @@
 import io
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +204,20 @@ class TestHelloVersion:
     def test_other_version_rejected(self):
         with pytest.raises(ProtocolError):
             check_hello_version(HelloMsg(PROTOCOL_VERSION + 1, 1, 1, 1, 1, 1.0, 0, 0, 0.0, 1.0, 1.0))
+
+
+class TestProtocolDocs:
+    """README's wire table states the version this build speaks, and the
+    protocol histories in README and in `wire`'s docstring both reach it,
+    so a protocol change cannot leave either behind."""
+
+    README = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+
+    def test_readme_wire_table_states_the_version(self):
+        assert re.findall(r"u16 protocol version \((\d+)\)", self.README) == [str(PROTOCOL_VERSION)]
+
+    @pytest.mark.parametrize("where", ["README", "wire"])
+    def test_history_names_the_version(self, where):
+        text = self.README if where == "README" else " ".join(wire.__doc__.split())
+        assert f"Protocol {PROTOCOL_VERSION} is the first" in text
+        assert f"Protocol {PROTOCOL_VERSION + 1} " not in text
