@@ -9,9 +9,9 @@ is purely the ray count: the client draws only the reduced periphery.
 """
 
 from splitfov import (
-    CameraPath, CodecId, CostModel, PartitionSpec, SceneConfig, ZERO_NET,
-    reduced_dims, run_compare,
+    CameraPath, CodecId, CostModel, PartitionSpec, SceneConfig, ZERO_NET, run_compare,
 )
+from splitfov.partition import frame_rays
 
 spec = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
 
@@ -28,13 +28,16 @@ print(report.text)
 # The improvement is quoted against the split time (the same convention
 # as a frame-rate gain), so it equals removed rays over remaining rays:
 # the native draw shades foveae plus reduced periphery, the split client
-# just the periphery.
-rw, rh = reduced_dims(spec)
+# just the periphery. Neither shades the periphery's holes, the reduced
+# pixels that the foveae hide (`frame_rays` leaves them out).
 foveal = 2 * spec.fov_w * spec.fov_h
-predicted = 100.0 * foveal / (rw * rh)
+predicted = 100.0 * foveal / (frame_rays(spec) - foveal)
 print(f"\npredicted from ray counts: {predicted:.2f}%")
 print(f"measured by the simulator: {report.improvement_pct:.2f}%")
 
 # On real hardware the gap narrows: decode and merge are not free, and
-# the link adds its window. The wall-clock mode (see the loopback demo)
-# measures that honestly instead of assuming it away.
+# the link adds its window. A wall-clock comparison measures that instead
+# of assuming it away: demo 07 runs a real session over loopback TCP, and
+# the CLI runs its two ends as two processes (`splitfov server`, then
+# `splitfov client --client-csv`), against `splitfov native --client-csv`
+# at the same geometry; `splitfov report` summarizes each CSV.

@@ -5,7 +5,8 @@ sampling and streams them losslessly; the client renders the periphery
 at reduced resolution and the rest of each center at full sampling,
 composites both in lockstep, and profiles every stage of every frame.
 A single-process simulator reproduces the whole pipeline on a virtual
-or wall clock with a pluggable network model.
+clock with a pluggable network model; wall-clock timings come from the
+two runtimes in separate processes (`run_server`, `run_client`).
 
 Importing the package pins the C allocator's mmap and trim thresholds
 for the whole process (see `_alloc`), so freed frame buffers stay in the
@@ -79,7 +80,6 @@ from .sim import (
     run_compare,
     run_native_virtual,
     run_sim_virtual,
-    run_sim_wall,
 )
 from .trace import Event, Trace
 from .wire import (
@@ -109,7 +109,7 @@ __all__ = [
     "SceneConfig", "SceneId", "render_region", "render_scaled",
     "ServerFrameTiming", "ServerSession", "run_server",
     "CompareReport", "CostModel", "NetModel", "SimResult", "ZERO_NET",
-    "check_lockstep", "run_compare", "run_native_virtual", "run_sim_virtual", "run_sim_wall",
+    "check_lockstep", "run_compare", "run_native_virtual", "run_sim_virtual",
     "Event", "Trace",
     "ConnectionClosedError", "EndMsg", "HelloMsg", "PoseUpdateMsg",
     "ProtocolError", "SubframeMsg", "read_msg", "write_msg",

@@ -93,25 +93,22 @@ def _add_endpoint(p: argparse.ArgumentParser) -> None:
 
 
 def _add_net(p: argparse.ArgumentParser) -> None:
-    """Link and clock flags, one cost flag per CostModel field. The cost
-    flags default to None, so parse_cli applies only the flags given to
-    RAY_COST and can refuse them on the wall clock."""
+    """Link flags, and one cost flag per CostModel field, each defaulting
+    to RAY_COST's value."""
     net = NetModel()
-    p.add_argument("--clock", choices=("virtual", "wall"), default="virtual",
-                   help="virtual: modeled stage costs, bit-reproducible; "
-                        "wall: real concurrent runtimes, honest timings")
     p.add_argument("--latency", type=float, default=net.latency_ms, metavar="MS",
                    help="one-way link latency (default %(default)s)")
     p.add_argument("--bandwidth", type=_bandwidth, default=net.bandwidth_mbps, metavar="MBPS",
                    help="link rate, or 'inf' (default %(default)s)")
-    p.add_argument("--us-per-ray", dest="cost_us_per_ray", type=float, metavar="US",
-                   help="virtual clock: draw cost per ray shaded, added to each"
-                        f" draw's fixed cost (default {RAY_COST.us_per_ray})")
+    p.add_argument("--us-per-ray", dest="cost_us_per_ray", type=float,
+                   default=RAY_COST.us_per_ray, metavar="US",
+                   help="draw cost per ray shaded, added to each draw's fixed cost"
+                        " (default %(default)s)")
     for f in dataclasses.fields(CostModel):
         if f.name != "us_per_ray":
-            p.add_argument(f"--cost-{f.name.replace('_', '-')}", type=float, metavar="MS",
-                           help=f"virtual clock: fixed {f.name.replace('_', ' ')} cost"
-                                f" (default {getattr(RAY_COST, f.name)})")
+            p.add_argument(f"--cost-{f.name.replace('_', '-')}", type=float,
+                           default=getattr(RAY_COST, f.name), metavar="MS",
+                           help=f"fixed {f.name.replace('_', ' ')} cost (default %(default)s)")
 
 
 def _display(args: argparse.Namespace) -> DisplaySink:
@@ -162,7 +159,7 @@ def _run_native_mode(args: argparse.Namespace) -> str:
 
 def _run_compare_mode(args: argparse.Namespace) -> str:
     report = run_compare(args.spec, args.codec, args.scene, args.path, args.net, args.cost,
-                         args.clock, _display(args))
+                         _display(args))
     _write_csv(args.client_csv, report.split.client_records)
     _write_csv(args.server_csv, report.split.server_records)
     _write_csv(args.native_csv, report.native_records)
@@ -214,7 +211,7 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
     Subcommands that render get typed `spec`, `scene` and `path` attributes,
     and `codec` unless they are `native`; `compare` also gets `net` and
-    `cost`, RAY_COST with the cost flags given applied.
+    `cost`, the cost flags' model (RAY_COST where none is given).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -242,13 +239,10 @@ def parse_cli(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     args.path = CameraPath(frame_count=args.frames)
 
     if args.mode == "compare":
-        costs = {f.name: v for f in dataclasses.fields(CostModel)
-                 if (v := getattr(args, f"cost_{f.name}")) is not None}
-        if costs and args.clock == "wall":
-            parser.error("cost flags apply to --clock virtual only")
         try:
             args.net = NetModel(latency_ms=args.latency, bandwidth_mbps=args.bandwidth)
-            args.cost = dataclasses.replace(RAY_COST, **costs)
+            args.cost = CostModel(**{f.name: getattr(args, f"cost_{f.name}")
+                                     for f in dataclasses.fields(CostModel)})
         except ValueError as e:
             parser.error(str(e))
     return args

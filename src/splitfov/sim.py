@@ -1,22 +1,19 @@
-"""Single-process simulation of a full split-rendering session.
+"""Single-process simulation of a split-rendering session on a modeled clock.
 
-Both clock modes run the real client and server runtimes concurrently over
-a kernel socket pair per direction, so the pixels, the wire messages and
-the display sink are exactly those of a networked session:
-
-* virtual: only the clock is modeled. The runtimes exchange their messages
-  over a free link, then their own event trace is replayed on a virtual
-  timeline: each stage takes its time from the cost model (a fixed cost
-  per stage plus a per-ray draw cost), and each message the network
-  model's delivery of the size the runtimes wrote. Runs are
-  bit-reproducible and the event trace carries exact timestamps for
-  lockstep/overlap assertions.
-* wall: the link hands each message to its socket when the network model
-  delivers it; timings are honest wall-clock measurements.
+The real client and server runtimes run the session concurrently over a
+kernel socket pair per direction, so the pixels, the wire messages and the
+display sink are exactly those of a networked session. Only the clock is
+modeled: the runtimes exchange their messages over a free link, then
+their own event trace is replayed on a virtual timeline. Each stage takes
+its time from the cost model (a fixed cost per stage plus a per-ray draw
+cost), and each message the network model's delivery of the size the
+runtimes wrote. Runs are bit-reproducible and the event trace carries
+exact timestamps for lockstep/overlap assertions.
 
 The network model charges each message latency plus transmission time at
 the link rate; a direction's link is FIFO, so back-to-back messages
-queue behind each other.
+queue behind each other. Wall-clock split timings come from a two-process
+session (`splitfov server` and `splitfov client`), not from here.
 """
 
 from __future__ import annotations
@@ -38,13 +35,12 @@ from .client import (
     ClientSession,
     DisplaySink,
     null_sink,
-    run_native,
 )
 from .metrics import improvement_pct, median, render_profile
 from .partition import PartitionSpec, frame_rays, server_dims, server_rows
 from .render import SceneConfig
 from .server import ServerFrameTiming, ServerSession
-from .trace import BEGIN, END, RECV, SEND, Trace, now_ms, read_record
+from .trace import BEGIN, END, RECV, SEND, Trace, read_record
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,8 @@ ZERO_NET = NetModel(latency_ms=0.0, bandwidth_mbps=math.inf)
 
 
 class _Link:
-    """FIFO transmission state for one direction of a modeled link, in ms;
-    the virtual timeline and the wall-clock `_Wire` both schedule with it."""
+    """FIFO transmission state for one direction of a modeled link, in ms,
+    on the virtual timeline."""
 
     def __init__(self, net: NetModel):
         self.net = net
@@ -96,10 +92,10 @@ class CostModel:
     plus `us_per_ray` microseconds for each ray a draw shades: the server
     shades its foveal rows, the client the reduced periphery and its own
     foveal rows. Sending a pose and displaying a frame take no modeled
-    time. On the wall clock the client's draw stage includes the
-    peripheral upsample and the paste of its own rows, and its merge stage
-    is the paste of the server's rows alone: `merge` is charged to the
-    split client only, since native serves no rows and merges nothing."""
+    time. The client's draw stage stands for the peripheral draw and
+    upsample and its own foveal rows, and its merge stage for the paste of
+    the server's rows alone: `merge` is charged to the split client only,
+    since native serves no rows and merges nothing."""
 
     server_draw: float = 5.0
     encode: float = 3.0
@@ -160,7 +156,7 @@ def run_sim_virtual(
     trace are virtual milliseconds from session start.
     """
     recorder = _LaneTrace()
-    recorded, writes = _run_split(spec, codec, scene, rig, path, ZERO_NET, display, recorder)
+    recorded, writes = _run_split(spec, codec, scene, rig, path, display, recorder)
     server_rays = 2 * spec.fov_w * server_rows(spec)
     stage_ms = {
         ("server", "draw"): cost.server_draw_ms(server_rays),
@@ -251,20 +247,16 @@ def run_native_virtual(
 
 
 class _Wire(contextlib.AbstractContextManager):
-    """One direction of the wall-clock link: a kernel socket pair. The
-    runtime reads `reader`, under the socket deadline `wire.IO_TIMEOUT_S`,
-    and its writes never block: each is queued, and a delivery thread
-    hands it to the socket on the link's schedule. The first 4 bytes (a
-    message's length prefix) go at the first-byte arrival and the rest at
-    the last-byte arrival, so a reader's first-byte timestamps are
-    meaningful. Leaving the `with` block closes the reading end, which
-    ends any delivery still waiting on it."""
+    """One direction of the recording run's free link: a kernel socket
+    pair. The runtime reads `reader`, under the socket deadline
+    `wire.IO_TIMEOUT_S`, and its writes never block: each is queued, and a
+    delivery thread hands it to the socket at once. Leaving the `with`
+    block closes the reading end, which ends any delivery still under
+    way."""
 
-    def __init__(self, net: NetModel):
-        self._link = _Link(net)
+    def __init__(self):
         self.sizes: list[int] = []  # length of each write, in order
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._reader_closed = threading.Event()
         self._tx, rx = socket.socketpair()
         rx.settimeout(wire.IO_TIMEOUT_S)
         self.reader = rx.makefile("rb")
@@ -275,9 +267,7 @@ class _Wire(contextlib.AbstractContextManager):
     def write(self, data: bytes) -> None:
         if data:
             self.sizes.append(len(data))
-            first_ms, last_ms = self._link.schedule(now_ms(), len(data))
-            self._queue.put((first_ms, data[:4]))
-            self._queue.put((last_ms, data[4:]))
+            self._queue.put(data)
 
     def close(self) -> None:
         """Ends the stream: the reader sees EOF once it has drained it."""
@@ -285,15 +275,12 @@ class _Wire(contextlib.AbstractContextManager):
 
     def _deliver(self) -> None:
         with self._tx, contextlib.suppress(ConnectionError):  # the reader closed mid-send
-            for due_ms, piece in iter(self._queue.get, None):
-                if self._reader_closed.wait(max(due_ms - now_ms(), 0.0) / 1000.0):
-                    return
-                self._tx.sendall(piece)
+            for data in iter(self._queue.get, None):
+                self._tx.sendall(data)
 
     def __exit__(self, *exc) -> None:
         self.close()
         self.reader.close()
-        self._reader_closed.set()
         self._thread.join()
 
 
@@ -303,18 +290,17 @@ def _run_split(
     scene: SceneConfig,
     rig: CameraRig,
     path: CameraPath,
-    net: NetModel,
     display: DisplaySink,
     trace: Trace,
 ) -> tuple[SimResult, dict[str, list[int]]]:
     """Runs the real client and server runtimes concurrently in one process,
-    each reading a kernel socket that the modeled link feeds.
+    each reading a kernel socket that the other side's writes feed.
 
     Returns the session, traced into `trace`, and the size of each message
     the client and the server wrote, in order. A server that fails closes the downlink,
     so the client ends instead of waiting, and its own error is raised.
     """
-    with _Wire(net) as c2s, _Wire(net) as s2c:
+    with _Wire() as c2s, _Wire() as s2c:
         server_session = ServerSession(c2s.reader, s2c.write, rig, trace=trace)
         client_session = ClientSession(
             reader=s2c.reader, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
@@ -338,21 +324,6 @@ def _run_split(
     return SimResult(client_records, server_records, trace), {"client": c2s.sizes, "server": s2c.sizes}
 
 
-def run_sim_wall(
-    spec: PartitionSpec,
-    codec: codec_mod.CodecId,
-    scene: SceneConfig,
-    rig: CameraRig,
-    path: CameraPath,
-    net: NetModel = ZERO_NET,
-    display: DisplaySink = null_sink,
-) -> SimResult:
-    """Runs the real client and server runtimes concurrently in one process,
-    each reading a kernel socket that the modeled link feeds; wall-clock
-    timings."""
-    return _run_split(spec, codec, scene, rig, path, net, display, Trace())[0]
-
-
 @dataclass
 class CompareReport:
     native_records: list[ClientFrameRecord]
@@ -368,24 +339,15 @@ def run_compare(
     path: CameraPath,
     net: NetModel,
     cost: CostModel,
-    clock: str = "virtual",
     display: DisplaySink = null_sink,
 ) -> CompareReport:
-    """Native baseline vs split session over identical frames and scene.
-
-    Both arms run on the same clock ("virtual" or "wall"); `cost` applies
-    to the virtual clock only. Only the split arm's frames go to `display`:
-    the native arm's are byte-identical to them.
+    """Native baseline vs split session over identical frames and scene,
+    both on the virtual clock. Only the split arm's frames go to `display`:
+    the native arm draws none, and its frames are byte-identical to them.
     """
     rig = CameraRig()
-    if clock == "virtual":
-        native_records = run_native_virtual(spec, path, cost=cost)
-        split = run_sim_virtual(spec, codec, scene, rig, path, net=net, cost=cost, display=display)
-    elif clock == "wall":
-        native_records = run_native(spec, scene, rig, path)
-        split = run_sim_wall(spec, codec, scene, rig, path, net=net, display=display)
-    else:
-        raise ValueError(f"unknown clock {clock!r}, expected 'virtual' or 'wall'")
+    native_records = run_native_virtual(spec, path, cost=cost)
+    split = run_sim_virtual(spec, codec, scene, rig, path, net=net, cost=cost, display=display)
     # The tables come first, so a zero frame time fails on the fps it cannot show.
     native_table = render_profile(native_records, title="Native baseline")
     split_table = render_profile(split.client_records, split.server_records,

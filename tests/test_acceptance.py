@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from splitfov.camera import CameraPath, CameraRig, Pose, normalize_quat, pose_at
-from splitfov.client import CollectSink, ffr_frame, run_native, upsample_nearest
+from splitfov.client import CollectSink, draw_client_part, ffr_frame, run_native, upsample_nearest
 from splitfov.codec import CodecError, CodecId, decode, encode
 from splitfov.image import Rect, crop
 from splitfov.metrics import fps_display, improvement_pct, mbps, median, render_profile
-from splitfov.partition import Eye, PartitionSpec, foveal_rect_stereo, reduced_dims
+from splitfov.partition import Eye, PartitionSpec, foveal_rect_stereo, reduced_dims, server_rows
 from splitfov.render import SceneConfig, render_region, render_scaled
-from splitfov.sim import NetModel, ZERO_NET, check_lockstep, run_sim_virtual, run_sim_wall
+from splitfov.sim import ZERO_NET, check_lockstep, run_sim_virtual
 from splitfov.wire import EndMsg, HelloMsg, PoseUpdateMsg, SubframeMsg, read_msg, write_msg
+
+from conftest import loopback_session
 
 SPEC = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
 SCENE = SceneConfig()
@@ -204,28 +206,28 @@ def test_workload_reduction():
             spec = PartitionSpec.from_full(full_w, full_h, 16, 16, 0.6)
             rw, rh = reduced_dims(spec)
             assert rw * rh == 0.36 * (full_w * full_h)
-        # Enough link latency that the client draw finishes before the
-        # server thread starts working: the comparison then measures the
-        # draw workload, not core contention between the two runtimes.
-        lazy_link = NetModel(latency_ms=25.0, bandwidth_mbps=float("inf"))
 
-        def native_draw(path):
-            return run_native(SPEC, SCENE, RIG, path)[0].draw_ms
+        def draw_ms(draw, *args):
+            t0 = time.perf_counter()
+            draw(*args)
+            return (time.perf_counter() - t0) * 1000.0
 
-        def split_draw(path):
-            return run_sim_wall(SPEC, CodecId.RAW, SCENE, RIG, path,
-                                net=lazy_link).client_records[0].draw_ms
+        def native_draw(pose):
+            return draw_ms(ffr_frame, SCENE, RIG, pose, SPEC)
+
+        def split_draw(pose):
+            return draw_ms(draw_client_part, SCENE, RIG, pose, SPEC, server_rows(SPEC))
 
         # 16 pairs, each a native and a split draw of one pose taken back
         # to back, alternating which arm goes first: a shift in host speed
         # then hits both draws of a pair.
         savings = []
         for i in range(16):
-            path = CameraPath(radius=3.0 + 0.1 * i, frame_count=1)
+            pose = pose_at(CameraPath(radius=3.0 + 0.1 * i, frame_count=1), 0)
             if i % 2 == 0:
-                native, split = native_draw(path), split_draw(path)
+                native, split = native_draw(pose), split_draw(pose)
             else:
-                split, native = split_draw(path), native_draw(path)
+                split, native = split_draw(pose), native_draw(pose)
             savings.append(native - split)
         assert median(savings) > 0.0, savings
 
@@ -235,8 +237,7 @@ def test_own_hardware_numbers_in_table_shape():
     pinned; the tools report this machine's numbers in the standard table
     shape instead."""
     with verdict("hardware timings reported, not pinned"):
-        res = run_sim_wall(SPEC, CodecId.PRED_DEFLATE, SCENE, RIG,
-                           CameraPath(frame_count=8), net=ZERO_NET)
+        res = loopback_session(SPEC, CodecId.PRED_DEFLATE, SCENE, RIG, CameraPath(frame_count=8))
         table = render_profile(res.client_records, res.server_records,
                                f"{SPEC.fov_w}x{SPEC.fov_h}")
         assert "fps" in table and "Network" in table and "Mbps" in table

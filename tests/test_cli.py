@@ -42,7 +42,6 @@ class TestDefaults:
         assert s.periph_scale == pytest.approx(0.6)
         assert config.path.frame_count == 1000
         assert config.codec == CodecId.PRED_DEFLATE
-        assert config.clock == "virtual"
 
     def test_geometry_flags(self):
         config = parse_cli(["compare", "--size", "600x270", "--fovea", "128x90",
@@ -154,6 +153,9 @@ class TestUsageErrors:
         *([mode, "--summary", "x.txt"] for mode in ("client", "native", "server", "compare")),
         *([mode, flag, "1"] for mode in ("native", "compare")
           for flag in ("--cost-pose", "--cost-display")),
+        # compare runs on the virtual clock only
+        ["compare", "--clock", "wall"],
+        ["compare", "--clock", "virtual"],
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as e:
@@ -188,16 +190,6 @@ class TestUsageErrors:
             parse_cli(["compare", "--size", "24000x8000", "--fovea", "12000x8000", "--scale", "0.5"])
         assert e.value.code == 2
         assert "above the wire's frame cap of 67108864 bytes" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["compare", "--clock", "wall", "--us-per-ray", "3"],
-        ["compare", "--clock", "wall", "--cost-merge", "1"],
-    ])
-    def test_cost_flags_refused_on_the_wall_clock(self, argv, capsys):
-        with pytest.raises(SystemExit) as e:
-            parse_cli(argv)
-        assert e.value.code == 2
-        assert "--clock virtual only" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["server", "--port", "70000"], ["client", "--port", "-1"]])
     def test_port_out_of_range(self, argv, capsys):

@@ -30,7 +30,8 @@ from splitfov.partition import (
 )
 from splitfov.render import render_region, render_scaled
 from splitfov.server import draw_foveae
-from splitfov.sim import run_sim_wall
+
+from conftest import loopback_session
 
 POSE = pose_at(CameraPath(frame_count=12), 5)
 
@@ -411,8 +412,8 @@ class TestDisplayedFrames:
 
     def test_split_session(self, tiny_spec, scene, rig):
         sink = CollectSink()
-        run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3),
-                     display=sink)
+        loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3),
+                         display=sink)
         assert len(sink.frames) == 3
         self.assert_plain_and_apart(sink.frames)
 

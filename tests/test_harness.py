@@ -38,23 +38,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="no records"):
             run_report([])
 
-    def test_bad_clock(self, tiny_spec):
-        with pytest.raises(ValueError, match="sundial"):
-            compare(tiny_spec, 1, clock="sundial")
-
 
 class TestRunSim:
     def test_virtual_dispatch(self, tmp_path):
         c = str(tmp_path / "c.csv")
-        assert main(["compare", *TINY, "--frames", "3", "--clock", "virtual", "--client-csv", c]) == 0
+        assert main(["compare", *TINY, "--frames", "3", "--client-csv", c]) == 0
         assert len(read_csv(c, ClientFrameRecord)) == 3
-
-    def test_wall_dispatch(self, tmp_path):
-        c = str(tmp_path / "c.csv")
-        assert main(["compare", *TINY, "--frames", "2", "--clock", "wall", "--client-csv", c]) == 0
-        records = read_csv(c, ClientFrameRecord)
-        assert len(records) == 2
-        assert records[0].total_ms > 0
 
 
 class TestCompare:
@@ -83,11 +72,10 @@ class TestCompare:
         line = f"{improvement_pct(32.2, 26.17):.2f}%"
         assert line == "23.04%"
 
-    @pytest.mark.parametrize("clock", ["virtual", "wall"])
-    def test_display_gets_each_frame_once(self, tiny_spec, clock):
+    def test_display_gets_each_frame_once(self, tiny_spec):
         # only the split arm displays; the native arm's frames are the same bytes
         sink = CollectSink()
-        compare(tiny_spec, 2, clock=clock, display=sink)
+        compare(tiny_spec, 2, display=sink)
         path = CameraPath(frame_count=2)
         assert len(sink.frames) == 2
         for k, frame in enumerate(sink.frames):

@@ -6,7 +6,6 @@ import io
 import logging
 import math
 import socket
-import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from splitfov.client import ClientSession, CollectSink, ffr_frame, run_client
 from splitfov.codec import CodecError, CodecId, encode
 from splitfov.partition import MIN_SCALE, PartitionSpec, server_rows, subframe_bands
 from splitfov.render import SceneConfig
-from splitfov.server import ServerSession, pose_from_wire, run_server
+from splitfov.server import ServerSession, pose_from_wire
 from splitfov.trace import BEGIN, END, Trace
 from splitfov.wire import (
     EndMsg,
@@ -35,6 +34,8 @@ from splitfov.wire import (
     PROTOCOL_VERSION,
 )
 
+from conftest import start_server
+
 
 class Collected:
     """Writer callback that accumulates the server's outgoing bytes."""
@@ -44,22 +45,6 @@ class Collected:
 
     def __call__(self, data: bytes) -> None:
         self.chunks.append(data)
-
-
-def start_server(**kwargs):
-    """run_server on an ephemeral port; returns (future, port)."""
-    port_ready = threading.Event()
-    bound = {}
-
-    def ready(port):
-        bound["port"] = port
-        port_ready.set()
-
-    pool = ThreadPoolExecutor(max_workers=1)
-    future = pool.submit(run_server, "127.0.0.1", 0, ready=ready, **kwargs)
-    assert port_ready.wait(timeout=10.0)
-    pool.shutdown(wait=False)
-    return future, bound["port"]
 
 
 def hello_for(spec, codec=CodecId.PRED_DEFLATE, version=PROTOCOL_VERSION, rig=CameraRig()):

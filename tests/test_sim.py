@@ -27,14 +27,15 @@ from splitfov.sim import (
     check_lockstep,
     run_native_virtual,
     run_sim_virtual,
-    run_sim_wall,
 )
+
+from conftest import loopback_session
 
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    """Every thread a test starts (the runtimes', the link's delivery
-    threads) has ended within 1 s of the test returning."""
+    """Every thread a test starts (the runtimes', the recording link's
+    delivery threads) has ended within 1 s of the test returning."""
     before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + 1.0
@@ -237,7 +238,7 @@ class TestRowSplit:
     client draws the other 40; the frames on display are still the native
     composition."""
 
-    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    @pytest.mark.parametrize("run", [run_sim_virtual])
     @pytest.mark.parametrize("codec_id", [CodecId.RAW, CodecId.PRED_DEFLATE],
                              ids=["raw", "pred-deflate"])
     def test_split_frames_are_native(self, run, codec_id, split_spec, scene, rig, decoded_dims):
@@ -250,7 +251,7 @@ class TestRowSplit:
             assert frame.tobytes() == ffr_frame(scene, rig, pose_at(path, k), split_spec).tobytes()
         assert check_lockstep(res.trace, 3) == []
 
-    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    @pytest.mark.parametrize("run", [run_sim_virtual])
     def test_one_server_row_is_one_band(self, run, scene, rig, decoded_dims):
         """At k = 1 each frame is one subframe, the server's one row of both
         eyes, and the frames on display are still the native ones."""
@@ -266,7 +267,7 @@ class TestRowSplit:
         assert receipts == ["subframe0"] * 3
         assert check_lockstep(res.trace, 3) == []
 
-    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    @pytest.mark.parametrize("run", [run_sim_virtual])
     def test_raw_payload_is_the_served_rows(self, run, split_spec, scene, rig):
         res = run(split_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
         assert [s.bytes_sent for s in res.server_records] == [2 * 3 * 80 * 40] * 2
@@ -319,33 +320,11 @@ class TestNativeVirtual:
 
 
 class TestWire:
-    """One direction of the wall-clock link: a kernel socket pair that a
-    delivery thread feeds on the link's schedule."""
-
-    def test_latency_delays_delivery(self):
-        with sim._Wire(NetModel(latency_ms=60.0, bandwidth_mbps=math.inf)) as link:
-            t0 = time.perf_counter()
-            link.write(b"x")
-            assert link.reader.read(1) == b"x"
-            assert time.perf_counter() - t0 >= 0.055
-
-    def test_length_prefix_lands_before_the_rest(self):
-        # 8000 bytes at 1 Mbps = 64 ms of transmission after the first byte;
-        # the 4-byte length prefix is handed over at the first byte's arrival.
-        data = bytes(range(250)) * 32
-        with sim._Wire(NetModel(latency_ms=0.0, bandwidth_mbps=1.0)) as link:
-            t0 = time.perf_counter()
-            link.write(data)
-            prefix = link.reader.read(4)
-            first = time.perf_counter() - t0
-            rest = link.reader.read(7996)
-            last = time.perf_counter() - t0
-        assert prefix + rest == data
-        assert first < 0.04
-        assert last >= 0.055
+    """One direction of the recording run's link: a kernel socket pair
+    that a delivery thread feeds."""
 
     def test_closed_writer_reads_as_eof_after_drain(self):
-        with sim._Wire(ZERO_NET) as link:
+        with sim._Wire() as link:
             link.write(b"ab")
             link.close()
             assert link.reader.read(10) == b"ab"
@@ -353,7 +332,7 @@ class TestWire:
 
     def test_nothing_in_flight_times_out(self, monkeypatch):
         monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.2)
-        with sim._Wire(ZERO_NET) as link:
+        with sim._Wire() as link:
             t0 = time.perf_counter()
             with pytest.raises(TimeoutError):
                 link.reader.read(1)
@@ -361,47 +340,34 @@ class TestWire:
 
 
 class TestWallClock:
+    """The runtimes on the machine clock, over loopback TCP as the CLI's
+    `server` and `client` run them, both tracing into one trace."""
+
     def test_session_runs_and_frames_match(self, tiny_spec, scene, rig):
         sink = CollectSink()
         path = CameraPath(frame_count=3)
-        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path,
-                           net=ZERO_NET, display=sink)
+        res = loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
         assert len(res.client_records) == 3
         assert len(res.server_records) == 3
         for k, frame in enumerate(sink.frames):
             assert np.array_equal(frame, ffr_frame(scene, rig, pose_at(path, k), tiny_spec))
 
     def test_lockstep_clean_on_shared_clock(self, tiny_spec, scene, rig):
-        res = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig,
-                           CameraPath(frame_count=5), net=ZERO_NET)
+        res = loopback_session(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=5))
         assert check_lockstep(res.trace, 5) == []
 
     def test_display_stall_delays_next_pose(self, tiny_spec, scene, rig):
         def slow_display(frame_id, frame):
             time.sleep(0.05)
 
-        res = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=3),
-                           display=slow_display)
+        res = loopback_session(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=3),
+                               display=slow_display)
         tr = res.trace
         for n in (1, 2):
             idle = (tr.find("server", RECV, "pose", n).t_ms
                     - tr.find("server", "end", "send", n - 1).t_ms)
             # the server sits idle for at least the display stall (lockstep)
             assert idle >= 50.0
-
-    def test_modeled_latency_shows_up_in_totals(self, tiny_spec, scene, rig):
-        res = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=3),
-                           net=NetModel(latency_ms=25.0, bandwidth_mbps=math.inf))
-
-        def t(actor, kind, name, n):
-            return res.trace.find(actor, kind, name, n).t_ms
-
-        # Each frame crosses the link twice, 25 ms each way, on the shared
-        # clock; host noise can only widen these gaps.
-        for n in range(3):
-            assert t("server", RECV, "pose", n) - t("client", SEND, "pose", n) >= 25.0
-            assert t("client", RECV, "subframe1", n) - t("server", SEND, "subframe1", n) >= 25.0
-        assert min(r.total_ms for r in res.client_records) >= 50.0
 
 
 class _CutStream:
@@ -425,7 +391,7 @@ class TestTruncatedDownlink:
         spec = PartitionSpec(200, 100, 80, 80, 0.5)
         path = CameraPath(frame_count=3)
         native = [ffr_frame(scene, rig, pose_at(path, n), spec).tobytes() for n in range(3)]
-        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path, ZERO_NET,
+        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path,
                                    client.null_sink, Trace())
         ends = list(itertools.accumulate(writes["server"]))
         frame_ends, total = ends[1::2], ends[-1]
@@ -437,7 +403,7 @@ class TestTruncatedDownlink:
                                 client.ClientSession(reader=_CutStream(reader, _cut), **kwargs))
             sink = CollectSink()
             try:
-                run_sim_wall(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+                run_sim_virtual(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
                 assert cut >= total, f"a cut at byte {cut} of {total} completed"
             except (ConnectionClosedError, ProtocolError, CodecError):
                 assert cut < total, f"a cut at byte {cut} of {total} raised"
@@ -458,8 +424,8 @@ class TestStoppedReader:
 
         def session():
             try:
-                run_sim_wall(spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
-                             display=lambda frame_id, frame: shown.append(frame_id))
+                run_sim_virtual(spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2),
+                                display=lambda frame_id, frame: shown.append(frame_id))
             except Exception as e:
                 outcome["error"] = e
 
@@ -493,7 +459,7 @@ class TestStalledDownlink:
         spec = PartitionSpec(200, 100, 80, 80, 0.5)
         path = CameraPath(frame_count=3)
         native = [ffr_frame(scene, rig, pose_at(path, n), spec).tobytes() for n in range(3)]
-        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path, ZERO_NET,
+        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path,
                                    client.null_sink, Trace())
         ends = list(itertools.accumulate(writes["server"]))
         assert ends[2] + 100 < ends[3]
@@ -510,7 +476,7 @@ class TestStalledDownlink:
             sink = CollectSink()
             t0 = time.perf_counter()
             with pytest.raises(TimeoutError):
-                run_sim_wall(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
+                run_sim_virtual(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
             assert time.perf_counter() - t0 < 5.0, f"cut at byte {cut}"
             shown = [frame.tobytes() for frame in sink.frames]
             assert shown == native[:delivered], f"cut at byte {cut}"
@@ -525,13 +491,13 @@ class TestRigMismatch:
         )
         sink = CollectSink()
         with pytest.raises(ProtocolError, match="camera rig"):
-            run_sim_wall(tiny_spec, CodecId.RAW, scene, CameraRig(ipd=0.1),
-                         CameraPath(frame_count=3), display=sink)
+            run_sim_virtual(tiny_spec, CodecId.RAW, scene, CameraRig(ipd=0.1),
+                            CameraPath(frame_count=3), display=sink)
         assert sink.frames == []
 
 
 class TestServerFailure:
-    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    @pytest.mark.parametrize("run", [run_sim_virtual])
     def test_server_error_ends_the_session(self, run, tiny_spec, scene, rig, monkeypatch):
         serve_frame = ServerSession.serve_frame
 
@@ -558,7 +524,7 @@ class TestServerFailure:
 
 
 class TestSilentServer:
-    @pytest.mark.parametrize("run", [run_sim_wall, run_sim_virtual])
+    @pytest.mark.parametrize("run", [run_sim_virtual])
     def test_missing_subframes_time_out(self, run, tiny_spec, scene, rig, monkeypatch):
         # The simulator's runtimes read kernel sockets under the same
         # deadline as a TCP session, so a wait on a peer that sends nothing
@@ -655,7 +621,7 @@ class TestBenchmarkSeams:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=2))
+        loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=2))
         assert [key for key, n in calls.items() if n == 0] == []
 
     def test_frames_are_run_with_positional_arguments(self, tiny_spec, scene, rig, monkeypatch):
@@ -671,14 +637,14 @@ class TestBenchmarkSeams:
 
         monkeypatch.setattr(client.ClientSession, "run_frame", positional(client.ClientSession.run_frame))
         monkeypatch.setattr(ServerSession, "serve_frame", positional(ServerSession.serve_frame))
-        run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
+        loopback_session(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2))
         assert sorted(calls) == 2 * [("run_frame", int, ThreadPoolExecutor)] + 2 * [
             ("serve_frame", Pose, int)]
 
-    def test_a_restamping_trace_with_a_five_argument_add_is_read(self, tiny_spec, scene, rig,
-                                                                  monkeypatch):
-        # As the benchmark's shared-epoch trace does: each event is stamped
-        # again on the way in, and the records are read off those stamps.
+    def test_a_restamping_trace_with_a_five_argument_add_is_read(self, tiny_spec, scene, rig):
+        # As the benchmark's shared-epoch trace does, passed to both
+        # runtimes: each event is stamped again on the way in, and the
+        # records are read off those stamps.
         class Restamped(Trace):
             def __init__(self):
                 super().__init__()
@@ -688,10 +654,9 @@ class TestBenchmarkSeams:
                 self.added += 1
                 super().add(now_ms() - self.epoch, actor, kind, name, frame_id)
 
-        monkeypatch.setattr(sim, "Trace", Restamped)
-        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
-        monkeypatch.undo()
-        plain = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        path = CameraPath(frame_count=3)
+        res = loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path, trace=Restamped())
+        plain = loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path)
         assert isinstance(res.trace, Restamped)
         assert res.trace.added == len(res.trace) == len(plain.trace)
         keys = lambda trace: sorted((e.actor, e.kind, e.name, e.frame_id) for e in trace)
@@ -718,7 +683,7 @@ class TestClientDrawStage:
             return out
 
         monkeypatch.setattr(client, "upsample_nearest", stamped)
-        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        res = loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
         at = lambda kind, name, n: res.trace.find("client", kind, name, n).t_ms
         assert len(stamps) == 3
         for n, (begin, end) in enumerate(stamps):
@@ -727,18 +692,19 @@ class TestClientDrawStage:
 
 
 class TestOneStageClock:
-    """Both clocks emit one event vocabulary, and wall-clock records are
-    read off the very clock readings the trace holds."""
+    """Both clocks emit one event vocabulary, and wall-clock records, from
+    a loopback session, are read off the very clock readings the trace
+    holds."""
 
     def test_wall_and_virtual_emit_the_same_events(self, tiny_spec, scene, rig):
         path = CameraPath(frame_count=3)
         keys = lambda res: {(e.actor, e.kind, e.name, e.frame_id) for e in res.trace}
-        wall = run_sim_wall(tiny_spec, CodecId.RAW, scene, rig, path)
+        wall = loopback_session(tiny_spec, CodecId.RAW, scene, rig, path)
         virtual = run_sim_virtual(tiny_spec, CodecId.RAW, scene, rig, path, cost=FIG_COST)
         assert keys(wall) == keys(virtual)
 
     def test_wall_records_match_their_trace_spans(self, tiny_spec, scene, rig):
-        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
+        res = loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
         span = lambda actor, name, n: (res.trace.find(actor, "end", name, n).t_ms
                                        - res.trace.find(actor, "begin", name, n).t_ms)
         for r in res.client_records:
@@ -789,7 +755,7 @@ class TestOneStageClock:
             client_records, server_records = run_native(tiny_spec, scene, rig, path), []
             (trace,) = [sw.trace for sw in stopwatches]
         else:
-            res = (run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path) if mode == "wall"
+            res = (loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path) if mode == "wall"
                    else run_sim_virtual(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, path,
                                         net=NetModel(1.5, 300.0), cost=FIG_COST))
             client_records, server_records, trace = res.client_records, res.server_records, res.trace
@@ -820,8 +786,7 @@ class TestOneStageClock:
             return _inner(*args)
 
         monkeypatch.setattr(client, "pose_at", stamped)
-        res = run_sim_wall(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3),
-                           net=NetModel(1.0, 50.0))
+        res = loopback_session(tiny_spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3))
         at = lambda kind, name, n: res.trace.find("client", kind, name, n).t_ms
         assert len(looked_up) == 3
         for n, pose_t in enumerate(looked_up):
@@ -829,9 +794,8 @@ class TestOneStageClock:
             assert at(END, "display", n) <= at(END, "total", n)
             assert at(BEGIN, "network", n) <= at(RECV, "subframe0", n)
             assert at(RECV, "subframe1", n) <= at(END, "network", n) <= at(BEGIN, "decode", n)
-            # The first byte reaches the client one latency after it is sent.
-            sent = res.trace.find("server", SEND, "subframe0", n).t_ms
-            assert at(BEGIN, "network", n) - sent >= 1.0
+            # The first byte reaches the client after it is sent.
+            assert at(BEGIN, "network", n) >= res.trace.find("server", SEND, "subframe0", n).t_ms
 
 
 def traced_ms(record) -> dict[str, float]:
