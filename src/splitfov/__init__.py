@@ -5,8 +5,9 @@ sampling and streams them losslessly; the client renders the periphery
 at reduced resolution and the rest of each center at full sampling,
 composites both in lockstep, and profiles every stage of every frame.
 A single-process simulator reproduces the whole pipeline on a virtual
-clock with a pluggable network model; wall-clock timings come from the
-two runtimes in separate processes (`run_server`, `run_client`).
+clock with a pluggable network model: a session recorded over loopback
+TCP, then replayed by lane. Wall-clock timings come from the two runtimes
+in separate processes (`run_server`, `run_client`).
 
 Importing the package pins the C allocator's mmap and trim thresholds
 for the whole process (see `_alloc`), so freed frame buffers stay in the

@@ -34,7 +34,7 @@ from .partition import (Eye, PartitionSpec, foveal_rect_stereo, foveal_rows, nea
                         periphery_holes, server_rows, subframe_bands)
 from .render import SceneConfig, render_scaled
 from .server import draw_foveae
-from .trace import BEGIN, END, RECV, SEND, Stopwatch, Trace
+from .trace import BEGIN, END, RECV, Stopwatch, Trace
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -271,8 +271,7 @@ class ClientSession:
             horizontal_fov=self.rig.horizontal_fov,
             near=self.rig.near,
         )
-        self.stopwatch.mark(SEND, "hello", 0)
-        self.writer(write_msg(msg))
+        self.stopwatch.send(self.writer, "hello", 0, write_msg(msg))
         return msg
 
     def _receive_and_decode(self, frame_id: int) -> tuple[list[tuple[tuple[int, int], np.ndarray]], int]:
@@ -316,8 +315,7 @@ class ClientSession:
             tuple(float(v) for v in pose.position),
             tuple(float(v) for v in pose.orientation),
         )
-        sw.mark(SEND, "pose", frame_id)
-        self.writer(write_msg(msg))
+        sw.send(self.writer, "pose", frame_id, write_msg(msg))
 
         future = pool.submit(self._receive_and_decode, frame_id)
         with sw.stage("draw", frame_id):
@@ -339,8 +337,7 @@ class ClientSession:
         with ThreadPoolExecutor(max_workers=1) as pool:
             records = [self.run_frame(frame_id, pool) for frame_id in range(self.path.frame_count)]
         last = max(len(records) - 1, 0)
-        self.stopwatch.mark(SEND, "end", last)
-        self.writer(write_msg(EndMsg(last)))
+        self.stopwatch.send(self.writer, "end", last, write_msg(EndMsg(last)))
         return records
 
 

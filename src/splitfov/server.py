@@ -26,7 +26,7 @@ from .camera import CameraRig, Pose, normalize_quat
 from .partition import (Eye, PartitionError, PartitionSpec, foveal_rect, foveal_rows, server_rows,
                         subframe_bands)
 from .render import DirectionCache, SceneConfig, SceneId, render_region
-from .trace import RECV, SEND, Stopwatch, Trace
+from .trace import RECV, Stopwatch, Trace
 from .wire import (
     ByteStream,
     ConnectionClosedError,
@@ -155,8 +155,8 @@ class ServerSession:
             payloads = [codec_mod.encode(self.codec, rows[lo:hi]) for lo, hi in subframe_bands(self.k)]
         with sw.stage("send", frame_id):
             for band, payload in enumerate(payloads):
-                sw.mark(SEND, f"subframe{band}", frame_id)
-                self.writer(write_msg(SubframeMsg(frame_id, band, payload)))
+                sw.send(self.writer, f"subframe{band}", frame_id,
+                        write_msg(SubframeMsg(frame_id, band, payload)))
         # The server marks from this thread alone.
         return sw.record(ServerFrameTiming, frame_id, bytes_sent=sum(len(p) for p in payloads))
 

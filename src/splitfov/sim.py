@@ -1,13 +1,13 @@
-"""Single-process simulation of a split-rendering session on a modeled clock.
+"""Simulation of a split-rendering session on a modeled clock.
 
-The real client and server runtimes run the session concurrently over a
-kernel socket pair per direction, so the pixels, the wire messages and the
-display sink are exactly those of a networked session. Only the clock is
-modeled: the runtimes exchange their messages over a free link, then
-their own event trace is replayed on a virtual timeline. Each stage takes
-its time from the cost model (a fixed cost per stage plus a per-ray draw
+The real client and server runtimes run the session over loopback TCP, as
+`splitfov server` and `splitfov client` do, so the pixels, the wire
+messages and the display sink are exactly those of a networked session.
+Only the clock is modeled: the session's trace, recorded over loopback
+TCP, is then replayed by lane on a virtual timeline. Each stage takes its
+time from the cost model (a fixed cost per stage plus a per-ray draw
 cost), and each message the network model's delivery of the size the
-runtimes wrote. Runs are bit-reproducible and the event trace carries
+runtimes sent. Runs are bit-reproducible and the event trace carries
 exact timestamps for lockstep/overlap assertions.
 
 The network model charges each message latency plus transmission time at
@@ -18,29 +18,19 @@ session (`splitfov server` and `splitfov client`), not from here.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import queue
-import socket
-import threading
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
+from typing import Optional
 
 from . import codec as codec_mod
-from . import wire
 from .camera import CameraPath, CameraRig
-from .client import (
-    ClientFrameRecord,
-    ClientSession,
-    DisplaySink,
-    null_sink,
-)
+from .client import ClientFrameRecord, DisplaySink, null_sink, run_client
 from .metrics import improvement_pct, median, render_profile
 from .partition import PartitionSpec, frame_rays, server_dims, server_rows
 from .render import SceneConfig
-from .server import ServerFrameTiming, ServerSession
-from .trace import BEGIN, END, RECV, SEND, Trace, read_record
+from .server import ServerFrameTiming, run_server
+from .trace import BEGIN, END, RECV, SEND, Event, Trace, read_record
 
 
 @dataclass(frozen=True)
@@ -124,17 +114,104 @@ class SimResult:
     trace: Trace
 
 
-class _LaneTrace(Trace):
-    """A trace that also keeps the thread (lane) that added each event."""
+def start_server(rig: CameraRig, trace: Optional[Trace] = None) -> tuple[Future, int]:
+    """`run_server` on an ephemeral 127.0.0.1 port, in a thread of its own;
+    returns its future and the port once it listens. A server that fails
+    before it listens raises its error here, at once."""
+    port: Future = Future()
+    pool = ThreadPoolExecutor(max_workers=1)
+    future = pool.submit(run_server, "127.0.0.1", 0, rig, trace=trace, ready=port.set_result)
+    pool.shutdown(wait=False)
+    wait((port, future), return_when=FIRST_COMPLETED)
+    if not port.done():
+        future.result()
+    return future, port.result(timeout=0)
 
-    def __init__(self):
-        super().__init__()
-        self.lanes: list[threading.Thread] = []
 
-    def add(self, t_ms: float, actor: str, kind: str, name: str, frame_id: int) -> None:
-        with self._lock:
-            super().add(t_ms, actor, kind, name, frame_id)
-            self.lanes.append(threading.current_thread())
+def loopback_session(
+    spec: PartitionSpec,
+    codec: codec_mod.CodecId,
+    scene: SceneConfig,
+    rig: CameraRig,
+    path: CameraPath,
+    display: DisplaySink = null_sink,
+    trace: Optional[Trace] = None,
+) -> SimResult:
+    """A split session on the machine clock over loopback TCP, the path of
+    `splitfov server` and `splitfov client`: `run_server` in a thread and
+    `run_client` in this one, both tracing into one trace (a fresh one by
+    default). A server that fails raises its error in place of the
+    client's: its closed connection is what ended the client."""
+    trace = Trace() if trace is None else trace
+    future, port = start_server(rig, trace)
+    try:
+        client_records = run_client("127.0.0.1", port, spec, codec, scene, rig, path,
+                                    display=display, trace=trace)
+    finally:
+        server_records = future.result()
+    return SimResult(client_records, server_records, trace)
+
+
+# The lanes of a session's trace. On a tie the earlier lane's event comes
+# first, so the replay does not depend on how the threads interleaved.
+_LANES = ("client", "server", "client-receive")
+
+
+def _lane(e: Event) -> str:
+    """The lane `e` was added on: the client receives and decodes on a lane
+    of its own (its network span, its subframe RECVs and its decode); every
+    other event is on its actor's lane."""
+    if e.actor == "client" and (e.kind == RECV or e.name in ("network", "decode")):
+        return "client-receive"
+    return e.actor
+
+
+def replay(recorded: Trace, stage_ms: dict[tuple[str, str], float], net: NetModel) -> Trace:
+    """The recorded session's events re-timed on the virtual clock: each
+    stage takes `stage_ms[actor, name]` and each message `net`'s delivery
+    of its traced size (`Trace.sizes`). Only the events' order is read,
+    never their times; a SEND with no traced size raises KeyError."""
+    links = {actor: _Link(net) for actor in ("client", "server")}
+    # Each lane's events, in the order it added them, on its own clock. A
+    # SEND schedules its message on the sender's link and holds no lane;
+    # a RECV waits for its message's last byte, and the client's network
+    # span begins at the first byte the server sent for its frame; a merge
+    # waits for its frame's decode, on the other lane; an END comes its
+    # stage's cost after its BEGIN, and a stage that sent ends no earlier
+    # than its link has taken what it sent.
+    clock = dict.fromkeys(_LANES, 0.0)
+    sent_until = dict.fromkeys(_LANES, 0.0)
+    last_byte: dict[tuple[str, int], float] = {}
+    first_byte: dict[tuple[str, int], float] = {}
+    decoded: dict[int, float] = {}
+    timed = []
+    for e in recorded:
+        lane = _lane(e)
+        t = clock[lane]
+        if e.kind == SEND:
+            link = links[e.actor]
+            first, last_byte[e.name, e.frame_id] = link.schedule(
+                t, recorded.sizes[e.actor, e.name, e.frame_id])
+            first_byte.setdefault((e.actor, e.frame_id), first)
+            sent_until[lane] = link.free_at_ms
+        elif e.kind == RECV:
+            t = max(t, last_byte[e.name, e.frame_id])
+        elif e.kind == BEGIN:
+            sent_until[lane] = 0.0
+            if e.name == "network":
+                t = max(t, first_byte["server", e.frame_id])
+            elif e.name == "merge":
+                t = max(t, decoded[e.frame_id])
+        elif e.kind == END:
+            t = max(t + stage_ms[e.actor, e.name], sent_until[lane])
+            if e.name == "decode":
+                decoded[e.frame_id] = t
+        clock[lane] = t
+        timed.append((t, _LANES.index(lane), e))
+    trace = Trace()
+    for t, _, e in sorted(timed, key=lambda x: x[:2]):  # stable
+        trace.add(t, e.actor, e.kind, e.name, e.frame_id)
+    return trace
 
 
 def run_sim_virtual(
@@ -150,13 +227,12 @@ def run_sim_virtual(
     """Runs the split session on a deterministic virtual timeline.
 
     The real runtimes run the session (render, encode, wire serialization,
-    decode, merge, display sink) over a free link; their own trace
-    is then replayed on a clock modeled from `cost` and from `net` applied
-    to the size of each message they wrote. Timestamps in the records and
-    trace are virtual milliseconds from session start.
+    decode, merge, display sink) over loopback TCP; their own trace is
+    then replayed by lane on a clock modeled from `cost` and from `net`
+    applied to the size of each message they sent. Timestamps in the
+    records and trace are virtual milliseconds from session start.
     """
-    recorder = _LaneTrace()
-    recorded, writes = _run_split(spec, codec, scene, rig, path, display, recorder)
+    recorded = loopback_session(spec, codec, scene, rig, path, display)
     server_rays = 2 * spec.fov_w * server_rows(spec)
     stage_ms = {
         ("server", "draw"): cost.server_draw_ms(server_rays),
@@ -169,51 +245,7 @@ def run_sim_virtual(
         ("client", "network"): 0.0,
         ("client", "total"): 0.0,
     }
-    events = recorder.events()
-    if Counter(e.actor for e in events if e.kind == SEND) != Counter(
-            {actor: len(w) for actor, w in writes.items()}):
-        raise RuntimeError("the traced sends and the messages written do not pair one to one")
-    links = {actor: _Link(net) for actor in writes}
-    sizes = {actor: iter(w) for actor, w in writes.items()}
-    # Each thread's events, in the order it added them, on its own clock. A
-    # SEND schedules its message on the sender's link and holds no thread;
-    # a RECV waits for its message's last byte, and the client's network
-    # span begins at the first byte the server sent for its frame; a merge
-    # waits for its frame's decode, on the other thread; an END comes its
-    # stage's cost after its BEGIN, and a stage that sent ends no earlier
-    # than its link has taken what it sent.
-    clock: dict[threading.Thread, float] = {}
-    sent_until: dict[threading.Thread, float] = {}
-    last_byte: dict[tuple[str, int], float] = {}
-    first_byte: dict[tuple[str, int], float] = {}
-    decoded: dict[int, float] = {}
-    timed = []
-    for lane, e in zip(recorder.lanes, events):
-        t = clock.setdefault(lane, 0.0)
-        if e.kind == SEND:
-            first, last_byte[e.name, e.frame_id] = links[e.actor].schedule(t, next(sizes[e.actor]))
-            first_byte.setdefault((e.actor, e.frame_id), first)
-            sent_until[lane] = links[e.actor].free_at_ms
-        elif e.kind == RECV:
-            t = max(t, last_byte[e.name, e.frame_id])
-        elif e.kind == BEGIN:
-            sent_until[lane] = 0.0
-            if e.name == "network":
-                t = max(t, first_byte["server", e.frame_id])
-            elif e.name == "merge":
-                t = max(t, decoded[e.frame_id])
-        elif e.kind == END:
-            t = max(t + stage_ms[e.actor, e.name], sent_until[lane])
-            if e.name == "decode":
-                decoded[e.frame_id] = t
-        clock[lane] = t
-        timed.append((t, lane, e))
-    # By time; a tie goes to the thread that appeared first, so the trace
-    # does not depend on how the threads interleaved (sorted is stable).
-    rank = {lane: i for i, lane in enumerate(clock)}
-    trace = Trace()
-    for t, _, e in sorted(timed, key=lambda x: (x[0], rank[x[1]])):
-        trace.add(t, e.actor, e.kind, e.name, e.frame_id)
+    trace = replay(recorded.trace, stage_ms, net)
     client_records = [read_record(ClientFrameRecord, trace, "client", r.frame_id,
                                   bytes_received=r.bytes_received) for r in recorded.client_records]
     server_records = [read_record(ServerFrameTiming, trace, "server", s.frame_id, bytes_sent=s.bytes_sent)
@@ -244,84 +276,6 @@ def run_native_virtual(
         )
         for frame_id in range(path.frame_count)
     ]
-
-
-class _Wire(contextlib.AbstractContextManager):
-    """One direction of the recording run's free link: a kernel socket
-    pair. The runtime reads `reader`, under the socket deadline
-    `wire.IO_TIMEOUT_S`, and its writes never block: each is queued, and a
-    delivery thread hands it to the socket at once. Leaving the `with`
-    block closes the reading end, which ends any delivery still under
-    way."""
-
-    def __init__(self):
-        self.sizes: list[int] = []  # length of each write, in order
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._tx, rx = socket.socketpair()
-        rx.settimeout(wire.IO_TIMEOUT_S)
-        self.reader = rx.makefile("rb")
-        rx.close()  # the reader now owns the socket
-        self._thread = threading.Thread(target=self._deliver, daemon=True)
-        self._thread.start()
-
-    def write(self, data: bytes) -> None:
-        if data:
-            self.sizes.append(len(data))
-            self._queue.put(data)
-
-    def close(self) -> None:
-        """Ends the stream: the reader sees EOF once it has drained it."""
-        self._queue.put(None)
-
-    def _deliver(self) -> None:
-        with self._tx, contextlib.suppress(ConnectionError):  # the reader closed mid-send
-            for data in iter(self._queue.get, None):
-                self._tx.sendall(data)
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-        self.reader.close()
-        self._thread.join()
-
-
-def _run_split(
-    spec: PartitionSpec,
-    codec: codec_mod.CodecId,
-    scene: SceneConfig,
-    rig: CameraRig,
-    path: CameraPath,
-    display: DisplaySink,
-    trace: Trace,
-) -> tuple[SimResult, dict[str, list[int]]]:
-    """Runs the real client and server runtimes concurrently in one process,
-    each reading a kernel socket that the other side's writes feed.
-
-    Returns the session, traced into `trace`, and the size of each message
-    the client and the server wrote, in order. A server that fails closes the downlink,
-    so the client ends instead of waiting, and its own error is raised.
-    """
-    with _Wire() as c2s, _Wire() as s2c:
-        server_session = ServerSession(c2s.reader, s2c.write, rig, trace=trace)
-        client_session = ClientSession(
-            reader=s2c.reader, writer=c2s.write, spec=spec, codec=codec, scene=scene, rig=rig,
-            path=path, display=display, trace=trace,
-        )
-
-        def serve() -> list[ServerFrameTiming]:
-            try:
-                return server_session.run()
-            finally:
-                s2c.close()
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            server_future = pool.submit(serve)
-            try:
-                client_records = client_session.run()
-            finally:
-                c2s.close()
-                # Raises the server's error, if any, in place of the client's.
-                server_records = server_future.result()
-    return SimResult(client_records, server_records, trace), {"client": c2s.sizes, "server": s2c.sizes}
 
 
 @dataclass

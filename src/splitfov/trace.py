@@ -16,6 +16,10 @@ the same events:
 * per frame n, server: recv pose, begin/end draw, begin/end encode,
   begin/end send, with send subframe<b> for each band between them.
 
+Each SEND is made by `Stopwatch.send`, which also traces the size of the
+message it writes in `Trace.sizes`, keyed like the SEND. The virtual
+clock charges the modeled link with those sizes.
+
 A stage is a `with stopwatch.stage(name, frame_id):` block. A runtime's
 records are a view of its trace: once a frame's last mark is made,
 `read_record` sets each `<stage>_ms` field to the END minus BEGIN of the
@@ -31,7 +35,7 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 BEGIN = "begin"
 END = "end"
@@ -55,6 +59,9 @@ class Trace:
         self._events: list[Event] = []
         self._first: dict[tuple[str, str, str, int], Event] = {}
         self._lock = threading.RLock()  # reentrant, so a subclass's add can extend this one's
+        # The byte count of each message sent through `Stopwatch.send`,
+        # keyed (actor, name, frame_id) like its SEND.
+        self.sizes: dict[tuple[str, str, int], int] = {}
 
     def add(self, t_ms: float, actor: str, kind: str, name: str, frame_id: int) -> None:
         event = Event(t_ms, actor, kind, name, frame_id)
@@ -102,6 +109,12 @@ class Stopwatch:
         t_ms = now_ms()
         self.trace.add(t_ms, self.actor, kind, name, frame_id)
         return t_ms
+
+    def send(self, writer: Callable[[bytes], None], name: str, frame_id: int, data: bytes) -> None:
+        """Marks the SEND of message `name`, traces its size, then writes it."""
+        self.mark(SEND, name, frame_id)
+        self.trace.sizes[self.actor, name, frame_id] = len(data)
+        writer(data)
 
     @contextlib.contextmanager
     def stage(self, name: str, frame_id: int) -> Iterator[None]:

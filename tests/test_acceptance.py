@@ -15,10 +15,8 @@ from splitfov.image import Rect, crop
 from splitfov.metrics import fps_display, improvement_pct, mbps, median, render_profile
 from splitfov.partition import Eye, PartitionSpec, foveal_rect_stereo, reduced_dims, server_rows
 from splitfov.render import SceneConfig, render_region, render_scaled
-from splitfov.sim import ZERO_NET, check_lockstep, run_sim_virtual
+from splitfov.sim import ZERO_NET, check_lockstep, loopback_session, run_sim_virtual
 from splitfov.wire import EndMsg, HelloMsg, PoseUpdateMsg, SubframeMsg, read_msg, write_msg
-
-from conftest import loopback_session
 
 SPEC = PartitionSpec.from_full(600, 270, 128, 90, 0.6)
 SCENE = SceneConfig()

@@ -30,8 +30,7 @@ from splitfov.partition import (
 )
 from splitfov.render import render_region, render_scaled
 from splitfov.server import draw_foveae
-
-from conftest import loopback_session
+from splitfov.sim import loopback_session
 
 POSE = pose_at(CameraPath(frame_count=12), 5)
 

@@ -22,6 +22,7 @@ from splitfov.codec import CodecError, CodecId, encode
 from splitfov.partition import MIN_SCALE, PartitionSpec, server_rows, subframe_bands
 from splitfov.render import SceneConfig
 from splitfov.server import ServerSession, pose_from_wire
+from splitfov.sim import start_server
 from splitfov.trace import BEGIN, END, Trace
 from splitfov.wire import (
     EndMsg,
@@ -33,8 +34,6 @@ from splitfov.wire import (
     write_msg,
     PROTOCOL_VERSION,
 )
-
-from conftest import start_server
 
 
 class Collected:

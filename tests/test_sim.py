@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import random
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +11,7 @@ import pytest
 
 from splitfov import client, codec, server, sim, wire
 from splitfov.camera import CameraPath, CameraRig, Pose, pose_at
-from splitfov.client import ClientFrameRecord, CollectSink, ffr_frame, run_native
+from splitfov.client import ClientFrameRecord, ClientSession, CollectSink, ffr_frame, run_native
 from splitfov.codec import CodecError, CodecId
 from splitfov.partition import PartitionSpec
 from splitfov.render import SceneConfig
@@ -25,17 +24,21 @@ from splitfov.sim import (
     ZERO_NET,
     _Link,
     check_lockstep,
+    loopback_session,
+    replay,
     run_native_virtual,
     run_sim_virtual,
+    start_server,
 )
-
-from conftest import loopback_session
 
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    """Every thread a test starts (the runtimes', the recording link's
-    delivery threads) has ended within 1 s of the test returning."""
+    """Every thread a test starts (the server's, the client's receive
+    thread) has ended within 1 s of the test returning. A session whose
+    client fails ends its server too: the client's close gives the
+    server's read EOF, and resets a write of the server's that is blocked
+    on a full socket buffer."""
     before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + 1.0
@@ -232,6 +235,59 @@ class TestVirtualClockIgnoresHostTiming:
             assert res.trace.events() == steady.trace.events()
 
 
+STAGE_MS = {
+    ("server", "draw"): 5.0, ("server", "encode"): 3.0, ("server", "send"): 0.0,
+    ("client", "draw"): 6.0, ("client", "decode"): 4.0, ("client", "merge"): 1.0,
+    ("client", "display"): 0.0, ("client", "network"): 0.0, ("client", "total"): 0.0,
+}
+
+
+class ThreadTrace(Trace):
+    """A trace that also keeps the thread that added each event."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads: list[threading.Thread] = []
+
+    def add(self, *args) -> None:
+        with self._lock:
+            super().add(*args)
+            self.threads.append(threading.current_thread())
+
+
+class TestReplay:
+    @pytest.mark.parametrize("spec_name", ["tiny_spec", "split_spec"])
+    def test_each_named_lane_is_one_thread(self, spec_name, scene, rig, request):
+        """The replay's one assumption about the recording: the lane it
+        names from each event's actor and stage splits the events exactly
+        as the threads that added them do. The lanes first appear in the
+        order that breaks the replay's ties."""
+        spec = request.getfixturevalue(spec_name)
+        trace = loopback_session(spec, CodecId.PRED_DEFLATE, scene, rig, CameraPath(frame_count=3),
+                                 trace=ThreadTrace()).trace
+        lanes = [sim._lane(e) for e in trace.events()]
+        assert len(set(zip(lanes, trace.threads))) == len(set(lanes)) == len(set(trace.threads)) == 3
+        assert tuple(dict.fromkeys(lanes)) == sim._LANES
+
+    def test_reads_only_event_order_and_sizes(self, split_spec, scene, rig):
+        recorded = loopback_session(split_spec, CodecId.PRED_DEFLATE, scene, rig,
+                                    CameraPath(frame_count=3)).trace
+        rng = random.Random(36)
+        scrambled = Trace()
+        for e in recorded:
+            scrambled.add(rng.uniform(-1e6, 1e6), e.actor, e.kind, e.name, e.frame_id)
+        scrambled.sizes.update(recorded.sizes)
+        virtual = replay(recorded, STAGE_MS, NetModel(1.5, 300.0))
+        assert replay(scrambled, STAGE_MS, NetModel(1.5, 300.0)).events() == virtual.events()
+        assert check_lockstep(virtual, 3) == []
+
+    def test_a_send_with_no_traced_size_raises(self, tiny_spec, scene, rig):
+        recorded = loopback_session(tiny_spec, CodecId.RAW, scene, rig, CameraPath(frame_count=2)).trace
+        del recorded.sizes["server", "subframe0", 1]
+        with pytest.raises(KeyError):
+            replay(recorded, STAGE_MS, NetModel(1.5, 300.0))
+
+
 class TestRowSplit:
     """At `split_spec` the server draws and ships the top 40 of the 80
     foveal rows, in two bands of 20 rows of both eyes side by side, and the
@@ -319,26 +375,6 @@ class TestNativeVirtual:
         assert records == [ClientFrameRecord(n, d, 0.0, 0.0, 0.0, d, 0) for n in range(9)]
 
 
-class TestWire:
-    """One direction of the recording run's link: a kernel socket pair
-    that a delivery thread feeds."""
-
-    def test_closed_writer_reads_as_eof_after_drain(self):
-        with sim._Wire() as link:
-            link.write(b"ab")
-            link.close()
-            assert link.reader.read(10) == b"ab"
-            assert link.reader.read(1) == b""
-
-    def test_nothing_in_flight_times_out(self, monkeypatch):
-        monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.2)
-        with sim._Wire() as link:
-            t0 = time.perf_counter()
-            with pytest.raises(TimeoutError):
-                link.reader.read(1)
-        assert 0.15 <= time.perf_counter() - t0 < 2.0
-
-
 class TestWallClock:
     """The runtimes on the machine clock, over loopback TCP as the CLI's
     `server` and `client` run them, both tracing into one trace."""
@@ -370,6 +406,26 @@ class TestWallClock:
             assert idle >= 50.0
 
 
+class TestStartServer:
+    def test_a_server_that_fails_before_it_listens_raises_at_once(self, rig, monkeypatch):
+        def cannot_bind(*args, **kwargs):
+            raise OSError("cannot bind")
+
+        monkeypatch.setattr(sim, "run_server", cannot_bind)
+        t0 = time.perf_counter()
+        with pytest.raises(OSError, match="cannot bind"):
+            start_server(rig)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def server_message_ends(spec, scene, rig, path) -> list[int]:
+    """Where each message the server sends ends in its stream, in bytes:
+    the running sum of the SEND sizes on a clean session's trace."""
+    trace = loopback_session(spec, CodecId.PRED_DEFLATE, scene, rig, path).trace
+    return list(itertools.accumulate(trace.sizes[e.actor, e.name, e.frame_id] for e in trace
+                                     if e.actor == "server" and e.kind == SEND))
+
+
 class _CutStream:
     """Delivers the first `left` bytes of a stream, then reads as EOF."""
 
@@ -391,16 +447,14 @@ class TestTruncatedDownlink:
         spec = PartitionSpec(200, 100, 80, 80, 0.5)
         path = CameraPath(frame_count=3)
         native = [ffr_frame(scene, rig, pose_at(path, n), spec).tobytes() for n in range(3)]
-        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path,
-                                   client.null_sink, Trace())
-        ends = list(itertools.accumulate(writes["server"]))
+        ends = server_message_ends(spec, scene, rig, path)
         frame_ends, total = ends[1::2], ends[-1]
         cuts = sorted({*range(24), *range(0, total + 60, 97),
                        *(end + d for end in ends for d in (-1, 0, 1))})
         monkeypatch.setattr(wire, "IO_TIMEOUT_S", 2.0)
         for cut in cuts:
-            monkeypatch.setattr(sim, "ClientSession", lambda reader, _cut=cut, **kwargs:
-                                client.ClientSession(reader=_CutStream(reader, _cut), **kwargs))
+            monkeypatch.setattr(client, "ClientSession", lambda reader, *args, _cut=cut:
+                                ClientSession(_CutStream(reader, _cut), *args))
             sink = CollectSink()
             try:
                 run_sim_virtual(spec, CodecId.PRED_DEFLATE, scene, rig, path, display=sink)
@@ -413,13 +467,14 @@ class TestTruncatedDownlink:
 
 class TestStoppedReader:
     def test_a_reader_that_stops_cannot_hang_the_session(self, scene, rig, monkeypatch):
-        """The client stops reading 5,000 bytes into a 660,490-byte RAW
-        subframe, far more than a socket buffer holds. Writes never block
-        a runtime, so the session ends in ConnectionClosedError at once and
-        displays nothing."""
+        """The client stops reading 5,000 bytes into a frame of two RAW
+        subframes of about 625 KB each, more than the socket buffers take
+        from a reader that has stopped, so the server's write blocks. The
+        client's close resets that write, so the session ends in
+        ConnectionClosedError at once and displays nothing."""
         spec = PartitionSpec(1400, 700, 640, 640, 0.25)
-        monkeypatch.setattr(sim, "ClientSession", lambda reader, **kwargs:
-                            client.ClientSession(reader=_CutStream(reader, 5000), **kwargs))
+        monkeypatch.setattr(client, "ClientSession", lambda reader, *args:
+                            ClientSession(_CutStream(reader, 5000), *args))
         shown, outcome = [], {}
 
         def session():
@@ -459,9 +514,7 @@ class TestStalledDownlink:
         spec = PartitionSpec(200, 100, 80, 80, 0.5)
         path = CameraPath(frame_count=3)
         native = [ffr_frame(scene, rig, pose_at(path, n), spec).tobytes() for n in range(3)]
-        _, writes = sim._run_split(spec, CodecId.PRED_DEFLATE, scene, rig, path,
-                                   client.null_sink, Trace())
-        ends = list(itertools.accumulate(writes["server"]))
+        ends = server_message_ends(spec, scene, rig, path)
         assert ends[2] + 100 < ends[3]
         # Into frame 1's first subframe header, 100 bytes into its second
         # subframe, and exactly at its end, with the frames wholly delivered.
@@ -469,7 +522,7 @@ class TestStalledDownlink:
         monkeypatch.setattr(wire, "IO_TIMEOUT_S", 0.5)
         for cut, delivered in cuts:
             monkeypatch.setattr(
-                sim, "ServerSession",
+                server, "ServerSession",
                 lambda reader, writer, rig, trace=None, _cut=cut:
                     ServerSession(reader, _StalledWriter(writer, _cut), rig, trace),
             )
@@ -486,7 +539,7 @@ class TestRigMismatch:
     def test_other_rig_ends_the_session_before_any_frame(self, tiny_spec, scene, monkeypatch):
         # The client draws with ipd 0.1; the server keeps the default rig.
         monkeypatch.setattr(
-            sim, "ServerSession",
+            server, "ServerSession",
             lambda reader, writer, rig, trace=None: ServerSession(reader, writer, CameraRig(), trace),
         )
         sink = CollectSink()
@@ -526,10 +579,10 @@ class TestServerFailure:
 class TestSilentServer:
     @pytest.mark.parametrize("run", [run_sim_virtual])
     def test_missing_subframes_time_out(self, run, tiny_spec, scene, rig, monkeypatch):
-        # The simulator's runtimes read kernel sockets under the same
-        # deadline as a TCP session, so a wait on a peer that sends nothing
-        # ends in a TimeoutError. Frame 1's subframes are written as empty
-        # writes, which the link drops.
+        # The simulator's runtimes run a loopback TCP session, under its
+        # read deadline, so a wait on a peer that sends nothing ends in a
+        # TimeoutError. Frame 1's subframes are written as empty
+        # writes, which send nothing.
         write_msg = server.write_msg
 
         def skip_frame_1(msg):
@@ -552,52 +605,6 @@ class TestSilentServer:
         assert not worker.is_alive(), "the session hung on a silent server"
         assert isinstance(outcome.get("error"), TimeoutError)
         assert shown == [0]
-
-
-class TestLaneTrace:
-    def test_each_event_keeps_the_thread_that_added_it(self):
-        # More threads than cores, switching as often as the interpreter
-        # allows: a lane appended apart from its event would misalign.
-        trace = sim._LaneTrace()
-
-        def add_many(n):
-            for i in range(200):
-                trace.add(float(i), "client", SEND, f"m{i}", n)
-
-        threads = [threading.Thread(target=add_many, args=(n,)) for n in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(trace.lanes) == len(trace) == 8 * 200
-        assert all(lane is threads[e.frame_id] for e, lane in zip(trace.events(), trace.lanes))
-        assert trace.find("client", SEND, "m199", 7).t_ms == 199.0
-
-
-    def test_no_add_comes_between_an_event_and_its_lane(self, monkeypatch):
-        # Another thread adds while this one is inside the base add; it must
-        # wait until this event's lane is appended too.
-        trace = sim._LaneTrace()
-        other = threading.Thread(target=trace.add, args=(2.0, "server", RECV, "pose", 0))
-
-        def let_the_other_in(self, *args, _inner=Trace.add):
-            _inner(self, *args)
-            if threading.current_thread() is not other:
-                other.start()
-                other.join(timeout=0.2)
-
-        monkeypatch.setattr(Trace, "add", let_the_other_in)
-        trace.add(1.0, "client", SEND, "pose", 0)
-        other.join(timeout=5.0)
-        assert not other.is_alive()
-        assert [(e.actor, lane) for e, lane in zip(trace.events(), trace.lanes)] == [
-            ("client", threading.current_thread()), ("server", other)]
 
 
 class TestBenchmarkSeams:
